@@ -18,12 +18,20 @@ construction: there is no gradient atom, so gradient terms cannot appear.
 The dimension monomial tracks integer exponents of hbar, c, m, the energy
 gap Eg = 2 m c^2, the charges e and et, and the gap-scaled anomalous moments
 mu and d.  The 1/Eg order of a term is minus its Eg exponent.
+
+Orders add under multiplication (normal ordering only brings in hbar, c and
+the charges), so a product truncated at a 1/Eg order is exact.  A truncated
+product groups the right factor's terms by order once and, for each left
+term, stops at the first group past the limit, so the pairs it drops are
+never visited one by one.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from . import clifford
 
@@ -70,6 +78,7 @@ def field_degree(word: tuple[int, ...]) -> int:
 DIM_NAMES = ("hbar", "c", "m", "Eg", "e", "et", "mu", "d")
 _DIM_INDEX = {name: k for k, name in enumerate(DIM_NAMES)}
 DIM_ZERO = (0,) * 8
+_ONE = Fraction(1)
 
 _I_HBAR, _I_C, _I_M, _I_EG, _I_E, _I_ET, _I_MU, _I_D = range(8)
 
@@ -82,7 +91,7 @@ def dim(**exponents: int) -> tuple[int, ...]:
 
 
 def dim_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def eg_order(key) -> int:
@@ -156,13 +165,14 @@ def _order_word(word: tuple[int, ...]):
     Returns a tuple of (canonical_word, dim_delta, ip, coeff) contributions.
     Each adjacent swap of noncommuting atoms replaces the pair with the
     commutator's atoms; corrections recurse on strictly shorter words, so the
-    rewriting terminates.
+    rewriting terminates.  A zero dim_delta is DIM_ZERO itself and a unit
+    coeff is _ONE itself, so callers skip those factors by identity.
     """
     for k in range(len(word) - 1):
         if word[k] > word[k + 1]:
             break
     else:
-        return ((word, DIM_ZERO, 0, Fraction(1)),)
+        return ((word, DIM_ZERO, 0, _ONE),)
 
     a, b = word[k], word[k + 1]
     head, tail = word[:k], word[k + 2:]
@@ -189,7 +199,30 @@ def _order_word(word: tuple[int, ...]):
         _accumulate(head + (field_e(kk),) + tail, _DIM_PIPI_E, 1, Fraction(-sign))
     # every other out-of-order pair commutes: swap with no correction
 
-    return tuple((w, dd, ip, c) for (w, dd, ip), c in acc.items() if c)
+    return tuple((w, DIM_ZERO if dd == DIM_ZERO else dd, ip, _ONE if c == 1 else c)
+                 for (w, dd, ip), c in acc.items() if c)
+
+
+def _add_word(acc: dict, coeff: Fraction, dims: tuple, mat: int, ip: int, word: tuple) -> None:
+    """Merge coeff * i^ip * dims * mat * word into acc, normal ordering the word.
+
+    coeff must be nonzero; ip may be any nonnegative power of i.
+    """
+    for w, dd, dip, c in _order_word(word):
+        tot = ip + dip
+        val = coeff if c is _ONE else coeff * c
+        if tot & 2:
+            val = -val
+        key = (dims if dd is DIM_ZERO else dim_mul(dims, dd), mat, tot & 1, w)
+        old = acc.get(key)
+        if old is None:
+            acc[key] = val
+        else:
+            new = old + val
+            if new:
+                acc[key] = new
+            else:
+                del acc[key]
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +251,8 @@ class Expression:
         coeff = Fraction(coeff)
         if coeff == 0:
             return Expression()
-        if ip % 4 >= 2:
-            coeff = -coeff
-        ip %= 2
         acc: dict[tuple, Fraction] = {}
-        for w, dd, dip, c in _order_word(tuple(word)):
-            tot_ip = ip + dip
-            val = coeff * c * (-1 if tot_ip >= 2 else 1)
-            key = (dim_mul(dims, dd), mat, tot_ip % 2, w)
-            _merge(acc, key, val)
+        _add_word(acc, coeff, dims, mat, ip % 4, tuple(word))
         return Expression(acc)
 
     @staticmethod
@@ -256,11 +282,15 @@ class Expression:
         coeff = Fraction(coeff)
         if coeff == 0:
             return Expression()
+        ip %= 4
+        unit, no_dims = coeff == 1, dims == DIM_ZERO
         out: dict[tuple, Fraction] = {}
         for (d, mat, tip, w), val in self.terms.items():
             tot = tip + ip
-            c = val * coeff * (-1 if tot % 4 >= 2 else 1)
-            _merge(out, (dim_mul(d, dims), mat, tot % 2, w), c)
+            c = val if unit else val * coeff
+            if tot & 2:
+                c = -c
+            _merge(out, (d if no_dims else dim_mul(d, dims), mat, tot & 1, w), c)
         return Expression(out)
 
     def __eq__(self, other) -> bool:
@@ -292,36 +322,62 @@ def _merge(acc: dict, key, val) -> None:
         acc.pop(key, None)
 
 
+def _add_product(acc: dict, a: Expression, b: Expression, max_order: int | None,
+                 negate: bool = False) -> None:
+    """Merge a * b (or -(a * b)) into acc, keeping 1/Eg orders <= max_order.
+
+    b's terms are grouped by order once and the groups walked lowest first;
+    each term of a stops at the first group that would exceed max_order.
+    Without a limit b is one group.
+    """
+    if max_order is None:
+        limit, groups = math.inf, [(-math.inf, list(b.terms.items()))]
+    else:
+        buckets: dict[int, list] = {}
+        for item in b.terms.items():
+            buckets.setdefault(-item[0][0][_I_EG], []).append(item)
+        limit, groups = max_order, sorted(buckets.items())
+    for (d1, m1, ip1, w1), c1 in a.terms.items():
+        room = limit + d1[_I_EG]  # highest order of b this term may meet
+        if negate:
+            c1 = -c1
+        row = MAT_TABLE[m1]
+        for o2, items in groups:
+            if o2 > room:
+                break
+            for (d2, m2, ip2, w2), c2 in items:
+                mat, mip = row[m2]
+                _add_word(acc, c1 * c2, dim_mul(d1, d2), mat, ip1 + ip2 + mip, w1 + w2)
+
+
 def mul(a: Expression, b: Expression, max_order: int | None = None) -> Expression:
     """Product in canonical form.
 
-    max_order drops every product term whose 1/Eg order exceeds it before
-    normal ordering; orders add under multiplication, so this is an exact
-    truncation, not a bound.
+    max_order drops every product term whose 1/Eg order exceeds it.  Orders
+    add under multiplication, so this is an exact truncation, not a bound;
+    the right factor's terms are bucketed by order and whole buckets past the
+    limit are skipped before any normal ordering.
     """
     out: dict[tuple, Fraction] = {}
-    for (d1, m1, ip1, w1), c1 in a.terms.items():
-        o1 = -d1[_I_EG]
-        for (d2, m2, ip2, w2), c2 in b.terms.items():
-            if max_order is not None and o1 - d2[_I_EG] > max_order:
-                continue
-            mat, mip = MAT_TABLE[m1][m2]
-            base_dim = dim_mul(d1, d2)
-            base_ip = ip1 + ip2 + mip
-            base_coeff = c1 * c2
-            for w, dd, dip, c in _order_word(w1 + w2):
-                tot = base_ip + dip
-                val = base_coeff * c * (-1 if tot % 4 >= 2 else 1)
-                _merge(out, (dim_mul(base_dim, dd), mat, tot % 2, w), val)
+    _add_product(out, a, b, max_order)
     return Expression(out)
 
 
 def commutator(a: Expression, b: Expression, max_order: int | None = None) -> Expression:
-    return mul(a, b, max_order) - mul(b, a, max_order)
+    """[a, b] = ab - ba, truncated like mul; both products merge into one
+    dict, so terms that cancel between them never form an expression."""
+    out: dict[tuple, Fraction] = {}
+    _add_product(out, a, b, max_order)
+    _add_product(out, b, a, max_order, negate=True)
+    return Expression(out)
 
 
 def anticommutator(a: Expression, b: Expression, max_order: int | None = None) -> Expression:
-    return mul(a, b, max_order) + mul(b, a, max_order)
+    """{a, b} = ab + ba, truncated like mul and merged into one dict."""
+    out: dict[tuple, Fraction] = {}
+    _add_product(out, a, b, max_order)
+    _add_product(out, b, a, max_order)
+    return Expression(out)
 
 
 def hermitian_conjugate(e: Expression) -> Expression:
@@ -329,11 +385,7 @@ def hermitian_conjugate(e: Expression) -> Expression:
     and the phase-free basis matrices are Hermitian."""
     out: dict[tuple, Fraction] = {}
     for (d, mat, ip, w), c in e.terms.items():
-        coeff = -c if ip else c
-        for w2, dd, dip, c2 in _order_word(w[::-1]):
-            tot = ip + dip
-            val = coeff * c2 * (-1 if tot % 4 >= 2 else 1)
-            _merge(out, (dim_mul(d, dd), mat, tot % 2, w2), val)
+        _add_word(out, -c if ip else c, d, mat, ip, w[::-1])
     return Expression(out)
 
 

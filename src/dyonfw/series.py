@@ -119,12 +119,6 @@ class SeriesPoly:
         )
         return binom.compose(u)
 
-    def truncate(self, deg: int) -> "SeriesPoly":
-        return SeriesPoly(list(self.coeffs[: deg + 1]), deg)
-
-    def matches_through(self, other: "SeriesPoly", deg: int) -> bool:
-        return all(self[k] == other[k] for k in range(deg + 1))
-
 
 def _coerce(value, max_deg: int) -> SeriesPoly:
     if isinstance(value, SeriesPoly):

@@ -199,6 +199,39 @@ def test_product_matches_bruteforce(word1, word2):
     assert oracles.matrices_equal(brute, oracles.expression_to_matrices(engine))
 
 
+# Small alphabet and coefficients, so that terms cancel often, both inside an
+# operand and between the pairs of a product.
+_graded_atoms = st.sampled_from((al.field_e(1), al.field_b(3), al.VPOT, al.pi(1), al.pi(2)))
+_graded_coeffs = st.sampled_from((-2, -1, 1, 2, Fraction(1, 2)))
+
+
+@st.composite
+def _graded_expressions(draw):
+    """Sums over a few distinct 1/Eg orders in -1..6, gaps between them,
+    possibly none at all (the zero expression)."""
+    total = al.Expression.zero()
+    for order in draw(st.lists(st.integers(-1, 6), max_size=4, unique=True)):
+        for _ in range(draw(st.integers(1, 3))):
+            total = total + al.Expression.term(
+                draw(_graded_coeffs),
+                word=draw(st.lists(_graded_atoms, max_size=3).map(tuple)),
+                mat=draw(st.integers(0, 15)), ip=draw(st.integers(0, 3)),
+                dims=al.dim(Eg=-order, hbar=draw(st.integers(0, 1))))
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(_graded_expressions(), _graded_expressions())
+def test_truncated_products_are_exact(a, b):
+    full = al.mul(a, b)
+    for k in range(-3, 13):
+        ab, ba = al.mul(a, b, k), al.mul(b, a, k)
+        assert ab == al.truncate_order(full, k)
+        assert al.commutator(a, b, k) == ab - ba
+        assert al.anticommutator(a, b, k) == ab + ba
+        assert al.commutator(a, a, k).is_zero()
+
+
 def test_randomized_oracle_equivalence_small():
     rng = random.Random(20260810)
     for _ in range(100):

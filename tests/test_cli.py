@@ -1,6 +1,10 @@
 """Command-line contract: flags, exit codes, deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +90,21 @@ def test_derive_output_is_deterministic(capsys):
     _, first = run_cli(capsys, "derive", "--order", "3")
     _, second = run_cli(capsys, "derive", "--order", "3")
     assert first == second
+
+
+@pytest.mark.parametrize("model", ["dirac", "dirac-pauli"])
+def test_derive_output_is_independent_of_hash_seed(model):
+    """Dict and set order may follow string hashing; derive's stdout must not."""
+    argv = [sys.executable, "-m", "dyonfw.cli", "derive", "--model", model,
+            "--order", "6", "--format", "json"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    procs = [subprocess.Popen(argv, stdout=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed))
+             for seed in ("0", "1")]
+    outs = [proc.communicate(timeout=600)[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_simulate_writes_csv(tmp_path, capsys):
