@@ -297,9 +297,3 @@ def fixtures_dir() -> Path:
         return Path(override)
     return Path(resources.files("dyonfw") / "fixtures")
 
-
-def load_or_build() -> ReferenceCatalog:
-    try:
-        return ReferenceCatalog.load()
-    except (FileNotFoundError, json.JSONDecodeError):
-        return ReferenceCatalog.build()

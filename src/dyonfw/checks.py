@@ -1,0 +1,100 @@
+"""Named verification checks, shared by ``dyonfw verify``, ``series-check``
+and the acceptance gate.
+
+Each suite function returns a list of ``{name, passed, detail}`` dicts in the
+order ``verify`` prints them.  The two transformed Hamiltonians the suites
+need are built once per process by :func:`pipeline`.
+"""
+
+from __future__ import annotations
+
+import functools
+import json
+from fractions import Fraction
+
+from . import algebra as al
+from . import fw
+from . import hamiltonians as ham
+from . import reduction
+
+# (ge, gte) points on which the combined spin Hamiltonian must match TBMT.
+G_GRID = tuple((ge, gte) for ge in (0, 1, 2, Fraction("2.0023"), 3)
+               for gte in (0, 1, 2, 3))
+
+
+@functools.lru_cache(maxsize=None)
+def pipeline(model: str) -> fw.FWRunResult:
+    """Staged transformation of the generic dyon, built once per model.
+
+    The result is shared by every caller; do not mutate it.
+    """
+    if model == "dirac":
+        h = ham.build_dirac_hamiltonian(ham.GENERIC_DYON)
+    else:
+        h = ham.build_dirac_pauli_hamiltonian(ham.GENERIC_DYON)
+    return fw.fw_run(h, model=model)
+
+
+def _check(name: str, passed: bool, detail: str = "") -> dict:
+    return {"name": name, "passed": bool(passed), "detail": detail}
+
+
+def fw_checks(catalog, dump_path: str | None = None) -> list[dict]:
+    """Orders 1..6 of the Dirac pipeline against the catalog, raw and physical.
+
+    dump_path, if given, receives per-order derived/reference/diff JSON and
+    LaTeX.
+    """
+    result = pipeline("dirac")
+    reports = [fw.FWOrderReport(n, result.even_slices[n], catalog[f"fw_order_{n}"])
+               for n in range(1, 7)]
+    checks = [_check(f"fw_order_{r.order}_diff_zero", r.passed,
+                     f"{len(r.derived)} terms") for r in reports]
+    for n, ex in reduction.physical_orders(result).items():
+        checks.append(_check(f"physical_order_{n}_diff_zero",
+                             (ex - catalog[f"physical_order_{n}"]).is_zero()))
+    if dump_path:
+        with open(dump_path, "w") as f:
+            json.dump({"reports": [r.to_json_dict() for r in reports],
+                       "latex": [r.to_latex() for r in reports]},
+                      f, indent=1)
+    return checks
+
+
+def pauli_checks(catalog) -> list[dict]:
+    """Anomalous closed forms, their g = 2 vanishing, and the TBMT match on
+    every point of G_GRID."""
+    static, cross = reduction.pauli_extra_terms(pipeline("dirac-pauli"))
+    checks = [
+        _check("anomalous_static_matches", (static - catalog["anomalous_static"]).is_zero()),
+        _check("anomalous_cross_matches", (cross - catalog["anomalous_cross"]).is_zero()),
+        _check("anomalous_vanishes_at_g2",
+               al.substitute_moments(static + cross, 2, 2).is_zero()),
+    ]
+    _, spin = reduction.reduce_to_physical(pipeline("dirac"))
+    detail = ""
+    for ge, gte in G_GRID:
+        m = reduction.match_tbmt(spin, static, cross, ham.ParticleParams(ge=ge, gte=gte))
+        if not m.passed and not detail:
+            detail = f"first failure at ge={ge}, gte={gte}: {m.mismatches[:3]}"
+    checks.append(_check("classical_match_through_beta5", not detail, detail))
+    return checks
+
+
+def appendix_b_checks() -> list[dict]:
+    """The sandwich identities that emerge from ordering and truncation."""
+    omega = ham.omega_odd()
+    w_op = al.commutator(al.commutator(omega, ham.omega_even()), omega)
+    rhs = al.truncate_fields(al.mul(ham.pi_squared(1, dims=al.dim(c=2)), w_op))
+    sandwich = al.truncate_fields(al.mul(al.mul(omega, w_op), omega))
+    double = al.truncate_fields(
+        al.mul(al.mul(omega, omega), w_op) + al.mul(w_op, al.mul(omega, omega)))
+    return [
+        _check("sandwich_reduces_with_minus_sign", (sandwich + rhs).is_zero()),
+        _check("symmetric_product_reduces", (double - rhs.scale(2)).is_zero()),
+    ]
+
+
+def series_checks() -> list[dict]:
+    """The boost-speed prefactor identities."""
+    return [_check(r.name, r.passed) for r in reduction.series_check()]

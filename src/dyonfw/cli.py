@@ -9,30 +9,20 @@ for identical inputs.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
+import math
 import sys
-from fractions import Fraction
 
 from . import algebra as al
 from . import catalog as cat_mod
+from . import checks
 from . import dynamics as dyn
-from . import hamiltonians as ham
 from . import reduction
 from . import fw
 
 
-@functools.lru_cache(maxsize=None)
-def _run_pipeline(model: str) -> fw.FWRunResult:
-    if model == "dirac":
-        h = ham.build_dirac_hamiltonian(ham.GENERIC_DYON)
-    else:
-        h = ham.build_dirac_pauli_hamiltonian(ham.GENERIC_DYON)
-    return fw.fw_run(h, model=model)
-
-
 def cmd_derive(args) -> int:
-    result = _run_pipeline(args.model)
+    result = checks.pipeline(args.model)
     orders = []
     for n in range(1, args.order + 1):
         derived = result.even_slices[n]
@@ -45,93 +35,23 @@ def cmd_derive(args) -> int:
     return 0
 
 
-def _check(name: str, passed: bool, detail: str = "") -> dict:
-    return {"name": name, "passed": bool(passed), "detail": detail}
-
-
-def _suite_fw(catalog, dump_path: str | None = None) -> list[dict]:
-    result = _run_pipeline("dirac")
-    reports = [fw.FWOrderReport(n, result.even_slices[n],
-                                catalog[f"fw_order_{n}"])
-               for n in range(1, 7)]
-    checks = []
-    for r in reports:
-        checks.append(_check(f"fw_order_{r.order}_diff_zero", r.passed,
-                             f"{len(r.derived)} terms"))
-    physical = reduction.physical_orders(result)
-    for n, ex in physical.items():
-        ref = catalog[f"physical_order_{n}"]
-        checks.append(_check(f"physical_order_{n}_diff_zero", (ex - ref).is_zero()))
-    if dump_path:
-        with open(dump_path, "w") as f:
-            json.dump({"reports": [r.to_json_dict() for r in reports],
-                       "latex": [r.to_latex() for r in reports]},
-                      f, indent=1)
-    return checks
-
-
-def _suite_pauli(catalog) -> list[dict]:
-    result = _run_pipeline("dirac-pauli")
-    static, cross = reduction.pauli_extra_terms(result)
-    checks = [
-        _check("anomalous_static_matches", (static - catalog["anomalous_static"]).is_zero()),
-        _check("anomalous_cross_matches", (cross - catalog["anomalous_cross"]).is_zero()),
-        _check("anomalous_vanishes_at_g2",
-               al.substitute_moments(static + cross, 2, 2).is_zero()),
-    ]
-    dirac = _run_pipeline("dirac")
-    _, spin = reduction.reduce_to_physical(dirac)
-    grid_ok, detail = True, ""
-    for ge in (0, 1, 2, Fraction("2.0023"), 3):
-        for gte in (0, 1, 2, 3):
-            m = reduction.match_tbmt(spin, static, cross,
-                                     ham.ParticleParams(ge=ge, gte=gte))
-            if not m.passed:
-                grid_ok = False
-                detail = f"first failure at ge={ge}, gte={gte}"
-    checks.append(_check("classical_match_through_beta5", grid_ok, detail))
-    return checks
-
-
-def _suite_appendix_b() -> list[dict]:
-    omega = ham.omega_odd()
-    w_op = al.commutator(al.commutator(omega, ham.omega_even()), omega)
-    rhs = al.truncate_fields(al.mul(ham.pi_squared(1, dims=al.dim(c=2)), w_op))
-    sandwich = al.truncate_fields(al.mul(al.mul(omega, w_op), omega))
-    double = al.truncate_fields(
-        al.mul(al.mul(omega, omega), w_op) + al.mul(w_op, al.mul(omega, omega)))
-    return [
-        _check("sandwich_reduces_with_minus_sign", (sandwich + rhs).is_zero()),
-        _check("symmetric_product_reduces", (double - rhs.scale(2)).is_zero()),
-    ]
-
-
-def _suite_series() -> list[dict]:
-    return [_check(r.name, r.passed) for r in reduction.series_check()]
-
-
 def cmd_verify(args) -> int:
-    catalog = cat_mod.load_or_build()
-    checks: list[dict] = []
-    if args.suite in ("fw", "all"):
-        checks.extend(_suite_fw(catalog, getattr(args, "dump_reports", None)))
-    if args.suite in ("pauli", "all"):
-        checks.extend(_suite_pauli(catalog))
-    if args.suite in ("appendixB", "all"):
-        checks.extend(_suite_appendix_b())
-    if args.suite == "all":
-        checks.extend(_suite_series())
-    passed = all(c["passed"] for c in checks)
-    json.dump({"suite": args.suite, "passed": passed, "checks": checks},
-              sys.stdout, indent=1)
-    print()
-    return 0 if passed else 1
+    catalog = cat_mod.ReferenceCatalog.load()
+    suites = {"fw": lambda: checks.fw_checks(catalog, args.dump_reports),
+              "pauli": lambda: checks.pauli_checks(catalog),
+              "appendixB": checks.appendix_b_checks,
+              "series": checks.series_checks}
+    names = suites if args.suite == "all" else (args.suite,)
+    return _report(args.suite, [c for name in names for c in suites[name]()])
 
 
 def cmd_series_check(args) -> int:
-    checks = _suite_series()
-    passed = all(c["passed"] for c in checks)
-    json.dump({"suite": "series", "passed": passed, "checks": checks},
+    return _report("series", checks.series_checks())
+
+
+def _report(suite: str, results: list[dict]) -> int:
+    passed = all(c["passed"] for c in results)
+    json.dump({"suite": suite, "passed": passed, "checks": results},
               sys.stdout, indent=1)
     print()
     return 0 if passed else 1
@@ -142,16 +62,17 @@ def cmd_simulate(args) -> int:
     traj = dyn.integrate(state, fields, params,
                          dt=float(run["dt"]), steps=int(run["steps"]),
                          scheme=run.get("scheme", "split"))
-    traj.write_csv(args.out)
     smag = (traj.s ** 2).sum(axis=1) ** 0.5
-    summary = {
-        "samples": len(traj),
-        "out": args.out,
+    drifts = {
         "helicity_drift": float(abs(traj.helicity - traj.helicity[0]).max()),
         "spin_norm_drift": float(abs(smag - smag[0]).max()),
         "energy_drift": float(abs(traj.energy - traj.energy[0]).max()),
     }
-    json.dump(summary, sys.stdout, indent=1)
+    if not all(map(math.isfinite, drifts.values())):
+        raise ValueError(f"trajectory is not finite: {drifts}")
+    traj.write_csv(args.out)
+    json.dump({"samples": len(traj), "out": args.out, **drifts},
+              sys.stdout, indent=1)
     print()
     return 0
 

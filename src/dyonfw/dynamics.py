@@ -369,6 +369,9 @@ def fw_effective_field(beta: Vec3, fields: FieldConfig, ge: float,
 def load_scenario(path: str | Path) -> tuple[ParticleParams, FieldConfig, PhaseState, dict]:
     """Read a simulation config: particle, fields, initial state, run block."""
     data = json.loads(Path(path).read_text())
+    for block in ("particle", "fields", "run"):
+        if block not in data:
+            raise ValueError(f"scenario {path} has no '{block}' block")
     part = data["particle"]
     params = ParticleParams(m=_as_fraction(part["m"]), e=_as_fraction(part["e"]),
                             etilde=_as_fraction(part.get("etilde", 0)),

@@ -1,11 +1,13 @@
 """Staged block-diagonalization of Dirac-type Hamiltonians.
 
 Each stage conjugates by exp(S) with S = beta * (current odd part) / Eg and
-keeps terms through the target 1/Eg order.  Three stages suffice through
-order six; the residual odd parts of later stages are checked to start high
-enough that they cannot touch the kept even slices.  The stability of the
-even slices across stages (h''(n) = h'(n) for n <= 6) is asserted by running
-the stages, not assumed.
+keeps terms through the target 1/Eg order.  fw_run runs the stages as one
+loop over ODD_START, the lowest order each stage's residual odd part may
+have (1, 3, 4): after every stage it checks that the rest-mass term is
+unchanged and that the odd part starts no lower than its entry, so that it
+cannot touch the kept even slices.  Three stages suffice through order six;
+the stability of the even slices across the third stage (h''(n) = h'(n) for
+n <= 6) is asserted by running it, not assumed.
 """
 
 from __future__ import annotations
@@ -134,15 +136,9 @@ class FWRunResult:
     stage3: OddEvenSplit
     even_slices: dict[int, Expression] = field(default_factory=dict)
 
-    def report(self, n: int) -> FWOrderReport:
-        for r in self.reports:
-            if r.order == n:
-                return r
-        raise ValueError(f"no report for order {n}")
 
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.reports if r.passed is not None)
+# Lowest 1/Eg order each stage's residual odd part may have, stage by stage.
+ODD_START = (1, 3, 4)
 
 
 def _min_order(e: Expression) -> int | None:
@@ -154,9 +150,9 @@ def fw_run(h: Expression, target_order: int = 6, references=None,
     """Run the three-stage transformation and report per-order slices.
 
     references maps order -> target Expression (may be missing orders).
-    Raises PipelineError if a residual odd part appears below its guaranteed
-    starting order (stage 2 must start at 3, stage 3 at 4) or if the even
-    slices are not stable across the third stage.
+    Raises PipelineError, naming the stage and the order, if a stage moves
+    the rest-mass term, if a residual odd part appears below its entry in
+    ODD_START, or if the even slices are not stable across the third stage.
     """
     if not 1 <= target_order <= 6:
         raise ValueError("target_order must be in 1..6")
@@ -166,30 +162,19 @@ def fw_run(h: Expression, target_order: int = 6, references=None,
     if split0.mass.is_zero() and split0.odd.is_zero() and split0.even.is_zero():
         return FWRunResult(model, target_order, [], split0, split0, split0)
 
-    s1 = stage_generator(split0.odd)
-    h1 = bch_conjugate(s1, h, target_order)
-    split1 = split_even_odd(h1)
-    if split1.mass != split0.mass:
-        raise PipelineError("rest-mass term not preserved by stage 1")
-    o1_start = _min_order(split1.odd)
-    if o1_start is not None and o1_start < 1:
-        raise PipelineError("stage-1 odd part below order 1")
-
-    s2 = stage_generator(split1.odd)
-    h2 = bch_conjugate(s2, h1, target_order)
-    split2 = split_even_odd(h2)
-    o2_start = _min_order(split2.odd)
-    if o2_start is not None and o2_start < 3:
-        raise PipelineError(
-            f"stage-2 odd part starts at order {o2_start}, expected >= 3")
-
-    s3 = stage_generator(split2.odd)
-    h3 = bch_conjugate(s3, h2, target_order)
-    split3 = split_even_odd(h3)
-    o3_start = _min_order(split3.odd)
-    if o3_start is not None and o3_start < 4:
-        raise PipelineError(
-            f"stage-3 odd part starts at order {o3_start}, expected >= 4")
+    split, splits = split0, []
+    for stage, start in enumerate(ODD_START, 1):
+        h = bch_conjugate(stage_generator(split.odd), h, target_order)
+        split = split_even_odd(h)
+        if split.mass != split0.mass:
+            raise PipelineError(
+                f"stage-{stage} rest-mass term (order -1) not preserved")
+        low = _min_order(split.odd)
+        if low is not None and low < start:
+            raise PipelineError(f"stage-{stage} odd part starts at order {low}, "
+                                f"expected >= {start}")
+        splits.append(split)
+    split1, split2, split3 = splits
 
     # Stability of the even slices: stage 3 must not move them.  Stages 4..6
     # would conjugate by generators built from odd parts starting at order 4,
@@ -197,7 +182,7 @@ def fw_run(h: Expression, target_order: int = 6, references=None,
     # through order 6 given the starting orders verified above.
     for n in range(0, target_order + 1):
         if split3.even_slice(n) != split2.even_slice(n):
-            raise PipelineError(f"even slice {n} changed in stage 3")
+            raise PipelineError(f"stage-3 even slice at order {n} changed")
 
     reports = []
     even_slices = {}

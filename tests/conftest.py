@@ -6,8 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from dyonfw import catalog as cat_mod
-from dyonfw import fw
-from dyonfw import hamiltonians as ham
+from dyonfw import checks
 
 
 @pytest.fixture(scope="session")
@@ -16,13 +15,10 @@ def catalog():
 
 
 @pytest.fixture(scope="session")
-def dirac_result(catalog):
-    h = ham.build_dirac_hamiltonian(ham.ParticleParams(e=1, etilde=1))
-    return fw.fw_run(h, references=catalog.fw_references())
+def dirac_result():
+    return checks.pipeline("dirac")
 
 
 @pytest.fixture(scope="session")
 def pauli_result():
-    h = ham.build_dirac_pauli_hamiltonian(
-        ham.ParticleParams(e=1, etilde=1, ge=3, gte=3))
-    return fw.fw_run(h, model="dirac-pauli")
+    return checks.pipeline("dirac-pauli")

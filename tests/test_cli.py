@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dyonfw import cli
+from dyonfw import cli, reduction
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +86,39 @@ def test_verify_pauli_suite(capsys):
     assert data["passed"]
 
 
+def test_verify_all_prints_the_pinned_check_names(capsys):
+    expected = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    code, out = run_cli(capsys, "verify", "--suite", "all")
+    assert code == 0
+    assert ([c["name"] for c in json.loads(out)["checks"]]
+            == json.loads(expected.read_text())["verify_check_names"])
+
+
+def test_verify_reports_the_first_tbmt_failure(monkeypatch, capsys):
+    failures = {(1, 2): (("first",),), (3, 0): (("second",),)}
+
+    def match_tbmt(spin, static, cross, params):
+        return reduction.TbmtMatch(params.ge, params.gte,
+                                   failures.get((params.ge, params.gte), ()))
+    monkeypatch.setattr(reduction, "match_tbmt", match_tbmt)
+    code, out = run_cli(capsys, "verify", "--suite", "pauli")
+    assert code == 1
+    grid = json.loads(out)["checks"][-1]
+    assert grid["name"] == "classical_match_through_beta5"
+    assert not grid["passed"]
+    assert grid["detail"] == "first failure at ge=1, gte=2: (('first',),)"
+
+
+@pytest.mark.parametrize("content", [None, "{"], ids=["missing", "corrupt"])
+def test_verify_rejects_unreadable_fixtures(tmp_path, monkeypatch, capsys, content):
+    if content is not None:
+        (tmp_path / "catalog.json").write_text(content)
+    monkeypatch.setenv("FW_FIXTURES", str(tmp_path))
+    code, out = run_cli(capsys, "verify", "--suite", "appendixB")
+    assert code == 1
+    assert set(json.loads(out)) == {"error"}
+
+
 def test_derive_output_is_deterministic(capsys):
     _, first = run_cli(capsys, "derive", "--order", "3")
     _, second = run_cli(capsys, "derive", "--order", "3")
@@ -107,15 +140,23 @@ def test_derive_output_is_independent_of_hash_seed(model):
     assert outs[0] and outs[0] == outs[1]
 
 
-def test_simulate_writes_csv(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
+def _write_scenario(tmp_path, edit=None):
+    scenario = {
         "particle": {"m": 1, "e": 1, "etilde": 0, "ge": 2, "gte": 2},
         "fields": {"B": [0, 0, 1]},
         "init": {"u": [1.0, 0, 0], "s": [0.7071067811865476, 0,
                                          0.7071067811865476]},
         "run": {"dt": 0.04442882938158366, "steps": 400},
-    }))
+    }
+    if edit:
+        edit(scenario)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(scenario))
+    return cfg
+
+
+def test_simulate_writes_csv(tmp_path, capsys):
+    cfg = _write_scenario(tmp_path)
     out_csv = tmp_path / "traj.csv"
     code, out = run_cli(capsys, "simulate", "--config", str(cfg),
                         "--out", str(out_csv))
@@ -142,6 +183,18 @@ def test_verify_fails_against_perturbed_fixtures(tmp_path, monkeypatch, capsys,
     report = json.loads(out)
     assert not report["passed"]
     assert not report["checks"][0]["passed"]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda scenario: scenario.pop("run"),
+    lambda scenario: scenario["fields"].update(B=[0, 0, "nan"]),
+], ids=["no-run-block", "nan-field"])
+def test_simulate_bad_scenario_reports_error(tmp_path, capsys, edit):
+    cfg = _write_scenario(tmp_path, edit)
+    code, out = run_cli(capsys, "simulate", "--config", str(cfg), "--out",
+                        str(tmp_path / "o.csv"))
+    assert code == 1
+    assert set(json.loads(out)) == {"error"}
 
 
 def test_simulate_missing_config_reports_error(tmp_path, capsys):
