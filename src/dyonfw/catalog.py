@@ -263,8 +263,11 @@ class ReferenceCatalog:
         data = json.loads((path / "catalog.json").read_text())
         if data.get("version") != FIXTURES_VERSION:
             raise ValueError(f"unsupported fixtures version {data.get('version')}")
-        return cls({key: al.from_json_dict(val)
-                    for key, val in data["entries"].items()})
+        entries = data.get("entries", {})
+        missing = [key for key in FW_KEYS + PHYSICAL_KEYS if key not in entries]
+        if missing:
+            raise ValueError(f"{path / 'catalog.json'} lacks entries {missing}")
+        return cls({key: al.from_json_dict(val) for key, val in entries.items()})
 
     def save(self, directory: str | Path) -> Path:
         path = Path(directory)
@@ -283,12 +286,6 @@ class ReferenceCatalog:
 
     def __contains__(self, key: str) -> bool:
         return key in self.entries
-
-    def fw_references(self) -> dict[int, Expression]:
-        return {n: self.entries[f"fw_order_{n}"] for n in range(1, 7)}
-
-    def physical_references(self) -> dict[int, Expression]:
-        return {n: self.entries[f"physical_order_{n}"] for n in range(1, 7)}
 
 
 def fixtures_dir() -> Path:

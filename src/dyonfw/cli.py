@@ -59,9 +59,7 @@ def _report(suite: str, results: list[dict]) -> int:
 
 def cmd_simulate(args) -> int:
     params, fields, state, run = dyn.load_scenario(args.config)
-    traj = dyn.integrate(state, fields, params,
-                         dt=float(run["dt"]), steps=int(run["steps"]),
-                         scheme=run.get("scheme", "split"))
+    traj = dyn.integrate(state, fields, params, **run)
     smag = (traj.s ** 2).sum(axis=1) ** 0.5
     drifts = {
         "helicity_drift": float(abs(traj.helicity - traj.helicity[0]).max()),

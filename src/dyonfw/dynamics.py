@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -265,13 +266,16 @@ def _rk4_step(state: PhaseState, fields: FieldConfig, params: ParticleParams,
     return shift(state, blend, dt)
 
 
+_STEPPERS = {"split": _split_step, "rk4": _rk4_step}
+
+
 def integrate(state0: PhaseState, fields: FieldConfig, params: ParticleParams,
               dt: float, steps: int, c: float = 1.0,
               scheme: str = "split") -> Trajectory:
     """Fixed-step integration; returns steps + 1 samples including the start."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    stepper = {"split": _split_step, "rk4": _rk4_step}[scheme]
+    stepper = _STEPPERS[scheme]
     n = steps + 1
     t = np.empty(n)
     x = np.empty((n, 3))
@@ -367,26 +371,55 @@ def fw_effective_field(beta: Vec3, fields: FieldConfig, ge: float,
 # Scenario files
 
 def load_scenario(path: str | Path) -> tuple[ParticleParams, FieldConfig, PhaseState, dict]:
-    """Read a simulation config: particle, fields, initial state, run block."""
+    """Read a simulation config: particle, fields, initial state, run block.
+
+    Raises ValueError naming the offending field for a missing block or one
+    that is not a JSON object, a non-positive or non-finite mass, a
+    non-finite charge, gyro-ratio, field or initial value, a vector that is
+    not three numbers, a missing or non-positive dt, a missing, negative or
+    non-integer step count, or a scheme other than split/rk4.  The returned
+    run block holds exactly dt, steps and scheme.
+    """
     data = json.loads(Path(path).read_text())
-    for block in ("particle", "fields", "run"):
-        if block not in data:
+    if not isinstance(data, dict):
+        raise ValueError(f"scenario {path} is not a JSON object")
+    data.setdefault("init", {})
+    for block in ("particle", "fields", "init", "run"):
+        if not isinstance(data.get(block), dict):
             raise ValueError(f"scenario {path} has no '{block}' block")
-    part = data["particle"]
-    params = ParticleParams(m=_as_fraction(part["m"]), e=_as_fraction(part["e"]),
-                            etilde=_as_fraction(part.get("etilde", 0)),
-                            ge=_as_fraction(part.get("ge", 2)),
-                            gte=_as_fraction(part.get("gte", 2)))
-    fields = FieldConfig(E=data["fields"].get("E", (0, 0, 0)),
-                         B=data["fields"].get("B", (0, 0, 0)))
-    init = data.get("init", {})
-    state = PhaseState(x=init.get("x", (0, 0, 0)), u=init.get("u", (0, 0, 0)),
-                       s=init.get("s", (0, 0, 1)))
-    return params, fields, state, data["run"]
+    part, init, run = data["particle"], data["init"], data["run"]
+    params = ParticleParams(**{k: _as_fraction(f"particle.{k}", part.get(k, default))
+                               for k, default in (("m", None), ("e", None), ("etilde", 0),
+                                                  ("ge", 2), ("gte", 2))})
+    if params.m <= 0:
+        raise ValueError(f"scenario particle.m must be positive, got {part['m']!r}")
+    fields = FieldConfig(**{k: _vector(f"fields.{k}", data["fields"].get(k, (0, 0, 0)))
+                            for k in ("E", "B")})
+    state = PhaseState(**{k: _vector(f"init.{k}", init.get(k, default))
+                          for k, default in (("x", (0, 0, 0)), ("u", (0, 0, 0)),
+                                             ("s", (0, 0, 1)))})
+    dt = _as_fraction("run.dt", run.get("dt"))
+    if dt <= 0:
+        raise ValueError(f"scenario run.dt must be positive, got {run['dt']!r}")
+    steps = run.get("steps")
+    if type(steps) is not int or steps < 0:
+        raise ValueError(f"scenario run.steps must be a non-negative integer, got {steps!r}")
+    scheme = run.get("scheme", "split")
+    if scheme not in _STEPPERS:
+        raise ValueError(f"scenario run.scheme must be one of {sorted(_STEPPERS)}, "
+                         f"got {scheme!r}")
+    return params, fields, state, {"dt": float(dt), "steps": steps, "scheme": scheme}
 
 
-def _as_fraction(value):
-    from fractions import Fraction
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
+def _as_fraction(name: str, value) -> Fraction:
+    """Exact value of a finite scenario number (floats via their repr)."""
+    try:
+        return Fraction(str(value)) if isinstance(value, float) else Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"scenario {name} must be a finite number, got {value!r}") from None
+
+
+def _vector(name: str, value) -> Vec3:
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ValueError(f"scenario {name} must be three numbers, got {value!r}")
+    return tuple(float(_as_fraction(name, v)) for v in value)

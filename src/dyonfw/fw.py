@@ -7,12 +7,13 @@ have (1, 3, 4): after every stage it checks that the rest-mass term is
 unchanged and that the odd part starts no lower than its entry, so that it
 cannot touch the kept even slices.  Three stages suffice through order six;
 the stability of the even slices across the third stage (h''(n) = h'(n) for
-n <= 6) is asserted by running it, not assumed.
+n <= 6) is asserted by running it, not assumed.  The product of a run is
+the split after each stage and the final even slices, nothing else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -85,56 +86,46 @@ def bch_conjugate(s: Expression, h: Expression, max_order: int) -> Expression:
 
 @dataclass(frozen=True)
 class FWOrderReport:
-    """Machine-derived slice of one expansion order against its target form."""
+    """One derived expansion order against its target form (the
+    ``verify --dump-reports`` format)."""
 
     order: int
     derived: Expression
-    reference: Expression | None = None
+    reference: Expression
 
     @property
-    def diff(self) -> Expression | None:
-        if self.reference is None:
-            return None
+    def diff(self) -> Expression:
         return self.derived - self.reference
 
     @property
-    def passed(self) -> bool | None:
-        if self.reference is None:
-            return None
+    def passed(self) -> bool:
         return self.diff.is_zero()
 
     def to_json_dict(self) -> dict:
-        out = {"order": self.order, "pass": self.passed,
-               "derived": al.to_json_dict(self.derived)}
-        if self.reference is not None:
-            out["reference"] = al.to_json_dict(self.reference)
-            out["diff"] = al.to_json_dict(self.diff)
-        return out
+        return {"order": self.order, "pass": self.passed,
+                "derived": al.to_json_dict(self.derived),
+                "reference": al.to_json_dict(self.reference),
+                "diff": al.to_json_dict(self.diff)}
 
     def to_latex(self) -> str:
-        lines = [f"% order {self.order}", al.to_latex(self.derived)]
-        if self.reference is not None:
-            lines += ["% reference", al.to_latex(self.reference),
-                      "% difference", al.to_latex(self.diff)]
-        return "\n".join(lines)
+        return "\n".join([f"% order {self.order}", al.to_latex(self.derived),
+                          "% reference", al.to_latex(self.reference),
+                          "% difference", al.to_latex(self.diff)])
 
 
-@dataclass
+@dataclass(frozen=True)
 class FWRunResult:
-    """Everything the staged transformation produced.
+    """What the staged transformation produced.
 
-    stage1 holds the first conjugated Hamiltonian's split (its odd slices are
-    the raw ingredients of the higher-order corrections); even_slices are the
-    final stable slices h''(n) = h'(n).
+    stages[k] is the split after stage k + 1, in stage order (the odd slices
+    of stages[0] are the raw ingredients of the higher-order corrections);
+    even_slices[n], n = 1..target order, are the final stable slices
+    h''(n) = h'(n).
     """
 
     model: str
-    target_order: int
-    reports: list[FWOrderReport]
-    stage1: OddEvenSplit
-    stage2: OddEvenSplit
-    stage3: OddEvenSplit
-    even_slices: dict[int, Expression] = field(default_factory=dict)
+    stages: tuple[OddEvenSplit, ...]
+    even_slices: dict[int, Expression]
 
 
 # Lowest 1/Eg order each stage's residual odd part may have, stage by stage.
@@ -145,62 +136,41 @@ def _min_order(e: Expression) -> int | None:
     return min((al.eg_order(k) for k in e.terms), default=None)
 
 
-def fw_run(h: Expression, target_order: int = 6, references=None,
+def fw_run(h: Expression, target_order: int = 6, *,
            model: str = "dirac") -> FWRunResult:
-    """Run the three-stage transformation and report per-order slices.
+    """Run the three-stage transformation and slice the result by order.
 
-    references maps order -> target Expression (may be missing orders).
     Raises PipelineError, naming the stage and the order, if a stage moves
     the rest-mass term, if a residual odd part appears below its entry in
     ODD_START, or if the even slices are not stable across the third stage.
     """
     if not 1 <= target_order <= 6:
         raise ValueError("target_order must be in 1..6")
-    references = references or {}
 
-    split0 = split_even_odd(h)
-    if split0.mass.is_zero() and split0.odd.is_zero() and split0.even.is_zero():
-        return FWRunResult(model, target_order, [], split0, split0, split0)
-
-    split, splits = split0, []
+    split = split_even_odd(h)
+    mass, stages = split.mass, []
     for stage, start in enumerate(ODD_START, 1):
         h = bch_conjugate(stage_generator(split.odd), h, target_order)
         split = split_even_odd(h)
-        if split.mass != split0.mass:
+        if split.mass != mass:
             raise PipelineError(
                 f"stage-{stage} rest-mass term (order -1) not preserved")
         low = _min_order(split.odd)
         if low is not None and low < start:
             raise PipelineError(f"stage-{stage} odd part starts at order {low}, "
                                 f"expected >= {start}")
-        splits.append(split)
-    split1, split2, split3 = splits
+        stages.append(split)
 
     # Stability of the even slices: stage 3 must not move them.  Stages 4..6
     # would conjugate by generators built from odd parts starting at order 4,
     # whose even corrections begin beyond 2*4, so they cannot contribute
     # through order 6 given the starting orders verified above.
     for n in range(0, target_order + 1):
-        if split3.even_slice(n) != split2.even_slice(n):
+        if split.even_slice(n) != stages[-2].even_slice(n):
             raise PipelineError(f"stage-3 even slice at order {n} changed")
 
-    reports = []
-    even_slices = {}
-    for n in range(1, target_order + 1):
-        derived = split3.even_slice(n)
-        even_slices[n] = derived
-        reports.append(FWOrderReport(order=n, derived=derived,
-                                     reference=references.get(n)))
-    return FWRunResult(model, target_order, reports, split1, split2, split3,
-                       even_slices)
-
-
-def extract_order(reports, n: int) -> Expression:
-    """Derived expression of order n from a report list; n must be present."""
-    for r in reports:
-        if r.order == n:
-            return r.derived
-    raise ValueError(f"order {n} not in reports")
+    return FWRunResult(model, tuple(stages),
+                       {n: split.even_slice(n) for n in range(1, target_order + 1)})
 
 
 def nested_commutator(outer: Expression, inner: Expression, times: int,

@@ -48,6 +48,15 @@ def _is_spin_key(key) -> bool:
     return right != 0 and left in (0, 3)
 
 
+def _physical_total(result: FWRunResult) -> Expression:
+    """Rest mass, the order-0 slice and every kept even slice, physicalized."""
+    total = (Expression.term(1, mat=al.BETA_MAT, dims=al.dim(m=1, c=2))
+             + result.stages[-1].even_slice(0))
+    for ex in result.even_slices.values():
+        total = total + ex
+    return physicalize(total)
+
+
 def reduce_to_physical(result: FWRunResult) -> tuple[Expression, Expression]:
     """Group every physicalized term into (H_orbit, H_spin).
 
@@ -55,15 +64,8 @@ def reduce_to_physical(result: FWRunResult) -> tuple[Expression, Expression]:
     block sign); spin terms carry a Pauli factor.  Anything else is a
     classification failure and raises.
     """
-    total = Expression.term(1, mat=al.BETA_MAT, dims=al.dim(m=1, c=2))
-    if not result.stage3.even.is_zero():
-        total = total + al.order_slice(result.stage3.even, 0)
-    for ex in result.even_slices.values():
-        total = total + ex
-    total = physicalize(total)
-
     orbit, spin, residue = {}, {}, {}
-    for key, val in total.terms.items():
+    for key, val in _physical_total(result).terms.items():
         if _is_orbit_key(key):
             orbit[key] = val
         elif _is_spin_key(key):
@@ -82,13 +84,8 @@ def pauli_extra_terms(result: FWRunResult) -> tuple[Expression, Expression]:
     cross collects mu-with-E and d-with-B.  Terms carrying an anomalous moment
     but no single identifiable field report as residue.
     """
-    total = Expression.zero()
-    for ex in result.even_slices.values():
-        total = total + ex
-    total = physicalize(total)
-
     static, cross = {}, {}
-    for key, val in total.terms.items():
+    for key, val in _physical_total(result).terms.items():
         mu_exp, d_exp = key[0][6], key[0][7]
         if not mu_exp and not d_exp:
             continue
@@ -170,18 +167,9 @@ def channel_basis() -> dict:
     return basis
 
 
-@dataclass(frozen=True)
-class ChannelSeries:
-    """Per-channel coefficient series in the boost speed."""
-
-    series: dict
-
-    def __getitem__(self, key):
-        return self.series[key]
-
-
-def spin_channels_to_series(spin: Expression, max_deg: int = 8) -> ChannelSeries:
-    """Decompose a spin Hamiltonian and convert prefactors to beta series.
+def spin_channels_to_series(spin: Expression, max_deg: int = 8) -> dict:
+    """Decompose a spin Hamiltonian and convert prefactors to beta series,
+    keyed by (sector, channel).
 
     The expression is projected on the particle block first; each momentum
     factor in a channel core contributes one factor gamma(beta) on top of the
@@ -202,10 +190,10 @@ def spin_channels_to_series(spin: Expression, max_deg: int = 8) -> ChannelSeries
                     total = total + (xi2 ** k) * c
             total = total * gam ** CHANNEL_GAMMA_POWER[name]
             out[(sector, name)] = total
-    return ChannelSeries(out)
+    return out
 
 
-def tbmt_channel_series(ge, gte, max_deg: int = 8) -> ChannelSeries:
+def tbmt_channel_series(ge, gte, max_deg: int = 8) -> dict:
     """Classical spin-precession coefficients on the same channel structures.
 
     From H = -(e/mc) s.F - (et/mc) s.F_dual with s = hbar Sigma / 2 and the
@@ -216,7 +204,7 @@ def tbmt_channel_series(ge, gte, max_deg: int = 8) -> ChannelSeries:
     ratio = gamma_ratio_series(max_deg)
     ge = Fraction(ge)
     gte = Fraction(gte)
-    out = {
+    return {
         ("e", "direct"): -(inv_gam + (ge / 2 - 1)),
         ("e", "cross"): ratio - ge / 2,
         ("e", "long"): ratio * (ge / 2 - 1),
@@ -224,7 +212,6 @@ def tbmt_channel_series(ge, gte, max_deg: int = 8) -> ChannelSeries:
         ("et", "cross"): ratio - gte / 2,
         ("et", "long"): -(ratio * (gte / 2 - 1)),
     }
-    return ChannelSeries(out)
 
 
 @dataclass(frozen=True)
@@ -253,7 +240,7 @@ def match_tbmt(h_spin: Expression, static: Expression, cross: Expression,
     fw = spin_channels_to_series(total)
     classical = tbmt_channel_series(params.ge, params.gte)
     mismatches = []
-    for (sector, name), fw_series in fw.series.items():
+    for (sector, name), fw_series in fw.items():
         deg = through_degree - CHANNEL_GAMMA_POWER[name]
         ref = classical[(sector, name)]
         for d in range(deg + 1):

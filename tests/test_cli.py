@@ -109,7 +109,8 @@ def test_verify_reports_the_first_tbmt_failure(monkeypatch, capsys):
     assert grid["detail"] == "first failure at ge=1, gte=2: (('first',),)"
 
 
-@pytest.mark.parametrize("content", [None, "{"], ids=["missing", "corrupt"])
+@pytest.mark.parametrize("content", [None, "{", '{"version": 1, "entries": {}}'],
+                         ids=["missing", "corrupt", "no-entries"])
 def test_verify_rejects_unreadable_fixtures(tmp_path, monkeypatch, capsys, content):
     if content is not None:
         (tmp_path / "catalog.json").write_text(content)
@@ -185,16 +186,31 @@ def test_verify_fails_against_perturbed_fixtures(tmp_path, monkeypatch, capsys,
     assert not report["checks"][0]["passed"]
 
 
-@pytest.mark.parametrize("edit", [
-    lambda scenario: scenario.pop("run"),
-    lambda scenario: scenario["fields"].update(B=[0, 0, "nan"]),
-], ids=["no-run-block", "nan-field"])
-def test_simulate_bad_scenario_reports_error(tmp_path, capsys, edit):
+@pytest.mark.parametrize("edit, field", [
+    (lambda scenario: scenario.pop("run"), "'run' block"),
+    (lambda scenario: scenario.update(fields=[0, 0, 1]), "'fields' block"),
+    (lambda scenario: scenario["fields"].update(B=[0, 0, "nan"]), "fields.B"),
+    (lambda scenario: scenario["fields"].update(E=[0, 1]), "fields.E"),
+    (lambda scenario: scenario["particle"].update(m=0), "particle.m"),
+    (lambda scenario: scenario["particle"].update(m=-1), "particle.m"),
+    (lambda scenario: scenario["particle"].update(ge="inf"), "particle.ge"),
+    (lambda scenario: scenario["run"].pop("dt"), "run.dt"),
+    (lambda scenario: scenario["run"].update(dt=0), "run.dt"),
+    (lambda scenario: scenario["run"].pop("steps"), "run.steps"),
+    (lambda scenario: scenario["run"].update(steps=-5), "run.steps"),
+    (lambda scenario: scenario["run"].update(steps=2.5), "run.steps"),
+    (lambda scenario: scenario["run"].update(scheme="euler"), "run.scheme"),
+], ids=["no-run-block", "list-fields-block", "nan-field", "short-field",
+        "zero-mass", "negative-mass", "inf-ge", "no-dt", "zero-dt", "no-steps",
+        "negative-steps", "fractional-steps", "unknown-scheme"])
+def test_simulate_bad_scenario_reports_error(tmp_path, capsys, edit, field):
     cfg = _write_scenario(tmp_path, edit)
     code, out = run_cli(capsys, "simulate", "--config", str(cfg), "--out",
                         str(tmp_path / "o.csv"))
     assert code == 1
-    assert set(json.loads(out)) == {"error"}
+    error = json.loads(out)
+    assert set(error) == {"error"}
+    assert field in error["error"]
 
 
 def test_simulate_missing_config_reports_error(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from dyonfw import algebra as al
 from dyonfw import hamiltonians as ham
 from dyonfw import fw
-from dyonfw.fw import PipelineError, bch_conjugate, extract_order, nested_commutator
+from dyonfw.fw import PipelineError, bch_conjugate, nested_commutator
 from dyonfw.series import SeriesPoly
 
 
@@ -32,7 +32,7 @@ def test_stage1_even_slice_two_is_half_w(dirac_result):
     omega = ham.omega_odd()
     w_op = al.commutator(al.commutator(omega, ham.omega_even()), omega)
     expected = w_op.scale(Fraction(1, 2), dims=al.dim(Eg=-2))
-    assert dirac_result.stage1.even_slice(2) == expected
+    assert dirac_result.stages[0].even_slice(2) == expected
 
 
 def test_stage1_odd_slices_match_reduced_forms(dirac_result):
@@ -50,7 +50,7 @@ def test_stage1_odd_slices_match_reduced_forms(dirac_result):
         4: omega5.scale(Fraction(8, 15), dims=al.dim(Eg=-4)),
     }
     for n, ref in expected.items():
-        assert dirac_result.stage1.odd_slice(n) == ref
+        assert dirac_result.stages[0].odd_slice(n) == ref
 
 
 def test_fifth_nested_chain_reduces_to_sixth_power():
@@ -61,41 +61,17 @@ def test_fifth_nested_chain_reduces_to_sixth_power():
     assert nested_commutator(beta_omega, omega, 5) == al.mul(_beta(), omega6).scale(32)
 
 
-def test_residual_odd_parts_start_at_advertised_orders(dirac_result, pauli_result):
-    for result in (dirac_result, pauli_result):
-        assert al.order_slice(result.stage2.odd, 1).is_zero()
-        assert al.order_slice(result.stage2.odd, 2).is_zero()
-        for n in (1, 2, 3):
-            assert al.order_slice(result.stage3.odd, n).is_zero()
-        assert not result.stage2.odd.is_zero()
-
-
 def test_every_stage_hamiltonian_is_hermitian(dirac_result):
-    for split in (dirac_result.stage1, dirac_result.stage2, dirac_result.stage3):
+    for split in dirac_result.stages:
         total = split.mass + split.even + split.odd
         assert al.is_hermitian(total)
 
 
 def test_no_terms_beyond_target_order(dirac_result, pauli_result):
     for result in (dirac_result, pauli_result):
-        for split in (result.stage1, result.stage2, result.stage3):
+        for split in result.stages:
             for expr in (split.even, split.odd):
                 assert all(al.eg_order(k) <= 6 for k in expr.terms)
-
-
-def test_extract_order(dirac_result):
-    omega = ham.omega_odd()
-    ref1 = al.mul(_beta(), al.mul(omega, omega)).scale(1, dims=al.dim(Eg=-1))
-    assert extract_order(dirac_result.reports, 1) == ref1
-    d_op = al.commutator(omega, ham.omega_even())
-    omega3 = al.mul(al.mul(omega, omega), omega)
-    ref4 = (al.commutator(al.commutator(omega, al.commutator(d_op, omega)), omega)
-            .scale(Fraction(1, 24))
-            + al.commutator(d_op, omega3).scale(Fraction(-4, 3))
-            ).scale(1, dims=al.dim(Eg=-4))
-    assert extract_order(dirac_result.reports, 4) == ref4
-    with pytest.raises(ValueError):
-        extract_order(dirac_result.reports, 0)
 
 
 def test_free_particle_reproduces_square_root_expansion():
@@ -125,7 +101,7 @@ def test_free_particle_reproduces_square_root_expansion():
 
 
 def test_mass_term_preserved(dirac_result):
-    assert dirac_result.stage3.mass == ham.rest_mass_term()
+    assert dirac_result.stages[-1].mass == ham.rest_mass_term()
 
 
 def test_stage_table_violation_names_the_stage(monkeypatch):
@@ -133,6 +109,13 @@ def test_stage_table_violation_names_the_stage(monkeypatch):
     h = ham.build_dirac_hamiltonian(ham.GENERIC_DYON)
     with pytest.raises(PipelineError, match="stage-2 odd part starts at order 3"):
         fw.fw_run(h, target_order=3)
+
+
+def test_zero_hamiltonian_runs_through_the_stage_loop():
+    result = fw.fw_run(al.Expression.zero())
+    assert len(result.stages) == 3
+    assert sorted(result.even_slices) == [1, 2, 3, 4, 5, 6]
+    assert all(e.is_zero() for e in result.even_slices.values())
 
 
 def test_run_rejects_bad_order():
