@@ -12,12 +12,21 @@ rotation is 1 - (w dt)^6/144, which over 2e5 steps at 200 steps per period
 drifts |s| and the orbit energy by ~1e-6 — orders above the conservation
 targets this module is checked against, which is why rotation splitting is
 the default.
+
+`PhaseState` is the validated boundary type: `integrate` reads its start
+state once, binds every per-run constant (float charges and masses, the
+kick, the rotation numerator, the dual fields) into a step function, and
+the loop then steps plain (x, u, s) float tuples.  Each float expression
+keeps the operand order of the per-state formulas (`thomas_F`, `orbit_rhs`,
+`spin_rhs`, `orbit_hamiltonian`, `PhaseState.helicity`), so a trajectory is
+the same bit for bit as one stepped through `PhaseState` objects.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -91,22 +100,28 @@ def _axpy(alpha, x, y) -> Vec3:
     return (y[0] + alpha * x[0], y[1] + alpha * x[1], y[2] + alpha * x[2])
 
 
-def thomas_F(beta: Vec3, fields: FieldConfig, ge: float) -> Vec3:
-    """Effective precession field for the electric-charge coupling."""
+def _thomas(beta, E: Vec3, B: Vec3, half_g: float) -> Vec3:
+    """The Thomas-BMT effective field of one coupling, with half_g = g / 2."""
     b2 = _dot(beta, beta)
     if b2 >= 1.0:
         raise ValueError("boost speed must be below 1")
     gamma = 1.0 / math.sqrt(1.0 - b2)
     r = gamma / (gamma + 1.0)
-    a = ge / 2.0 - 1.0
-    out = [0.0, 0.0, 0.0]
-    bdotB = _dot(beta, fields.B)
-    bxE = _cross(beta, fields.E)
-    for i in range(3):
-        out[i] = ((a + 1.0 / gamma) * fields.B[i]
-                  - a * r * bdotB * beta[i]
-                  - (ge / 2.0 - r) * bxE[i])
-    return tuple(out)
+    a = half_g - 1.0
+    along_B = a + 1.0 / gamma
+    along_beta = a * r * _dot(beta, B)
+    along_bxE = half_g - r
+    bxE = _cross(beta, E)
+    return (along_B * B[0] - along_beta * beta[0] - along_bxE * bxE[0],
+            along_B * B[1] - along_beta * beta[1] - along_bxE * bxE[1],
+            along_B * B[2] - along_beta * beta[2] - along_bxE * bxE[2])
+
+
+def thomas_F(beta: Vec3, fields: FieldConfig, ge: float) -> Vec3:
+    """Effective precession field for the electric-charge coupling:
+    (g/2 - 1 + 1/gamma) B - (g/2 - 1) r (beta.B) beta - (g/2 - r) beta x E
+    with r = gamma / (gamma + 1)."""
+    return _thomas(beta, fields.E, fields.B, ge / 2.0)
 
 
 def thomas_F_dual(beta: Vec3, fields: FieldConfig, gte: float) -> Vec3:
@@ -115,40 +130,67 @@ def thomas_F_dual(beta: Vec3, fields: FieldConfig, gte: float) -> Vec3:
     return thomas_F(beta, dual, gte)
 
 
+def _couplings(fields: FieldConfig, params: ParticleParams, c: float) -> list:
+    """(q / mc, E, B, g / 2) for each non-zero charge: the electric charge in
+    the fields, the magnetic one in the dual fields."""
+    mc = float(params.m) * c
+    out = []
+    if params.e:
+        out.append((float(params.e) / mc, fields.E, fields.B, float(params.ge) / 2.0))
+    if params.etilde:
+        out.append((float(params.etilde) / mc, fields.E_dual, fields.B_dual,
+                    float(params.gte) / 2.0))
+    return out
+
+
+def _spin_rate(s: Vec3, beta: Vec3, couplings: list) -> Vec3:
+    """ds/dt: the sum of (q/mc) s x F over the couplings."""
+    rx = ry = rz = 0.0
+    for q, E, B, half_g in couplings:
+        sxF = _cross(s, _thomas(beta, E, B, half_g))
+        rx += q * sxF[0]
+        ry += q * sxF[1]
+        rz += q * sxF[2]
+    return rx, ry, rz
+
+
+def _lorentz(beta: Vec3, E: Vec3, B: Vec3, e: float, et: float, mc: float) -> Vec3:
+    """du/dt = (e (E + beta x B) + et (B - beta x E)) / mc."""
+    bxB, bxE = _cross(beta, B), _cross(beta, E)
+    return ((e * (E[0] + bxB[0]) + et * (B[0] - bxE[0])) / mc,
+            (e * (E[1] + bxB[1]) + et * (B[1] - bxE[1])) / mc,
+            (e * (E[2] + bxB[2]) + et * (B[2] - bxE[2])) / mc)
+
+
 def spin_rhs(state: PhaseState, fields: FieldConfig, params: ParticleParams,
              c: float = 1.0) -> Vec3:
     """ds/dt = (e/mc) s x F + (et/mc) s x F_dual."""
-    beta = state.beta
-    m = float(params.m)
-    total = (0.0, 0.0, 0.0)
-    if params.e:
-        f = thomas_F(beta, fields, float(params.ge))
-        total = _axpy(float(params.e) / (m * c), _cross(state.s, f), total)
-    if params.etilde:
-        fd = thomas_F_dual(beta, fields, float(params.gte))
-        total = _axpy(float(params.etilde) / (m * c), _cross(state.s, fd), total)
-    return total
+    return _spin_rate(state.s, state.beta, _couplings(fields, params, c))
 
 
 def orbit_rhs(state: PhaseState, fields: FieldConfig, params: ParticleParams,
               c: float = 1.0) -> Vec3:
     """du/dt: Lorentz force plus its duality completion for the magnetic charge."""
-    beta = state.beta
-    m = float(params.m)
-    e, et = float(params.e), float(params.etilde)
-    bxB = _cross(beta, fields.B)
-    bxE = _cross(beta, fields.E)
-    return tuple((e * (fields.E[i] + bxB[i]) + et * (fields.B[i] - bxE[i])) / (m * c)
-                 for i in range(3))
+    return _lorentz(state.beta, fields.E, fields.B, float(params.e),
+                    float(params.etilde), float(params.m) * c)
 
 
 def orbit_hamiltonian(state: PhaseState, fields: FieldConfig,
                       params: ParticleParams, c: float = 1.0) -> float:
     """gamma m c^2 + e phi + et phi_dual with phi = -E.x, phi_dual = -B.x."""
+    return _hamiltonian(state.gamma, state.x, fields, params, c)
+
+
+def _hamiltonian(gamma, x, fields: FieldConfig, params: ParticleParams, c: float):
+    """orbit_hamiltonian on a float gamma and position, or elementwise on
+    arrays of them (x indexed by component)."""
     m = float(params.m)
-    return (state.gamma * m * c * c
-            - float(params.e) * _dot(fields.E, state.x)
-            - float(params.etilde) * _dot(fields.B, state.x))
+    return (gamma * m * c * c
+            - float(params.e) * _dot(fields.E, x)
+            - float(params.etilde) * _dot(fields.B, x))
+
+
+_CHUNK_ROWS = 1024  # rows per block when columns are formatted or combined
 
 
 @dataclass
@@ -177,11 +219,14 @@ class Trajectory:
         return np.unwrap(np.arctan2(self.u[:, 1], self.u[:, 0]))
 
     def write_csv(self, path: str | Path) -> None:
+        """One line per sample, each value as repr(float); formatted
+        _CHUNK_ROWS rows at a time, so no copy of the whole table is made."""
+        columns = (self.t, self.x, self.u, self.s, self.helicity)
         with open(path, "w") as f:
             f.write("t,x,y,z,ux,uy,uz,sx,sy,sz,helicity\n")
-            for k in range(len(self.t)):
-                row = [self.t[k], *self.x[k], *self.u[k], *self.s[k], self.helicity[k]]
-                f.write(",".join(repr(float(v)) for v in row) + "\n")
+            for a in range(0, len(self.t), _CHUNK_ROWS):
+                rows = np.column_stack([col[a:a + _CHUNK_ROWS] for col in columns])
+                f.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())
 
 
 def _rotate(v: Vec3, axis: Vec3, angle: float) -> Vec3:
@@ -189,110 +234,136 @@ def _rotate(v: Vec3, axis: Vec3, angle: float) -> Vec3:
     wmag = math.sqrt(_dot(axis, axis))
     if wmag == 0.0 or angle == 0.0:
         return v
-    n = (axis[0] / wmag, axis[1] / wmag, axis[2] / wmag)
+    n0, n1, n2 = axis[0] / wmag, axis[1] / wmag, axis[2] / wmag
     cos_a, sin_a = math.cos(angle), math.sin(angle)
-    nxv = _cross(n, v)
-    ndotv = _dot(n, v)
-    return tuple(v[i] * cos_a + nxv[i] * sin_a + n[i] * ndotv * (1.0 - cos_a)
-                 for i in range(3))
+    v0, v1, v2 = v
+    nv = n0 * v0 + n1 * v1 + n2 * v2
+    omc = 1.0 - cos_a
+    return (v0 * cos_a + (n1 * v2 - n2 * v1) * sin_a + n0 * nv * omc,
+            v1 * cos_a + (n2 * v0 - n0 * v2) * sin_a + n1 * nv * omc,
+            v2 * cos_a + (n0 * v1 - n1 * v0) * sin_a + n2 * nv * omc)
 
 
-def _split_step(state: PhaseState, fields: FieldConfig, params: ParticleParams,
-                dt: float, c: float) -> PhaseState:
-    m = float(params.m)
-    e, et = float(params.e), float(params.etilde)
-    kick = tuple((e * fields.E[i] + et * fields.B[i]) / (m * c) for i in range(3))
+def _split_stepper(fields: FieldConfig, params: ParticleParams, dt: float, c: float):
+    """The splitting step (x, u, s) -> (x, u, s), with its constants bound."""
+    m, e, et = float(params.m), float(params.e), float(params.etilde)
+    E, B = fields.E, fields.B
+    # Half electric-type kick (0.5 dt)(e E + et B)/(m c), the numerator
+    # e B - et E of the magnetic-type rotation rate, and the precession
+    # couplings with the sign of ds/dt = w_s x s.
+    k0, k1, k2 = (0.5 * dt * ((e * E[i] + et * B[i]) / (m * c)) for i in range(3))
+    r0, r1, r2 = (e * B[i] - et * E[i] for i in range(3))
+    precession = [(-q, cE, cB, half_g) for q, cE, cB, half_g in _couplings(fields, params, c)]
+    dtc = dt * c
 
-    u = _axpy(0.5 * dt, kick, state.u)
-    gamma = math.sqrt(1.0 + _dot(u, u))
+    def step(x: Vec3, u: Vec3, s: Vec3) -> tuple[Vec3, Vec3, Vec3]:
+        u0, u1, u2 = u[0] + k0, u[1] + k1, u[2] + k2
+        gamma = math.sqrt(1.0 + (u0 * u0 + u1 * u1 + u2 * u2))
 
-    # Magnetic-type rotation of u about w_u = -(e B - et E)/(gamma m c); the
-    # position advances along the exact helical arc of the rotating u.
-    bc = tuple((e * fields.B[i] - et * fields.E[i]) / (gamma * m * c) for i in range(3))
-    w = (-bc[0], -bc[1], -bc[2])
-    wmag = math.sqrt(_dot(w, w))
-    x = state.x
-    if wmag == 0.0:
-        x = _axpy(dt * c / gamma, u, x)
-        u_new = u
-    else:
-        theta = wmag * dt
-        n = (w[0] / wmag, w[1] / wmag, w[2] / wmag)
-        upar = tuple(n[i] * _dot(n, u) for i in range(3))
-        uperp = tuple(u[i] - upar[i] for i in range(3))
-        nxu = _cross(n, uperp)
-        arc = tuple(upar[i] * dt
-                    + uperp[i] * math.sin(theta) / wmag
-                    + nxu[i] * (1.0 - math.cos(theta)) / wmag
-                    for i in range(3))
-        x = _axpy(c / gamma, arc, x)
-        u_new = _rotate(u, n, theta)
+        # Magnetic-type rotation of u about w_u = -(e B - et E)/(gamma m c); the
+        # position advances along the exact helical arc of the rotating u.
+        gmc = gamma * m * c
+        w0, w1, w2 = -(r0 / gmc), -(r1 / gmc), -(r2 / gmc)
+        wmag = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+        if wmag == 0.0:
+            a = dtc / gamma
+            x = (x[0] + a * u0, x[1] + a * u1, x[2] + a * u2)
+            u = (u0, u1, u2)
+        else:
+            theta = wmag * dt
+            n0, n1, n2 = w0 / wmag, w1 / wmag, w2 / wmag
+            nu = n0 * u0 + n1 * u1 + n2 * u2
+            p0, p1, p2 = n0 * nu, n1 * nu, n2 * nu
+            q0, q1, q2 = u0 - p0, u1 - p1, u2 - p2
+            sin_t, omc = math.sin(theta), 1.0 - math.cos(theta)
+            a = c / gamma
+            x = (x[0] + a * (p0 * dt + q0 * sin_t / wmag + (n1 * q2 - n2 * q1) * omc / wmag),
+                 x[1] + a * (p1 * dt + q1 * sin_t / wmag + (n2 * q0 - n0 * q2) * omc / wmag),
+                 x[2] + a * (p2 * dt + q2 * sin_t / wmag + (n0 * q1 - n1 * q0) * omc / wmag))
+            u = _rotate((u0, u1, u2), (n0, n1, n2), theta)
 
-    # Spin precession about the effective field evaluated at the mid-kick u;
-    # exact whenever that field is constant along the magnetic rotation.
-    beta = tuple(ui / gamma for ui in u)
-    ws = (0.0, 0.0, 0.0)
-    if e:
-        f = thomas_F(beta, fields, float(params.ge))
-        ws = _axpy(-e / (m * c), f, ws)
-    if et:
-        fd = thomas_F_dual(beta, fields, float(params.gte))
-        ws = _axpy(-et / (m * c), fd, ws)
-    ws_mag = math.sqrt(_dot(ws, ws))
-    s = _rotate(state.s, ws, ws_mag * dt) if ws_mag else state.s
+        # Spin precession about the effective field evaluated at the mid-kick u;
+        # exact whenever that field is constant along the magnetic rotation.
+        beta = (u0 / gamma, u1 / gamma, u2 / gamma)
+        ws0 = ws1 = ws2 = 0.0
+        for q, cE, cB, half_g in precession:
+            f0, f1, f2 = _thomas(beta, cE, cB, half_g)
+            ws0 += q * f0
+            ws1 += q * f1
+            ws2 += q * f2
+        ws_mag = math.sqrt(ws0 * ws0 + ws1 * ws1 + ws2 * ws2)
+        if ws_mag:
+            s = _rotate(s, (ws0, ws1, ws2), ws_mag * dt)
+        return x, (u[0] + k0, u[1] + k1, u[2] + k2), s
 
-    u_final = _axpy(0.5 * dt, kick, u_new)
-    return PhaseState(x=x, u=u_final, s=s, t=state.t + dt)
-
-
-def _rk4_step(state: PhaseState, fields: FieldConfig, params: ParticleParams,
-              dt: float, c: float) -> PhaseState:
-    def rhs(st: PhaseState):
-        g = st.gamma
-        dx = tuple(c * ui / g for ui in st.u)
-        return dx, orbit_rhs(st, fields, params, c), spin_rhs(st, fields, params, c)
-
-    def shift(st: PhaseState, k, h):
-        return PhaseState(x=_axpy(h, k[0], st.x), u=_axpy(h, k[1], st.u),
-                          s=_axpy(h, k[2], st.s), t=st.t + h)
-
-    k1 = rhs(state)
-    k2 = rhs(shift(state, k1, dt / 2))
-    k3 = rhs(shift(state, k2, dt / 2))
-    k4 = rhs(shift(state, k3, dt))
-    blend = tuple(
-        tuple((k1[j][i] + 2 * k2[j][i] + 2 * k3[j][i] + k4[j][i]) / 6 for i in range(3))
-        for j in range(3))
-    return shift(state, blend, dt)
+    return step
 
 
-_STEPPERS = {"split": _split_step, "rk4": _rk4_step}
+def _rk4_stepper(fields: FieldConfig, params: ParticleParams, dt: float, c: float):
+    """The classical RK4 step (x, u, s) -> (x, u, s), with its constants bound."""
+    e, et, mc = float(params.e), float(params.etilde), float(params.m) * c
+    E, B = fields.E, fields.B
+    couplings = _couplings(fields, params, c)
+    half = dt / 2
+
+    def rates(u: Vec3, s: Vec3):
+        g = math.sqrt(1.0 + _dot(u, u))
+        beta = (u[0] / g, u[1] / g, u[2] / g)
+        return ((c * u[0] / g, c * u[1] / g, c * u[2] / g),
+                _lorentz(beta, E, B, e, et, mc), _spin_rate(s, beta, couplings))
+
+    def step(x: Vec3, u: Vec3, s: Vec3) -> tuple[Vec3, Vec3, Vec3]:
+        k1 = rates(u, s)
+        k2 = rates(_axpy(half, k1[1], u), _axpy(half, k1[2], s))
+        k3 = rates(_axpy(half, k2[1], u), _axpy(half, k2[2], s))
+        k4 = rates(_axpy(dt, k3[1], u), _axpy(dt, k3[2], s))
+        return tuple(_axpy(dt, ((r1[0] + 2 * r2[0] + 2 * r3[0] + r4[0]) / 6,
+                                (r1[1] + 2 * r2[1] + 2 * r3[1] + r4[1]) / 6,
+                                (r1[2] + 2 * r2[2] + 2 * r3[2] + r4[2]) / 6), v)
+                     for v, r1, r2, r3, r4 in zip((x, u, s), k1, k2, k3, k4))
+
+    return step
+
+
+_STEPPERS = {"split": _split_stepper, "rk4": _rk4_stepper}
 
 
 def integrate(state0: PhaseState, fields: FieldConfig, params: ParticleParams,
               dt: float, steps: int, c: float = 1.0,
               scheme: str = "split") -> Trajectory:
-    """Fixed-step integration; returns steps + 1 samples including the start."""
+    """Fixed-step integration; returns steps + 1 samples including the start.
+
+    The loop steps plain (x, u, s) float tuples from state0; the helicity and
+    energy columns are computed afterwards, elementwise, by the same float
+    operations as PhaseState.helicity and orbit_hamiltonian.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    stepper = _STEPPERS[scheme]
+    if not isinstance(steps, numbers.Integral) or steps < 0:
+        raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
+    if scheme not in _STEPPERS:
+        raise ValueError(f"scheme must be one of {sorted(_STEPPERS)}, got {scheme!r}")
+    step = _STEPPERS[scheme](fields, params, dt, c)
     n = steps + 1
     t = np.empty(n)
-    x = np.empty((n, 3))
-    u = np.empty((n, 3))
-    s = np.empty((n, 3))
+    xus = np.empty((n, 9))  # one row per sample; x, u and s are views of it
+    x, u, s = xus[:, 0:3], xus[:, 3:6], xus[:, 6:9]
+    tk, xk, uk, sk = state0.t, state0.x, state0.u, state0.s
+    t[0], xus[0] = tk, xk + uk + sk
+    for k in range(1, n):
+        xk, uk, sk = step(xk, uk, sk)
+        tk += dt
+        t[k], xus[k] = tk, xk + uk + sk
     hel = np.empty(n)
     energy = np.empty(n)
-    state = state0
-    for k in range(n):
-        t[k] = state.t
-        x[k] = state.x
-        u[k] = state.u
-        s[k] = state.s
-        hel[k] = state.helicity
-        energy[k] = orbit_hamiltonian(state, fields, params, c)
-        if k < steps:
-            state = stepper(state, fields, params, dt, c)
+    for a in range(0, n, _CHUNK_ROWS):
+        rows = slice(a, a + _CHUNK_ROWS)
+        ub, sb = u[rows].T, s[rows].T
+        uu = _dot(ub, ub)
+        umag = np.sqrt(uu)
+        hel[rows] = np.divide(_dot(sb, ub), umag, out=np.zeros_like(umag),
+                              where=umag != 0.0)
+        energy[rows] = _hamiltonian(np.sqrt(1.0 + uu), x[rows].T, fields, params, c)
     return Trajectory(t=t, x=x, u=u, s=s, helicity=hel, energy=energy)
 
 

@@ -1,10 +1,15 @@
 """Classical orbit + spin integration, effective fields, dipole boosts."""
 
+import hashlib
+import json
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dyonfw import cli
 from dyonfw import dynamics as dyn
 from dyonfw.dynamics import FieldConfig, PhaseState
 from dyonfw.hamiltonians import ParticleParams
@@ -128,6 +133,16 @@ def test_integrate_rejects_bad_dt():
         dyn.integrate(PhaseState(), FieldConfig(), ParticleParams(), dt=0.0, steps=1)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"steps": -1}, "steps"),
+    ({"steps": 2.5}, "steps"),
+    ({"steps": 3, "scheme": "euler"}, "scheme"),
+], ids=["negative-steps", "fractional-steps", "unknown-scheme"])
+def test_integrate_rejects_bad_argument(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        dyn.integrate(PhaseState(), FieldConfig(), ParticleParams(), dt=0.1, **kwargs)
+
+
 def test_cyclotron_orbit_radius_and_period():
     # exact helix: after one period the momentum returns to its start
     p = ParticleParams(m=1, e=1, ge=2)
@@ -185,6 +200,124 @@ def test_rk4_scheme_available_and_consistent():
     a = dyn.integrate(state, fields, p, dt=0.01, steps=100, scheme="rk4")
     b = dyn.integrate(state, fields, p, dt=0.01, steps=100, scheme="split")
     assert np.abs(a.u[-1] - b.u[-1]).max() < 1e-8
+
+
+# A dyon with both charges, anomalous moments and both fields non-zero, so
+# the stepper's dual-field coupling runs.
+DYON = {"particle": {"m": 1.5, "e": 1, "etilde": 0.4, "ge": 2.2, "gte": 1.6},
+        "fields": {"E": [0.05, -0.02, 0.03], "B": [0.1, 0.2, 1.0]},
+        "init": {"x": [0.1, -0.2, 0.3], "u": [0.3, 0.5, -0.2], "s": [0.6, 0, 0.8]},
+        "run": {"dt": 0.02, "steps": 2000}}
+# Pure E field and no magnetic charge: the magnetic-type rotation is zero.
+PURE_E = {"particle": {"m": 1, "e": 1, "etilde": 0, "ge": 2.2, "gte": 2},
+          "fields": {"E": [0.1, 0.05, 0], "B": [0, 0, 0]},
+          "init": {"u": [0.2, 0, 0.1], "s": [0, 1, 0]},
+          "run": {"dt": 0.02, "steps": 2000}}
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+# sha256 of the CSV and of the sorted-key JSON summary without "out", as
+# written by the integrator that stepped PhaseState objects, which the tuple
+# loop replaced.  Recorded on x86-64 with glibc's libm: math.sin/cos from
+# another libm may differ in the last bit.
+GOLDEN = {
+    ("anomalous", "split"): ("fcb6efa58b571e7b5454922a3bcbebb94d4df0569842c1255112235d87c3c4fd",
+                             "e942976ce86dfae737b313ffcb46a25fbe1b71857ada9ad97b9f53f8a95295a5"),
+    ("anomalous", "rk4"): ("f25b70e58906d8a0370338fea571ca31094c14b5d0a61d1d268ab1df90e3fa72",
+                           "012829bf9e144ed899b87d11d17333ba615891a009215c34c8d6681b65906fae"),
+    ("dyon", "split"): ("5893fbd4b5dc34ffaa1239e47b54a3a508f406b3c37289d1bb7469a94961a4e5",
+                        "56a0e1cb26c1d03a3098880144154b3bd268d40610d011d24696297c34ee2c47"),
+    ("dyon", "rk4"): ("631438b5bc4fd37ab043419b7a2106b3c49756d86f73c130df6e389942212417",
+                      "00fc4067c9afad29ff8f23e0a51ae712cc616503a06e84d2ce1457ed8c92b7f1"),
+    ("pure-E", "split"): ("27d34366872b25819b700d3855f43afe4aeef4c415213563373f004cd63dd996",
+                          "0fbfc6c60d6f0d6210b18c15a80618b0c57772552c332a847c9c061c7235c074"),
+    ("pure-E", "rk4"): ("c79864332a78d79b8e2a4efbdaa2664ca2b74293e490d49c583b65ac796f5f00",
+                        "7b808ae9ceab74774997621531176b21b5050da0956e311cbfff51853b474823"),
+}
+
+
+@pytest.mark.parametrize("name, scheme", sorted(GOLDEN))
+def test_simulate_output_matches_golden_digests(tmp_path, capsys, name, scheme):
+    scenario = {"anomalous": json.loads((SCENARIOS / "anomalous_precession.json").read_text()),
+                "dyon": DYON, "pure-E": PURE_E}[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(scenario, run=dict(scenario["run"], scheme=scheme))))
+    out_csv = tmp_path / "traj.csv"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out_csv)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    del summary["out"]
+    digests = (hashlib.sha256(out_csv.read_bytes()).hexdigest(),
+               hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest())
+    assert digests == GOLDEN[name, scheme]
+
+
+# The DYON scenario as objects.
+DYON_PARAMS = ParticleParams(m=Fraction(3, 2), e=1, etilde=Fraction(2, 5),
+                             ge=Fraction(11, 5), gte=Fraction(8, 5))
+DYON_FIELDS = FieldConfig(E=(0.05, -0.02, 0.03), B=(0.1, 0.2, 1.0))
+DYON_STATE = PhaseState(x=(0.1, -0.2, 0.3), u=(0.3, 0.5, -0.2), s=(0.6, 0, 0.8))
+
+
+@pytest.mark.parametrize("scheme, digest", [
+    ("split", "f543a3098fbce6392cf6b133f08949991fb1f466a978d7cb44f19c8144298a9d"),
+    ("rk4", "81286a6cd2a41db1dd8293c8068364783a8818f479934ba8184cd6050bd52be0"),
+], ids=["split", "rk4"])
+def test_integrate_with_c_not_one_matches_golden_digest(scheme, digest):
+    # The CLI runs at c = 1, where (gamma m) c and gamma (m c) coincide.
+    traj = dyn.integrate(DYON_STATE, DYON_FIELDS, DYON_PARAMS, dt=0.02, steps=500,
+                         c=0.7, scheme=scheme)
+    data = np.concatenate([traj.t, traj.x.ravel(), traj.u.ravel(), traj.s.ravel(),
+                           traj.helicity, traj.energy])
+    assert hashlib.sha256(data.astype("<f8").tobytes()).hexdigest() == digest
+
+
+def test_derived_columns_equal_the_per_state_formulas():
+    traj = dyn.integrate(DYON_STATE, DYON_FIELDS, DYON_PARAMS, dt=0.02, steps=300)
+    for k in range(len(traj)):
+        st = traj.state(k)
+        assert traj.helicity[k] == st.helicity
+        assert traj.energy[k] == dyn.orbit_hamiltonian(st, DYON_FIELDS, DYON_PARAMS)
+    at_rest = dyn.integrate(PhaseState(s=(-0.6, 0, 0.8)), FieldConfig(), DYON_PARAMS,
+                            dt=0.1, steps=2)
+    assert at_rest.helicity.tolist() == [0.0, 0.0, 0.0]
+    assert all(math.copysign(1.0, h) == 1.0 for h in at_rest.helicity)
+
+
+def test_duality_map_leaves_the_trajectory_unchanged():
+    # E -> B, B -> -E, e -> et, et -> -e, ge <-> gte is a symmetry of the
+    # orbit force, the precession and the energy.
+    p = DYON_PARAMS
+    dual_p = ParticleParams(m=p.m, e=p.etilde, etilde=-p.e, ge=p.gte, gte=p.ge)
+    dual_fields = FieldConfig(E=DYON_FIELDS.B, B=tuple(-v for v in DYON_FIELDS.E))
+    a = dyn.integrate(DYON_STATE, DYON_FIELDS, p, dt=0.02, steps=2000)
+    b = dyn.integrate(DYON_STATE, dual_fields, dual_p, dt=0.02, steps=2000)
+    for k in range(len(a)):
+        for name in ("x", "u", "s"):
+            assert vec_close(getattr(a, name)[k], getattr(b, name)[k], 1e-12), (k, name)
+    assert np.abs(a.energy - b.energy).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 1024, 1025])
+def test_write_csv_equals_one_repr_per_value(tmp_path, n):
+    # n = 1 is a steps = 0 run; 1024 rows fill one formatting chunk exactly
+    # and 1025 spill one row into a second.
+    values = [-0.0, 1e-05, 1e16, 5e-324, 1.0]
+
+    def column(offset, width=None):
+        flat = [values[(offset + i) % len(values)] for i in range(n * (width or 1))]
+        return np.array(flat).reshape(n, width) if width else np.array(flat)
+
+    traj = dyn.Trajectory(t=column(0), x=column(1, 3), u=column(2, 3), s=column(3, 3),
+                          helicity=column(4))
+    traj.write_csv(tmp_path / "chunked.csv")
+    with open(tmp_path / "naive.csv", "w") as f:
+        f.write("t,x,y,z,ux,uy,uz,sx,sy,sz,helicity\n")
+        for k in range(n):
+            row = [traj.t[k], *traj.x[k], *traj.u[k], *traj.s[k], traj.helicity[k]]
+            f.write(",".join(repr(float(v)) for v in row) + "\n")
+    written = (tmp_path / "chunked.csv").read_text()
+    assert written == (tmp_path / "naive.csv").read_text()
+    assert written.count("\n") == n + 1
+    assert "-0.0" in written and "5e-324" in written and "1e+16" in written
 
 
 # -- dipole boosts -------------------------------------------------------------
