@@ -255,11 +255,6 @@ class Expression:
         _add_word(acc, coeff, dims, mat, ip % 4, tuple(word))
         return Expression(acc)
 
-    @staticmethod
-    def from_basis(elem: clifford.BasisElement, coeff=1) -> "Expression":
-        return Expression.term(coeff, mat=mat_code(elem.left, elem.right),
-                               ip=_PHASE_TO_IP[elem.phase])
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Expression") -> "Expression":
@@ -406,10 +401,11 @@ def normal_order(e: Expression) -> Expression:
     Expressions built through the public operations are already canonical;
     this rebuilds one whose term dict was assembled by hand.
     """
-    total = Expression.zero()
+    acc: dict[tuple, Fraction] = {}
     for (d, mat, ip, w), c in e.terms.items():
-        total = total + Expression.term(c, word=w, mat=mat, ip=ip, dims=d)
-    return total
+        if c:
+            _add_word(acc, Fraction(c), d, mat, ip % 4, w)
+    return Expression(acc)
 
 
 def truncate_fields(e: Expression) -> Expression:
@@ -526,17 +522,13 @@ def to_json_dict(e: Expression) -> dict:
 
 
 def from_json_dict(data: dict) -> Expression:
-    total = Expression()
+    acc: dict[tuple, Fraction] = {}
     for t in data["terms"]:
-        m = t["mat"]
-        total = total + Expression.term(
-            Fraction(t["coeff"]),
-            word=tuple(_ATOM_BY_NAME[a] for a in t["word"]),
-            mat=mat_code(m["left"], m["right"]),
-            ip=_PHASE_VALUES[m["phase"]],
-            dims=dim(**t.get("dim", {})),
-        )
-    return total
+        coeff, m = Fraction(t["coeff"]), t["mat"]
+        if coeff:
+            _add_word(acc, coeff, dim(**t.get("dim", {})), mat_code(m["left"], m["right"]),
+                      _PHASE_VALUES[m["phase"]], tuple(_ATOM_BY_NAME[a] for a in t["word"]))
+    return Expression(acc)
 
 
 _DIM_LATEX = ("\\hbar", "c", "m", "E_g", "e", r"\tilde e", r"\mu''", "d''")

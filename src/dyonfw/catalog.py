@@ -141,22 +141,21 @@ def build_fw_entries() -> dict[str, Expression]:
 _HALF_HBAR_2MC = al.dim(hbar=1, m=-1, c=-1)
 
 
-def intrinsic_magnetic_moment_dot(kind: str, beta: bool = True) -> Expression:
+def intrinsic_magnetic_moment_dot(kind: str) -> Expression:
     """(e hbar / 2mc) Sigma . F — the Zeeman-type coupling word."""
-    return ham.mat_dot_field(3 if beta else 0, kind,
+    return ham.mat_dot_field(0, kind,
                              coeff=Fraction(1, 2), dims=al.dim(hbar=1, m=-1, c=-1, e=1))
 
 
-def intrinsic_electric_moment_dot(kind: str, beta: bool = True) -> Expression:
+def intrinsic_electric_moment_dot(kind: str) -> Expression:
     """(-et hbar / 2mc) Sigma . F — the dual coupling word."""
-    return ham.mat_dot_field(3 if beta else 0, kind,
+    return ham.mat_dot_field(0, kind,
                              coeff=Fraction(-1, 2), dims=al.dim(hbar=1, m=-1, c=-1, et=1))
 
 
-def _zeeman_pair(beta: bool = True) -> Expression:
+def _zeeman_pair() -> Expression:
     """mu_m . B + mu_p . E with the intrinsic (g = 2) moments."""
-    return (intrinsic_magnetic_moment_dot("B", beta)
-            + intrinsic_electric_moment_dot("E", beta))
+    return intrinsic_magnetic_moment_dot("B") + intrinsic_electric_moment_dot("E")
 
 
 def spin_orbit_pair() -> Expression:
@@ -186,13 +185,13 @@ def build_physical_entries() -> dict[str, Expression]:
     xi4 = ham.xi_squared(2)
 
     trunc = al.truncate_fields
-    order1 = trunc(kin1 - al.mul(beta, _zeeman_pair(beta=False)))
+    order1 = trunc(kin1 - al.mul(beta, _zeeman_pair()))
     order2 = trunc(so)
     order3 = trunc(kin3 + al.mul(al.mul(beta, xi2),
-                                 _zeeman_pair(beta=False)).scale(Fraction(1, 2)))
+                                 _zeeman_pair()).scale(Fraction(1, 2)))
     order4 = trunc(al.mul(xi2, so)).scale(Fraction(-3, 4))
     order5 = trunc(kin5 - al.mul(al.mul(beta, xi4),
-                                 _zeeman_pair(beta=False)).scale(Fraction(3, 8)))
+                                 _zeeman_pair()).scale(Fraction(3, 8)))
     order6 = trunc(al.mul(xi4, so)).scale(Fraction(5, 8))
 
     kinetic = trunc(al.mul(beta, Expression.term(1, dims=al.dim(m=1, c=2)))

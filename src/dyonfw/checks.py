@@ -40,14 +40,14 @@ def _check(name: str, passed: bool, detail: str = "") -> dict:
 
 
 def fw_checks(catalog, dump_path: str | None = None) -> list[dict]:
-    """Orders 1..6 of the Dirac pipeline against the catalog, raw and physical.
+    """Every derived order of the Dirac pipeline against the catalog, raw and physical.
 
     dump_path, if given, receives per-order derived/reference/diff JSON and
     LaTeX.
     """
     result = pipeline("dirac")
-    reports = [fw.FWOrderReport(n, result.even_slices[n], catalog[f"fw_order_{n}"])
-               for n in range(1, 7)]
+    reports = [fw.FWOrderReport(n, ex, catalog[f"fw_order_{n}"])
+               for n, ex in result.even_slices.items()]
     checks = [_check(f"fw_order_{r.order}_diff_zero", r.passed,
                      f"{len(r.derived)} terms") for r in reports]
     for n, ex in reduction.physical_orders(result).items():
@@ -77,7 +77,8 @@ def pauli_checks(catalog) -> list[dict]:
         m = reduction.match_tbmt(spin, static, cross, ham.ParticleParams(ge=ge, gte=gte))
         if not m.passed and not detail:
             detail = f"first failure at ge={ge}, gte={gte}: {m.mismatches[:3]}"
-    checks.append(_check("classical_match_through_beta5", not detail, detail))
+    checks.append(_check(f"classical_match_through_beta{reduction.TBMT_DEGREE}",
+                         not detail, detail))
     return checks
 
 

@@ -60,12 +60,7 @@ def _report(suite: str, results: list[dict]) -> int:
 def cmd_simulate(args) -> int:
     params, fields, state, run = dyn.load_scenario(args.config)
     traj = dyn.integrate(state, fields, params, **run)
-    smag = (traj.s ** 2).sum(axis=1) ** 0.5
-    drifts = {
-        "helicity_drift": float(abs(traj.helicity - traj.helicity[0]).max()),
-        "spin_norm_drift": float(abs(smag - smag[0]).max()),
-        "energy_drift": float(abs(traj.energy - traj.energy[0]).max()),
-    }
+    drifts = traj.drifts()
     if not all(map(math.isfinite, drifts.values())):
         raise ValueError(f"trajectory is not finite: {drifts}")
     traj.write_csv(args.out)
@@ -101,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_derive = sub.add_parser("derive", help="emit derived expansion orders")
     p_derive.add_argument("--model", choices=("dirac", "dirac-pauli"), default="dirac")
-    p_derive.add_argument("--order", type=int, choices=range(1, 7), default=6,
-                          metavar="{1..6}")
+    p_derive.add_argument("--order", type=int, choices=range(1, fw.MAX_ORDER + 1),
+                          default=fw.MAX_ORDER, metavar=f"{{1..{fw.MAX_ORDER}}}")
     p_derive.add_argument("--format", choices=("json", "latex"), default="json")
     p_derive.set_defaults(func=cmd_derive)
 

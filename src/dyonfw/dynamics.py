@@ -207,16 +207,28 @@ class Trajectory:
     def __len__(self):
         return len(self.t)
 
-    def state(self, k: int) -> PhaseState:
-        return PhaseState(x=tuple(self.x[k]), u=tuple(self.u[k]),
-                          s=tuple(self.s[k]), t=float(self.t[k]))
-
     def spin_phase(self) -> np.ndarray:
         """Unwrapped azimuth of the transverse spin (precession phase)."""
         return np.unwrap(np.arctan2(self.s[:, 1], self.s[:, 0]))
 
     def momentum_phase(self) -> np.ndarray:
         return np.unwrap(np.arctan2(self.u[:, 1], self.u[:, 0]))
+
+    def drifts(self) -> dict[str, float]:
+        """Largest deviation of the helicity, spin norm and energy from their
+        first sample, _CHUNK_ROWS rows at a time; a NaN sample gives a NaN drift."""
+        maxima = []
+        for a in range(0, len(self.t), _CHUNK_ROWS):
+            b = a + _CHUNK_ROWS
+            block = (self.helicity[a:b], (self.s[a:b] ** 2).sum(axis=1) ** 0.5,
+                     self.energy[a:b])
+            if a == 0:
+                firsts = [col[0] for col in block]
+            maxima.append([abs(col - first).max() for col, first in zip(block, firsts)])
+        # np.max, unlike the builtin max, propagates a NaN block maximum.
+        helicity, spin_norm, energy = np.max(maxima, axis=0)
+        return {"helicity_drift": float(helicity), "spin_norm_drift": float(spin_norm),
+                "energy_drift": float(energy)}
 
     def write_csv(self, path: str | Path) -> None:
         """One line per sample, each value as repr(float); formatted

@@ -5,10 +5,10 @@ keeps terms through the target 1/Eg order.  fw_run runs the stages as one
 loop over ODD_START, the lowest order each stage's residual odd part may
 have (1, 3, 4): after every stage it checks that the rest-mass term is
 unchanged and that the odd part starts no lower than its entry, so that it
-cannot touch the kept even slices.  Three stages suffice through order six;
+cannot touch the kept even slices.  Three stages suffice through MAX_ORDER;
 the stability of the even slices across the third stage (h''(n) = h'(n) for
-n <= 6) is asserted by running it, not assumed.  The product of a run is
-the split after each stage and the final even slices, nothing else.
+n <= MAX_ORDER) is asserted by running it, not assumed.  The product of a
+run is the split after each stage and the final even slices, nothing else.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from math import factorial
 
 from . import algebra as al
 from .algebra import Expression
+
+MAX_ORDER = 6  # the highest 1/Eg order; every other order or degree cap derives from it
 
 
 class PipelineError(RuntimeError):
@@ -66,8 +68,8 @@ def bch_conjugate(s: Expression, h: Expression, max_order: int) -> Expression:
     the order and truncating inside the loop is exact.  s is required to be
     anti-Hermitian (that is what makes exp(s) unitary).
     """
-    if max_order > 6:
-        raise ValueError("expansion supported through order 6 only")
+    if max_order > MAX_ORDER:
+        raise ValueError(f"expansion supported through order {MAX_ORDER} only")
     if not al.is_anti_hermitian(s):
         raise PipelineError("stage generator is not anti-Hermitian")
     if any(al.eg_order(k) < 1 for k in s.terms):
@@ -136,7 +138,7 @@ def _min_order(e: Expression) -> int | None:
     return min((al.eg_order(k) for k in e.terms), default=None)
 
 
-def fw_run(h: Expression, target_order: int = 6, *,
+def fw_run(h: Expression, target_order: int = MAX_ORDER, *,
            model: str = "dirac") -> FWRunResult:
     """Run the three-stage transformation and slice the result by order.
 
@@ -144,8 +146,8 @@ def fw_run(h: Expression, target_order: int = 6, *,
     the rest-mass term, if a residual odd part appears below its entry in
     ODD_START, or if the even slices are not stable across the third stage.
     """
-    if not 1 <= target_order <= 6:
-        raise ValueError("target_order must be in 1..6")
+    if not 1 <= target_order <= MAX_ORDER:
+        raise ValueError(f"target_order must be in 1..{MAX_ORDER}")
 
     split = split_even_odd(h)
     mass, stages = split.mass, []
@@ -161,10 +163,10 @@ def fw_run(h: Expression, target_order: int = 6, *,
                                 f"expected >= {start}")
         stages.append(split)
 
-    # Stability of the even slices: stage 3 must not move them.  Stages 4..6
-    # would conjugate by generators built from odd parts starting at order 4,
-    # whose even corrections begin beyond 2*4, so they cannot contribute
-    # through order 6 given the starting orders verified above.
+    # Stability of the even slices: stage 3 must not move them.  Further
+    # stages would conjugate by generators built from odd parts starting at
+    # order 4, whose even corrections begin beyond 2*4, so they cannot
+    # contribute through MAX_ORDER given the starting orders verified above.
     for n in range(0, target_order + 1):
         if split.even_slice(n) != stages[-2].even_slice(n):
             raise PipelineError(f"stage-3 even slice at order {n} changed")
@@ -173,10 +175,9 @@ def fw_run(h: Expression, target_order: int = 6, *,
                        {n: split.even_slice(n) for n in range(1, target_order + 1)})
 
 
-def nested_commutator(outer: Expression, inner: Expression, times: int,
-                      max_order: int | None = None) -> Expression:
+def nested_commutator(outer: Expression, inner: Expression, times: int) -> Expression:
     """[outer, [outer, ... [outer, inner]]] with `times` nestings."""
     out = inner
     for _ in range(times):
-        out = al.commutator(outer, out, max_order=max_order)
+        out = al.commutator(outer, out)
     return out

@@ -99,12 +99,11 @@ def sigma_dot_pi(coeff=1, dims: tuple = al.DIM_ZERO, beta: bool = False) -> al.E
     return total
 
 
-def field_dot_pi(kind: str, coeff=1, dims: tuple = al.DIM_ZERO,
-                 mat: int = al.ID_MAT, ip: int = 0) -> al.Expression:
+def field_dot_pi(kind: str, coeff=1, dims: tuple = al.DIM_ZERO) -> al.Expression:
     total = al.Expression.zero()
     for i in (1, 2, 3):
         total = total + al.Expression.term(
-            coeff, word=(_field_atom(kind, i), al.pi(i)), mat=mat, ip=ip, dims=dims)
+            coeff, word=(_field_atom(kind, i), al.pi(i)), dims=dims)
     return total
 
 
@@ -112,15 +111,13 @@ _EPS_TRIPLES = [(1, 2, 3, 1), (2, 3, 1, 1), (3, 1, 2, 1),
                 (2, 1, 3, -1), (3, 2, 1, -1), (1, 3, 2, -1)]
 
 
-def sigma_dot_field_cross_pi(kind: str, coeff=1, dims: tuple = al.DIM_ZERO,
-                             beta: bool = False) -> al.Expression:
+def sigma_dot_field_cross_pi(kind: str, coeff=1, dims: tuple = al.DIM_ZERO) -> al.Expression:
     """Sum over eps_ijk Sigma_i F_j Pi_k (the spin-orbit word shape)."""
-    left = 3 if beta else 0
     total = al.Expression.zero()
     for i, j, k, sign in _EPS_TRIPLES:
         total = total + al.Expression.term(
             Fraction(coeff) * sign, word=(_field_atom(kind, j), al.pi(k)),
-            mat=al.mat_code(left, i), dims=dims)
+            mat=al.mat_code(0, i), dims=dims)
     return total
 
 

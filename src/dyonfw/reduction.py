@@ -11,7 +11,8 @@ six structural channels
 
 each with a polynomial prefactor in (|Pi|/mc)^2.  Replacing |Pi|/mc by
 beta*gamma(beta) turns each prefactor into a power series in the boost speed,
-which is compared exactly against the classical spin-precession coefficients.
+which is compared exactly against the classical spin-precession coefficients
+through degree TBMT_DEGREE = MAX_ORDER - 1.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from . import algebra as al
 from . import hamiltonians as ham
 from .algebra import Expression
-from .fw import FWRunResult
+from .fw import MAX_ORDER, FWRunResult
 from .series import SeriesPoly, gamma_ratio_series, gamma_series, xi_series
 
 
@@ -141,8 +142,12 @@ _MOMENT_DIMS = {
 _DIRECT_KIND = {"e": "B", "et": "E"}
 _CROSS_KIND = {"e": "E", "et": "B"}
 
+TBMT_DEGREE = MAX_ORDER - 1
+_SERIES_DEGREE = MAX_ORDER  # the highest degree any comparison reads
+
 CHANNEL_GAMMA_POWER = {"direct": 0, "cross": 1, "long": 2}
-_CHANNEL_MAX_K = {"direct": 2, "cross": 2, "long": 1}
+# Highest power k of (|Pi|/mc)^2k a channel needs through beta^TBMT_DEGREE.
+_CHANNEL_MAX_K = {c: (TBMT_DEGREE - j) // 2 for c, j in CHANNEL_GAMMA_POWER.items()}
 
 
 def channel_basis() -> dict:
@@ -167,9 +172,9 @@ def channel_basis() -> dict:
     return basis
 
 
-def spin_channels_to_series(spin: Expression, max_deg: int = 8) -> dict:
-    """Decompose a spin Hamiltonian and convert prefactors to beta series,
-    keyed by (sector, channel).
+def spin_channels_to_series(spin: Expression) -> dict:
+    """Decompose a spin Hamiltonian and convert prefactors to beta series
+    through degree MAX_ORDER, keyed by (sector, channel).
 
     The expression is projected on the particle block first; each momentum
     factor in a channel core contributes one factor gamma(beta) on top of the
@@ -177,13 +182,13 @@ def spin_channels_to_series(spin: Expression, max_deg: int = 8) -> dict:
     """
     flat = al.project_particle_block(spin)
     coeffs = decompose(flat, channel_basis())
-    xi = xi_series(max_deg)
+    xi = xi_series(_SERIES_DEGREE)
     xi2 = xi * xi
-    gam = gamma_series(max_deg)
+    gam = gamma_series(_SERIES_DEGREE)
     out = {}
     for sector in ("e", "et"):
         for name in ("direct", "cross", "long"):
-            total = SeriesPoly.zero(max_deg)
+            total = SeriesPoly.zero(_SERIES_DEGREE)
             for k in range(_CHANNEL_MAX_K[name] + 1):
                 c = coeffs.get((sector, name, k), Fraction(0))
                 if c:
@@ -193,15 +198,15 @@ def spin_channels_to_series(spin: Expression, max_deg: int = 8) -> dict:
     return out
 
 
-def tbmt_channel_series(ge, gte, max_deg: int = 8) -> dict:
+def tbmt_channel_series(ge, gte) -> dict:
     """Classical spin-precession coefficients on the same channel structures.
 
     From H = -(e/mc) s.F - (et/mc) s.F_dual with s = hbar Sigma / 2 and the
     dual fields B -> -E, E -> B; coefficients are exact series in beta.
     """
-    gam = gamma_series(max_deg)
+    gam = gamma_series(_SERIES_DEGREE)
     inv_gam = gam.inverse()
-    ratio = gamma_ratio_series(max_deg)
+    ratio = gamma_ratio_series(_SERIES_DEGREE)
     ge = Fraction(ge)
     gte = Fraction(gte)
     return {
@@ -228,20 +233,20 @@ class TbmtMatch:
 
 
 def match_tbmt(h_spin: Expression, static: Expression, cross: Expression,
-               params: ham.ParticleParams, through_degree: int = 5) -> TbmtMatch:
+               params: ham.ParticleParams) -> TbmtMatch:
     """Compare the full spin Hamiltonian against the classical coefficients.
 
     h_spin is the reduced Dirac spin part; static and cross are the anomalous
-    pieces.  The comparison runs channel by channel through the requested
-    total degree in the boost speed (a channel structure carrying j beta-hat
-    vectors leaves degree through_degree - j for its scalar series).
+    pieces.  The comparison runs channel by channel through total degree
+    TBMT_DEGREE in the boost speed (a channel structure carrying j beta-hat
+    vectors leaves degree TBMT_DEGREE - j for its scalar series).
     """
     total = h_spin + al.substitute_moments(static + cross, params.ge, params.gte)
     fw = spin_channels_to_series(total)
     classical = tbmt_channel_series(params.ge, params.gte)
     mismatches = []
     for (sector, name), fw_series in fw.items():
-        deg = through_degree - CHANNEL_GAMMA_POWER[name]
+        deg = TBMT_DEGREE - CHANNEL_GAMMA_POWER[name]
         ref = classical[(sector, name)]
         for d in range(deg + 1):
             if fw_series[d] != ref[d]:
@@ -263,11 +268,11 @@ class SeriesCheckReport:
         return self.derived == self.expected
 
 
-def series_check(max_deg: int = 8) -> list[SeriesCheckReport]:
+def series_check() -> list[SeriesCheckReport]:
     """The three prefactor identities relating xi polynomials to gamma forms."""
-    xi = xi_series(max_deg)
+    xi = xi_series(_SERIES_DEGREE)
     xi2 = xi * xi
-    gam = gamma_series(max_deg)
+    gam = gamma_series(_SERIES_DEGREE)
 
     reports = []
     intrinsic = 1 - xi2 * Fraction(1, 2) + xi2 * xi2 * Fraction(3, 8)
@@ -277,7 +282,7 @@ def series_check(max_deg: int = 8) -> list[SeriesCheckReport]:
         tuple(gam.inverse()[d] for d in range(5))))
 
     boosted = (1 - xi2 * Fraction(3, 4) + xi2 * xi2 * Fraction(5, 8)) * xi * Fraction(1, 2)
-    target = (1 - gamma_ratio_series(max_deg)) * SeriesPoly.x(max_deg)
+    target = (1 - gamma_ratio_series(_SERIES_DEGREE)) * SeriesPoly.x(_SERIES_DEGREE)
     reports.append(SeriesCheckReport(
         "boosted_prefactor_vs_gamma_ratio",
         tuple(boosted[d] for d in range(6)),
@@ -287,7 +292,7 @@ def series_check(max_deg: int = 8) -> list[SeriesCheckReport]:
                       Fraction(3, 8), Fraction(0), Fraction(5, 16))
     reports.append(SeriesCheckReport(
         "lorentz_factor_series",
-        tuple(gam[d] for d in range(7)),
+        tuple(gam[d] for d in range(len(explicit_gamma))),
         explicit_gamma))
     return reports
 
@@ -324,10 +329,6 @@ def effective_dipoles(order: int) -> tuple[tuple, tuple]:
         cross_pref = (Expression.term(1) + xi2.scale(Fraction(-3, 4))
                       + xi4.scale(Fraction(5, 8))).scale(half)
 
-    def moment_component(i: int, coeff, dims, with_block_sign: bool) -> Expression:
-        mat = al.mat_code(3 if with_block_sign else 0, i)
-        return Expression.term(coeff, mat=mat, dims=dims)
-
     def xi_cross_moment(i: int, coeff, dims) -> Expression:
         # (xi x moment)_i = eps_ijk (Pi_j / mc) * moment_k
         out = Expression.zero()
@@ -341,10 +342,11 @@ def effective_dipoles(order: int) -> tuple[tuple, tuple]:
 
     p_eff, m_eff = [], []
     for i in (1, 2, 3):
+        beta_sigma = al.mat_code(3, i)
         p_eff.append(al.truncate_fields(
-            al.mul(intrinsic_pref, moment_component(i, -half, mu_p_dims, True))
+            al.mul(intrinsic_pref, Expression.term(-half, mat=beta_sigma, dims=mu_p_dims))
             + al.mul(cross_pref, xi_cross_moment(i, half, mu_m_dims))))
         m_eff.append(al.truncate_fields(
-            al.mul(intrinsic_pref, moment_component(i, half, mu_m_dims, True))
+            al.mul(intrinsic_pref, Expression.term(half, mat=beta_sigma, dims=mu_m_dims))
             - al.mul(cross_pref, xi_cross_moment(i, -half, mu_p_dims))))
     return tuple(p_eff), tuple(m_eff)

@@ -149,6 +149,16 @@ def test_normal_order_rebuilds_hand_made_dicts():
     assert (al.DIM_ZERO, al.ID_MAT, 0, (al.pi(1), al.pi(2))) in fixed.terms
 
 
+def test_builders_merge_repeated_terms_and_drop_zeros():
+    (entry,) = al.to_json_dict(term(1, word=(al.pi(1),)))["terms"]
+    data = {"terms": [entry, dict(entry, coeff="2"), dict(entry, coeff="0")]}
+    assert al.from_json_dict(data) == term(3, word=(al.pi(1),))
+    data["terms"].append(dict(entry, coeff="-3"))
+    assert al.from_json_dict(data).is_zero()
+    key = (al.DIM_ZERO, al.ID_MAT, 0, (al.pi(2), al.pi(1)))
+    assert al.normal_order(al.Expression({key: Fraction(0)})).is_zero()
+
+
 def test_json_roundtrip():
     d_op = al.commutator(ham.omega_odd(), ham.omega_even())
     data = al.to_json_dict(d_op)

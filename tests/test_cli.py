@@ -35,9 +35,10 @@ def test_derive_latex_second_order(capsys):
 
 
 def test_derive_rejects_out_of_range_order():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["derive", "--order", "7"])
-    assert exc.value.code == 2
+    for order in ("0", "7"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["derive", "--order", order])
+        assert exc.value.code == 2
 
 
 def test_unknown_command_is_usage_error():

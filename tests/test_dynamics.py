@@ -273,7 +273,7 @@ def test_integrate_with_c_not_one_matches_golden_digest(scheme, digest):
 def test_derived_columns_equal_the_per_state_formulas():
     traj = dyn.integrate(DYON_STATE, DYON_FIELDS, DYON_PARAMS, dt=0.02, steps=300)
     for k in range(len(traj)):
-        st = traj.state(k)
+        st = PhaseState(x=tuple(traj.x[k]), u=tuple(traj.u[k]), s=tuple(traj.s[k]))
         assert traj.helicity[k] == st.helicity
         assert traj.energy[k] == dyn.orbit_hamiltonian(st, DYON_FIELDS, DYON_PARAMS)
     at_rest = dyn.integrate(PhaseState(s=(-0.6, 0, 0.8)), FieldConfig(), DYON_PARAMS,
@@ -294,6 +294,30 @@ def test_duality_map_leaves_the_trajectory_unchanged():
         for name in ("x", "u", "s"):
             assert vec_close(getattr(a, name)[k], getattr(b, name)[k], 1e-12), (k, name)
     assert np.abs(a.energy - b.energy).max() <= 1e-12
+
+
+def test_drifts_equal_the_whole_array_formulas():
+    traj = dyn.integrate(DYON_STATE, DYON_FIELDS, DYON_PARAMS, dt=0.02, steps=3000)
+    smag = (traj.s ** 2).sum(axis=1) ** 0.5
+    assert traj.drifts() == {
+        "helicity_drift": float(abs(traj.helicity - traj.helicity[0]).max()),
+        "spin_norm_drift": float(abs(smag - smag[0]).max()),
+        "energy_drift": float(abs(traj.energy - traj.energy[0]).max()),
+    }
+
+
+@pytest.mark.parametrize("column", ["helicity", "s", "energy"])
+def test_drifts_see_a_nan_in_the_last_block(column):
+    n = 2500
+    traj = dyn.Trajectory(t=np.arange(n, dtype=float), x=np.zeros((n, 3)),
+                          u=np.zeros((n, 3)), s=np.tile([0.6, 0.0, 0.8], (n, 1)),
+                          helicity=np.zeros(n), energy=np.ones(n))
+    getattr(traj, column)[-1] = math.nan
+    drifts = traj.drifts()
+    drift = {"helicity": "helicity_drift", "s": "spin_norm_drift",
+             "energy": "energy_drift"}[column]
+    assert math.isnan(drifts[drift])
+    assert all(v == 0.0 for k, v in drifts.items() if k != drift)
 
 
 @pytest.mark.parametrize("n", [1, 1024, 1025])

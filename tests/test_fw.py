@@ -21,6 +21,12 @@ def test_bch_requires_anti_hermitian_generator():
         bch_conjugate(omega.scale(1, dims=al.dim(Eg=-1)), omega, 4)
 
 
+def test_bch_rejects_order_beyond_six():
+    s = al.Expression.term(1, word=(al.VPOT,), ip=1, dims=al.dim(Eg=-1))
+    with pytest.raises(ValueError):
+        bch_conjugate(s, ham.potential(), 7)
+
+
 def test_bch_with_commuting_generator_is_identity():
     # S built from the potential commutes with a potential-only H
     s = al.Expression.term(1, word=(al.VPOT,), ip=1, dims=al.dim(Eg=-1))
