@@ -24,6 +24,14 @@ the charges), so a product truncated at a 1/Eg order is exact.  A truncated
 product groups the right factor's terms by order once and, for each left
 term, stops at the first group past the limit, so the pairs it drops are
 never visited one by one.
+
+Coefficients are exact rationals at the interface: Expression.terms holds
+Fractions.  Inside, the hot paths compute in Python ints.  Normal ordering
+only ever scales by +-1, so _order_word emits int coefficients.  A product
+writes each operand once as int numerators over the lcm of its
+denominators, multiplies and merges ints only, and builds one Fraction per
+output term over the product of the two denominators.  linear_combination
+does the same for weighted sums.
 """
 
 from __future__ import annotations
@@ -78,7 +86,7 @@ def field_degree(word: tuple[int, ...]) -> int:
 DIM_NAMES = ("hbar", "c", "m", "Eg", "e", "et", "mu", "d")
 _DIM_INDEX = {name: k for k, name in enumerate(DIM_NAMES)}
 DIM_ZERO = (0,) * 8
-_ONE = Fraction(1)
+_ONE = 1
 
 _I_HBAR, _I_C, _I_M, _I_EG, _I_E, _I_ET, _I_MU, _I_D = range(8)
 
@@ -162,11 +170,12 @@ _DIM_PIPI_E = dim(hbar=1, c=-1, et=1)
 def _order_word(word: tuple[int, ...]):
     """Canonicalize a word.
 
-    Returns a tuple of (canonical_word, dim_delta, ip, coeff) contributions.
-    Each adjacent swap of noncommuting atoms replaces the pair with the
-    commutator's atoms; corrections recurse on strictly shorter words, so the
-    rewriting terminates.  A zero dim_delta is DIM_ZERO itself and a unit
-    coeff is _ONE itself, so callers skip those factors by identity.
+    Returns a tuple of (canonical_word, dim_delta, ip, coeff) contributions
+    with int coeff.  Each adjacent swap of noncommuting atoms replaces the
+    pair with the commutator's atoms; corrections recurse on strictly shorter
+    words, so the rewriting terminates.  A zero dim_delta is DIM_ZERO itself
+    and a unit coeff is _ONE itself, so callers skip those factors by
+    identity.
     """
     for k in range(len(word) - 1):
         if word[k] > word[k + 1]:
@@ -176,37 +185,39 @@ def _order_word(word: tuple[int, ...]):
 
     a, b = word[k], word[k + 1]
     head, tail = word[:k], word[k + 2:]
-    acc: dict[tuple, Fraction] = {}
+    acc: dict[tuple, int] = {}
 
     def _accumulate(sub_word, extra_dim, extra_ip, scale):
         for w, dd, ip, coeff in _order_word(sub_word):
             ip_tot = ip + extra_ip
             c = coeff * scale * (-1 if ip_tot >= 2 else 1)
             key = (w, dim_mul(dd, extra_dim), ip_tot % 2)
-            acc[key] = acc.get(key, Fraction(0)) + c
+            acc[key] = acc.get(key, 0) + c
 
-    _accumulate(head + (b, a) + tail, DIM_ZERO, 0, Fraction(1))
+    _accumulate(head + (b, a) + tail, DIM_ZERO, 0, 1)
 
     if is_pi(a) and b == VPOT:
         # Pi_i V -> V Pi_i + i hbar (e E_i + et B_i)
         i = a - VPOT
-        _accumulate(head + (field_e(i),) + tail, _DIM_PIV_E, 1, Fraction(1))
-        _accumulate(head + (field_b(i),) + tail, _DIM_PIV_B, 1, Fraction(1))
+        _accumulate(head + (field_e(i),) + tail, _DIM_PIV_E, 1, 1)
+        _accumulate(head + (field_b(i),) + tail, _DIM_PIV_B, 1, 1)
     elif is_pi(a) and is_pi(b):
         # Pi_i Pi_j -> Pi_j Pi_i + (i hbar / c) eps_ijk (e B_k - et E_k)
         kk, sign = _EPS3[(a - VPOT, b - VPOT)]
-        _accumulate(head + (field_b(kk),) + tail, _DIM_PIPI_B, 1, Fraction(sign))
-        _accumulate(head + (field_e(kk),) + tail, _DIM_PIPI_E, 1, Fraction(-sign))
+        _accumulate(head + (field_b(kk),) + tail, _DIM_PIPI_B, 1, sign)
+        _accumulate(head + (field_e(kk),) + tail, _DIM_PIPI_E, 1, -sign)
     # every other out-of-order pair commutes: swap with no correction
 
     return tuple((w, DIM_ZERO if dd == DIM_ZERO else dd, ip, _ONE if c == 1 else c)
                  for (w, dd, ip), c in acc.items() if c)
 
 
-def _add_word(acc: dict, coeff: Fraction, dims: tuple, mat: int, ip: int, word: tuple) -> None:
+def _add_word(acc: dict, coeff, dims: tuple, mat: int, ip: int, word: tuple) -> None:
     """Merge coeff * i^ip * dims * mat * word into acc, normal ordering the word.
 
-    coeff must be nonzero; ip may be any nonnegative power of i.
+    coeff must be nonzero, an int (products) or a Fraction (everything else);
+    it keeps its type, since the word's own coefficients are ints.  ip may be
+    any nonnegative power of i.
     """
     for w, dd, dip, c in _order_word(word):
         tot = ip + dip
@@ -317,22 +328,30 @@ def _merge(acc: dict, key, val) -> None:
         acc.pop(key, None)
 
 
-def _add_product(acc: dict, a: Expression, b: Expression, max_order: int | None,
+def _numerators(e: Expression) -> tuple[list, int]:
+    """e's terms as (key, int numerator) items over the lcm of its denominators."""
+    den = math.lcm(*{val.denominator for val in e.terms.values()})
+    return [(key, val.numerator * (den // val.denominator))
+            for key, val in e.terms.items()], den
+
+
+def _add_product(acc: dict, a: list, b: list, max_order: int | None,
                  negate: bool = False) -> None:
-    """Merge a * b (or -(a * b)) into acc, keeping 1/Eg orders <= max_order.
+    """Merge a * b (or -(a * b)) into acc, keeping 1/Eg orders <= max_order;
+    a and b are (key, int numerator) items, so acc gathers ints.
 
     b's terms are grouped by order once and the groups walked lowest first;
     each term of a stops at the first group that would exceed max_order.
     Without a limit b is one group.
     """
     if max_order is None:
-        limit, groups = math.inf, [(-math.inf, list(b.terms.items()))]
+        limit, groups = math.inf, [(-math.inf, b)]
     else:
         buckets: dict[int, list] = {}
-        for item in b.terms.items():
+        for item in b:
             buckets.setdefault(-item[0][0][_I_EG], []).append(item)
         limit, groups = max_order, sorted(buckets.items())
-    for (d1, m1, ip1, w1), c1 in a.terms.items():
+    for (d1, m1, ip1, w1), c1 in a:
         room = limit + d1[_I_EG]  # highest order of b this term may meet
         if negate:
             c1 = -c1
@@ -345,34 +364,62 @@ def _add_product(acc: dict, a: Expression, b: Expression, max_order: int | None,
                 _add_word(acc, c1 * c2, dim_mul(d1, d2), mat, ip1 + ip2 + mip, w1 + w2)
 
 
+def _products(a: Expression, b: Expression, max_order: int | None, swapped: int) -> Expression:
+    """a * b + swapped * (b * a), truncated like mul, with swapped in {-1, 0, 1}.
+
+    Each operand becomes int numerators once; both products share the
+    denominator den_a * den_b, so the merge adds ints and terms that cancel
+    never build a Fraction.  One Fraction, in lowest terms, per output term.
+    """
+    a_items, den_a = _numerators(a)
+    b_items, den_b = _numerators(b)
+    acc: dict[tuple, int] = {}
+    _add_product(acc, a_items, b_items, max_order)
+    if swapped:
+        _add_product(acc, b_items, a_items, max_order, negate=swapped < 0)
+    den = den_a * den_b
+    return Expression({key: Fraction(val, den) for key, val in acc.items()})
+
+
 def mul(a: Expression, b: Expression, max_order: int | None = None) -> Expression:
     """Product in canonical form.
 
     max_order drops every product term whose 1/Eg order exceeds it.  Orders
     add under multiplication, so this is an exact truncation, not a bound;
     the right factor's terms are bucketed by order and whole buckets past the
-    limit are skipped before any normal ordering.
+    limit are skipped before any normal ordering.  The arithmetic runs on
+    int numerators; the result holds Fractions (see _products).
     """
-    out: dict[tuple, Fraction] = {}
-    _add_product(out, a, b, max_order)
-    return Expression(out)
+    return _products(a, b, max_order, 0)
 
 
 def commutator(a: Expression, b: Expression, max_order: int | None = None) -> Expression:
-    """[a, b] = ab - ba, truncated like mul; both products merge into one
-    dict, so terms that cancel between them never form an expression."""
-    out: dict[tuple, Fraction] = {}
-    _add_product(out, a, b, max_order)
-    _add_product(out, b, a, max_order, negate=True)
-    return Expression(out)
+    """[a, b] = ab - ba, truncated like mul; both products merge as int
+    numerators over one shared denominator into one dict, so terms that
+    cancel between them never form an expression."""
+    return _products(a, b, max_order, -1)
 
 
 def anticommutator(a: Expression, b: Expression, max_order: int | None = None) -> Expression:
     """{a, b} = ab + ba, truncated like mul and merged into one dict."""
-    out: dict[tuple, Fraction] = {}
-    _add_product(out, a, b, max_order)
-    _add_product(out, b, a, max_order)
-    return Expression(out)
+    return _products(a, b, max_order, 1)
+
+
+def linear_combination(parts) -> Expression:
+    """Sum of weight * e over (weight, e) pairs, weight rational.
+
+    Every part is written as int numerators over one common denominator, the
+    lcm over all parts, so the sum adds ints and builds one Fraction per
+    output term.
+    """
+    parts = [(Fraction(w), *_numerators(e)) for w, e in parts]
+    den = math.lcm(*(w.denominator * d for w, _, d in parts))
+    acc: dict[tuple, int] = {}
+    for w, items, d in parts:
+        factor = w.numerator * (den // (w.denominator * d))
+        for key, num in items:
+            acc[key] = acc.get(key, 0) + num * factor
+    return Expression({key: Fraction(val, den) for key, val in acc.items() if val})
 
 
 def hermitian_conjugate(e: Expression) -> Expression:

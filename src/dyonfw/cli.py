@@ -74,6 +74,8 @@ def _vec(text: str):
     parts = [float(v) for v in text.split(",")]
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated values")
+    if not all(map(math.isfinite, parts)):
+        raise argparse.ArgumentTypeError("expected finite values")
     return tuple(parts)
 
 

@@ -384,7 +384,7 @@ def integrate(state0: PhaseState, fields: FieldConfig, params: ParticleParams,
 
 def _boost_prefactors(beta: Vec3) -> tuple[float, float]:
     b2 = _dot(beta, beta)
-    if b2 >= 1.0:
+    if not b2 < 1.0:  # also rejects NaN
         raise ValueError("boost speed must be below 1")
     gamma = 1.0 / math.sqrt(1.0 - b2)
     return gamma, gamma * gamma / (gamma + 1.0)
@@ -407,7 +407,7 @@ def boost_dipole_integrated(p: Vec3, m: Vec3, beta: Vec3) -> tuple[Vec3, Vec3]:
     """Integrated-moment law; the spatial volume factor makes it gamma^2-weighted
     and non-covariant, with the p/2 convention on the electric moment."""
     b2 = _dot(beta, beta)
-    if b2 >= 1.0:
+    if not b2 < 1.0:  # also rejects NaN
         raise ValueError("boost speed must be below 1")
     gamma = 1.0 / math.sqrt(1.0 - b2)
     r = gamma / (gamma + 1.0)

@@ -66,7 +66,8 @@ def bch_conjugate(s: Expression, h: Expression, max_order: int) -> Expression:
 
     Every term of s must sit at a positive 1/Eg order, so each nesting raises
     the order and truncating inside the loop is exact.  s is required to be
-    anti-Hermitian (that is what makes exp(s) unitary).
+    anti-Hermitian (that is what makes exp(s) unitary).  The nestings are
+    summed once, over one common denominator.
     """
     if max_order > MAX_ORDER:
         raise ValueError(f"expansion supported through order {MAX_ORDER} only")
@@ -74,16 +75,16 @@ def bch_conjugate(s: Expression, h: Expression, max_order: int) -> Expression:
         raise PipelineError("stage generator is not anti-Hermitian")
     if any(al.eg_order(k) < 1 for k in s.terms):
         raise PipelineError("stage generator has terms at non-positive order")
-    total = al.truncate_order(h, max_order)
-    nested = total
+    nested = al.truncate_order(h, max_order)
+    series = [(1, nested)]
     for n in range(1, 4 * (max_order + 2)):
         nested = al.commutator(s, nested, max_order=max_order)
         if nested.is_zero():
             break
-        total = total + nested.scale(Fraction(1, factorial(n)))
+        series.append((Fraction(1, factorial(n)), nested))
     else:
         raise PipelineError("commutator nesting did not terminate")
-    return total
+    return al.linear_combination(series)
 
 
 @dataclass(frozen=True)

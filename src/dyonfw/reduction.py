@@ -17,8 +17,11 @@ through degree TBMT_DEGREE = MAX_ORDER - 1.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import algebra as al
 from . import hamiltonians as ham
@@ -104,23 +107,23 @@ def pauli_extra_terms(result: FWRunResult) -> tuple[Expression, Expression]:
 # ---------------------------------------------------------------------------
 # Exact decomposition onto structural channels
 
-def decompose(e: Expression, basis: dict) -> dict:
-    """Exact coefficients of e on the given expressions.
-
-    Each basis expression must own at least one term key unique to it; the
-    residue after peeling all components must vanish.
-    """
-    signature = {}
+def _signature_keys(basis: Mapping) -> dict:
+    """One term key per basis expression that no other basis expression has."""
     key_owners: dict[tuple, list] = {}
     for label, bexpr in basis.items():
         for key in bexpr.terms:
             key_owners.setdefault(key, []).append(label)
+    signature = {}
     for label, bexpr in basis.items():
         unique = [k for k in bexpr.terms if len(key_owners[k]) == 1]
         if not unique:
             raise ValueError(f"basis element {label} has no signature key")
         signature[label] = unique[0]
+    return signature
 
+
+def _peel(e: Expression, basis: Mapping, signature: dict) -> dict:
+    """decompose, with the signature keys of the basis already found."""
     residue = e
     coeffs = {}
     for label, bexpr in basis.items():
@@ -133,6 +136,15 @@ def decompose(e: Expression, basis: dict) -> dict:
         raise ReductionError(
             f"{len(residue)} terms outside the channel space")
     return coeffs
+
+
+def decompose(e: Expression, basis: Mapping) -> dict:
+    """Exact coefficients of e on the given expressions.
+
+    Each basis expression must own at least one term key unique to it; the
+    residue after peeling all components must vanish.
+    """
+    return _peel(e, basis, _signature_keys(basis))
 
 
 _MOMENT_DIMS = {
@@ -150,9 +162,9 @@ CHANNEL_GAMMA_POWER = {"direct": 0, "cross": 1, "long": 2}
 _CHANNEL_MAX_K = {c: (TBMT_DEGREE - j) // 2 for c, j in CHANNEL_GAMMA_POWER.items()}
 
 
-def channel_basis() -> dict:
-    """Structural channels with moment-normalized cores, keyed by
-    (sector, channel, k) for the (|Pi|/mc)^2k relativistic corrections."""
+@functools.lru_cache(maxsize=None)
+def _channels() -> tuple[Mapping, dict]:
+    """channel_basis() and its signature keys, built together once per process."""
     basis = {}
     for sector in ("e", "et"):
         dims = _MOMENT_DIMS[sector]
@@ -169,7 +181,18 @@ def channel_basis() -> dict:
                 grown = core if k == 0 else al.truncate_fields(
                     al.mul(ham.xi_squared(k), core))
                 basis[(sector, name, k)] = grown
-    return basis
+    basis = MappingProxyType(basis)
+    return basis, _signature_keys(basis)
+
+
+def channel_basis() -> Mapping:
+    """Structural channels with moment-normalized cores, keyed by
+    (sector, channel, k) for the (|Pi|/mc)^2k relativistic corrections.
+
+    Built once per process and shared by every caller, so the mapping is
+    read-only.
+    """
+    return _channels()[0]
 
 
 def spin_channels_to_series(spin: Expression) -> dict:
@@ -181,7 +204,7 @@ def spin_channels_to_series(spin: Expression) -> dict:
     structural beta-hat vectors.
     """
     flat = al.project_particle_block(spin)
-    coeffs = decompose(flat, channel_basis())
+    coeffs = _peel(flat, *_channels())
     xi = xi_series(_SERIES_DEGREE)
     xi2 = xi * xi
     gam = gamma_series(_SERIES_DEGREE)

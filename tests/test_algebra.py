@@ -1,5 +1,6 @@
 """Canonical form, normal ordering, truncation, conjugation, serialization."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -240,6 +241,53 @@ def test_truncated_products_are_exact(a, b):
         assert al.commutator(a, b, k) == ab - ba
         assert al.anticommutator(a, b, k) == ab + ba
         assert al.commutator(a, a, k).is_zero()
+
+
+# Denominators that differ between and within operands; with the Mersenne
+# prime 2**61 - 1 some numerator products exceed 64 bits.
+_wide_terms = st.tuples(
+    st.builds(Fraction, st.integers(-7, 7).filter(bool),
+              st.sampled_from((1, 2, 3, 7, 105, 2**61 - 1))),
+    st.lists(_graded_atoms, max_size=3).map(tuple),
+    st.integers(0, 15), st.integers(0, 3), st.integers(-1, 6))
+
+
+def _raw_sum(raw) -> al.Expression:
+    total = al.Expression.zero()
+    for c, word, mat, ip, order in raw:
+        total = total + al.Expression.term(c, word, mat, ip, al.dim(Eg=-order))
+    return total
+
+
+def _pairwise_product(raw1, raw2, k) -> al.Expression:
+    """Sum over raw term pairs within order k, in Fraction arithmetic only."""
+    total = al.Expression.zero()
+    for c1, w1, m1, ip1, o1 in raw1:
+        for c2, w2, m2, ip2, o2 in raw2:
+            if o1 + o2 <= k:
+                mat, mip = al.MAT_TABLE[m1][m2]
+                total = total + al.Expression.term(
+                    c1 * c2, w1 + w2, mat, ip1 + ip2 + mip, al.dim(Eg=-(o1 + o2)))
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_wide_terms, max_size=5), st.lists(_wide_terms, max_size=5))
+def test_products_equal_the_pairwise_fraction_sum(raw_a, raw_b):
+    """The int-numerator products and sums against naive Fraction arithmetic."""
+    a, b = _raw_sum(raw_a), _raw_sum(raw_b)
+    results, expected = [], []
+    for k in (-2, 0, 3, 6, 12):
+        ab, ba = _pairwise_product(raw_a, raw_b, k), _pairwise_product(raw_b, raw_a, k)
+        results += [al.mul(a, b, k), al.commutator(a, b, k), al.anticommutator(a, b, k)]
+        expected += [ab, ab - ba, ab + ba]
+    weights = (Fraction(1, 105), Fraction(-2, 3))
+    results.append(al.linear_combination(zip(weights, (a, b))))
+    expected.append(a.scale(weights[0]) + b.scale(weights[1]))
+    assert results == expected
+    for e in results:
+        assert all(type(v) is Fraction and math.gcd(v.numerator, v.denominator) == 1
+                   for v in e.terms.values())
 
 
 def test_randomized_oracle_equivalence_small():

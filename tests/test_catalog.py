@@ -1,6 +1,7 @@
 """Fixture storage of the closed-form targets."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,11 @@ def test_shipped_fixtures_match_builders(catalog):
     assert set(loaded.entries) == set(catalog.entries)
     for key in catalog.entries:
         assert loaded[key] == catalog[key], key
+
+
+def test_rebuilt_catalog_file_is_byte_identical(tmp_path, catalog):
+    packaged = Path(cat_mod.__file__).parent / "fixtures" / "catalog.json"
+    assert catalog.save(tmp_path).read_bytes() == packaged.read_bytes()
 
 
 def test_save_load_roundtrip(tmp_path, catalog):

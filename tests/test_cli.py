@@ -1,5 +1,6 @@
 """Command-line contract: flags, exit codes, deterministic output."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ import pytest
 
 from dyonfw import cli, reduction
 
+EXPECTED = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                       / "expected.json").read_text())
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -119,6 +122,14 @@ def test_verify_rejects_unreadable_fixtures(tmp_path, monkeypatch, capsys, conte
     code, out = run_cli(capsys, "verify", "--suite", "appendixB")
     assert code == 1
     assert set(json.loads(out)) == {"error"}
+
+
+@pytest.mark.parametrize("model", ["dirac", "dirac-pauli"])
+def test_derive_order_6_json_matches_the_pinned_digest(capsys, model):
+    code, out = run_cli(capsys, "derive", "--model", model, "--order", "6",
+                        "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPECTED["derive_sha256"][model]
 
 
 def test_derive_output_is_deterministic(capsys):
@@ -238,3 +249,14 @@ def test_boost_dipole_integrated_flag(capsys):
     data = json.loads(out)
     gamma_sq = 1 / 0.75
     assert abs(data["m"][2] - gamma_sq * 0.1) < 1e-12
+
+
+@pytest.mark.parametrize("flag, value", [("--beta", "nan,0,0"), ("--mu-p", "inf,0,1"),
+                                         ("--mu-m", "0,nan,0")],
+                         ids=["beta-nan", "mu-p-inf", "mu-m-nan"])
+def test_boost_dipole_rejects_non_finite(capsys, flag, value):
+    args = {"--beta": "0.1,0,0", "--mu-p": "0,0,1", "--mu-m": "0,0,0", flag: value}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["boost-dipole", *(x for item in args.items() for x in item)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

@@ -389,6 +389,12 @@ def test_boost_dipole_matches_field_transformation_rule():
     assert vec_close(out_m, tuple(-x for x in lab_b), 1e-12)
 
 
+@pytest.mark.parametrize("boost", [dyn.boost_dipole, dyn.boost_dipole_integrated])
+def test_boost_rejects_nan_speed(boost):
+    with pytest.raises(ValueError, match="below 1"):
+        boost((0, 0, 1), (0, 0, 0), (math.nan, 0, 0))
+
+
 def test_integrated_boost_with_electric_moment_only():
     beta = (0, 0.5, 0)
     gamma = 1 / math.sqrt(0.75)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dyonfw import algebra as al
+from dyonfw import checks
 from dyonfw import hamiltonians as ham
 from dyonfw import reduction
 from dyonfw.reduction import ReductionError
@@ -70,6 +71,24 @@ def test_tbmt_detects_wrong_coefficient(dirac_result, pauli_result):
     broken = spin + spin.scale(Fraction(1, 100))
     match = reduction.match_tbmt(broken, static, cross, ham.ParticleParams())
     assert not match.passed
+
+
+def test_match_tbmt_builds_the_channel_basis_once(monkeypatch, dirac_result, pauli_result):
+    _, spin = reduction.reduce_to_physical(dirac_result)
+    static, cross = reduction.pauli_extra_terms(pauli_result)
+    reduction.match_tbmt(spin, static, cross, ham.ParticleParams())
+    basis = reduction.channel_basis()
+    with pytest.raises(TypeError):
+        basis[("e", "direct", 0)] = al.Expression.zero()
+
+    def no_products(*args, **kwargs):
+        raise AssertionError("channel basis rebuilt")
+
+    monkeypatch.setattr(al, "mul", no_products)
+    for ge, gte in checks.G_GRID:
+        assert reduction.match_tbmt(spin, static, cross,
+                                    ham.ParticleParams(ge=ge, gte=gte)).passed
+    assert reduction.channel_basis() is basis
 
 
 def test_decompose_rejects_leftovers():
