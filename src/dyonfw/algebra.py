@@ -25,13 +25,20 @@ product groups the right factor's terms by order once and, for each left
 term, stops at the first group past the limit, so the pairs it drops are
 never visited one by one.
 
-Coefficients are exact rationals at the interface: Expression.terms holds
-Fractions.  Inside, the hot paths compute in Python ints.  Normal ordering
-only ever scales by +-1, so _order_word emits int coefficients.  A product
-writes each operand once as int numerators over the lcm of its
-denominators, multiplies and merges ints only, and builds one Fraction per
-output term over the product of the two denominators.  linear_combination
-does the same for weighted sums.
+Coefficients are exact rationals and dimension monomials are 8-tuples at
+the interface: Expression.terms holds Fractions under (dims, mat, ip, word)
+keys.  Inside, the hot paths compute in Python ints.  Normal ordering only
+ever scales by +-1: _order_word moves the field atoms of a word to the front
+in one step and orders the V/Pi rest through the cached _order_vp, emitting
+int coefficients and packed dimension deltas.  A product writes each operand
+once as int numerators over the lcm of its denominators, with every
+dimension monomial packed into one int, so it multiplies monomials by adding
+ints and merges ints only; it builds one Fraction per output term over the
+product of the two denominators and unpacks each distinct monomial once,
+through a cache.  linear_combination merges int numerators over one common
+denominator too, but a sum multiplies no monomials, so it keeps the tuple
+keys.  The tuple-keyed callers (Expression.term, hermitian_conjugate,
+normal_order, from_json_dict) unpack the normal-ordering deltas instead.
 """
 
 from __future__ import annotations
@@ -154,86 +161,132 @@ for _i in (1, 2, 3):
 
 
 # ---------------------------------------------------------------------------
+# Packed dimension monomials
+#
+# Inside products a dimension monomial is one int, sum(exp_k << k * _DIM_BITS):
+# a linear map, so multiplying monomials is adding ints, with no bias to
+# remove.  Each field is read back as a signed value in
+# [-_DIM_BIAS, _DIM_BIAS).  A product adds two packed operands and at most
+# one unit per field for each commutator correction, which consumes two
+# atoms of the word; with operand exponents held to a quarter of the field
+# range, a sum could carry into the next field only for a word of 2**15
+# atoms or more.
+
+_DIM_BITS = 16
+_DIM_BIAS = 1 << (_DIM_BITS - 1)
+_DIM_LIMIT = _DIM_BIAS >> 2  # largest |exponent| _pack admits
+_DIM_MASK = (1 << _DIM_BITS) - 1
+_DIM_BIAS_ALL = sum(_DIM_BIAS << (k * _DIM_BITS) for k in range(8))
+
+
+@lru_cache(maxsize=None)
+def _pack(d: tuple[int, ...]) -> int:
+    """The packed int of an 8-tuple of dimension exponents."""
+    packed = 0
+    for k, exp in enumerate(d):
+        if not -_DIM_LIMIT <= exp <= _DIM_LIMIT:
+            raise ValueError(f"{DIM_NAMES[k]} exponent {exp} outside the packable "
+                             f"range -{_DIM_LIMIT}..{_DIM_LIMIT}")
+        packed += exp << (k * _DIM_BITS)
+    return packed
+
+
+@lru_cache(maxsize=None)
+def _unpack(packed: int) -> tuple[int, ...]:
+    """The 8-tuple of a packed monomial: biased, every field is a plain digit."""
+    biased = packed + _DIM_BIAS_ALL
+    return tuple(((biased >> (k * _DIM_BITS)) & _DIM_MASK) - _DIM_BIAS for k in range(8))
+
+
+# ---------------------------------------------------------------------------
 # Word normal ordering
 
 _EPS3 = {(1, 2): (3, 1), (2, 1): (3, -1),
          (2, 3): (1, 1), (3, 2): (1, -1),
          (3, 1): (2, 1), (1, 3): (2, -1)}
 
-_DIM_PIV_E = dim(hbar=1, e=1)
-_DIM_PIV_B = dim(hbar=1, et=1)
-_DIM_PIPI_B = dim(hbar=1, c=-1, e=1)
-_DIM_PIPI_E = dim(hbar=1, c=-1, et=1)
+_DIM_PIV_E = _pack(dim(hbar=1, e=1))
+_DIM_PIV_B = _pack(dim(hbar=1, et=1))
+_DIM_PIPI_B = _pack(dim(hbar=1, c=-1, e=1))
+_DIM_PIPI_E = _pack(dim(hbar=1, c=-1, et=1))
+
+
+@lru_cache(maxsize=None)
+def _order_vp(word: tuple[int, ...]):
+    """Canonicalize a word of V and Pi atoms only.
+
+    Returns (fields, vp_word, packed dim_delta, ip, int coeff) contributions:
+    the sorted field atoms the commutator corrections left, and the ordered
+    V/Pi rest.  Each adjacent swap of an out-of-order pair replaces it with
+    its commutator, a field atom times a shorter V/Pi word; field atoms
+    commute with everything, so the correction's field joins the sorted
+    prefix at once and only the V/Pi rest recurses.
+    """
+    for k in range(len(word) - 1):
+        if word[k] > word[k + 1]:
+            break
+    else:
+        return (((), word, 0, 0, 1),)
+
+    a, b = word[k], word[k + 1]
+    head, tail = word[:k], word[k + 2:]
+    acc: dict[tuple, int] = {}
+
+    def _accumulate(sub_word, field, extra_dim, scale):
+        for fields, w, dd, ip, coeff in _order_vp(sub_word):
+            if field is not None:
+                fields = tuple(sorted(fields + (field,)))
+                dd += extra_dim
+                ip += 1
+            c = -coeff * scale if ip >= 2 else coeff * scale
+            key = (fields, w, dd, ip % 2)
+            acc[key] = acc.get(key, 0) + c
+
+    _accumulate(head + (b, a) + tail, None, 0, 1)
+    rest = head + tail
+    i = a - VPOT
+    if b == VPOT:
+        # Pi_i V -> V Pi_i + i hbar (e E_i + et B_i)
+        _accumulate(rest, field_e(i), _DIM_PIV_E, 1)
+        _accumulate(rest, field_b(i), _DIM_PIV_B, 1)
+    else:
+        # Pi_i Pi_j -> Pi_j Pi_i + (i hbar / c) eps_ijk (e B_k - et E_k)
+        kk, sign = _EPS3[(i, b - VPOT)]
+        _accumulate(rest, field_b(kk), _DIM_PIPI_B, sign)
+        _accumulate(rest, field_e(kk), _DIM_PIPI_E, -sign)
+
+    return tuple((*key, c) for key, c in acc.items() if c)
 
 
 @lru_cache(maxsize=None)
 def _order_word(word: tuple[int, ...]):
     """Canonicalize a word.
 
-    Returns a tuple of (canonical_word, dim_delta, ip, coeff) contributions
-    with int coeff.  Each adjacent swap of noncommuting atoms replaces the
-    pair with the commutator's atoms; corrections recurse on strictly shorter
-    words, so the rewriting terminates.  A zero dim_delta is DIM_ZERO itself
-    and a unit coeff is _ONE itself, so callers skip those factors by
-    identity.
+    Returns a tuple of (canonical_word, packed dim_delta, ip, int coeff)
+    contributions.  The field atoms of the word move to the front, sorted, in
+    one step; _order_vp orders the V/Pi rest and each of its contributions
+    merges its correction fields into that prefix.  A zero dim_delta is 0 and
+    a unit coeff is _ONE itself, so callers can skip those factors.
     """
-    for k in range(len(word) - 1):
-        if word[k] > word[k + 1]:
-            break
-    else:
-        return ((word, DIM_ZERO, 0, _ONE),)
-
-    a, b = word[k], word[k + 1]
-    head, tail = word[:k], word[k + 2:]
-    acc: dict[tuple, int] = {}
-
-    def _accumulate(sub_word, extra_dim, extra_ip, scale):
-        for w, dd, ip, coeff in _order_word(sub_word):
-            ip_tot = ip + extra_ip
-            c = coeff * scale * (-1 if ip_tot >= 2 else 1)
-            key = (w, dim_mul(dd, extra_dim), ip_tot % 2)
-            acc[key] = acc.get(key, 0) + c
-
-    _accumulate(head + (b, a) + tail, DIM_ZERO, 0, 1)
-
-    if is_pi(a) and b == VPOT:
-        # Pi_i V -> V Pi_i + i hbar (e E_i + et B_i)
-        i = a - VPOT
-        _accumulate(head + (field_e(i),) + tail, _DIM_PIV_E, 1, 1)
-        _accumulate(head + (field_b(i),) + tail, _DIM_PIV_B, 1, 1)
-    elif is_pi(a) and is_pi(b):
-        # Pi_i Pi_j -> Pi_j Pi_i + (i hbar / c) eps_ijk (e B_k - et E_k)
-        kk, sign = _EPS3[(a - VPOT, b - VPOT)]
-        _accumulate(head + (field_b(kk),) + tail, _DIM_PIPI_B, 1, sign)
-        _accumulate(head + (field_e(kk),) + tail, _DIM_PIPI_E, 1, -sign)
-    # every other out-of-order pair commutes: swap with no correction
-
-    return tuple((w, DIM_ZERO if dd == DIM_ZERO else dd, ip, _ONE if c == 1 else c)
-                 for (w, dd, ip), c in acc.items() if c)
+    fields = tuple(sorted(a for a in word if a < VPOT))
+    rest = tuple(a for a in word if a >= VPOT)
+    return tuple((tuple(sorted(fields + wf)) + w if wf else fields + w, dd, ip,
+                  _ONE if c == 1 else c)
+                 for wf, w, dd, ip, c in _order_vp(rest))
 
 
 def _add_word(acc: dict, coeff, dims: tuple, mat: int, ip: int, word: tuple) -> None:
     """Merge coeff * i^ip * dims * mat * word into acc, normal ordering the word.
 
-    coeff must be nonzero, an int (products) or a Fraction (everything else);
-    it keeps its type, since the word's own coefficients are ints.  ip may be
-    any nonnegative power of i.
+    coeff must be a nonzero Fraction; the word's own coefficients are ints,
+    and dims is an 8-tuple.  ip may be any nonnegative power of i.
     """
     for w, dd, dip, c in _order_word(word):
         tot = ip + dip
         val = coeff if c is _ONE else coeff * c
         if tot & 2:
             val = -val
-        key = (dims if dd is DIM_ZERO else dim_mul(dims, dd), mat, tot & 1, w)
-        old = acc.get(key)
-        if old is None:
-            acc[key] = val
-        else:
-            new = old + val
-            if new:
-                acc[key] = new
-            else:
-                del acc[key]
+        _merge(acc, (dim_mul(dims, _unpack(dd)) if dd else dims, mat, tot & 1, w), val)
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +374,16 @@ class Expression:
 
 
 def _merge(acc: dict, key, val) -> None:
-    new = acc.get(key, Fraction(0)) + val
-    if new:
-        acc[key] = new
+    """acc[key] += val for a nonzero val, deleting the key when it cancels."""
+    old = acc.get(key)
+    if old is None:
+        acc[key] = val
     else:
-        acc.pop(key, None)
+        new = old + val
+        if new:
+            acc[key] = new
+        else:
+            del acc[key]
 
 
 def _numerators(e: Expression) -> tuple[list, int]:
@@ -335,50 +393,73 @@ def _numerators(e: Expression) -> tuple[list, int]:
             for key, val in e.terms.items()], den
 
 
+def _packed_numerators(e: Expression) -> tuple[list, int]:
+    """_numerators with each key spread out as (packed dims, 1/Eg order,
+    mat, ip, word), the form _add_product reads."""
+    items, den = _numerators(e)
+    return [(_pack(d), -d[_I_EG], mat, ip, w, num) for (d, mat, ip, w), num in items], den
+
+
 def _add_product(acc: dict, a: list, b: list, max_order: int | None,
                  negate: bool = False) -> None:
     """Merge a * b (or -(a * b)) into acc, keeping 1/Eg orders <= max_order;
-    a and b are (key, int numerator) items, so acc gathers ints.
+    a and b are _packed_numerators items, so acc gathers ints under packed
+    keys.
 
     b's terms are grouped by order once and the groups walked lowest first;
     each term of a stops at the first group that would exceed max_order.
-    Without a limit b is one group.
     """
-    if max_order is None:
-        limit, groups = math.inf, [(-math.inf, b)]
-    else:
-        buckets: dict[int, list] = {}
-        for item in b:
-            buckets.setdefault(-item[0][0][_I_EG], []).append(item)
-        limit, groups = max_order, sorted(buckets.items())
-    for (d1, m1, ip1, w1), c1 in a:
-        room = limit + d1[_I_EG]  # highest order of b this term may meet
+    buckets: dict[int, list] = {}
+    for p, o, *rest in b:
+        buckets.setdefault(o, []).append((p, *rest))
+    groups = sorted(buckets.items())
+    limit = math.inf if max_order is None else max_order
+    for p1, o1, m1, ip1, w1, c1 in a:
+        room = limit - o1  # highest order of b this term may meet
         if negate:
             c1 = -c1
         row = MAT_TABLE[m1]
         for o2, items in groups:
             if o2 > room:
                 break
-            for (d2, m2, ip2, w2), c2 in items:
-                mat, mip = row[m2]
-                _add_word(acc, c1 * c2, dim_mul(d1, d2), mat, ip1 + ip2 + mip, w1 + w2)
+            for p2, m2, ip2, w2, c2 in items:
+                mat, ip = row[m2]
+                ip += ip1 + ip2
+                p, c = p1 + p2, c1 * c2
+                for w, dd, dip, cw in _order_word(w1 + w2):
+                    tot = ip + dip
+                    val = c if cw is _ONE else c * cw
+                    if tot & 2:
+                        val = -val
+                    key = (p + dd, mat, tot & 1, w)
+                    old = acc.get(key)  # _merge, inlined: this runs once per pair
+                    if old is None:
+                        acc[key] = val
+                    else:
+                        new = old + val
+                        if new:
+                            acc[key] = new
+                        else:
+                            del acc[key]
 
 
 def _products(a: Expression, b: Expression, max_order: int | None, swapped: int) -> Expression:
     """a * b + swapped * (b * a), truncated like mul, with swapped in {-1, 0, 1}.
 
-    Each operand becomes int numerators once; both products share the
-    denominator den_a * den_b, so the merge adds ints and terms that cancel
-    never build a Fraction.  One Fraction, in lowest terms, per output term.
+    Each operand becomes int numerators under packed dimension monomials
+    once; both products share the denominator den_a * den_b, so the merge
+    adds ints and terms that cancel never build a Fraction.  One Fraction, in
+    lowest terms, and one cached unpacking per output term.
     """
-    a_items, den_a = _numerators(a)
-    b_items, den_b = _numerators(b)
+    a_items, den_a = _packed_numerators(a)
+    b_items, den_b = _packed_numerators(b)
     acc: dict[tuple, int] = {}
     _add_product(acc, a_items, b_items, max_order)
     if swapped:
         _add_product(acc, b_items, a_items, max_order, negate=swapped < 0)
     den = den_a * den_b
-    return Expression({key: Fraction(val, den) for key, val in acc.items()})
+    return Expression({(_unpack(p), mat, ip, w): Fraction(val, den)
+                       for (p, mat, ip, w), val in acc.items()})
 
 
 def mul(a: Expression, b: Expression, max_order: int | None = None) -> Expression:

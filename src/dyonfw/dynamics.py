@@ -103,7 +103,7 @@ def _axpy(alpha, x, y) -> Vec3:
 def _thomas(beta, E: Vec3, B: Vec3, half_g: float) -> Vec3:
     """The Thomas-BMT effective field of one coupling, with half_g = g / 2."""
     b2 = _dot(beta, beta)
-    if b2 >= 1.0:
+    if not b2 < 1.0:  # also rejects NaN
         raise ValueError("boost speed must be below 1")
     gamma = 1.0 / math.sqrt(1.0 - b2)
     r = gamma / (gamma + 1.0)
@@ -431,7 +431,7 @@ def fw_effective_field(beta: Vec3, fields: FieldConfig, ge: float,
     overall sign relative to the dual effective field.
     """
     b2 = _dot(beta, beta)
-    if b2 >= 1.0:
+    if not b2 < 1.0:  # also rejects NaN
         raise ValueError("boost speed must be below 1")
     gamma = 1.0 / math.sqrt(1.0 - b2)
     r = gamma / (gamma + 1.0)

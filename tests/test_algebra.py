@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyonfw import algebra as al
@@ -180,11 +181,23 @@ _atoms = st.integers(min_value=0, max_value=9)
 _words = st.lists(_atoms, min_size=0, max_size=6).map(tuple)
 
 
+# At most 5 V/Pi atoms (the brute-force expander stays quick) shuffled among
+# up to 4 field atoms, so that commutator corrections land between fields.
+_field_rich_words = st.tuples(
+    st.lists(st.integers(al.VPOT, al.P3), max_size=5),
+    st.lists(st.integers(al.E1, al.B3), max_size=4),
+).flatmap(lambda parts: st.permutations(parts[0] + parts[1])).map(tuple)
+
+
 @settings(max_examples=300, deadline=None)
-@given(_words)
+@given(st.one_of(_words, _field_rich_words))
 def test_normal_order_is_confluent(word):
-    """Same canonical form from the engine and the opposite-sweep expander."""
+    """Same canonical form from the engine and the opposite-sweep expander;
+    the word's table holds merged, nonzero contributions on sorted words."""
     import numpy as np
+    table = al._order_word(word)
+    assert len({(w, dd, ip) for w, dd, ip, _ in table}) == len(table)
+    assert all(c and list(w) == sorted(w) for w, _, _, c in table)
     engine = al.Expression.term(1, word=word)
     brute = oracles.expand([(1.0, al.DIM_ZERO, np.eye(4, dtype=complex), list(word))])
     assert oracles.matrices_equal(brute, oracles.expression_to_matrices(engine))
@@ -244,40 +257,50 @@ def test_truncated_products_are_exact(a, b):
 
 
 # Denominators that differ between and within operands; with the Mersenne
-# prime 2**61 - 1 some numerator products exceed 64 bits.
-_wide_terms = st.tuples(
-    st.builds(Fraction, st.integers(-7, 7).filter(bool),
-              st.sampled_from((1, 2, 3, 7, 105, 2**61 - 1))),
-    st.lists(_graded_atoms, max_size=3).map(tuple),
-    st.integers(0, 15), st.integers(0, 3), st.integers(-1, 6))
+# prime 2**61 - 1 some numerator products exceed 64 bits.  One kind of term
+# sits at 1/Eg orders -1..6 on a small alphabet, so truncation and
+# cancellation show; the other varies every dimension slot over -12..12, so
+# a packed exponent that reads back wrong, or carries into its neighbour,
+# changes some key.
+_wide_coeffs = st.builds(Fraction, st.integers(-7, 7).filter(bool),
+                         st.sampled_from((1, 2, 3, 7, 105, 2**61 - 1)))
+_wide_terms = st.one_of(
+    st.tuples(_wide_coeffs, st.lists(_graded_atoms, max_size=3).map(tuple),
+              st.integers(0, 15), st.integers(0, 3),
+              st.integers(-1, 6).map(lambda order: al.dim(Eg=-order))),
+    st.tuples(_wide_coeffs, st.lists(_atoms, max_size=3).map(tuple),
+              st.integers(0, 15), st.integers(0, 3),
+              st.tuples(*[st.integers(-12, 12)] * 8)))
 
 
 def _raw_sum(raw) -> al.Expression:
     total = al.Expression.zero()
-    for c, word, mat, ip, order in raw:
-        total = total + al.Expression.term(c, word, mat, ip, al.dim(Eg=-order))
+    for c, word, mat, ip, dims in raw:
+        total = total + al.Expression.term(c, word, mat, ip, dims)
     return total
 
 
 def _pairwise_product(raw1, raw2, k) -> al.Expression:
-    """Sum over raw term pairs within order k, in Fraction arithmetic only."""
+    """Sum over raw term pairs within order k (None: all of them), with the
+    dimension tuples added slot by slot, in Fraction arithmetic only."""
     total = al.Expression.zero()
-    for c1, w1, m1, ip1, o1 in raw1:
-        for c2, w2, m2, ip2, o2 in raw2:
-            if o1 + o2 <= k:
+    for c1, w1, m1, ip1, d1 in raw1:
+        for c2, w2, m2, ip2, d2 in raw2:
+            dims = tuple(x + y for x, y in zip(d1, d2))
+            if k is None or -dims[3] <= k:  # dims[3]: the Eg exponent
                 mat, mip = al.MAT_TABLE[m1][m2]
-                total = total + al.Expression.term(
-                    c1 * c2, w1 + w2, mat, ip1 + ip2 + mip, al.dim(Eg=-(o1 + o2)))
+                total = total + al.Expression.term(c1 * c2, w1 + w2, mat, ip1 + ip2 + mip, dims)
     return total
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(st.lists(_wide_terms, max_size=5), st.lists(_wide_terms, max_size=5))
 def test_products_equal_the_pairwise_fraction_sum(raw_a, raw_b):
-    """The int-numerator products and sums against naive Fraction arithmetic."""
+    """The int-numerator, packed-monomial products and sums against naive
+    Fraction and tuple arithmetic."""
     a, b = _raw_sum(raw_a), _raw_sum(raw_b)
     results, expected = [], []
-    for k in (-2, 0, 3, 6, 12):
+    for k in (-2, 0, 3, 6, 12, None):
         ab, ba = _pairwise_product(raw_a, raw_b, k), _pairwise_product(raw_b, raw_a, k)
         results += [al.mul(a, b, k), al.commutator(a, b, k), al.anticommutator(a, b, k)]
         expected += [ab, ab - ba, ab + ba]
@@ -288,6 +311,34 @@ def test_products_equal_the_pairwise_fraction_sum(raw_a, raw_b):
     for e in results:
         assert all(type(v) is Fraction and math.gcd(v.numerator, v.denominator) == 1
                    for v in e.terms.values())
+
+
+def test_products_at_the_packing_limit():
+    """Exponents at the packing bound in every slot, both signs, through a
+    product whose word emits commutator corrections."""
+    lim = al._DIM_LIMIT
+    for sign in (1, -1):
+        d = (sign * lim,) * 8
+        a = al.Expression.term(1, (al.pi(2),), dims=d)
+        b = al.Expression.term(1, (al.VPOT, al.pi(1)), dims=d)
+        d2 = tuple(2 * x for x in d)
+        expected = al.Expression.term(1, (al.pi(2), al.VPOT, al.pi(1)), dims=d2)
+        assert al.mul(a, b) == expected
+        assert al.anticommutator(a, b) == expected + al.Expression.term(
+            1, (al.VPOT, al.pi(1), al.pi(2)), dims=d2)
+
+
+def test_pack_rejects_out_of_range_exponents():
+    lim = al._DIM_LIMIT
+    assert al._unpack(al._pack((lim, -lim, 0, 1, -1, 2, -2, lim))) == (
+        lim, -lim, 0, 1, -1, 2, -2, lim)
+    for k in range(8):
+        for exp in (lim + 1, -lim - 1):
+            d = tuple(exp if j == k else 0 for j in range(8))
+            with pytest.raises(ValueError, match=al.DIM_NAMES[k]):
+                al._pack(d)
+            with pytest.raises(ValueError):
+                al.mul(al.Expression.term(1, dims=d), ham.omega_odd())
 
 
 def test_randomized_oracle_equivalence_small():

@@ -98,6 +98,13 @@ def test_verify_all_prints_the_pinned_check_names(capsys):
             == json.loads(expected.read_text())["verify_check_names"])
 
 
+def test_verify_all_stdout_matches_the_pinned_digest(capsys):
+    code, out = run_cli(capsys, "verify", "--suite", "all")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9ecd9a73b976ca11ec6c3da86153231adaca6e200a415a591210cf01150e486d")
+
+
 def test_verify_reports_the_first_tbmt_failure(monkeypatch, capsys):
     failures = {(1, 2): (("first",),), (3, 0): (("second",),)}
 

@@ -46,6 +46,15 @@ def test_thomas_field_rejects_superluminal():
         dyn.thomas_F((1.0, 0, 0), FieldConfig(), ge=2.0)
 
 
+@pytest.mark.parametrize("field", [
+    lambda beta: dyn.thomas_F(beta, FieldConfig(), ge=2.0),
+    lambda beta: dyn.fw_effective_field(beta, FieldConfig(), 2.0, 2.0),
+], ids=["thomas_F", "fw_effective_field"])
+def test_effective_fields_reject_nan_speed(field):
+    with pytest.raises(ValueError, match="below 1"):
+        field((math.nan, 0, 0))
+
+
 def test_dual_field_at_rest():
     fd = dyn.thomas_F_dual((0, 0, 0), FieldConfig(E=(1.0, 0, 0)), gte=3.0)
     assert vec_close(fd, (-1.5, 0.0, 0.0))

@@ -9,7 +9,7 @@ from dyonfw import checks
 from dyonfw import hamiltonians as ham
 from dyonfw import reduction
 from dyonfw.reduction import ReductionError
-from dyonfw.series import gamma_ratio_series, gamma_series, xi_series
+from dyonfw.series import SeriesPoly, gamma_ratio_series, gamma_series, xi_series
 
 
 def test_third_order_contains_mass_correction(dirac_result):
@@ -89,6 +89,20 @@ def test_match_tbmt_builds_the_channel_basis_once(monkeypatch, dirac_result, pau
         assert reduction.match_tbmt(spin, static, cross,
                                     ham.ParticleParams(ge=ge, gte=gte)).passed
     assert reduction.channel_basis() is basis
+
+
+def test_match_tbmt_builds_the_kinematic_series_once(monkeypatch, dirac_result, pauli_result):
+    _, spin = reduction.reduce_to_physical(dirac_result)
+    static, cross = reduction.pauli_extra_terms(pauli_result)
+    for cached in (gamma_series, xi_series, gamma_ratio_series):
+        cached.cache_clear()
+    calls = []
+    rsqrt = SeriesPoly.rsqrt
+    monkeypatch.setattr(SeriesPoly, "rsqrt", lambda s: calls.append(s) or rsqrt(s))
+    for ge, gte in checks.G_GRID:
+        assert reduction.match_tbmt(spin, static, cross,
+                                    ham.ParticleParams(ge=ge, gte=gte)).passed
+    assert len(calls) == 1  # one gamma_series, shared by all 20 grid points
 
 
 def test_decompose_rejects_leftovers():
