@@ -35,10 +35,12 @@ once as int numerators over the lcm of its denominators, with every
 dimension monomial packed into one int, so it multiplies monomials by adding
 ints and merges ints only; it builds one Fraction per output term over the
 product of the two denominators and unpacks each distinct monomial once,
-through a cache.  linear_combination merges int numerators over one common
+through a cache.  Expression.term, hermitian_conjugate, normal_order and
+from_json_dict are the product of their raw terms with the unit, so words
+are ordered in that one loop only and every exponent that enters is held to
+the packing bound.  linear_combination merges int numerators over one common
 denominator too, but a sum multiplies no monomials, so it keeps the tuple
-keys.  The tuple-keyed callers (Expression.term, hermitian_conjugate,
-normal_order, from_json_dict) unpack the normal-ordering deltas instead.
+keys.
 """
 
 from __future__ import annotations
@@ -265,28 +267,15 @@ def _order_word(word: tuple[int, ...]):
     Returns a tuple of (canonical_word, packed dim_delta, ip, int coeff)
     contributions.  The field atoms of the word move to the front, sorted, in
     one step; _order_vp orders the V/Pi rest and each of its contributions
-    merges its correction fields into that prefix.  A zero dim_delta is 0 and
-    a unit coeff is _ONE itself, so callers can skip those factors.
+    merges its correction fields into that prefix.  The one caller is
+    _add_product, which adds dim_delta to a packed monomial and skips the
+    multiplication when coeff is _ONE itself.
     """
     fields = tuple(sorted(a for a in word if a < VPOT))
     rest = tuple(a for a in word if a >= VPOT)
     return tuple((tuple(sorted(fields + wf)) + w if wf else fields + w, dd, ip,
                   _ONE if c == 1 else c)
                  for wf, w, dd, ip, c in _order_vp(rest))
-
-
-def _add_word(acc: dict, coeff, dims: tuple, mat: int, ip: int, word: tuple) -> None:
-    """Merge coeff * i^ip * dims * mat * word into acc, normal ordering the word.
-
-    coeff must be a nonzero Fraction; the word's own coefficients are ints,
-    and dims is an 8-tuple.  ip may be any nonnegative power of i.
-    """
-    for w, dd, dip, c in _order_word(word):
-        tot = ip + dip
-        val = coeff if c is _ONE else coeff * c
-        if tot & 2:
-            val = -val
-        _merge(acc, (dim_mul(dims, _unpack(dd)) if dd else dims, mat, tot & 1, w), val)
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +301,7 @@ class Expression:
 
     @staticmethod
     def term(coeff, word=(), mat: int = ID_MAT, ip: int = 0, dims: tuple = DIM_ZERO) -> "Expression":
-        coeff = Fraction(coeff)
-        if coeff == 0:
-            return Expression()
-        acc: dict[tuple, Fraction] = {}
-        _add_word(acc, coeff, dims, mat, ip % 4, tuple(word))
-        return Expression(acc)
+        return _canonical([((dims, mat, ip, tuple(word)), Fraction(coeff))])
 
     # -- ring operations ---------------------------------------------------
 
@@ -393,11 +377,20 @@ def _numerators(e: Expression) -> tuple[list, int]:
             for key, val in e.terms.items()], den
 
 
-def _packed_numerators(e: Expression) -> tuple[list, int]:
-    """_numerators with each key spread out as (packed dims, 1/Eg order,
-    mat, ip, word), the form _add_product reads."""
-    items, den = _numerators(e)
-    return [(_pack(d), -d[_I_EG], mat, ip, w, num) for (d, mat, ip, w), num in items], den
+def _packed_numerators(items) -> tuple[list, int]:
+    """(key, Fraction) items as (packed dims, 1/Eg order, mat, ip, word, int
+    numerator) over the lcm of their denominators, the form _add_product
+    reads."""
+    den = math.lcm(*{val.denominator for _, val in items})
+    return [(_pack(d), -d[_I_EG], mat, ip, w, val.numerator * (den // val.denominator))
+            for (d, mat, ip, w), val in items], den
+
+
+def _unpacked(acc: dict, den: int) -> Expression:
+    """The expression of _add_product's int numerators over den: one
+    Fraction, in lowest terms, and one cached unpacking per term."""
+    return Expression({(_unpack(p), mat, ip, w): Fraction(val, den)
+                       for (p, mat, ip, w), val in acc.items()})
 
 
 def _add_product(acc: dict, a: list, b: list, max_order: int | None,
@@ -448,18 +441,30 @@ def _products(a: Expression, b: Expression, max_order: int | None, swapped: int)
 
     Each operand becomes int numerators under packed dimension monomials
     once; both products share the denominator den_a * den_b, so the merge
-    adds ints and terms that cancel never build a Fraction.  One Fraction, in
-    lowest terms, and one cached unpacking per output term.
+    adds ints and terms that cancel never build a Fraction.
     """
-    a_items, den_a = _packed_numerators(a)
-    b_items, den_b = _packed_numerators(b)
+    a_items, den_a = _packed_numerators(a.terms.items())
+    b_items, den_b = _packed_numerators(b.terms.items())
     acc: dict[tuple, int] = {}
     _add_product(acc, a_items, b_items, max_order)
     if swapped:
         _add_product(acc, b_items, a_items, max_order, negate=swapped < 0)
-    den = den_a * den_b
-    return Expression({(_unpack(p), mat, ip, w): Fraction(val, den)
-                       for (p, mat, ip, w), val in acc.items()})
+    return _unpacked(acc, den_a * den_b)
+
+
+# The unit, 1, as _packed_numerators items.
+_UNIT = [(0, 0, ID_MAT, 0, (), 1)]
+
+
+def _canonical(items) -> Expression:
+    """The normal-ordered sum of raw (key, Fraction) items, as their product
+    with the unit on the product's int path.  A key's word may be in any
+    order and its ip any power of i; zero coefficients are dropped.  The unit
+    is the right operand, so _add_product buckets one term, not all of them."""
+    a_items, den = _packed_numerators([kv for kv in items if kv[1]])
+    acc: dict[tuple, int] = {}
+    _add_product(acc, a_items, _UNIT, None)
+    return _unpacked(acc, den)
 
 
 def mul(a: Expression, b: Expression, max_order: int | None = None) -> Expression:
@@ -506,10 +511,8 @@ def linear_combination(parts) -> Expression:
 def hermitian_conjugate(e: Expression) -> Expression:
     """Adjoint: words reverse (all atoms are self-adjoint), i conjugates,
     and the phase-free basis matrices are Hermitian."""
-    out: dict[tuple, Fraction] = {}
-    for (d, mat, ip, w), c in e.terms.items():
-        _add_word(out, -c if ip else c, d, mat, ip, w[::-1])
-    return Expression(out)
+    return _canonical([((d, mat, ip, w[::-1]), -c if ip else c)
+                       for (d, mat, ip, w), c in e.terms.items()])
 
 
 def is_hermitian(e: Expression) -> bool:
@@ -529,11 +532,7 @@ def normal_order(e: Expression) -> Expression:
     Expressions built through the public operations are already canonical;
     this rebuilds one whose term dict was assembled by hand.
     """
-    acc: dict[tuple, Fraction] = {}
-    for (d, mat, ip, w), c in e.terms.items():
-        if c:
-            _add_word(acc, Fraction(c), d, mat, ip % 4, w)
-    return Expression(acc)
+    return _canonical([(key, Fraction(c)) for key, c in e.terms.items()])
 
 
 def truncate_fields(e: Expression) -> Expression:
@@ -649,14 +648,19 @@ def to_json_dict(e: Expression) -> dict:
     return {"terms": terms}
 
 
+# Coefficient strings repeat across a catalog (93 distinct among 1601
+# terms), and a Fraction is immutable, so parsed values can be shared.
+_fraction = lru_cache(maxsize=4096)(Fraction)
+
+
 def from_json_dict(data: dict) -> Expression:
-    acc: dict[tuple, Fraction] = {}
+    raw = []
     for t in data["terms"]:
-        coeff, m = Fraction(t["coeff"]), t["mat"]
-        if coeff:
-            _add_word(acc, coeff, dim(**t.get("dim", {})), mat_code(m["left"], m["right"]),
-                      _PHASE_VALUES[m["phase"]], tuple(_ATOM_BY_NAME[a] for a in t["word"]))
-    return Expression(acc)
+        m = t["mat"]
+        raw.append(((dim(**t.get("dim", {})), mat_code(m["left"], m["right"]),
+                     _PHASE_VALUES[m["phase"]], tuple(_ATOM_BY_NAME[a] for a in t["word"])),
+                    _fraction(t["coeff"])))
+    return _canonical(raw)
 
 
 _DIM_LATEX = ("\\hbar", "c", "m", "E_g", "e", r"\tilde e", r"\mu''", "d''")

@@ -103,19 +103,15 @@ def build_fw_entries() -> dict[str, Expression]:
     w_op = al.commutator(d_op, omega_o)
     beta_omega = al.mul(beta, omega_o)
 
-    bm = _beta_times
-    pair_sum = odd_pair_sum
-    triple_sum = odd_triple_sum
-
     omega2 = al.mul(omega_o, omega_o)
     omega3 = al.mul(omega2, omega_o)
     omega4 = al.mul(omega2, omega2)
 
     entries = {
-        "fw_order_1": bm(omega2).scale(1, dims=al.dim(Eg=-1)),
+        "fw_order_1": _beta_times(omega2).scale(1, dims=al.dim(Eg=-1)),
         "fw_order_2": _half(w_op).scale(1, dims=al.dim(Eg=-2)),
-        "fw_order_3": (bm(omega4).scale(-1)
-                       + bm(al.mul(bm(d_op), bm(d_op)))
+        "fw_order_3": (_beta_times(omega4).scale(-1)
+                       + _beta_times(al.mul(_beta_times(d_op), _beta_times(d_op)))
                        ).scale(1, dims=al.dim(Eg=-3)),
         "fw_order_4": (al.commutator(al.commutator(omega_o, w_op), omega_o)
                        .scale(Fraction(1, 24))
@@ -123,23 +119,20 @@ def build_fw_entries() -> dict[str, Expression]:
                        ).scale(1, dims=al.dim(Eg=-4)),
         "fw_order_5": (nested_commutator(beta_omega, omega_o, 5)
                        .scale(Fraction(1, 144))
-                       + _half(pair_sum(4)) + _half(triple_sum(3))
+                       + _half(odd_pair_sum(4)) + _half(odd_triple_sum(3))
                        ).scale(1, dims=al.dim(Eg=-5)),
         # The even-order slices pair the nested chain with the even operator;
         # the sixth-order display that pairs it with the odd one contradicts
         # the parity pattern of the slices and is not followed.
         "fw_order_6": (nested_commutator(beta_omega, omega_e, 6)
                        .scale(Fraction(1, 720))
-                       + _half(pair_sum(5)) + _half(triple_sum(4))
+                       + _half(odd_pair_sum(5)) + _half(odd_triple_sum(4))
                        ).scale(1, dims=al.dim(Eg=-6)),
     }
     return entries
 
 
 # -- physical closed forms ----------------------------------------------------
-
-_HALF_HBAR_2MC = al.dim(hbar=1, m=-1, c=-1)
-
 
 def intrinsic_magnetic_moment_dot(kind: str) -> Expression:
     """(e hbar / 2mc) Sigma . F — the Zeeman-type coupling word."""
@@ -207,7 +200,7 @@ def build_physical_entries() -> dict[str, Expression]:
         return ham.field_dot_pi(kind, coeff=coeff,
                                 dims=al.dim(**{sym: 1, "Eg": -1, "m": -1, "c": -1}))
 
-    sigma_xi = ham.sigma_dot_pi(1, dims=al.dim(m=-1, c=-1), beta=False)
+    sigma_xi = ham.sigma_dot_pi(dims=al.dim(m=-1, c=-1))
     g_dot_xi = (moment_dot_pi("B", "mu", -1) + moment_dot_pi("E", "d", 1))
     static_long = al.truncate_fields(al.mul(al.mul(beta, sigma_xi), g_dot_xi))
     prefactor = (Expression.term(Fraction(-1, 2))

@@ -382,18 +382,19 @@ def integrate(state0: PhaseState, fields: FieldConfig, params: ParticleParams,
 # ---------------------------------------------------------------------------
 # Dipole boosts
 
-def _boost_prefactors(beta: Vec3) -> tuple[float, float]:
+def _gamma(beta: Vec3) -> float:
+    """The Lorentz factor of a boost speed below 1."""
     b2 = _dot(beta, beta)
     if not b2 < 1.0:  # also rejects NaN
         raise ValueError("boost speed must be below 1")
-    gamma = 1.0 / math.sqrt(1.0 - b2)
-    return gamma, gamma * gamma / (gamma + 1.0)
+    return 1.0 / math.sqrt(1.0 - b2)
 
 
 def boost_dipole(mu_p: Vec3, mu_m: Vec3, beta: Vec3) -> tuple[Vec3, Vec3]:
     """Density transformation law (covariant; same as the field law under
     E <-> mu_p, B <-> -mu_m)."""
-    gamma, g2r = _boost_prefactors(beta)
+    gamma = _gamma(beta)
+    g2r = gamma * gamma / (gamma + 1.0)
     bxm = _cross(beta, mu_m)
     bxp = _cross(beta, mu_p)
     bdotp = _dot(beta, mu_p)
@@ -406,10 +407,7 @@ def boost_dipole(mu_p: Vec3, mu_m: Vec3, beta: Vec3) -> tuple[Vec3, Vec3]:
 def boost_dipole_integrated(p: Vec3, m: Vec3, beta: Vec3) -> tuple[Vec3, Vec3]:
     """Integrated-moment law; the spatial volume factor makes it gamma^2-weighted
     and non-covariant, with the p/2 convention on the electric moment."""
-    b2 = _dot(beta, beta)
-    if not b2 < 1.0:  # also rejects NaN
-        raise ValueError("boost speed must be below 1")
-    gamma = 1.0 / math.sqrt(1.0 - b2)
+    gamma = _gamma(beta)
     r = gamma / (gamma + 1.0)
     half_p = tuple(0.5 * pi for pi in p)
     bxm = _cross(beta, m)
@@ -430,10 +428,7 @@ def fw_effective_field(beta: Vec3, fields: FieldConfig, ge: float,
     brace couples to the negative intrinsic electric moment, which flips its
     overall sign relative to the dual effective field.
     """
-    b2 = _dot(beta, beta)
-    if not b2 < 1.0:  # also rejects NaN
-        raise ValueError("boost speed must be below 1")
-    gamma = 1.0 / math.sqrt(1.0 - b2)
+    gamma = _gamma(beta)
     r = gamma / (gamma + 1.0)
     bxE = _cross(beta, fields.E)
     bxB = _cross(beta, fields.B)

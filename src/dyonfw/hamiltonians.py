@@ -90,12 +90,12 @@ def mat_dot_field(mat_left: int, kind: str, coeff=1, ip: int = 0,
     return total
 
 
-def sigma_dot_pi(coeff=1, dims: tuple = al.DIM_ZERO, beta: bool = False) -> al.Expression:
+def sigma_dot_pi(dims: tuple = al.DIM_ZERO, beta: bool = False) -> al.Expression:
     left = 3 if beta else 0
     total = al.Expression.zero()
     for i in (1, 2, 3):
         total = total + al.Expression.term(
-            coeff, word=(al.pi(i),), mat=al.mat_code(left, i), dims=dims)
+            1, word=(al.pi(i),), mat=al.mat_code(left, i), dims=dims)
     return total
 
 

@@ -173,7 +173,7 @@ def _channels() -> tuple[Mapping, dict]:
         cross = ham.sigma_dot_field_cross_pi(
             _CROSS_KIND[sector], coeff=half, dims=al.dim_mul(dims, al.dim(m=-1, c=-1)))
         long_core = al.truncate_fields(al.mul(
-            ham.sigma_dot_pi(1, dims=al.dim(m=-1, c=-1)),
+            ham.sigma_dot_pi(dims=al.dim(m=-1, c=-1)),
             ham.field_dot_pi(_DIRECT_KIND[sector], coeff=half,
                              dims=al.dim_mul(dims, al.dim(m=-1, c=-1)))))
         for name, core in (("direct", direct), ("cross", cross), ("long", long_core)):

@@ -296,9 +296,13 @@ def _pairwise_product(raw1, raw2, k) -> al.Expression:
 @settings(max_examples=250, deadline=None)
 @given(st.lists(_wide_terms, max_size=5), st.lists(_wide_terms, max_size=5))
 def test_products_equal_the_pairwise_fraction_sum(raw_a, raw_b):
-    """The int-numerator, packed-monomial products and sums against naive
-    Fraction and tuple arithmetic."""
+    """The int-numerator, packed-monomial products, sums, conjugates and
+    JSON round trips against naive Fraction and tuple arithmetic."""
     a, b = _raw_sum(raw_a), _raw_sum(raw_b)
+    assert al.hermitian_conjugate(a) == _raw_sum(
+        (c if ip % 2 == 0 else -c, word[::-1], mat, ip, dims)
+        for c, word, mat, ip, dims in raw_a)
+    assert al.from_json_dict(al.to_json_dict(a)) == a
     results, expected = [], []
     for k in (-2, 0, 3, 6, 12, None):
         ab, ba = _pairwise_product(raw_a, raw_b, k), _pairwise_product(raw_b, raw_a, k)
@@ -321,24 +325,31 @@ def test_products_at_the_packing_limit():
         d = (sign * lim,) * 8
         a = al.Expression.term(1, (al.pi(2),), dims=d)
         b = al.Expression.term(1, (al.VPOT, al.pi(1)), dims=d)
-        d2 = tuple(2 * x for x in d)
-        expected = al.Expression.term(1, (al.pi(2), al.VPOT, al.pi(1)), dims=d2)
+        # 2 * lim is past what Expression.term packs; scale adds tuples
+        expected = al.Expression.term(1, (al.pi(2), al.VPOT, al.pi(1)), dims=d).scale(1, dims=d)
         assert al.mul(a, b) == expected
         assert al.anticommutator(a, b) == expected + al.Expression.term(
-            1, (al.VPOT, al.pi(1), al.pi(2)), dims=d2)
+            1, (al.VPOT, al.pi(1), al.pi(2)), dims=d).scale(1, dims=d)
 
 
 def test_pack_rejects_out_of_range_exponents():
     lim = al._DIM_LIMIT
     assert al._unpack(al._pack((lim, -lim, 0, 1, -1, 2, -2, lim))) == (
         lim, -lim, 0, 1, -1, 2, -2, lim)
-    for k in range(8):
+    for k, name in enumerate(al.DIM_NAMES):
         for exp in (lim + 1, -lim - 1):
             d = tuple(exp if j == k else 0 for j in range(8))
-            with pytest.raises(ValueError, match=al.DIM_NAMES[k]):
-                al._pack(d)
-            with pytest.raises(ValueError):
-                al.mul(al.Expression.term(1, dims=d), ham.omega_odd())
+            raw = al.Expression({(d, al.ID_MAT, 0, (al.pi(2), al.pi(1))): Fraction(1)})
+            data = {"terms": [{"coeff": "1", "dim": {name: exp}, "word": ["P1"],
+                               "mat": {"left": 0, "right": 0, "phase": "+1"}}]}
+            for build in (lambda: al._pack(d),
+                          lambda: al.mul(raw, ham.omega_odd()),
+                          lambda: al.Expression.term(1, dims=d),
+                          lambda: al.normal_order(raw),
+                          lambda: al.hermitian_conjugate(raw),
+                          lambda: al.from_json_dict(data)):
+                with pytest.raises(ValueError, match=rf"^{name} exponent {exp} "):
+                    build()
 
 
 def test_randomized_oracle_equivalence_small():

@@ -120,8 +120,17 @@ def test_verify_reports_the_first_tbmt_failure(monkeypatch, capsys):
     assert grid["detail"] == "first failure at ge=1, gte=2: (('first',),)"
 
 
-@pytest.mark.parametrize("content", [None, "{", '{"version": 1, "entries": {}}'],
-                         ids=["missing", "corrupt", "no-entries"])
+def _packaged_catalog_with_exponent(exp):
+    """The packaged catalog.json text with one dimension exponent set to exp."""
+    data = json.loads((Path(cli.__file__).with_name("fixtures") / "catalog.json").read_text())
+    first = data["entries"][min(data["entries"])]["terms"][0]
+    first["dim"]["hbar"] = exp
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("content", [None, "{", '{"version": 1, "entries": {}}',
+                                     _packaged_catalog_with_exponent(8193)],
+                         ids=["missing", "corrupt", "no-entries", "unpackable-exponent"])
 def test_verify_rejects_unreadable_fixtures(tmp_path, monkeypatch, capsys, content):
     if content is not None:
         (tmp_path / "catalog.json").write_text(content)

@@ -7,7 +7,7 @@ import pytest
 from dyonfw import algebra as al
 from dyonfw import hamiltonians as ham
 from dyonfw import fw
-from dyonfw.fw import PipelineError, bch_conjugate, nested_commutator
+from dyonfw.fw import PipelineError, bch_conjugate
 from dyonfw.series import SeriesPoly
 
 
@@ -57,14 +57,6 @@ def test_stage1_odd_slices_match_reduced_forms(dirac_result):
     }
     for n, ref in expected.items():
         assert dirac_result.stages[0].odd_slice(n) == ref
-
-
-def test_fifth_nested_chain_reduces_to_sixth_power():
-    omega = ham.omega_odd()
-    beta_omega = al.mul(_beta(), omega)
-    omega2 = al.mul(omega, omega)
-    omega6 = al.mul(al.mul(omega2, omega2), omega2)
-    assert nested_commutator(beta_omega, omega, 5) == al.mul(_beta(), omega6).scale(32)
 
 
 def test_every_stage_hamiltonian_is_hermitian(dirac_result):

@@ -42,16 +42,6 @@ def test_pauli_extras_vanish_at_g_two(pauli_result):
     assert al.substitute_moments(cross, 2, 2).is_zero()
 
 
-def test_series_identities_degree_values():
-    # through beta^4: 1 - beta^2/2 - beta^4/8; through beta^5 for the boosted
-    # prefactor: beta/2 - beta^3/8 - beta^5/16
-    intrinsic, boosted, gamma_rep = reduction.series_check()
-    assert intrinsic.derived == (1, 0, Fraction(-1, 2), 0, Fraction(-1, 8))
-    assert boosted.derived == (0, Fraction(1, 2), 0, Fraction(-1, 8), 0,
-                               Fraction(-1, 16))
-    assert gamma_rep.derived[6] == Fraction(5, 16)
-
-
 def test_tbmt_low_speed_limit(dirac_result, pauli_result):
     # degree-0 channel values: -(g/2) on the magnetic coupling, +(g/2) dual
     _, spin = reduction.reduce_to_physical(dirac_result)
