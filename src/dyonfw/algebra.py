@@ -46,6 +46,7 @@ keys.
 from __future__ import annotations
 
 import math
+import reprlib
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
@@ -58,7 +59,6 @@ from . import clifford
 E1, E2, E3, B1, B2, B3, VPOT, P1, P2, P3 = range(10)
 
 ATOM_NAMES = ("E1", "E2", "E3", "B1", "B2", "B3", "V", "P1", "P2", "P3")
-_ATOM_BY_NAME = {name: code for code, name in enumerate(ATOM_NAMES)}
 
 ATOM_LATEX = ("E_x", "E_y", "E_z", "B_x", "B_y", "B_z", "V",
               r"\Pi_x", r"\Pi_y", r"\Pi_z")
@@ -631,8 +631,7 @@ def project_particle_block(e: Expression) -> Expression:
 # ---------------------------------------------------------------------------
 # Serialization
 
-_PHASE_NAMES = {0: "+1", 1: "+i", 2: "-1", 3: "-i"}
-_PHASE_VALUES = {"+1": 0, "+i": 1, "-1": 2, "-i": 3}
+_PHASE_NAMES = ("+1", "+i", "-1", "-i")  # indexed by ip
 
 
 def to_json_dict(e: Expression) -> dict:
@@ -653,13 +652,42 @@ def to_json_dict(e: Expression) -> dict:
 _fraction = lru_cache(maxsize=4096)(Fraction)
 
 
+def _checked(field: str, value, ok: bool):
+    """value, if ok; else a ValueError naming the field and the value."""
+    if not ok:
+        raise ValueError(f"invalid {field}: {reprlib.repr(value)}")
+    return value
+
+
 def from_json_dict(data: dict) -> Expression:
+    """The expression of a to_json_dict payload.  Payloads are read from
+    files, so every field is checked: a malformed one is a ValueError that
+    names the field and its value.  Names are looked up in tuples, which
+    compare rather than hash, so no JSON value makes a lookup raise
+    TypeError."""
+    terms = _checked("expression", data, isinstance(data, dict)).get("terms")
     raw = []
-    for t in data["terms"]:
-        m = t["mat"]
-        raw.append(((dim(**t.get("dim", {})), mat_code(m["left"], m["right"]),
-                     _PHASE_VALUES[m["phase"]], tuple(_ATOM_BY_NAME[a] for a in t["word"])),
-                    _fraction(t["coeff"])))
+    for t in _checked("terms", terms, isinstance(terms, list)):
+        m = _checked("term", t, isinstance(t, dict)).get("mat")
+        exps, word, c = t.get("dim", {}), t.get("word"), t.get("coeff")
+        _checked("mat", m, isinstance(m, dict) and m.get("phase") in _PHASE_NAMES
+                 and type(m.get("left")) is type(m.get("right")) is int
+                 and 0 <= m["left"] <= 3 and 0 <= m["right"] <= 3)
+        d = [0] * 8
+        for name, exp in _checked("dim", exps, isinstance(exps, dict)).items():
+            if name not in DIM_NAMES or type(exp) is not int:
+                raise ValueError(f"invalid dim: {reprlib.repr(exps)}")
+            d[_DIM_INDEX[name]] = exp
+        try:
+            atoms = tuple(map(ATOM_NAMES.index, _checked("word", word, isinstance(word, list))))
+        except ValueError:
+            raise ValueError(f"invalid word: {reprlib.repr(word)}") from None
+        try:
+            coeff = _fraction(_checked("coeff", c, type(c) in (int, str)))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"invalid coeff: {reprlib.repr(c)}") from None
+        raw.append(((tuple(d), mat_code(m["left"], m["right"]),
+                     _PHASE_NAMES.index(m["phase"]), atoms), coeff))
     return _canonical(raw)
 
 

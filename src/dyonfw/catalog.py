@@ -134,44 +134,32 @@ def build_fw_entries() -> dict[str, Expression]:
 
 # -- physical closed forms ----------------------------------------------------
 
-def intrinsic_magnetic_moment_dot(kind: str) -> Expression:
-    """(e hbar / 2mc) Sigma . F — the Zeeman-type coupling word."""
-    return ham.mat_dot_field(0, kind,
-                             coeff=Fraction(1, 2), dims=al.dim(hbar=1, m=-1, c=-1, e=1))
-
-
-def intrinsic_electric_moment_dot(kind: str) -> Expression:
-    """(-et hbar / 2mc) Sigma . F — the dual coupling word."""
-    return ham.mat_dot_field(0, kind,
-                             coeff=Fraction(-1, 2), dims=al.dim(hbar=1, m=-1, c=-1, et=1))
-
-
 def _zeeman_pair() -> Expression:
-    """mu_m . B + mu_p . E with the intrinsic (g = 2) moments."""
-    return intrinsic_magnetic_moment_dot("B") + intrinsic_electric_moment_dot("E")
+    """mu_m . B + mu_p . E with the intrinsic (g = 2) moments:
+    (e hbar / 2mc) Sigma . B - (et hbar / 2mc) Sigma . E."""
+    return (ham.mat_dot_field(0, "B").scale(
+                Fraction(1, 2), dims=al.dim(hbar=1, m=-1, c=-1, e=1))
+            + ham.mat_dot_field(0, "E").scale(
+                Fraction(-1, 2), dims=al.dim(hbar=1, m=-1, c=-1, et=1)))
 
 
 def spin_orbit_pair() -> Expression:
     """- E.(xi x mu_m)/2 - B.(-xi x mu_p)/2, both cross couplings expanded."""
     # E . (xi x mu_m) = (e hbar/2m^2c^2) eps_ijk Sigma_k E_i Pi_j -> use
     # Sigma.(F x Pi) shapes: E.(Pi x Sigma) = Sigma.(E x Pi).
-    e_part = ham.sigma_dot_field_cross_pi(
-        "E", coeff=Fraction(-1, 4), dims=al.dim(hbar=1, m=-2, c=-2, e=1))
-    b_part = ham.sigma_dot_field_cross_pi(
-        "B", coeff=Fraction(-1, 4), dims=al.dim(hbar=1, m=-2, c=-2, et=1))
+    e_part = ham.sigma_dot_field_cross_pi("E").scale(
+        Fraction(-1, 4), dims=al.dim(hbar=1, m=-2, c=-2, e=1))
+    b_part = ham.sigma_dot_field_cross_pi("B").scale(
+        Fraction(-1, 4), dims=al.dim(hbar=1, m=-2, c=-2, et=1))
     return e_part + b_part
 
 
 def build_physical_entries() -> dict[str, Expression]:
     """Weak-field reductions, order by order, plus the grouped aggregates."""
     beta = Expression.term(1, mat=al.BETA_MAT)
-
-    def bscale(coeff, dims):
-        return al.mul(beta, Expression.term(coeff, dims=dims))
-
     kin1 = al.mul(beta, ham.pi_squared()).scale(Fraction(1, 2), dims=al.dim(m=-1))
     kin3 = al.mul(beta, ham.pi_squared(2)).scale(Fraction(-1, 8), dims=al.dim(m=-3, c=-2))
-    kin5 = al.mul(bscale(Fraction(1, 16), al.dim(m=1, c=2)), ham.xi_squared(3))
+    kin5 = al.mul(beta, ham.xi_squared(3)).scale(Fraction(1, 16), dims=al.dim(m=1, c=2))
 
     so = spin_orbit_pair()
     xi2 = ham.xi_squared()
@@ -187,8 +175,7 @@ def build_physical_entries() -> dict[str, Expression]:
                                  _zeeman_pair()).scale(Fraction(3, 8)))
     order6 = trunc(al.mul(xi4, so)).scale(Fraction(5, 8))
 
-    kinetic = trunc(al.mul(beta, Expression.term(1, dims=al.dim(m=1, c=2)))
-                    + kin1 + kin3 + kin5)
+    kinetic = trunc(beta.scale(1, dims=al.dim(m=1, c=2)) + kin1 + kin3 + kin5)
     spin = ((order1 - trunc(kin1)) + order2 + (order3 - trunc(kin3))
             + order4 + (order5 - trunc(kin5)) + order6)
 
@@ -196,23 +183,19 @@ def build_physical_entries() -> dict[str, Expression]:
     # explicit 1/Eg (substitute the gap afterwards to compare with derived
     # slices).  Static piece: (-1/2 + 3/8 xi^2) beta (Sigma.xi)(G.xi) + beta
     # Sigma.G for G = (-mu B + d E)/Eg; cross piece carries (mu E + d B)/Eg.
-    def moment_dot_pi(kind: str, sym: str, coeff) -> Expression:
-        return ham.field_dot_pi(kind, coeff=coeff,
-                                dims=al.dim(**{sym: 1, "Eg": -1, "m": -1, "c": -1}))
-
-    sigma_xi = ham.sigma_dot_pi(dims=al.dim(m=-1, c=-1))
-    g_dot_xi = (moment_dot_pi("B", "mu", -1) + moment_dot_pi("E", "d", 1))
+    sigma_xi = ham.sigma_dot_pi().scale(1, dims=al.dim(m=-1, c=-1))
+    g_dot_xi = (ham.field_dot_pi("B").scale(-1, dims=al.dim(mu=1, Eg=-1, m=-1, c=-1))
+                + ham.field_dot_pi("E").scale(1, dims=al.dim(d=1, Eg=-1, m=-1, c=-1)))
     static_long = al.truncate_fields(al.mul(al.mul(beta, sigma_xi), g_dot_xi))
     prefactor = (Expression.term(Fraction(-1, 2))
                  + ham.xi_squared().scale(Fraction(3, 8)))
     static = (al.truncate_fields(al.mul(prefactor, static_long))
-              + ham.mat_dot_field(3, "B", coeff=-1, dims=al.dim(mu=1, Eg=-1))
-              + ham.mat_dot_field(3, "E", coeff=1, dims=al.dim(d=1, Eg=-1)))
+              + ham.pauli_even_coupling().scale(1, dims=al.dim(Eg=-1)))
 
-    cross_core = (ham.sigma_dot_field_cross_pi(
-                      "E", coeff=-1, dims=al.dim(mu=1, Eg=-1, m=-1, c=-1))
-                  + ham.sigma_dot_field_cross_pi(
-                      "B", coeff=-1, dims=al.dim(d=1, Eg=-1, m=-1, c=-1)))
+    cross_core = (ham.sigma_dot_field_cross_pi("E").scale(
+                      -1, dims=al.dim(mu=1, Eg=-1, m=-1, c=-1))
+                  + ham.sigma_dot_field_cross_pi("B").scale(
+                      -1, dims=al.dim(d=1, Eg=-1, m=-1, c=-1)))
     cross_prefactor = (Expression.term(1)
                        + ham.xi_squared().scale(Fraction(-1, 2))
                        + ham.xi_squared(2).scale(Fraction(3, 8)))
@@ -253,9 +236,13 @@ class ReferenceCatalog:
     def load(cls, directory: str | Path | None = None) -> "ReferenceCatalog":
         path = Path(directory) if directory else fixtures_dir()
         data = json.loads((path / "catalog.json").read_text())
+        if not isinstance(data, dict):
+            raise ValueError(f"{path / 'catalog.json'} is not a JSON object")
         if data.get("version") != FIXTURES_VERSION:
             raise ValueError(f"unsupported fixtures version {data.get('version')}")
         entries = data.get("entries", {})
+        if not isinstance(entries, dict):
+            raise ValueError(f"{path / 'catalog.json'} entries are not a JSON object")
         missing = [key for key in FW_KEYS + PHYSICAL_KEYS if key not in entries]
         if missing:
             raise ValueError(f"{path / 'catalog.json'} lacks entries {missing}")

@@ -132,7 +132,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (fw.PipelineError, reduction.ReductionError, FileNotFoundError,
+    except (fw.PipelineError, reduction.ReductionError, OSError,
             ValueError) as exc:
         json.dump({"error": str(exc)}, sys.stdout, indent=1)
         print()

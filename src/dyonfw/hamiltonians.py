@@ -5,6 +5,10 @@ The rest energy is written as (Eg/2) * beta with Eg the energy gap symbol, so
 the staged block-diagonalization can track expansion orders by Eg powers
 alone.  The anomalous-moment couplings enter through the gap-scaled symbols
 mu = Eg * mu' and d = Eg * d', each carrying an explicit 1/Eg.
+
+The vector shapes (c alpha.Pi, Sigma.F, F.Pi, Sigma.(F x Pi), Pi^2k) have
+unit coefficients and are each normal ordered in one pass; callers give them
+their scalar prefactor with Expression.scale.
 """
 
 from __future__ import annotations
@@ -41,12 +45,6 @@ class ParticleParams:
     def aem_factor(self) -> Fraction:
         return self.gte / 2 - 1
 
-    def mu_prime(self, hbar: float = 1.0, c: float = 1.0) -> float:
-        return float(self.amm_factor) * float(self.e) * hbar / (2 * float(self.m) * c)
-
-    def d_prime(self, hbar: float = 1.0, c: float = 1.0) -> float:
-        return float(self.aem_factor) * float(self.etilde) * hbar / (2 * float(self.m) * c)
-
 
 # fully generic preset: both charges on, both gyro-ratios anomalous
 GENERIC_DYON = ParticleParams(e=1, etilde=1, ge=3, gte=3)
@@ -62,13 +60,17 @@ def potential() -> al.Expression:
     return al.Expression.term(1, word=(al.VPOT,))
 
 
+def _sum(terms) -> al.Expression:
+    """The normal-ordered sum of (mat, word, sign) unit terms, in one pass;
+    no two of them share a (mat, word)."""
+    return al.normal_order(al.Expression(
+        {(al.DIM_ZERO, mat, 0, word): sign for mat, word, sign in terms}))
+
+
 def omega_odd() -> al.Expression:
     """c alpha . Pi"""
-    total = al.Expression.zero()
-    for i in (1, 2, 3):
-        total = total + al.Expression.term(
-            1, word=(al.pi(i),), mat=al.mat_code(1, i), dims=al.dim(c=1))
-    return total
+    return _sum((al.mat_code(1, i), (al.pi(i),), 1)
+                for i in (1, 2, 3)).scale(1, dims=al.dim(c=1))
 
 
 def omega_even() -> al.Expression:
@@ -79,61 +81,42 @@ def _field_atom(kind: str, i: int) -> int:
     return al.field_e(i) if kind == "E" else al.field_b(i)
 
 
-def mat_dot_field(mat_left: int, kind: str, coeff=1, ip: int = 0,
-                  dims: tuple = al.DIM_ZERO) -> al.Expression:
-    """Sum_i coeff * (left ⊗ sigma_i) * F_i for F the E or B field."""
-    total = al.Expression.zero()
-    for i in (1, 2, 3):
-        total = total + al.Expression.term(
-            coeff, word=(_field_atom(kind, i),),
-            mat=al.mat_code(mat_left, i), ip=ip, dims=dims)
-    return total
+def mat_dot_field(mat_left: int, kind: str) -> al.Expression:
+    """Sum_i (left ⊗ sigma_i) F_i for F the E or B field."""
+    return _sum((al.mat_code(mat_left, i), (_field_atom(kind, i),), 1)
+                for i in (1, 2, 3))
 
 
-def sigma_dot_pi(dims: tuple = al.DIM_ZERO, beta: bool = False) -> al.Expression:
-    left = 3 if beta else 0
-    total = al.Expression.zero()
-    for i in (1, 2, 3):
-        total = total + al.Expression.term(
-            1, word=(al.pi(i),), mat=al.mat_code(left, i), dims=dims)
-    return total
+def sigma_dot_pi() -> al.Expression:
+    return _sum((al.mat_code(0, i), (al.pi(i),), 1) for i in (1, 2, 3))
 
 
-def field_dot_pi(kind: str, coeff=1, dims: tuple = al.DIM_ZERO) -> al.Expression:
-    total = al.Expression.zero()
-    for i in (1, 2, 3):
-        total = total + al.Expression.term(
-            coeff, word=(_field_atom(kind, i), al.pi(i)), dims=dims)
-    return total
+def field_dot_pi(kind: str) -> al.Expression:
+    return _sum((al.ID_MAT, (_field_atom(kind, i), al.pi(i)), 1) for i in (1, 2, 3))
 
 
 _EPS_TRIPLES = [(1, 2, 3, 1), (2, 3, 1, 1), (3, 1, 2, 1),
                 (2, 1, 3, -1), (3, 2, 1, -1), (1, 3, 2, -1)]
 
 
-def sigma_dot_field_cross_pi(kind: str, coeff=1, dims: tuple = al.DIM_ZERO) -> al.Expression:
+def sigma_dot_field_cross_pi(kind: str) -> al.Expression:
     """Sum over eps_ijk Sigma_i F_j Pi_k (the spin-orbit word shape)."""
-    total = al.Expression.zero()
-    for i, j, k, sign in _EPS_TRIPLES:
-        total = total + al.Expression.term(
-            Fraction(coeff) * sign, word=(_field_atom(kind, j), al.pi(k)),
-            mat=al.mat_code(0, i), dims=dims)
-    return total
+    return _sum((al.mat_code(0, i), (_field_atom(kind, j), al.pi(k)), sign)
+                for i, j, k, sign in _EPS_TRIPLES)
 
 
-def pi_squared(power: int = 1, dims: tuple = al.DIM_ZERO) -> al.Expression:
-    total = al.Expression.zero()
-    for i in (1, 2, 3):
-        total = total + al.Expression.term(1, word=(al.pi(i), al.pi(i)))
-    out = al.Expression.term(1, dims=dims)
+def pi_squared(power: int = 1) -> al.Expression:
+    """(Pi . Pi)^power; power 0 is 1."""
+    square = _sum((al.ID_MAT, (al.pi(i), al.pi(i)), 1) for i in (1, 2, 3))
+    out = al.Expression.term(1)
     for _ in range(power):
-        out = al.mul(out, total)
+        out = al.mul(out, square)
     return out
 
 
 def xi_squared(power: int = 1) -> al.Expression:
     """(|Pi| / m c)^(2 power) as a commuting scalar factor."""
-    return pi_squared(power, dims=al.dim(m=-2 * power, c=-2 * power))
+    return pi_squared(power).scale(1, dims=al.dim(m=-2 * power, c=-2 * power))
 
 
 # -- Hamiltonians ------------------------------------------------------------
@@ -148,14 +131,14 @@ def build_dirac_hamiltonian(p: ParticleParams) -> al.Expression:
 
 def pauli_even_coupling() -> al.Expression:
     """beta Sigma . (-mu B + d E), gap-scaled moments."""
-    return (mat_dot_field(3, "B", coeff=-1, dims=al.dim(mu=1))
-            + mat_dot_field(3, "E", coeff=1, dims=al.dim(d=1)))
+    return (mat_dot_field(3, "B").scale(-1, dims=al.dim(mu=1))
+            + mat_dot_field(3, "E").scale(1, dims=al.dim(d=1)))
 
 
 def pauli_odd_coupling() -> al.Expression:
     """i gamma . (mu E + d B), gap-scaled moments."""
-    return (mat_dot_field(2, "E", coeff=1, ip=2, dims=al.dim(mu=1))
-            + mat_dot_field(2, "B", coeff=1, ip=2, dims=al.dim(d=1)))
+    return (mat_dot_field(2, "E").scale(1, ip=2, dims=al.dim(mu=1))
+            + mat_dot_field(2, "B").scale(1, ip=2, dims=al.dim(d=1)))
 
 
 def build_dirac_pauli_hamiltonian(p: ParticleParams) -> al.Expression:

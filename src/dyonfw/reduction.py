@@ -169,13 +169,13 @@ def _channels() -> tuple[Mapping, dict]:
     for sector in ("e", "et"):
         dims = _MOMENT_DIMS[sector]
         half = Fraction(1, 2)
-        direct = ham.mat_dot_field(0, _DIRECT_KIND[sector], coeff=half, dims=dims)
-        cross = ham.sigma_dot_field_cross_pi(
-            _CROSS_KIND[sector], coeff=half, dims=al.dim_mul(dims, al.dim(m=-1, c=-1)))
+        direct = ham.mat_dot_field(0, _DIRECT_KIND[sector]).scale(half, dims=dims)
+        cross = ham.sigma_dot_field_cross_pi(_CROSS_KIND[sector]).scale(
+            half, dims=al.dim_mul(dims, al.dim(m=-1, c=-1)))
         long_core = al.truncate_fields(al.mul(
-            ham.sigma_dot_pi(dims=al.dim(m=-1, c=-1)),
-            ham.field_dot_pi(_DIRECT_KIND[sector], coeff=half,
-                             dims=al.dim_mul(dims, al.dim(m=-1, c=-1)))))
+            ham.sigma_dot_pi().scale(1, dims=al.dim(m=-1, c=-1)),
+            ham.field_dot_pi(_DIRECT_KIND[sector]).scale(
+                half, dims=al.dim_mul(dims, al.dim(m=-1, c=-1)))))
         for name, core in (("direct", direct), ("cross", cross), ("long", long_core)):
             for k in range(_CHANNEL_MAX_K[name] + 1):
                 grown = core if k == 0 else al.truncate_fields(

@@ -84,7 +84,7 @@ def test_criterion_2_physical_reduction(dirac_result, catalog):
     assert Fraction(16, 720) + Fraction(64, 45) + Fraction(32, 9) == 5
     w_op = al.commutator(al.commutator(omega, ham.omega_even()), omega)
     assert physical[6] == reduction.physicalize(
-        al.mul(ham.pi_squared(2, dims=al.dim(c=4)), w_op).scale(
+        al.mul(ham.pi_squared(2).scale(1, dims=al.dim(c=4)), w_op).scale(
             5, dims=al.dim(Eg=-6)))
 
     orbit, spin = reduction.reduce_to_physical(dirac_result)  # no residue

@@ -48,9 +48,9 @@ def test_mul_by_zero():
 
 def test_omega_squared_closed_form():
     omega = ham.omega_odd()
-    expected = (ham.pi_squared(1, dims=al.dim(c=2))
-                + ham.mat_dot_field(0, "B", coeff=-1, dims=al.dim(hbar=1, c=1, e=1))
-                + ham.mat_dot_field(0, "E", coeff=1, dims=al.dim(hbar=1, c=1, et=1)))
+    expected = (ham.pi_squared().scale(1, dims=al.dim(c=2))
+                + ham.mat_dot_field(0, "B").scale(-1, dims=al.dim(hbar=1, c=1, e=1))
+                + ham.mat_dot_field(0, "E").scale(1, dims=al.dim(hbar=1, c=1, et=1)))
     assert al.mul(omega, omega) == expected
 
 
@@ -92,10 +92,10 @@ def test_sixth_power_weak_field_reduction():
     omega2 = al.mul(omega, omega)
     omega6 = al.mul(al.mul(omega2, omega2), omega2)
     direct = al.truncate_fields(
-        ham.pi_squared(3, dims=al.dim(c=6))
-        + al.mul(ham.pi_squared(2, dims=al.dim(c=5, hbar=1)),
-                 ham.mat_dot_field(0, "B", coeff=-3, dims=al.dim(e=1))
-                 + ham.mat_dot_field(0, "E", coeff=3, dims=al.dim(et=1))))
+        ham.pi_squared(3).scale(1, dims=al.dim(c=6))
+        + al.mul(ham.pi_squared(2).scale(1, dims=al.dim(c=5, hbar=1)),
+                 ham.mat_dot_field(0, "B").scale(-3, dims=al.dim(e=1))
+                 + ham.mat_dot_field(0, "E").scale(3, dims=al.dim(et=1))))
     assert al.truncate_fields(omega6) == direct
 
 

@@ -89,7 +89,7 @@ def test_sixth_order_nested_chain_binomial_pattern():
 
 def test_sixth_order_aggregates_collapse_onto_spin_orbit_core():
     omega, _, w_op = _core_ops()
-    pi4w = al.mul(ham.pi_squared(2, dims=al.dim(c=4)), w_op)
+    pi4w = al.mul(ham.pi_squared(2).scale(1, dims=al.dim(c=4)), w_op)
 
     def collapses_to(expr, weight):
         return al.truncate_fields(expr) == al.truncate_fields(pi4w.scale(weight))

@@ -120,17 +120,32 @@ def test_verify_reports_the_first_tbmt_failure(monkeypatch, capsys):
     assert grid["detail"] == "first failure at ge=1, gte=2: (('first',),)"
 
 
-def _packaged_catalog_with_exponent(exp):
-    """The packaged catalog.json text with one dimension exponent set to exp."""
+def _packaged_catalog(edit):
+    """The packaged catalog.json text after edit(entries, first term)."""
     data = json.loads((Path(cli.__file__).with_name("fixtures") / "catalog.json").read_text())
-    first = data["entries"][min(data["entries"])]["terms"][0]
-    first["dim"]["hbar"] = exp
+    entries = data["entries"]
+    edit(entries, entries[min(entries)]["terms"][0])
     return json.dumps(data)
 
 
-@pytest.mark.parametrize("content", [None, "{", '{"version": 1, "entries": {}}',
-                                     _packaged_catalog_with_exponent(8193)],
-                         ids=["missing", "corrupt", "no-entries", "unpackable-exponent"])
+_MALFORMED_FIXTURES = {
+    "unpackable-exponent": lambda _, t: t["dim"].update(hbar=8193),
+    "unknown-atom": lambda _, t: t.update(word=["X1"]),
+    "unknown-dim-name": lambda _, t: t.update(dim={"hbarr": 1}),
+    "unknown-phase": lambda _, t: t["mat"].update(phase="+2"),
+    "matrix-factor-5": lambda _, t: t["mat"].update(left=5),
+    "term-without-mat": lambda _, t: t.pop("mat"),
+    "zero-denominator": lambda _, t: t.update(coeff="1/0"),
+    "fractional-exponent": lambda _, t: t["dim"].update(hbar=1.5),
+    "entry-is-a-list": lambda entries, _: entries.update(fw_order_1=[]),
+}
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "{", '{"version": 1, "entries": {}}', "[]"]
+    + [_packaged_catalog(edit) for edit in _MALFORMED_FIXTURES.values()],
+    ids=["missing", "corrupt", "no-entries", "top-level-list", *_MALFORMED_FIXTURES])
 def test_verify_rejects_unreadable_fixtures(tmp_path, monkeypatch, capsys, content):
     if content is not None:
         (tmp_path / "catalog.json").write_text(content)
@@ -247,6 +262,22 @@ def test_simulate_missing_config_reports_error(tmp_path, capsys):
                         str(tmp_path / "o.csv"))
     assert code == 1
     assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "{cfg}", "--out", "{folder}"],
+    ["simulate", "--config", "{folder}", "--out", "{csv}"],
+    ["verify", "--suite", "appendixB"],
+], ids=["simulate-out", "simulate-config", "fixtures"])
+def test_directory_paths_report_error(tmp_path, monkeypatch, capsys, argv):
+    """A directory where a file belongs is a JSON error, not a traceback."""
+    folder = tmp_path / "catalog.json"
+    folder.mkdir()
+    monkeypatch.setenv("FW_FIXTURES", str(tmp_path))
+    paths = {"cfg": _write_scenario(tmp_path), "folder": folder, "csv": tmp_path / "o.csv"}
+    code, out = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1
+    assert set(json.loads(out)) == {"error"}
 
 
 def test_boost_dipole_density(capsys):

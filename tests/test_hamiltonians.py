@@ -1,10 +1,15 @@
 """Hamiltonian construction and the even/odd decomposition."""
 
+import itertools
 from fractions import Fraction
+
+import numpy as np
 
 from dyonfw import algebra as al
 from dyonfw import hamiltonians as ham
 from dyonfw.fw import split_even_odd
+
+import oracles
 
 
 def test_dirac_hamiltonian_pieces():
@@ -61,5 +66,45 @@ def test_derived_moment_factors():
     p = ham.ParticleParams(m=2, e=3, etilde=5, ge=4, gte=1)
     assert p.amm_factor == 1
     assert p.aem_factor == Fraction(-1, 2)
-    assert p.mu_prime() == 3 * 1 / (2 * 2)
-    assert p.d_prime() == 5 * -0.5 / (2 * 2)
+
+
+_PAULI = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+          np.diag([1, -1]))
+
+
+def _eps(i, j, k):
+    """Levi-Civita symbol as the parity of a permutation matrix."""
+    return round(np.linalg.det(np.eye(3)[[i - 1, j - 1, k - 1]]))
+
+
+def test_vector_shapes_match_the_oracle():
+    """Each shape against raw terms, written with np.kron matrices and a
+    permutation-parity epsilon and reordered by the independent oracle."""
+    one, idx = al.DIM_ZERO, (1, 2, 3)
+
+    def mat(left, i):
+        return np.kron(_PAULI[left], _PAULI[i])
+
+    def field(kind, i):
+        return al.field_e(i) if kind == "E" else al.field_b(i)
+
+    cases = [(ham.omega_odd(), [(1, al.dim(c=1), mat(1, i), [al.pi(i)]) for i in idx]),
+             (ham.sigma_dot_pi(), [(1, one, mat(0, i), [al.pi(i)]) for i in idx])]
+    for kind in ("E", "B"):
+        cases += [(ham.mat_dot_field(left, kind),
+                   [(1, one, mat(left, i), [field(kind, i)]) for i in idx])
+                  for left in range(4)]
+        cases.append((ham.field_dot_pi(kind),
+                      [(1, one, np.eye(4), [field(kind, i), al.pi(i)]) for i in idx]))
+        cases.append((ham.sigma_dot_field_cross_pi(kind),
+                      [(_eps(i, j, k), one, mat(0, i), [field(kind, j), al.pi(k)])
+                       for i, j, k in itertools.permutations(idx)]))
+    powers = [(ham.pi_squared(n), n, one) for n in (1, 2, 3)]
+    powers.append((ham.xi_squared(2), 2, al.dim(m=-4, c=-4)))
+    for shape, power, dims in powers:
+        # (Pi.Pi)^n expanded: Pi_i Pi_i Pi_j Pi_j ... over every index word
+        cases.append((shape, [(1, dims, np.eye(4), [al.pi(i) for i in word for _ in range(2)])
+                              for word in itertools.product(idx, repeat=power)]))
+    for shape, raw in cases:
+        assert oracles.matrices_equal(oracles.expand(raw),
+                                      oracles.expression_to_matrices(shape))

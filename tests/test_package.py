@@ -1,9 +1,27 @@
-"""Package surface: every name the package advertises can be imported."""
+"""Package surface: every name the package advertises can be imported, and
+the count of defaulted parameters does not creep back up."""
+
+import ast
+from pathlib import Path
 
 import dyonfw
+
+# Parameters with a default value across src/dyonfw.  Each one is an option
+# every caller and test may set; lower this when one goes, never raise it.
+MAX_DEFAULTED_PARAMETERS = 24
 
 
 def test_star_import_resolves_every_public_name():
     namespace = {}
     exec("from dyonfw import *", namespace)
     assert set(dyonfw.__all__) <= set(namespace)
+
+
+def test_parameters_with_defaults_do_not_grow():
+    count = 0
+    for path in Path(dyonfw.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                count += len(node.args.defaults)
+                count += sum(d is not None for d in node.args.kw_defaults)
+    assert count <= MAX_DEFAULTED_PARAMETERS

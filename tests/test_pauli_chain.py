@@ -16,9 +16,10 @@ def _w_f():
 def test_anomalous_double_commutator_closed_form():
     # -4 c^2 beta (Sigma.Pi) ((-mu B + d E).Pi)
     rhs = al.truncate_fields(al.mul(
-        ham.sigma_dot_pi(dims=al.dim(c=2), beta=True),
-        ham.field_dot_pi("B", coeff=4, dims=al.dim(mu=1))
-        + ham.field_dot_pi("E", coeff=-4, dims=al.dim(d=1))))
+        al.mul(al.Expression.term(1, mat=al.BETA_MAT),
+               ham.sigma_dot_pi()).scale(1, dims=al.dim(c=2)),
+        ham.field_dot_pi("B").scale(4, dims=al.dim(mu=1))
+        + ham.field_dot_pi("E").scale(-4, dims=al.dim(d=1))))
     assert _w_f() == rhs
 
 
