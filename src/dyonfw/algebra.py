@@ -35,12 +35,17 @@ once as int numerators over the lcm of its denominators, with every
 dimension monomial packed into one int, so it multiplies monomials by adding
 ints and merges ints only; it builds one Fraction per output term over the
 product of the two denominators and unpacks each distinct monomial once,
-through a cache.  Expression.term, hermitian_conjugate, normal_order and
-from_json_dict are the product of their raw terms with the unit, so words
-are ordered in that one loop only and every exponent that enters is held to
-the packing bound.  linear_combination merges int numerators over one common
-denominator too, but a sum multiplies no monomials, so it keeps the tuple
-keys.
+through a cache.  A commutator or anticommutator visits each term pair
+once: basis matrices commute or anticommute and field atoms commute with
+everything, so a pair needs only its matrix product and the two orderings of
+its words, summed with a sign; a pair where either word is free of V and Pi
+atoms cancels or doubles outright, and any other pair of words is ordered
+once, through the cached _order_pair.  Expression.term,
+hermitian_conjugate, normal_order and from_json_dict are the product of
+their raw terms with the unit, so words are ordered in that one loop only
+and every exponent that enters is held to the packing bound.
+linear_combination merges int numerators over one common denominator too,
+but a sum multiplies no monomials, so it keeps the tuple keys.
 """
 
 from __future__ import annotations
@@ -148,6 +153,11 @@ def _build_mat_table():
 
 
 MAT_TABLE = _build_mat_table()
+
+# MAT_ANTI[m1][m2]: the two basis matrices anticommute (else they commute),
+# read off the phases of m1 m2 and m2 m1, which differ by 1 or by -1.
+MAT_ANTI = tuple(tuple((MAT_TABLE[m1][m2][1] - MAT_TABLE[m2][m1][1]) % 4 == 2
+                       for m2 in range(16)) for m1 in range(16))
 
 MAT_ODD = tuple(clifford.beta_grade(clifford.BasisElement(*mat_parts(m))) == clifford.ODD
                 for m in range(16))
@@ -267,15 +277,36 @@ def _order_word(word: tuple[int, ...]):
     Returns a tuple of (canonical_word, packed dim_delta, ip, int coeff)
     contributions.  The field atoms of the word move to the front, sorted, in
     one step; _order_vp orders the V/Pi rest and each of its contributions
-    merges its correction fields into that prefix.  The one caller is
+    merges its correction fields into that prefix.  The callers are
     _add_product, which adds dim_delta to a packed monomial and skips the
-    multiplication when coeff is _ONE itself.
+    multiplication when coeff is _ONE itself, and _order_pair, uncached.
     """
     fields = tuple(sorted(a for a in word if a < VPOT))
     rest = tuple(a for a in word if a >= VPOT)
     return tuple((tuple(sorted(fields + wf)) + w if wf else fields + w, dd, ip,
                   _ONE if c == 1 else c)
                  for wf, w, dd, ip, c in _order_vp(rest))
+
+
+# The words _order_pair emits, each held once however many entries name it.
+_WORDS: dict[tuple, tuple] = {}
+
+
+@lru_cache(maxsize=None)
+def _order_pair(w1: tuple[int, ...], w2: tuple[int, ...], sigma: int):
+    """ord(w1 w2) + sigma * ord(w2 w1), sigma = +-1, as merged, nonzero
+    contributions in _order_word's form: the words of one commutator or
+    anticommutator term pair, once the sign of its matrices is in sigma.
+    Both concatenations go through the uncached ordering, so no word is
+    ordered into both caches, and the output words are shared via _WORDS.
+    """
+    acc: dict[tuple, int] = {}
+    for word, s in ((w1 + w2, 1), (w2 + w1, sigma)):
+        for w, dd, ip, c in _order_word.__wrapped__(word):
+            key = (w, dd, ip)
+            acc[key] = acc.get(key, 0) + s * c
+    return tuple((_WORDS.setdefault(w, w), dd, ip, _ONE if c == 1 else c)
+                 for (w, dd, ip), c in acc.items() if c)
 
 
 # ---------------------------------------------------------------------------
@@ -393,33 +424,47 @@ def _unpacked(acc: dict, den: int) -> Expression:
                        for (p, mat, ip, w), val in acc.items()})
 
 
-def _add_product(acc: dict, a: list, b: list, max_order: int | None,
-                 negate: bool = False) -> None:
-    """Merge a * b (or -(a * b)) into acc, keeping 1/Eg orders <= max_order;
-    a and b are _packed_numerators items, so acc gathers ints under packed
-    keys.
+def _add_product(acc: dict, a: list, b: list, max_order: int | None, swapped: int) -> None:
+    """Merge a * b + swapped * (b * a) into acc, swapped in {-1, 0, 1},
+    keeping 1/Eg orders <= max_order; a and b are _packed_numerators items,
+    so acc gathers ints under packed keys.
 
     b's terms are grouped by order once and the groups walked lowest first;
     each term of a stops at the first group that would exceed max_order.
+    b * a has the same term pairs, so each pair is visited once: basis
+    matrices commute or anticommute (M2 M1 = s M1 M2, s = -1 where MAT_ANTI)
+    and field atoms commute with everything, so the pair gives
+    c i^ip M1 M2 (ord(w1 w2) + sigma ord(w2 w1)) with sigma = swapped * s.
+    A word without V or Pi atoms commutes with every word: the pair then
+    gives nothing or twice ord(w1 w2).  Otherwise _order_pair holds the sum.
     """
     buckets: dict[int, list] = {}
-    for p, o, *rest in b:
-        buckets.setdefault(o, []).append((p, *rest))
+    for p, o, m, ip, w, c in b:
+        buckets.setdefault(o, []).append((p, m, ip, w, c, not w or max(w) < VPOT))
     groups = sorted(buckets.items())
     limit = math.inf if max_order is None else max_order
     for p1, o1, m1, ip1, w1, c1 in a:
         room = limit - o1  # highest order of b this term may meet
-        if negate:
-            c1 = -c1
-        row = MAT_TABLE[m1]
+        row, anti = MAT_TABLE[m1], MAT_ANTI[m1]
+        central1 = not w1 or max(w1) < VPOT  # no V/Pi atom: w1 commutes with every word
         for o2, items in groups:
             if o2 > room:
                 break
-            for p2, m2, ip2, w2, c2 in items:
+            for p2, m2, ip2, w2, c2, central2 in items:
+                c = c1 * c2
+                if not swapped:
+                    ordered = _order_word(w1 + w2)
+                elif central1 or central2:
+                    if (swapped < 0) != anti[m2]:  # sigma = -1: the pair cancels
+                        continue
+                    c += c
+                    ordered = _order_word(w1 + w2)
+                else:
+                    ordered = _order_pair(w1, w2, -swapped if anti[m2] else swapped)
                 mat, ip = row[m2]
                 ip += ip1 + ip2
-                p, c = p1 + p2, c1 * c2
-                for w, dd, dip, cw in _order_word(w1 + w2):
+                p = p1 + p2
+                for w, dd, dip, cw in ordered:
                     tot = ip + dip
                     val = c if cw is _ONE else c * cw
                     if tot & 2:
@@ -440,15 +485,13 @@ def _products(a: Expression, b: Expression, max_order: int | None, swapped: int)
     """a * b + swapped * (b * a), truncated like mul, with swapped in {-1, 0, 1}.
 
     Each operand becomes int numerators under packed dimension monomials
-    once; both products share the denominator den_a * den_b, so the merge
-    adds ints and terms that cancel never build a Fraction.
+    once, over the denominator den_a * den_b, and one _add_product pass
+    merges ints, so terms that cancel never build a Fraction.
     """
     a_items, den_a = _packed_numerators(a.terms.items())
     b_items, den_b = _packed_numerators(b.terms.items())
     acc: dict[tuple, int] = {}
-    _add_product(acc, a_items, b_items, max_order)
-    if swapped:
-        _add_product(acc, b_items, a_items, max_order, negate=swapped < 0)
+    _add_product(acc, a_items, b_items, max_order, swapped)
     return _unpacked(acc, den_a * den_b)
 
 
@@ -463,7 +506,7 @@ def _canonical(items) -> Expression:
     is the right operand, so _add_product buckets one term, not all of them."""
     a_items, den = _packed_numerators([kv for kv in items if kv[1]])
     acc: dict[tuple, int] = {}
-    _add_product(acc, a_items, _UNIT, None)
+    _add_product(acc, a_items, _UNIT, None, 0)
     return _unpacked(acc, den)
 
 
@@ -480,14 +523,14 @@ def mul(a: Expression, b: Expression, max_order: int | None = None) -> Expressio
 
 
 def commutator(a: Expression, b: Expression, max_order: int | None = None) -> Expression:
-    """[a, b] = ab - ba, truncated like mul; both products merge as int
-    numerators over one shared denominator into one dict, so terms that
-    cancel between them never form an expression."""
+    """[a, b] = ab - ba, truncated like mul, in one pass over the term
+    pairs: each pair's two words are ordered together, and a pair of
+    commuting terms is skipped before any ordering (see _add_product)."""
     return _products(a, b, max_order, -1)
 
 
 def anticommutator(a: Expression, b: Expression, max_order: int | None = None) -> Expression:
-    """{a, b} = ab + ba, truncated like mul and merged into one dict."""
+    """{a, b} = ab + ba, truncated like mul, in one pass like commutator."""
     return _products(a, b, max_order, 1)
 
 

@@ -25,13 +25,13 @@ from pathlib import Path
 from . import algebra as al
 from . import hamiltonians as ham
 from .algebra import Expression
-from .fw import nested_commutator
+from .fw import MAX_ORDER, nested_commutator
 
 FIXTURES_ENV = "FW_FIXTURES"
 FIXTURES_VERSION = 1
 
-FW_KEYS = tuple(f"fw_order_{n}" for n in range(1, 7))
-PHYSICAL_KEYS = tuple(f"physical_order_{n}" for n in range(1, 7)) + (
+FW_KEYS = tuple(f"fw_order_{n}" for n in range(1, MAX_ORDER + 1))
+PHYSICAL_KEYS = tuple(f"physical_order_{n}" for n in range(1, MAX_ORDER + 1)) + (
     "kinetic_energy", "spin_dipole", "anomalous_static", "anomalous_cross")
 
 
@@ -246,7 +246,13 @@ class ReferenceCatalog:
         missing = [key for key in FW_KEYS + PHYSICAL_KEYS if key not in entries]
         if missing:
             raise ValueError(f"{path / 'catalog.json'} lacks entries {missing}")
-        return cls({key: al.from_json_dict(val) for key, val in entries.items()})
+        out = {}
+        for key, val in entries.items():
+            try:
+                out[key] = al.from_json_dict(val)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+        return cls(out)
 
     def save(self, directory: str | Path) -> Path:
         path = Path(directory)

@@ -6,9 +6,9 @@ the staged block-diagonalization can track expansion orders by Eg powers
 alone.  The anomalous-moment couplings enter through the gap-scaled symbols
 mu = Eg * mu' and d = Eg * d', each carrying an explicit 1/Eg.
 
-The vector shapes (c alpha.Pi, Sigma.F, F.Pi, Sigma.(F x Pi), Pi^2k) have
-unit coefficients and are each normal ordered in one pass; callers give them
-their scalar prefactor with Expression.scale.
+The vector shapes (c alpha.Pi, Sigma.F, F.Pi, Sigma.(F x Pi), (Pi x Sigma)_i,
+Pi^2k) have unit coefficients and are each normal ordered in one pass;
+callers give them their scalar prefactor with Expression.scale.
 """
 
 from __future__ import annotations
@@ -103,6 +103,12 @@ def sigma_dot_field_cross_pi(kind: str) -> al.Expression:
     """Sum over eps_ijk Sigma_i F_j Pi_k (the spin-orbit word shape)."""
     return _sum((al.mat_code(0, i), (_field_atom(kind, j), al.pi(k)), sign)
                 for i, j, k, sign in _EPS_TRIPLES)
+
+
+def pi_cross_sigma(i: int) -> al.Expression:
+    """(Pi x Sigma)_i = eps_ijk Pi_j Sigma_k (the boosted-moment shape)."""
+    return _sum((al.mat_code(0, k), (al.pi(j),), sign)
+                for a, j, k, sign in _EPS_TRIPLES if a == i)
 
 
 def pi_squared(power: int = 1) -> al.Expression:

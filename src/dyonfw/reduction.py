@@ -354,14 +354,7 @@ def effective_dipoles(order: int) -> tuple[tuple, tuple]:
 
     def xi_cross_moment(i: int, coeff, dims) -> Expression:
         # (xi x moment)_i = eps_ijk (Pi_j / mc) * moment_k
-        out = Expression.zero()
-        for a, j, k, sign in ham._EPS_TRIPLES:
-            if a == i:
-                out = out + Expression.term(
-                    Fraction(coeff) * sign, word=(al.pi(j),),
-                    mat=al.mat_code(0, k),
-                    dims=al.dim_mul(dims, al.dim(m=-1, c=-1)))
-        return out
+        return ham.pi_cross_sigma(i).scale(coeff, dims=al.dim_mul(dims, al.dim(m=-1, c=-1)))
 
     p_eff, m_eff = [], []
     for i in (1, 2, 3):

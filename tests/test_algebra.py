@@ -256,6 +256,50 @@ def test_truncated_products_are_exact(a, b):
         assert al.commutator(a, a, k).is_zero()
 
 
+def test_mat_anti_matches_the_numeric_matrices():
+    """MAT_ANTI[m1][m2] against A B == -B A (else A B == B A) on 4x4 matrices."""
+    import numpy as np
+    from dyonfw import clifford as cl
+    numeric = [cl.to_numeric(cl.BasisElement(*al.mat_parts(m))) for m in range(16)]
+    for m1, a in enumerate(numeric):
+        for m2, b in enumerate(numeric):
+            sign = -1 if al.MAT_ANTI[m1][m2] else 1
+            assert np.array_equal(a @ b, sign * (b @ a))
+
+
+# Terms whose words carry no V or Pi atom commute with every word, so their
+# commutator pairs cancel or double without normal ordering both products.
+_central_terms = st.tuples(st.integers(-3, 3).filter(bool),
+                           st.lists(st.integers(al.E1, al.B3), max_size=3).map(tuple),
+                           st.integers(0, 15), st.integers(0, 3))
+_any_terms = st.tuples(st.integers(-3, 3).filter(bool), st.lists(_atoms, max_size=4).map(tuple),
+                       st.integers(0, 15), st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_central_terms, min_size=1, max_size=3),
+       st.lists(_any_terms, min_size=1, max_size=3), st.booleans())
+def test_commutators_of_field_only_words_match_the_oracle(central, other, central_left):
+    """[a, b] and {a, b} with one operand's words field-only or empty,
+    against the oracle's expansion of ab -+ ba with numeric matrices."""
+    from dyonfw import clifford as cl
+    left, right = (central, other) if central_left else (other, central)
+
+    def numeric(raw):
+        return [(c * 1j ** ip, cl.to_numeric(cl.BasisElement(*al.mat_parts(m))), list(w))
+                for c, w, m, ip in raw]
+
+    a, b = (_raw_sum((c, w, m, ip, al.DIM_ZERO) for c, w, m, ip in raw) for raw in (left, right))
+    numeric_right = numeric(right)
+    pairs = [(x, y) for x in numeric(left) for y in numeric_right]
+    for product, sign in ((al.commutator, -1), (al.anticommutator, 1)):
+        raw = [(c1 * c2, al.DIM_ZERO, m1 @ m2, w1 + w2) for (c1, m1, w1), (c2, m2, w2) in pairs]
+        raw += [(sign * c2 * c1, al.DIM_ZERO, m2 @ m1, w2 + w1)
+                for (c1, m1, w1), (c2, m2, w2) in pairs]
+        assert oracles.matrices_equal(oracles.expand(raw),
+                                      oracles.expression_to_matrices(product(a, b)))
+
+
 # Denominators that differ between and within operands; with the Mersenne
 # prime 2**61 - 1 some numerator products exceed 64 bits.  One kind of term
 # sits at 1/Eg orders -1..6 on a small alphabet, so truncation and

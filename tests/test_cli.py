@@ -140,19 +140,25 @@ _MALFORMED_FIXTURES = {
     "entry-is-a-list": lambda entries, _: entries.update(fw_order_1=[]),
 }
 
+# The catalog key each error must name: a malformed entry, not a whole file.
+_BROKEN_KEY = {"entry-is-a-list": "fw_order_1"}
+
 
 @pytest.mark.parametrize(
-    "content",
-    [None, "{", '{"version": 1, "entries": {}}', "[]"]
-    + [_packaged_catalog(edit) for edit in _MALFORMED_FIXTURES.values()],
+    "content, key",
+    [(None, None), ("{", None), ('{"version": 1, "entries": {}}', None), ("[]", None)]
+    + [(_packaged_catalog(edit), _BROKEN_KEY.get(name))
+       for name, edit in _MALFORMED_FIXTURES.items()],
     ids=["missing", "corrupt", "no-entries", "top-level-list", *_MALFORMED_FIXTURES])
-def test_verify_rejects_unreadable_fixtures(tmp_path, monkeypatch, capsys, content):
+def test_verify_rejects_unreadable_fixtures(tmp_path, monkeypatch, capsys, content, key):
     if content is not None:
         (tmp_path / "catalog.json").write_text(content)
     monkeypatch.setenv("FW_FIXTURES", str(tmp_path))
     code, out = run_cli(capsys, "verify", "--suite", "appendixB")
     assert code == 1
     assert set(json.loads(out)) == {"error"}
+    if key is not None:
+        assert json.loads(out)["error"].startswith(f"{key}: invalid ")
 
 
 @pytest.mark.parametrize("model", ["dirac", "dirac-pauli"])

@@ -99,6 +99,10 @@ def test_vector_shapes_match_the_oracle():
         cases.append((ham.sigma_dot_field_cross_pi(kind),
                       [(_eps(i, j, k), one, mat(0, i), [field(kind, j), al.pi(k)])
                        for i, j, k in itertools.permutations(idx)]))
+    cases += [(ham.pi_cross_sigma(i),
+               [(_eps(i, j, k), one, mat(0, k), [al.pi(j)])
+                for j, k in itertools.permutations(idx, 2) if i not in (j, k)])
+              for i in idx]
     powers = [(ham.pi_squared(n), n, one) for n in (1, 2, 3)]
     powers.append((ham.xi_squared(2), 2, al.dim(m=-4, c=-4)))
     for shape, power, dims in powers:
