@@ -10,16 +10,11 @@ from __future__ import annotations
 
 import functools
 import json
-from fractions import Fraction
 
 from . import algebra as al
 from . import fw
 from . import hamiltonians as ham
 from . import reduction
-
-# (ge, gte) points on which the combined spin Hamiltonian must match TBMT.
-G_GRID = tuple((ge, gte) for ge in (0, 1, 2, Fraction("2.0023"), 3)
-               for gte in (0, 1, 2, 3))
 
 
 @functools.lru_cache(maxsize=None)
@@ -62,23 +57,25 @@ def fw_checks(catalog, dump_path: str | None = None) -> list[dict]:
 
 
 def pauli_checks(catalog) -> list[dict]:
-    """Anomalous closed forms, their g = 2 vanishing, and the TBMT match on
-    every point of G_GRID."""
-    static, cross = reduction.pauli_extra_terms(pipeline("dirac-pauli"))
+    """Anomalous closed forms, their g = 2 vanishing, and the TBMT match of
+    the Dirac-Pauli spin Hamiltonian for every (ge, gte)."""
+    result = pipeline("dirac-pauli")
+    static, cross = reduction.pauli_extra_terms(result)
     checks = [
         _check("anomalous_static_matches", (static - catalog["anomalous_static"]).is_zero()),
         _check("anomalous_cross_matches", (cross - catalog["anomalous_cross"]).is_zero()),
         _check("anomalous_vanishes_at_g2",
                al.substitute_moments(static + cross, 2, 2).is_zero()),
     ]
-    _, spin = reduction.reduce_to_physical(pipeline("dirac"))
+    _, spin = reduction.reduce_to_physical(result)
+    mismatches = reduction.match_tbmt(spin)
     detail = ""
-    for ge, gte in G_GRID:
-        m = reduction.match_tbmt(spin, static, cross, ham.ParticleParams(ge=ge, gte=gte))
-        if not m.passed and not detail:
-            detail = f"first failure at ge={ge}, gte={gte}: {m.mismatches[:3]}"
+    if mismatches:
+        ge, gte = mismatches[0][:2]
+        first = tuple(m[2:] for m in mismatches if m[:2] == (ge, gte))
+        detail = f"first failure at ge={ge}, gte={gte}: {first[:3]}"
     checks.append(_check(f"classical_match_through_beta{reduction.TBMT_DEGREE}",
-                         not detail, detail))
+                         not mismatches, detail))
     return checks
 
 

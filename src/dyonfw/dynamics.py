@@ -349,8 +349,9 @@ def integrate(state0: PhaseState, fields: FieldConfig, params: ParticleParams,
     energy columns are computed afterwards, elementwise, by the same float
     operations as PhaseState.helicity and orbit_hamiltonian.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    for name, value in (("dt", dt), ("c", c)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a positive finite number, got {value!r}")
     if not isinstance(steps, numbers.Integral) or steps < 0:
         raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
     if scheme not in _STEPPERS:

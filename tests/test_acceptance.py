@@ -121,7 +121,7 @@ def test_criterion_5_anomalous_moment_forms(catalog):
     _assert_all_passed(checks.pauli_checks(catalog))
     _report(5, "anomalous closed forms exact, vanish at g = 2, and the "
                "combined spin Hamiltonian matches the classical one through "
-               "fifth order in the boost speed on the full g grid")
+               "fifth order in the boost speed for every (ge, gte)")
 
 
 def test_criterion_6_series_identities():

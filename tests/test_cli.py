@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dyonfw import cli, reduction
+from dyonfw import checks, cli, reduction
 
 EXPECTED = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
                        / "expected.json").read_text())
@@ -106,11 +106,8 @@ def test_verify_all_stdout_matches_the_pinned_digest(capsys):
 
 
 def test_verify_reports_the_first_tbmt_failure(monkeypatch, capsys):
-    failures = {(1, 2): (("first",),), (3, 0): (("second",),)}
-
-    def match_tbmt(spin, static, cross, params):
-        return reduction.TbmtMatch(params.ge, params.gte,
-                                   failures.get((params.ge, params.gte), ()))
+    def match_tbmt(spin):
+        return ((1, 2, "first"), (3, 0, "second"))
     monkeypatch.setattr(reduction, "match_tbmt", match_tbmt)
     code, out = run_cli(capsys, "verify", "--suite", "pauli")
     assert code == 1
@@ -118,6 +115,15 @@ def test_verify_reports_the_first_tbmt_failure(monkeypatch, capsys):
     assert grid["name"] == "classical_match_through_beta5"
     assert not grid["passed"]
     assert grid["detail"] == "first failure at ge=1, gte=2: (('first',),)"
+
+
+def test_verify_pauli_builds_only_the_dirac_pauli_pipeline(monkeypatch, capsys):
+    models = []
+    pipeline = checks.pipeline
+    monkeypatch.setattr(checks, "pipeline", lambda model: models.append(model) or pipeline(model))
+    code, _ = run_cli(capsys, "verify", "--suite", "pauli")
+    assert code == 0
+    assert models and set(models) == {"dirac-pauli"}
 
 
 def _packaged_catalog(edit):

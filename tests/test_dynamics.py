@@ -138,8 +138,16 @@ def test_zero_fields_straight_line():
 
 
 def test_integrate_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        dyn.integrate(PhaseState(), FieldConfig(), ParticleParams(), dt=0.0, steps=1)
+    # a neutral particle would return all-NaN samples, a charged one would
+    # fail in the boost, and c = 0 would divide by zero
+    for params in (ParticleParams(), ParticleParams(e=0)):
+        for name, kwargs in (("dt", {"dt": 0.0}), ("dt", {"dt": -0.1}),
+                             ("dt", {"dt": math.nan}), ("dt", {"dt": math.inf}),
+                             ("c", {"dt": 0.1, "c": 0.0}),
+                             ("c", {"dt": 0.1, "c": math.nan})):
+            with pytest.raises(ValueError, match=f"^{name} must"):
+                dyn.integrate(PhaseState(u=(1, 0, 0)), FieldConfig(), params,
+                              steps=2, **kwargs)
 
 
 @pytest.mark.parametrize("kwargs, name", [

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from dyonfw import algebra as al
-from dyonfw import checks
 from dyonfw import hamiltonians as ham
 from dyonfw import reduction
+from dyonfw.fw import MAX_ORDER
 from dyonfw.reduction import ReductionError
 from dyonfw.series import SeriesPoly, gamma_ratio_series, gamma_series, xi_series
 
@@ -55,18 +55,25 @@ def test_tbmt_low_speed_limit(dirac_result, pauli_result):
     assert fw_series[("e", "long")][0] == (ge / 2 - 1) * Fraction(1, 2)
 
 
-def test_tbmt_detects_wrong_coefficient(dirac_result, pauli_result):
-    _, spin = reduction.reduce_to_physical(dirac_result)
-    static, cross = reduction.pauli_extra_terms(pauli_result)
+def test_tbmt_detects_wrong_coefficient(pauli_result):
+    _, spin = reduction.reduce_to_physical(pauli_result)
     broken = spin + spin.scale(Fraction(1, 100))
-    match = reduction.match_tbmt(broken, static, cross, ham.ParticleParams())
-    assert not match.passed
+    assert reduction.match_tbmt(broken)
 
 
-def test_match_tbmt_builds_the_channel_basis_once(monkeypatch, dirac_result, pauli_result):
-    _, spin = reduction.reduce_to_physical(dirac_result)
-    static, cross = reduction.pauli_extra_terms(pauli_result)
-    reduction.match_tbmt(spin, static, cross, ham.ParticleParams())
+@pytest.mark.parametrize("moments", [{"mu": 2}, {"mu": 1, "d": 1}, {"mu": -1}],
+                         ids=["mu-squared", "mu-d", "inverse-mu"])
+def test_match_tbmt_rejects_spin_terms_not_affine_in_the_moments(pauli_result, moments):
+    _, spin = reduction.reduce_to_physical(pauli_result)
+    stray = al.Expression.term(1, word=(al.field_b(3),), mat=al.mat_code(0, 3),
+                               dims=al.dim(**moments))
+    with pytest.raises(ReductionError, match="not affine"):
+        reduction.match_tbmt(spin + stray)
+
+
+def test_match_tbmt_builds_the_channel_basis_once(monkeypatch, pauli_result):
+    _, spin = reduction.reduce_to_physical(pauli_result)
+    reduction.match_tbmt(spin)
     basis = reduction.channel_basis()
     with pytest.raises(TypeError):
         basis[("e", "direct", 0)] = al.Expression.zero()
@@ -75,31 +82,65 @@ def test_match_tbmt_builds_the_channel_basis_once(monkeypatch, dirac_result, pau
         raise AssertionError("channel basis rebuilt")
 
     monkeypatch.setattr(al, "mul", no_products)
-    for ge, gte in checks.G_GRID:
-        assert reduction.match_tbmt(spin, static, cross,
-                                    ham.ParticleParams(ge=ge, gte=gte)).passed
+    assert not reduction.match_tbmt(spin)
     assert reduction.channel_basis() is basis
 
 
-def test_match_tbmt_builds_the_kinematic_series_once(monkeypatch, dirac_result, pauli_result):
-    _, spin = reduction.reduce_to_physical(dirac_result)
-    static, cross = reduction.pauli_extra_terms(pauli_result)
+def test_match_tbmt_builds_the_kinematic_series_once(monkeypatch, pauli_result):
+    _, spin = reduction.reduce_to_physical(pauli_result)
     for cached in (gamma_series, xi_series, gamma_ratio_series):
         cached.cache_clear()
     calls = []
     rsqrt = SeriesPoly.rsqrt
     monkeypatch.setattr(SeriesPoly, "rsqrt", lambda s: calls.append(s) or rsqrt(s))
-    for ge, gte in checks.G_GRID:
-        assert reduction.match_tbmt(spin, static, cross,
-                                    ham.ParticleParams(ge=ge, gte=gte)).passed
-    assert len(calls) == 1  # one gamma_series, shared by all 20 grid points
+    assert not reduction.match_tbmt(spin)
+    assert len(calls) == 1  # one gamma_series, shared by all three anchor points
 
 
 def test_decompose_rejects_leftovers():
     stray = al.Expression.term(1, word=(al.field_e(1),), mat=al.mat_code(0, 2),
                                dims=al.dim(hbar=1, m=-1, c=-1, e=1))
     with pytest.raises(ReductionError):
-        reduction.decompose(stray, reduction.channel_basis())
+        reduction.spin_channels_to_series(stray)
+
+
+def test_dirac_pauli_without_moments_is_dirac(dirac_result, pauli_result):
+    for n in range(1, MAX_ORDER + 1):
+        assert (al.drop_symbols(pauli_result.even_slices[n], "mu", "d")
+                == dirac_result.even_slices[n]), n
+    assert len(pauli_result.stages) == len(dirac_result.stages)
+    for k, (pauli, dirac) in enumerate(zip(pauli_result.stages, dirac_result.stages)):
+        assert al.drop_symbols(pauli.odd, "mu", "d") == dirac.odd, k
+    _, dirac_spin = reduction.reduce_to_physical(dirac_result)
+    _, pauli_spin = reduction.reduce_to_physical(pauli_result)
+    static, cross = reduction.pauli_extra_terms(pauli_result)
+    assert pauli_spin == dirac_spin + static + cross
+
+
+# Per-point cross-check of the affine argument behind match_tbmt: a classical
+# coefficient that is not affine in the gyro-ratios passes at the three
+# anchors but fails here.
+G_GRID = tuple((ge, gte) for ge in (0, 1, 2, Fraction("2.0023"), 3)
+               for gte in (0, 1, 2, 3))
+
+
+@pytest.fixture(scope="module")
+def dirac_spin_and_extras(dirac_result, pauli_result):
+    _, spin = reduction.reduce_to_physical(dirac_result)
+    static, cross = reduction.pauli_extra_terms(pauli_result)
+    return spin, static + cross
+
+
+@pytest.mark.parametrize("ge, gte", G_GRID, ids=[f"{float(ge):g}-{gte}" for ge, gte in G_GRID])
+def test_spin_hamiltonian_matches_tbmt_on_the_grid(dirac_spin_and_extras, ge, gte):
+    spin, extras = dirac_spin_and_extras
+    fw_series = reduction.spin_channels_to_series(
+        spin + al.substitute_moments(extras, ge, gte))
+    classical = reduction.tbmt_channel_series(ge, gte)
+    for (sector, name), series in fw_series.items():
+        deg = reduction.TBMT_DEGREE - reduction.CHANNEL_GAMMA_POWER[name]
+        assert ([series[d] for d in range(deg + 1)]
+                == [classical[(sector, name)][d] for d in range(deg + 1)]), (sector, name)
 
 
 def test_effective_dipoles_first_order():
