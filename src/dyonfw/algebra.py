@@ -30,17 +30,23 @@ the interface: Expression.terms holds Fractions under (dims, mat, ip, word)
 keys.  Inside, the hot paths compute in Python ints.  Normal ordering only
 ever scales by +-1: _order_word moves the field atoms of a word to the front
 in one step and orders the V/Pi rest through the cached _order_vp, emitting
-int coefficients and packed dimension deltas.  A product writes each operand
-once as int numerators over the lcm of its denominators, with every
-dimension monomial packed into one int, so it multiplies monomials by adding
-ints and merges ints only; it builds one Fraction per output term over the
-product of the two denominators and unpacks each distinct monomial once,
-through a cache.  A commutator or anticommutator visits each term pair
-once: basis matrices commute or anticommute and field atoms commute with
-everything, so a pair needs only its matrix product and the two orderings of
-its words, summed with a sign; a pair where either word is free of V and Pi
-atoms cancels or doubles outright, and any other pair of words is ordered
-once, through the cached _order_pair.  Expression.term,
+int coefficients and packed dimension deltas.  A product reads each operand
+as int numerators over one denominator, with every dimension monomial packed
+into one int, so it multiplies monomials by adding ints and merges ints
+only.  A product's result stays in that packed form: its int numerators
+under packed keys over one denominator, reduced by their gcd so the ints do
+not grow from one product to the next.  Its Fractions are built, and its
+monomials unpacked once each through a cache, only when .terms is first
+read; the packed form is then dropped, so an expression holds one form at a
+time.  A packed operand is read as it is; one with Fractions is packed once
+per product.  Length, zero tests, min_order, hermitian_conjugate and
+linear_combination read the packed form too, so a chain of products that
+nobody reads builds no Fraction.  A commutator or anticommutator visits
+each term pair once: basis matrices commute or anticommute and field atoms
+commute with everything, so a pair needs only its matrix product and the two
+orderings of its words, summed with a sign; a pair where either word is free
+of V and Pi atoms cancels or doubles outright, and any other pair of words is
+ordered once, through the cached _order_pair.  Expression.term,
 hermitian_conjugate, normal_order and from_json_dict are the product of
 their raw terms with the unit, so words are ordered in that one loop only
 and every exponent that enters is held to the packing bound.
@@ -210,6 +216,18 @@ def _unpack(packed: int) -> tuple[int, ...]:
     return tuple(((biased >> (k * _DIM_BITS)) & _DIM_MASK) - _DIM_BIAS for k in range(8))
 
 
+@lru_cache(maxsize=None)
+def _packed_order(packed: int) -> int:
+    """The 1/Eg order of a packed operand monomial, held to _pack's range.
+
+    A product's exponents may reach twice that range, and a packed result
+    enters the next product without going through _pack, so each distinct
+    monomial is checked here once: out of range, it raises _pack's error."""
+    d = _unpack(packed)
+    _pack(d)
+    return -d[_I_EG]
+
+
 # ---------------------------------------------------------------------------
 # Word normal ordering
 
@@ -317,12 +335,41 @@ class Expression:
 
     Instances are treated as immutable: every operation returns a fresh
     expression and the term dict is never mutated after construction.
+
+    A product's result holds its packed form in _packed instead: _add_product's
+    int numerators under (packed dims, mat, ip, word) keys and one
+    denominator, with no common factor left between them.  The terms dict is
+    built from it when .terms is first read (the slot is unset until then, so
+    __getattr__ runs once), and the packed form is dropped.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_packed")
 
     def __init__(self, terms=None):
         self.terms = terms if terms is not None else {}
+        self._packed = None
+
+    @staticmethod
+    def _from_packed(acc: dict, den: int) -> "Expression":
+        """The expression of int numerators acc over den, reduced by their gcd
+        in place and left packed."""
+        g = math.gcd(den, *acc.values())
+        if g != 1:
+            for key in acc:
+                acc[key] //= g
+            den //= g
+        e = Expression.__new__(Expression)
+        e._packed = (acc, den)
+        return e
+
+    def __getattr__(self, name):
+        # Python calls this only when normal lookup fails, which for .terms
+        # means its slot is unset: the expression is still packed.
+        if name != "terms":
+            raise AttributeError(name)
+        terms = self.terms = _unpacked(*self._packed)
+        self._packed = None
+        return terms
 
     # -- constructors ------------------------------------------------------
 
@@ -374,15 +421,16 @@ class Expression:
         return hash(frozenset(self.terms.items()))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self)
 
     def __len__(self):
-        return len(self.terms)
+        packed = self._packed
+        return len(self.terms if packed is None else packed[0])
 
     def __repr__(self):
-        if not self.terms:
+        if self.is_zero():
             return "Expression(0)"
-        return f"Expression({len(self.terms)} terms)"
+        return f"Expression({len(self)} terms)"
 
     def sorted_items(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0])
@@ -401,33 +449,48 @@ def _merge(acc: dict, key, val) -> None:
             del acc[key]
 
 
-def _numerators(e: Expression) -> tuple[list, int]:
-    """e's terms as (key, int numerator) items over the lcm of its denominators."""
-    den = math.lcm(*{val.denominator for val in e.terms.values()})
-    return [(key, val.numerator * (den // val.denominator))
-            for key, val in e.terms.items()], den
+def _numerators(e: Expression) -> tuple:
+    """e's terms as a generator of (key, int numerator) items over one
+    denominator: the lcm of its Fractions' denominators, or its packed
+    form's own, with each packed monomial read back through the _unpack
+    cache."""
+    if e._packed is not None:
+        acc, den = e._packed
+        return ((((_unpack(p), mat, ip, w), c) for (p, mat, ip, w), c in acc.items()),
+                den)
+    terms = e.terms
+    den = math.lcm(*{val.denominator for val in terms.values()})
+    return ((key, val.numerator * (den // val.denominator)) for key, val in terms.items()), den
 
 
 def _packed_numerators(items) -> tuple[list, int]:
-    """(key, Fraction) items as (packed dims, 1/Eg order, mat, ip, word, int
-    numerator) over the lcm of their denominators, the form _add_product
-    reads."""
+    """(key, Fraction) items as ((packed dims, mat, ip, word), int numerator)
+    items over the lcm of their denominators, the form _add_product reads."""
     den = math.lcm(*{val.denominator for _, val in items})
-    return [(_pack(d), -d[_I_EG], mat, ip, w, val.numerator * (den // val.denominator))
+    return [((_pack(d), mat, ip, w), val.numerator * (den // val.denominator))
             for (d, mat, ip, w), val in items], den
 
 
-def _unpacked(acc: dict, den: int) -> Expression:
-    """The expression of _add_product's int numerators over den: one
+def _operand(e: Expression) -> tuple:
+    """e in the form _add_product reads, and its denominator: a packed
+    expression as it is, any other packed once."""
+    if e._packed is not None:
+        acc, den = e._packed
+        return acc.items(), den
+    return _packed_numerators(e.terms.items())
+
+
+def _unpacked(acc: dict, den: int) -> dict:
+    """The terms of int numerators acc over den under packed keys: one
     Fraction, in lowest terms, and one cached unpacking per term."""
-    return Expression({(_unpack(p), mat, ip, w): Fraction(val, den)
-                       for (p, mat, ip, w), val in acc.items()})
+    return {(_unpack(p), mat, ip, w): Fraction(val, den)
+            for (p, mat, ip, w), val in acc.items()}
 
 
-def _add_product(acc: dict, a: list, b: list, max_order: int | None, swapped: int) -> None:
+def _add_product(acc: dict, a, b, max_order: int | None, swapped: int) -> None:
     """Merge a * b + swapped * (b * a) into acc, swapped in {-1, 0, 1},
-    keeping 1/Eg orders <= max_order; a and b are _packed_numerators items,
-    so acc gathers ints under packed keys.
+    keeping 1/Eg orders <= max_order; a and b are ((packed dims, mat, ip,
+    word), int numerator) items, so acc gathers ints under packed keys.
 
     b's terms are grouped by order once and the groups walked lowest first;
     each term of a stops at the first group that would exceed max_order.
@@ -439,12 +502,13 @@ def _add_product(acc: dict, a: list, b: list, max_order: int | None, swapped: in
     gives nothing or twice ord(w1 w2).  Otherwise _order_pair holds the sum.
     """
     buckets: dict[int, list] = {}
-    for p, o, m, ip, w, c in b:
-        buckets.setdefault(o, []).append((p, m, ip, w, c, not w or max(w) < VPOT))
+    for (p, m, ip, w), c in b:
+        buckets.setdefault(_packed_order(p), []).append(
+            (p, m, ip, w, c, not w or max(w) < VPOT))
     groups = sorted(buckets.items())
     limit = math.inf if max_order is None else max_order
-    for p1, o1, m1, ip1, w1, c1 in a:
-        room = limit - o1  # highest order of b this term may meet
+    for (p1, m1, ip1, w1), c1 in a:
+        room = limit - _packed_order(p1)  # highest order of b this term may meet
         row, anti = MAT_TABLE[m1], MAT_ANTI[m1]
         central1 = not w1 or max(w1) < VPOT  # no V/Pi atom: w1 commutes with every word
         for o2, items in groups:
@@ -484,30 +548,32 @@ def _add_product(acc: dict, a: list, b: list, max_order: int | None, swapped: in
 def _products(a: Expression, b: Expression, max_order: int | None, swapped: int) -> Expression:
     """a * b + swapped * (b * a), truncated like mul, with swapped in {-1, 0, 1}.
 
-    Each operand becomes int numerators under packed dimension monomials
-    once, over the denominator den_a * den_b, and one _add_product pass
-    merges ints, so terms that cancel never build a Fraction.
+    One _add_product pass over the operands' int numerators merges ints
+    under packed keys, over the denominator den_a * den_b; the result stays
+    packed (see Expression), so terms that cancel, and results that only
+    feed the next product, never build a Fraction.
     """
-    a_items, den_a = _packed_numerators(a.terms.items())
-    b_items, den_b = _packed_numerators(b.terms.items())
+    a_items, den_a = _operand(a)
+    b_items, den_b = _operand(b)
     acc: dict[tuple, int] = {}
     _add_product(acc, a_items, b_items, max_order, swapped)
-    return _unpacked(acc, den_a * den_b)
+    return Expression._from_packed(acc, den_a * den_b)
 
 
-# The unit, 1, as _packed_numerators items.
-_UNIT = [(0, 0, ID_MAT, 0, (), 1)]
+# The unit, 1, as _add_product items.
+_UNIT = [((0, ID_MAT, 0, ()), 1)]
 
 
 def _canonical(items) -> Expression:
     """The normal-ordered sum of raw (key, Fraction) items, as their product
     with the unit on the product's int path.  A key's word may be in any
     order and its ip any power of i; zero coefficients are dropped.  The unit
-    is the right operand, so _add_product buckets one term, not all of them."""
+    is the right operand, so _add_product buckets one term, not all of them.
+    The constructors that call this hand back terms, not a packed form."""
     a_items, den = _packed_numerators([kv for kv in items if kv[1]])
     acc: dict[tuple, int] = {}
     _add_product(acc, a_items, _UNIT, None, 0)
-    return _unpacked(acc, den)
+    return Expression(_unpacked(acc, den))
 
 
 def mul(a: Expression, b: Expression, max_order: int | None = None) -> Expression:
@@ -517,7 +583,8 @@ def mul(a: Expression, b: Expression, max_order: int | None = None) -> Expressio
     add under multiplication, so this is an exact truncation, not a bound;
     the right factor's terms are bucketed by order and whole buckets past the
     limit are skipped before any normal ordering.  The arithmetic runs on
-    int numerators; the result holds Fractions (see _products).
+    int numerators, and the result stays packed until .terms is read (see
+    Expression).
     """
     return _products(a, b, max_order, 0)
 
@@ -539,7 +606,9 @@ def linear_combination(parts) -> Expression:
 
     Every part is written as int numerators over one common denominator, the
     lcm over all parts, so the sum adds ints and builds one Fraction per
-    output term.
+    output term.  A packed part is read without building its Fractions, one
+    term at a time; its keys are unpacked, and a key that an earlier part
+    already holds keeps that part's key object.
     """
     parts = [(Fraction(w), *_numerators(e)) for w, e in parts]
     den = math.lcm(*(w.denominator * d for w, _, d in parts))
@@ -553,17 +622,37 @@ def linear_combination(parts) -> Expression:
 
 def hermitian_conjugate(e: Expression) -> Expression:
     """Adjoint: words reverse (all atoms are self-adjoint), i conjugates,
-    and the phase-free basis matrices are Hermitian."""
-    return _canonical([((d, mat, ip, w[::-1]), -c if ip else c)
-                       for (d, mat, ip, w), c in e.terms.items()])
+    and the phase-free basis matrices are Hermitian.  The reversed words are
+    normal ordered as a product with the unit, and the result stays packed."""
+    items, den = _operand(e)
+    acc: dict[tuple, int] = {}
+    _add_product(acc, [((p, mat, ip, w[::-1]), -c if ip else c)
+                       for (p, mat, ip, w), c in items if c], _UNIT, None, 0)
+    return Expression._from_packed(acc, den)
+
+
+def _is_adjoint(e: Expression, sign: int) -> bool:
+    """hermitian_conjugate(e) == sign * e, read on packed forms: both are
+    reduced, so equal expressions hold equal ints over equal denominators."""
+    items, den = _operand(e)
+    adjoint, adjoint_den = hermitian_conjugate(e)._packed
+    return adjoint_den == den and adjoint == {key: sign * c for key, c in items}
 
 
 def is_hermitian(e: Expression) -> bool:
-    return hermitian_conjugate(e) == e
+    return _is_adjoint(e, 1)
 
 
 def is_anti_hermitian(e: Expression) -> bool:
-    return hermitian_conjugate(e) == -e
+    return _is_adjoint(e, -1)
+
+
+def min_order(e: Expression) -> int | None:
+    """The lowest 1/Eg order among e's terms, None for zero; a packed
+    expression is read through the _unpack cache, without its Fractions."""
+    if e._packed is not None:
+        return min((-_unpack(p)[_I_EG] for p, _, _, _ in e._packed[0]), default=None)
+    return min((eg_order(k) for k in e.terms), default=None)
 
 
 # ---------------------------------------------------------------------------

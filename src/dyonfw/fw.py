@@ -9,6 +9,11 @@ cannot touch the kept even slices.  Three stages suffice through MAX_ORDER;
 the stability of the even slices across the third stage (h''(n) = h'(n) for
 n <= MAX_ORDER) is asserted by running it, not assumed.  The product of a
 run is the split after each stage and the final even slices, nothing else.
+
+Within a stage, the generator and every nesting ad_S^n(H) are algebra
+products and stay in their packed int form (see algebra.Expression): the
+guards, the nestings and the zero tests read that form, and only the summed
+stage Hamiltonian gets Fractions, once per stage, when it is split.
 """
 
 from __future__ import annotations
@@ -66,14 +71,19 @@ def bch_conjugate(s: Expression, h: Expression, max_order: int) -> Expression:
 
     Every term of s must sit at a positive 1/Eg order, so each nesting raises
     the order and truncating inside the loop is exact.  s is required to be
-    anti-Hermitian (that is what makes exp(s) unitary).  The nestings are
-    summed once, over one common denominator.
+    anti-Hermitian (that is what makes exp(s) unitary).  Both guards, every
+    nesting and the zero test read the packed form of a product (see
+    algebra.Expression): a generator built by a product is packed once, by
+    that product, and each nesting enters the next one as it came out, so no
+    nesting builds a Fraction.  The nestings are summed once, over one common
+    denominator.
     """
     if max_order > MAX_ORDER:
         raise ValueError(f"expansion supported through order {MAX_ORDER} only")
     if not al.is_anti_hermitian(s):
         raise PipelineError("stage generator is not anti-Hermitian")
-    if any(al.eg_order(k) < 1 for k in s.terms):
+    low = al.min_order(s)
+    if low is not None and low < 1:
         raise PipelineError("stage generator has terms at non-positive order")
     nested = al.truncate_order(h, max_order)
     series = [(1, nested)]
@@ -135,10 +145,6 @@ class FWRunResult:
 ODD_START = (1, 3, 4)
 
 
-def _min_order(e: Expression) -> int | None:
-    return min((al.eg_order(k) for k in e.terms), default=None)
-
-
 def fw_run(h: Expression, target_order: int = MAX_ORDER, *,
            model: str = "dirac") -> FWRunResult:
     """Run the three-stage transformation and slice the result by order.
@@ -158,7 +164,7 @@ def fw_run(h: Expression, target_order: int = MAX_ORDER, *,
         if split.mass != mass:
             raise PipelineError(
                 f"stage-{stage} rest-mass term (order -1) not preserved")
-        low = _min_order(split.odd)
+        low = al.min_order(split.odd)
         if low is not None and low < start:
             raise PipelineError(f"stage-{stage} odd part starts at order {low}, "
                                 f"expected >= {start}")

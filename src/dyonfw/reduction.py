@@ -83,15 +83,16 @@ def reduce_to_physical(result: FWRunResult) -> tuple[Expression, Expression]:
     return Expression(orbit), Expression(spin)
 
 
-def pauli_extra_terms(result: FWRunResult) -> tuple[Expression, Expression]:
-    """Split the anomalous-moment terms by field pairing.
+def pauli_extra_terms(h_phys: Expression) -> tuple[Expression, Expression]:
+    """Split the anomalous-moment terms of a physicalized Hamiltonian (the
+    orbit plus spin parts of reduce_to_physical) by field pairing.
 
     Returns (static, cross): static collects mu-with-B and d-with-E couplings,
     cross collects mu-with-E and d-with-B.  Terms carrying an anomalous moment
     but no single identifiable field report as residue.
     """
     static, cross = {}, {}
-    for key, val in _physical_total(result).terms.items():
+    for key, val in h_phys.terms.items():
         mu_exp, d_exp = key[0][6], key[0][7]
         if not mu_exp and not d_exp:
             continue

@@ -361,6 +361,41 @@ def test_products_equal_the_pairwise_fraction_sum(raw_a, raw_b):
                    for v in e.terms.values())
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.lists(_wide_terms, max_size=4), st.lists(_wide_terms, max_size=4))
+def test_packed_results_reenter_like_their_terms(raw_a, raw_b):
+    """Product results fed back in while still packed (as operands, to
+    linear_combination, to the conjugate and order reads) against the same
+    calls on copies built from their terms."""
+    a, b = _raw_sum(raw_a), _raw_sum(raw_b)
+    weights = (Fraction(1, 105), Fraction(-2, 3), 3)
+    products = (al.mul, al.commutator, al.anticommutator)
+
+    def reenter(results, k):
+        return ([al.commutator(r, a, k) for r in results] + [al.mul(b, r) for r in results]
+                + [al.linear_combination(zip(weights, results)),
+                   al.hermitian_conjugate(results[0])])
+
+    def read(results):
+        return [(len(r), al.min_order(r), al.is_hermitian(r), al.is_anti_hermitian(r))
+                for r in results]
+
+    for k in (-2, 0, 3, 6, 12, None):
+        packed = [f(a, b, k) for f in products]
+        plain = [al.Expression(dict(f(a, b, k).terms)) for f in products]
+        got = reenter(packed, k)
+        assert read(packed) == read(plain)
+        assert all(r._packed is not None for r in packed)  # read, never unpacked
+        dens = [r._packed[1] for r in packed]
+        assert got == reenter(plain, k)
+        assert packed == plain
+        # the packed denominator is the least one: the ints were reduced
+        assert dens == [math.lcm(*(v.denominator for v in r.terms.values())) for r in packed]
+        for e in got + packed:
+            assert all(type(v) is Fraction and math.gcd(v.numerator, v.denominator) == 1
+                       for v in e.terms.values())
+
+
 def test_products_at_the_packing_limit():
     """Exponents at the packing bound in every slot, both signs, through a
     product whose word emits commutator corrections."""
@@ -374,6 +409,26 @@ def test_products_at_the_packing_limit():
         assert al.mul(a, b) == expected
         assert al.anticommutator(a, b) == expected + al.Expression.term(
             1, (al.VPOT, al.pi(1), al.pi(2)), dims=d).scale(1, dims=d)
+
+
+def test_chained_products_keep_the_packing_limit():
+    """A product at twice the packing bound stays readable, but entering
+    another product or the conjugate while still packed, it raises the
+    error _pack raises for its terms."""
+    lim = al._DIM_LIMIT
+    c = al.Expression.term(1, (al.pi(3),))
+    for sign in (1, -1):
+        d = (sign * lim,) * 8
+        a = al.Expression.term(1, (al.pi(2),), dims=d)
+        b = al.Expression.term(1, (al.VPOT, al.pi(1)), dims=d)
+        assert al.min_order(al.mul(a, b)) == -2 * sign * lim
+        message = rf"^hbar exponent {2 * sign * lim} outside the packable range -{lim}..{lim}$"
+        for build in (lambda: al.mul(al.mul(a, b), c),
+                      lambda: al.commutator(c, al.mul(a, b), 3),
+                      lambda: al.hermitian_conjugate(al.mul(a, b)),
+                      lambda: al.mul(al.Expression(dict(al.mul(a, b).terms)), c)):
+            with pytest.raises(ValueError, match=message):
+                build()
 
 
 def test_pack_rejects_out_of_range_exponents():

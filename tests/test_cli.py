@@ -126,6 +126,16 @@ def test_verify_pauli_builds_only_the_dirac_pauli_pipeline(monkeypatch, capsys):
     assert models and set(models) == {"dirac-pauli"}
 
 
+def test_verify_pauli_physicalizes_the_result_once(monkeypatch, capsys):
+    calls = []
+    physical_total = reduction._physical_total
+    monkeypatch.setattr(reduction, "_physical_total",
+                        lambda result: calls.append(result) or physical_total(result))
+    code, _ = run_cli(capsys, "verify", "--suite", "pauli")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def _packaged_catalog(edit):
     """The packaged catalog.json text after edit(entries, first term)."""
     data = json.loads((Path(cli.__file__).with_name("fixtures") / "catalog.json").read_text())

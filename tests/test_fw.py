@@ -21,6 +21,42 @@ def test_bch_requires_anti_hermitian_generator():
         bch_conjugate(omega.scale(1, dims=al.dim(Eg=-1)), omega, 4)
 
 
+def test_bch_guards_read_a_packed_generator():
+    omega = ham.omega_odd()
+    gap = al.Expression.term(1, dims=al.dim(Eg=-1))
+    hermitian = al.mul(gap, omega)  # Hermitian, not anti-Hermitian
+    order_zero = al.mul(_beta(), omega)  # anti-Hermitian, at order 0
+    assert al.min_order(order_zero) == 0
+    for s, message in ((hermitian, "not anti-Hermitian"), (order_zero, "non-positive order")):
+        assert s._packed is not None
+        with pytest.raises(PipelineError, match=message):
+            bch_conjugate(s, omega, 4)
+
+
+def test_bch_packs_only_its_input_and_unpacks_no_nesting(monkeypatch):
+    """The generator, a product, is packed once, by that product; of the
+    operands bch_conjugate hands to the nestings only the truncated input
+    is packed, and no nesting builds its Fractions."""
+    h = ham.build_dirac_hamiltonian(ham.GENERIC_DYON)
+    s = fw.stage_generator(fw.split_even_odd(h).odd)
+    packed, unpacked = [], []
+    pack, unpack = al._packed_numerators, al._unpacked
+    monkeypatch.setattr(al, "_packed_numerators",
+                        lambda items: packed.append(len(items)) or pack(items))
+    monkeypatch.setattr(al, "_unpacked",
+                        lambda acc, den: unpacked.append(len(acc)) or unpack(acc, den))
+    nestings = []
+    commutator = al.commutator
+    monkeypatch.setattr(al, "commutator",
+                        lambda *args, **kwargs: nestings.append(1) or commutator(*args, **kwargs))
+    out = bch_conjugate(s, h, 6)
+    assert packed == [len(al.truncate_order(h, 6))]
+    assert unpacked == [] and len(nestings) > 3
+    assert s._packed is not None
+    monkeypatch.undo()
+    assert out == bch_conjugate(al.Expression(dict(s.terms)), h, 6)
+
+
 def test_bch_rejects_order_beyond_six():
     s = al.Expression.term(1, word=(al.VPOT,), ip=1, dims=al.dim(Eg=-1))
     with pytest.raises(ValueError):

@@ -37,7 +37,7 @@ def test_catalog_entries_hermitian_and_even(catalog):
 
 
 def test_pauli_extras_vanish_at_g_two(pauli_result):
-    static, cross = reduction.pauli_extra_terms(pauli_result)
+    static, cross = reduction.pauli_extra_terms(reduction._physical_total(pauli_result))
     assert al.substitute_moments(static, 2, 2).is_zero()
     assert al.substitute_moments(cross, 2, 2).is_zero()
 
@@ -45,7 +45,7 @@ def test_pauli_extras_vanish_at_g_two(pauli_result):
 def test_tbmt_low_speed_limit(dirac_result, pauli_result):
     # degree-0 channel values: -(g/2) on the magnetic coupling, +(g/2) dual
     _, spin = reduction.reduce_to_physical(dirac_result)
-    static, cross = reduction.pauli_extra_terms(pauli_result)
+    static, cross = reduction.pauli_extra_terms(reduction._physical_total(pauli_result))
     ge, gte = Fraction(3), Fraction(1)
     total = spin + al.substitute_moments(static + cross, ge, gte)
     fw_series = reduction.spin_channels_to_series(total)
@@ -113,7 +113,7 @@ def test_dirac_pauli_without_moments_is_dirac(dirac_result, pauli_result):
         assert al.drop_symbols(pauli.odd, "mu", "d") == dirac.odd, k
     _, dirac_spin = reduction.reduce_to_physical(dirac_result)
     _, pauli_spin = reduction.reduce_to_physical(pauli_result)
-    static, cross = reduction.pauli_extra_terms(pauli_result)
+    static, cross = reduction.pauli_extra_terms(reduction._physical_total(pauli_result))
     assert pauli_spin == dirac_spin + static + cross
 
 
@@ -127,7 +127,7 @@ G_GRID = tuple((ge, gte) for ge in (0, 1, 2, Fraction("2.0023"), 3)
 @pytest.fixture(scope="module")
 def dirac_spin_and_extras(dirac_result, pauli_result):
     _, spin = reduction.reduce_to_physical(dirac_result)
-    static, cross = reduction.pauli_extra_terms(pauli_result)
+    static, cross = reduction.pauli_extra_terms(reduction._physical_total(pauli_result))
     return spin, static + cross
 
 
