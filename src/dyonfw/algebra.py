@@ -27,31 +27,29 @@ never visited one by one.
 
 Coefficients are exact rationals and dimension monomials are 8-tuples at
 the interface: Expression.terms holds Fractions under (dims, mat, ip, word)
-keys.  Inside, the hot paths compute in Python ints.  Normal ordering only
-ever scales by +-1: _order_word moves the field atoms of a word to the front
-in one step and orders the V/Pi rest through the cached _order_vp, emitting
-int coefficients and packed dimension deltas.  A product reads each operand
-as int numerators over one denominator, with every dimension monomial packed
-into one int, so it multiplies monomials by adding ints and merges ints
-only.  A product's result stays in that packed form: its int numerators
-under packed keys over one denominator, reduced by their gcd so the ints do
-not grow from one product to the next.  Its Fractions are built, and its
-monomials unpacked once each through a cache, only when .terms is first
-read; the packed form is then dropped, so an expression holds one form at a
-time.  A packed operand is read as it is; one with Fractions is packed once
-per product.  Length, zero tests, min_order, hermitian_conjugate and
+keys.  Inside, the hot paths compute in Python ints.  A term's monomial is
+one int whose 14 digits are the 8 dimension exponents and the counts of the
+central field atoms E1..B3, so its word holds V and Pi atoms only, and a
+term is central exactly when that word is empty.  Multiplying monomials is
+adding ints; only V/Pi words are normal ordered, through the cached
+_order_vp, which scales by +-1 and adds each commutator correction's field
+atom and dimensions to one packed delta.  A product reads each operand as
+int numerators over one denominator, merges ints only, and its result
+stays packed, reduced by the gcd so the ints do not grow.  Its Fractions
+are built, and each monomial unpacked once (its field atoms becoming the
+sorted word prefix), only when .terms is first read; the packed form is
+then dropped.  Length, zero tests, min_order, hermitian_conjugate and
 linear_combination read the packed form too, so a chain of products that
 nobody reads builds no Fraction.  A commutator or anticommutator visits
-each term pair once: basis matrices commute or anticommute and field atoms
-commute with everything, so a pair needs only its matrix product and the two
-orderings of its words, summed with a sign; a pair where either word is free
-of V and Pi atoms cancels or doubles outright, and any other pair of words is
-ordered once, through the cached _order_pair.  Expression.term,
+each term pair once: basis matrices commute or anticommute, so a pair needs
+its matrix product and ord(w1 w2) +- ord(w2 w1); a pair with a central
+term cancels or doubles outright, and any other pair of words is ordered
+once, through the cached _order_pair.  Expression.term,
 hermitian_conjugate, normal_order and from_json_dict are the product of
 their raw terms with the unit, so words are ordered in that one loop only
-and every exponent that enters is held to the packing bound.
-linear_combination merges int numerators over one common denominator too,
-but a sum multiplies no monomials, so it keeps the tuple keys.
+and every exponent and field atom count that enters is held to the
+packing bound.  linear_combination sums int numerators over one common
+denominator, but multiplies no monomials, so it keeps the tuple keys.
 """
 
 from __future__ import annotations
@@ -179,52 +177,79 @@ for _i in (1, 2, 3):
 
 
 # ---------------------------------------------------------------------------
-# Packed dimension monomials
+# Packed monomials
 #
-# Inside products a dimension monomial is one int, sum(exp_k << k * _DIM_BITS):
-# a linear map, so multiplying monomials is adding ints, with no bias to
-# remove.  Each field is read back as a signed value in
-# [-_DIM_BIAS, _DIM_BIAS).  A product adds two packed operands and at most
-# one unit per field for each commutator correction, which consumes two
-# atoms of the word; with operand exponents held to a quarter of the field
-# range, a sum could carry into the next field only for a word of 2**15
+# Inside products a monomial is one int, sum(exp_k << k * _DIM_BITS) over 14
+# digits: the 8 dimension exponents, then the counts of the field atoms
+# E1..B3, which commute with everything.  The map is linear, so multiplying
+# monomials is adding ints, with no bias to remove.  Each digit is read back
+# as a signed value in [-_DIM_BIAS, _DIM_BIAS).  A product adds two packed
+# operands and, for each commutator correction, one unit of a field digit
+# and at most one unit per dimension digit; a correction consumes two V/Pi
+# atoms of the word.  With operand digits held to a quarter of the digit
+# range, a sum could carry into the next digit only for a word of 2**15
 # atoms or more.
 
 _DIM_BITS = 16
 _DIM_BIAS = 1 << (_DIM_BITS - 1)
 _DIM_LIMIT = _DIM_BIAS >> 2  # largest |exponent| _pack admits
 _DIM_MASK = (1 << _DIM_BITS) - 1
-_DIM_BIAS_ALL = sum(_DIM_BIAS << (k * _DIM_BITS) for k in range(8))
+_EXP_NAMES = DIM_NAMES + ATOM_NAMES[:VPOT]  # the 14 digits, lowest first
+_DIM_BIAS_ALL = sum(_DIM_BIAS << (k * _DIM_BITS) for k in range(len(_EXP_NAMES)))
+_FIELD_UNIT = tuple(1 << ((8 + a) * _DIM_BITS) for a in range(VPOT))
 
 
-@lru_cache(maxsize=None)
-def _pack(d: tuple[int, ...]) -> int:
-    """The packed int of an 8-tuple of dimension exponents."""
-    packed = 0
-    for k, exp in enumerate(d):
+def _held(exps):
+    """exps, if every digit is packable; else a ValueError naming the first."""
+    for k, exp in enumerate(exps):
         if not -_DIM_LIMIT <= exp <= _DIM_LIMIT:
-            raise ValueError(f"{DIM_NAMES[k]} exponent {exp} outside the packable "
+            raise ValueError(f"{_EXP_NAMES[k]} exponent {exp} outside the packable "
                              f"range -{_DIM_LIMIT}..{_DIM_LIMIT}")
-        packed += exp << (k * _DIM_BITS)
-    return packed
+    return exps
 
 
 @lru_cache(maxsize=None)
-def _unpack(packed: int) -> tuple[int, ...]:
-    """The 8-tuple of a packed monomial: biased, every field is a plain digit."""
+def _pack(exps: tuple[int, ...]) -> int:
+    """The packed int of the 8 dimension exponents, optionally followed by
+    the 6 field atom counts."""
+    return sum(exp << (k * _DIM_BITS) for k, exp in enumerate(_held(exps)))
+
+
+@lru_cache(maxsize=None)
+def _split_word(word: tuple[int, ...]) -> tuple[int, tuple]:
+    """A raw word's field atoms, counted into a packed monomial wherever
+    they sit (exact, as they commute with everything), and its V/Pi atoms."""
+    if not word or min(word) >= VPOT:
+        return 0, word
+    return (_pack(DIM_ZERO + tuple(map(word.count, range(VPOT)))),
+            tuple(a for a in word if a >= VPOT))
+
+
+def _pack_key(d: tuple, mat: int, ip: int, word: tuple) -> tuple:
+    """The (packed monomial, mat, ip, V/Pi word) key of a raw term key."""
+    fields, vp = _split_word(word)
+    return _pack(d) + fields, mat, ip, vp
+
+
+@lru_cache(maxsize=None)
+def _unpack(packed: int) -> tuple[tuple, tuple]:
+    """The 8-tuple of dimension exponents and the sorted field prefix of a
+    packed monomial: biased, every digit is a plain one."""
     biased = packed + _DIM_BIAS_ALL
-    return tuple(((biased >> (k * _DIM_BITS)) & _DIM_MASK) - _DIM_BIAS for k in range(8))
+    exps = [((biased >> (k * _DIM_BITS)) & _DIM_MASK) - _DIM_BIAS
+            for k in range(len(_EXP_NAMES))]
+    return tuple(exps[:8]), tuple(a for a in range(VPOT) for _ in range(exps[8 + a]))
 
 
 @lru_cache(maxsize=None)
 def _packed_order(packed: int) -> int:
     """The 1/Eg order of a packed operand monomial, held to _pack's range.
 
-    A product's exponents may reach twice that range, and a packed result
+    A product's digits may reach twice that range, and a packed result
     enters the next product without going through _pack, so each distinct
     monomial is checked here once: out of range, it raises _pack's error."""
-    d = _unpack(packed)
-    _pack(d)
+    d, fields = _unpack(packed)
+    _held(d + tuple(map(fields.count, range(VPOT))))
     return -d[_I_EG]
 
 
@@ -243,87 +268,55 @@ _DIM_PIPI_E = _pack(dim(hbar=1, c=-1, et=1))
 
 @lru_cache(maxsize=None)
 def _order_vp(word: tuple[int, ...]):
-    """Canonicalize a word of V and Pi atoms only.
+    """Canonicalize a word of V and Pi atoms.
 
-    Returns (fields, vp_word, packed dim_delta, ip, int coeff) contributions:
-    the sorted field atoms the commutator corrections left, and the ordered
-    V/Pi rest.  Each adjacent swap of an out-of-order pair replaces it with
-    its commutator, a field atom times a shorter V/Pi word; field atoms
-    commute with everything, so the correction's field joins the sorted
-    prefix at once and only the V/Pi rest recurses.
+    Returns merged, nonzero (vp_word, packed delta, ip, int coeff)
+    contributions, coeff _ONE itself when it is 1.  Each adjacent swap of an
+    out-of-order pair replaces it with its commutator, a field atom times a
+    shorter V/Pi word; the field atom is central, so the correction adds its
+    unit and its dimensions to the delta and only the V/Pi rest recurses.
     """
     for k in range(len(word) - 1):
         if word[k] > word[k + 1]:
             break
     else:
-        return (((), word, 0, 0, 1),)
+        return ((word, 0, 0, _ONE),)
 
     a, b = word[k], word[k + 1]
     head, tail = word[:k], word[k + 2:]
-    acc: dict[tuple, int] = {}
-
-    def _accumulate(sub_word, field, extra_dim, scale):
-        for fields, w, dd, ip, coeff in _order_vp(sub_word):
-            if field is not None:
-                fields = tuple(sorted(fields + (field,)))
-                dd += extra_dim
-                ip += 1
-            c = -coeff * scale if ip >= 2 else coeff * scale
-            key = (fields, w, dd, ip % 2)
-            acc[key] = acc.get(key, 0) + c
-
-    _accumulate(head + (b, a) + tail, None, 0, 1)
     rest = head + tail
     i = a - VPOT
     if b == VPOT:
         # Pi_i V -> V Pi_i + i hbar (e E_i + et B_i)
-        _accumulate(rest, field_e(i), _DIM_PIV_E, 1)
-        _accumulate(rest, field_b(i), _DIM_PIV_B, 1)
+        corrections = ((_FIELD_UNIT[field_e(i)] + _DIM_PIV_E, 1),
+                       (_FIELD_UNIT[field_b(i)] + _DIM_PIV_B, 1))
     else:
         # Pi_i Pi_j -> Pi_j Pi_i + (i hbar / c) eps_ijk (e B_k - et E_k)
         kk, sign = _EPS3[(i, b - VPOT)]
-        _accumulate(rest, field_b(kk), _DIM_PIPI_B, sign)
-        _accumulate(rest, field_e(kk), _DIM_PIPI_E, -sign)
-
-    return tuple((*key, c) for key, c in acc.items() if c)
-
-
-@lru_cache(maxsize=None)
-def _order_word(word: tuple[int, ...]):
-    """Canonicalize a word.
-
-    Returns a tuple of (canonical_word, packed dim_delta, ip, int coeff)
-    contributions.  The field atoms of the word move to the front, sorted, in
-    one step; _order_vp orders the V/Pi rest and each of its contributions
-    merges its correction fields into that prefix.  The callers are
-    _add_product, which adds dim_delta to a packed monomial and skips the
-    multiplication when coeff is _ONE itself, and _order_pair, uncached.
-    """
-    fields = tuple(sorted(a for a in word if a < VPOT))
-    rest = tuple(a for a in word if a >= VPOT)
-    return tuple((tuple(sorted(fields + wf)) + w if wf else fields + w, dd, ip,
-                  _ONE if c == 1 else c)
-                 for wf, w, dd, ip, c in _order_vp(rest))
-
-
-# The words _order_pair emits, each held once however many entries name it.
-_WORDS: dict[tuple, tuple] = {}
+        corrections = ((_FIELD_UNIT[field_b(kk)] + _DIM_PIPI_B, sign),
+                       (_FIELD_UNIT[field_e(kk)] + _DIM_PIPI_E, -sign))
+    acc: dict[tuple, int] = {}
+    for w, dd, ip, c in _order_vp(head + (b, a) + tail):
+        acc[w, dd, ip] = c
+    for delta, scale in corrections:
+        for w, dd, ip, c in _order_vp(rest):
+            key = (w, dd + delta, 1 - ip)  # times i: i * i = -1
+            acc[key] = acc.get(key, 0) + (c * scale if ip == 0 else -c * scale)
+    return tuple((*key, _ONE if c == 1 else c) for key, c in acc.items() if c)
 
 
 @lru_cache(maxsize=None)
 def _order_pair(w1: tuple[int, ...], w2: tuple[int, ...], sigma: int):
-    """ord(w1 w2) + sigma * ord(w2 w1), sigma = +-1, as merged, nonzero
-    contributions in _order_word's form: the words of one commutator or
-    anticommutator term pair, once the sign of its matrices is in sigma.
-    Both concatenations go through the uncached ordering, so no word is
-    ordered into both caches, and the output words are shared via _WORDS.
-    """
+    """ord(w1 w2) + sigma * ord(w2 w1), sigma = +-1, for V/Pi words, as
+    merged, nonzero contributions in _order_vp's form: one commutator or
+    anticommutator term pair, the sign of its matrices in sigma.  Both words
+    are ordered uncached, so no word goes into both caches."""
     acc: dict[tuple, int] = {}
     for word, s in ((w1 + w2, 1), (w2 + w1, sigma)):
-        for w, dd, ip, c in _order_word.__wrapped__(word):
+        for w, dd, ip, c in _order_vp.__wrapped__(word):
             key = (w, dd, ip)
             acc[key] = acc.get(key, 0) + s * c
-    return tuple((_WORDS.setdefault(w, w), dd, ip, _ONE if c == 1 else c)
+    return tuple((w, dd, ip, _ONE if c == 1 else c)
                  for (w, dd, ip), c in acc.items() if c)
 
 
@@ -337,7 +330,7 @@ class Expression:
     expression and the term dict is never mutated after construction.
 
     A product's result holds its packed form in _packed instead: _add_product's
-    int numerators under (packed dims, mat, ip, word) keys and one
+    int numerators under (packed monomial, mat, ip, V/Pi word) keys and one
     denominator, with no common factor left between them.  The terms dict is
     built from it when .terms is first read (the slot is unset until then, so
     __getattr__ runs once), and the packed form is dropped.
@@ -456,19 +449,19 @@ def _numerators(e: Expression) -> tuple:
     cache."""
     if e._packed is not None:
         acc, den = e._packed
-        return ((((_unpack(p), mat, ip, w), c) for (p, mat, ip, w), c in acc.items()),
-                den)
+        return ((_unpack_key(*key), c) for key, c in acc.items()), den
     terms = e.terms
     den = math.lcm(*{val.denominator for val in terms.values()})
     return ((key, val.numerator * (den // val.denominator)) for key, val in terms.items()), den
 
 
 def _packed_numerators(items) -> tuple[list, int]:
-    """(key, Fraction) items as ((packed dims, mat, ip, word), int numerator)
-    items over the lcm of their denominators, the form _add_product reads."""
+    """(key, Fraction) items as ((packed monomial, mat, ip, V/Pi word), int
+    numerator) items over the lcm of their denominators, the form
+    _add_product reads."""
     den = math.lcm(*{val.denominator for _, val in items})
-    return [((_pack(d), mat, ip, w), val.numerator * (den // val.denominator))
-            for (d, mat, ip, w), val in items], den
+    return [(_pack_key(*key), val.numerator * (den // val.denominator))
+            for key, val in items], den
 
 
 def _operand(e: Expression) -> tuple:
@@ -480,49 +473,53 @@ def _operand(e: Expression) -> tuple:
     return _packed_numerators(e.terms.items())
 
 
+def _unpack_key(p: int, mat: int, ip: int, w: tuple) -> tuple:
+    """The (dims, mat, ip, word) key of a packed key, through _unpack."""
+    d, fields = _unpack(p)
+    return d, mat, ip, fields + w
+
+
 def _unpacked(acc: dict, den: int) -> dict:
     """The terms of int numerators acc over den under packed keys: one
     Fraction, in lowest terms, and one cached unpacking per term."""
-    return {(_unpack(p), mat, ip, w): Fraction(val, den)
-            for (p, mat, ip, w), val in acc.items()}
+    return {_unpack_key(*key): Fraction(val, den) for key, val in acc.items()}
 
 
 def _add_product(acc: dict, a, b, max_order: int | None, swapped: int) -> None:
     """Merge a * b + swapped * (b * a) into acc, swapped in {-1, 0, 1},
-    keeping 1/Eg orders <= max_order; a and b are ((packed dims, mat, ip,
-    word), int numerator) items, so acc gathers ints under packed keys.
+    keeping 1/Eg orders <= max_order; a and b are ((packed monomial, mat,
+    ip, V/Pi word), int numerator) items, so acc gathers ints under packed
+    keys and only V/Pi words are ever ordered.
 
     b's terms are grouped by order once and the groups walked lowest first;
     each term of a stops at the first group that would exceed max_order.
     b * a has the same term pairs, so each pair is visited once: basis
     matrices commute or anticommute (M2 M1 = s M1 M2, s = -1 where MAT_ANTI)
-    and field atoms commute with everything, so the pair gives
+    and field atoms are in the monomials, so the pair gives
     c i^ip M1 M2 (ord(w1 w2) + sigma ord(w2 w1)) with sigma = swapped * s.
-    A word without V or Pi atoms commutes with every word: the pair then
-    gives nothing or twice ord(w1 w2).  Otherwise _order_pair holds the sum.
+    A term with an empty word is central: the pair then gives nothing or
+    twice ord(w1 w2).  Otherwise _order_pair holds the sum.
     """
     buckets: dict[int, list] = {}
     for (p, m, ip, w), c in b:
-        buckets.setdefault(_packed_order(p), []).append(
-            (p, m, ip, w, c, not w or max(w) < VPOT))
+        buckets.setdefault(_packed_order(p), []).append((p, m, ip, w, c))
     groups = sorted(buckets.items())
     limit = math.inf if max_order is None else max_order
     for (p1, m1, ip1, w1), c1 in a:
         room = limit - _packed_order(p1)  # highest order of b this term may meet
         row, anti = MAT_TABLE[m1], MAT_ANTI[m1]
-        central1 = not w1 or max(w1) < VPOT  # no V/Pi atom: w1 commutes with every word
         for o2, items in groups:
             if o2 > room:
                 break
-            for p2, m2, ip2, w2, c2, central2 in items:
+            for p2, m2, ip2, w2, c2 in items:
                 c = c1 * c2
                 if not swapped:
-                    ordered = _order_word(w1 + w2)
-                elif central1 or central2:
+                    ordered = _order_vp(w1 + w2)
+                elif not (w1 and w2):
                     if (swapped < 0) != anti[m2]:  # sigma = -1: the pair cancels
                         continue
                     c += c
-                    ordered = _order_word(w1 + w2)
+                    ordered = _order_vp(w1 + w2)
                 else:
                     ordered = _order_pair(w1, w2, -swapped if anti[m2] else swapped)
                 mat, ip = row[m2]
@@ -622,8 +619,9 @@ def linear_combination(parts) -> Expression:
 
 def hermitian_conjugate(e: Expression) -> Expression:
     """Adjoint: words reverse (all atoms are self-adjoint), i conjugates,
-    and the phase-free basis matrices are Hermitian.  The reversed words are
-    normal ordered as a product with the unit, and the result stays packed."""
+    and the phase-free basis matrices are Hermitian.  Field atoms sit in the
+    packed monomials, so only the V/Pi words reverse; they are normal
+    ordered as a product with the unit, and the result stays packed."""
     items, den = _operand(e)
     acc: dict[tuple, int] = {}
     _add_product(acc, [((p, mat, ip, w[::-1]), -c if ip else c)
@@ -651,7 +649,7 @@ def min_order(e: Expression) -> int | None:
     """The lowest 1/Eg order among e's terms, None for zero; a packed
     expression is read through the _unpack cache, without its Fractions."""
     if e._packed is not None:
-        return min((-_unpack(p)[_I_EG] for p, _, _, _ in e._packed[0]), default=None)
+        return min((-_unpack(p)[0][_I_EG] for p, _, _, _ in e._packed[0]), default=None)
     return min((eg_order(k) for k in e.terms), default=None)
 
 

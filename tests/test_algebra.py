@@ -193,11 +193,13 @@ _field_rich_words = st.tuples(
 @given(st.one_of(_words, _field_rich_words))
 def test_normal_order_is_confluent(word):
     """Same canonical form from the engine and the opposite-sweep expander;
-    the word's table holds merged, nonzero contributions on sorted words."""
+    the ordering table of the word's V/Pi atoms holds merged, nonzero
+    contributions on sorted V/Pi words (field atoms live in the monomial)."""
     import numpy as np
-    table = al._order_word(word)
+    table = al._order_vp(tuple(a for a in word if a >= al.VPOT))
     assert len({(w, dd, ip) for w, dd, ip, _ in table}) == len(table)
-    assert all(c and list(w) == sorted(w) for w, _, _, c in table)
+    assert all(c and list(w) == sorted(w) and all(a >= al.VPOT for a in w)
+               for w, _, _, c in table)
     engine = al.Expression.term(1, word=word)
     brute = oracles.expand([(1.0, al.DIM_ZERO, np.eye(4, dtype=complex), list(word))])
     assert oracles.matrices_equal(brute, oracles.expression_to_matrices(engine))
@@ -429,12 +431,37 @@ def test_chained_products_keep_the_packing_limit():
                       lambda: al.mul(al.Expression(dict(al.mul(a, b).terms)), c)):
             with pytest.raises(ValueError, match=message):
                 build()
+    # Field atoms are digits of the packed monomial: the same holds for them.
+    # Pi_2 V Pi_1 emits corrections in E2, B2, E3 and B3 only.
+    plain = al.mul(al.Expression.term(1, (al.pi(2),)), al.Expression.term(1, (al.VPOT, al.pi(1))))
+    for atom in (al.E1, al.B1):
+        half = (atom,) * lim
+        a = al.Expression.term(1, (al.pi(2),) + half)
+        b = al.Expression.term(1, half + (al.VPOT, al.pi(1)))
+        ab = al.mul(a, b)
+        assert al.min_order(ab) == 0
+        assert ab == al.Expression({(d, mat, ip, tuple(sorted(w + 2 * half))): val
+                                    for (d, mat, ip, w), val in plain.terms.items()})
+        message = (rf"^{al.ATOM_NAMES[atom]} exponent {2 * lim} "
+                   rf"outside the packable range -{lim}..{lim}$")
+        for build in (lambda: al.mul(al.mul(a, b), c),
+                      lambda: al.commutator(c, al.mul(a, b), 3),
+                      lambda: al.hermitian_conjugate(al.mul(a, b)),
+                      lambda: al.mul(al.Expression(dict(al.mul(a, b).terms)), c)):
+            with pytest.raises(ValueError, match=message):
+                build()
 
 
 def test_pack_rejects_out_of_range_exponents():
     lim = al._DIM_LIMIT
-    assert al._unpack(al._pack((lim, -lim, 0, 1, -1, 2, -2, lim))) == (
-        lim, -lim, 0, 1, -1, 2, -2, lim)
+    d = (lim, -lim, 0, 1, -1, 2, -2, lim)
+    fields = (al.E1,) * lim + (al.E3, al.E3, al.B2) + (al.B3,) * 3
+    assert al._unpack(al._pack(d + (lim, 0, 2, 0, 1, 3))) == (d, fields)
+    # a raw word's field atoms are counted wherever they sit
+    word = (al.pi(2),) + fields[::-1] + (al.VPOT, al.B3)
+    assert al._pack_key(d, 5, 1, word) == (al._pack(d + (lim, 0, 2, 0, 1, 4)), 5, 1,
+                                           (al.pi(2), al.VPOT))
+    assert al._unpack(al._pack(d)) == (d, ())
     for k, name in enumerate(al.DIM_NAMES):
         for exp in (lim + 1, -lim - 1):
             d = tuple(exp if j == k else 0 for j in range(8))
@@ -449,6 +476,20 @@ def test_pack_rejects_out_of_range_exponents():
                           lambda: al.from_json_dict(data)):
                 with pytest.raises(ValueError, match=rf"^{name} exponent {exp} "):
                     build()
+    for atom in range(al.VPOT):
+        name = al.ATOM_NAMES[atom]
+        word = (al.pi(2),) + (atom,) * (lim + 1) + (al.pi(1),)
+        raw = al.Expression({(al.DIM_ZERO, al.ID_MAT, 0, word): Fraction(1)})
+        data = {"terms": [{"coeff": "1", "word": ["P2"] + [name] * (lim + 1) + ["P1"],
+                           "mat": {"left": 0, "right": 0, "phase": "+1"}}]}
+        for build in (lambda: al.mul(raw, ham.omega_odd()),
+                      lambda: al.Expression.term(1, word),
+                      lambda: al.normal_order(raw),
+                      lambda: al.hermitian_conjugate(raw),
+                      lambda: al.from_json_dict(data)):
+            with pytest.raises(ValueError, match=rf"^{name} exponent {lim + 1} outside "
+                                                 rf"the packable range -{lim}..{lim}$"):
+                build()
 
 
 def test_randomized_oracle_equivalence_small():

@@ -6,7 +6,7 @@ import pytest
 
 from dyonfw import algebra as al
 from dyonfw import hamiltonians as ham
-from dyonfw import fw
+from dyonfw import checks, fw
 from dyonfw.fw import PipelineError, bch_conjugate
 from dyonfw.series import SeriesPoly
 
@@ -55,6 +55,34 @@ def test_bch_packs_only_its_input_and_unpacks_no_nesting(monkeypatch):
     assert s._packed is not None
     monkeypatch.undo()
     assert out == bch_conjugate(al.Expression(dict(s.terms)), h, 6)
+
+
+@pytest.mark.parametrize("model", ["dirac", "dirac-pauli"])
+def test_ordering_caches_never_see_a_field_atom(monkeypatch, model):
+    """Field atoms live in the packed monomial, so every word the ordering
+    tables are asked for holds V and Pi atoms only; fw_run is called afresh
+    (checks.pipeline may already be cached) and its slices must not move."""
+    asked = {"_order_vp": [], "_order_pair": []}
+
+    def recorder(name):
+        original = getattr(al, name)
+
+        def record(*args):  # (word,) or (w1, w2, sigma)
+            asked[name].append(args[0] + args[1] if len(args) == 3 else args[0])
+            return original(*args)
+        record.__wrapped__ = original.__wrapped__  # _order_pair reads _order_vp's
+        monkeypatch.setattr(al, name, record)
+
+    recorder("_order_vp")
+    recorder("_order_pair")
+    h = (ham.build_dirac_hamiltonian if model == "dirac"
+         else ham.build_dirac_pauli_hamiltonian)(ham.GENERIC_DYON)
+    result = fw.fw_run(h, target_order=4, model=model)
+    monkeypatch.undo()
+    assert all(asked.values())
+    assert all(min(w, default=al.VPOT) >= al.VPOT for words in asked.values() for w in words)
+    expected = checks.pipeline(model).even_slices
+    assert all(result.even_slices[n] == expected[n] for n in range(1, 5))
 
 
 def test_bch_rejects_order_beyond_six():
