@@ -7,7 +7,8 @@ Two families of entries:
 * ``physical_order_n`` plus aggregates — the weak-field closed forms after
   the gap is written out as 2 m c^2 and terms with two field factors are
   dropped: kinetic chain, Zeeman-type couplings, spin-orbit chain, and the
-  anomalous-moment pieces.
+  anomalous-moment pieces, built in one loop over the prefactor tables of
+  ``series``.
 
 Entries live in versioned JSON fixtures next to the package; FW_FIXTURES
 overrides the directory.  They are also constructible from scratch, and the
@@ -26,6 +27,7 @@ from . import algebra as al
 from . import hamiltonians as ham
 from .algebra import Expression
 from .fw import MAX_ORDER, nested_commutator
+from .series import BOOSTED, INTRINSIC, SQRT
 
 FIXTURES_ENV = "FW_FIXTURES"
 FIXTURES_VERSION = 1
@@ -155,64 +157,52 @@ def spin_orbit_pair() -> Expression:
 
 
 def build_physical_entries() -> dict[str, Expression]:
-    """Weak-field reductions, order by order, plus the grouped aggregates."""
+    """Weak-field reductions, order by order, plus the grouped aggregates.
+
+    Orders 2k+1 and 2k+2 carry the xi^2k terms of the classical prefactors
+    (series.SQRT, INTRINSIC, BOOSTED): the orbital beta m c^2 sqrt(1 + xi^2)
+    with the Zeeman pair under 1/gamma, then the spin-orbit pair under
+    2/(gamma (gamma + 1)).
+    """
     beta = Expression.term(1, mat=al.BETA_MAT)
-    kin1 = al.mul(beta, ham.pi_squared()).scale(Fraction(1, 2), dims=al.dim(m=-1))
-    kin3 = al.mul(beta, ham.pi_squared(2)).scale(Fraction(-1, 8), dims=al.dim(m=-3, c=-2))
-    kin5 = al.mul(beta, ham.xi_squared(3)).scale(Fraction(1, 16), dims=al.dim(m=1, c=2))
-
+    beta_mc2 = beta.scale(1, dims=al.dim(m=1, c=2))
+    beta_zeeman = al.mul(beta, _zeeman_pair())
     so = spin_orbit_pair()
-    xi2 = ham.xi_squared()
-    xi4 = ham.xi_squared(2)
-
     trunc = al.truncate_fields
-    order1 = trunc(kin1 - al.mul(beta, _zeeman_pair()))
-    order2 = trunc(so)
-    order3 = trunc(kin3 + al.mul(al.mul(beta, xi2),
-                                 _zeeman_pair()).scale(Fraction(1, 2)))
-    order4 = trunc(al.mul(xi2, so)).scale(Fraction(-3, 4))
-    order5 = trunc(kin5 - al.mul(al.mul(beta, xi4),
-                                 _zeeman_pair()).scale(Fraction(3, 8)))
-    order6 = trunc(al.mul(xi4, so)).scale(Fraction(5, 8))
-
-    kinetic = trunc(beta.scale(1, dims=al.dim(m=1, c=2)) + kin1 + kin3 + kin5)
-    spin = ((order1 - trunc(kin1)) + order2 + (order3 - trunc(kin3))
-            + order4 + (order5 - trunc(kin5)) + order6)
+    entries, kinetic, spin = {}, [(SQRT[0], beta_mc2)], []
+    for k in range(MAX_ORDER // 2):
+        xi2k = ham.xi_squared(k)
+        orbit = (SQRT[k + 1], trunc(al.mul(beta_mc2, ham.xi_squared(k + 1))))
+        zeeman = (-INTRINSIC[k], trunc(al.mul(xi2k, beta_zeeman)))
+        spin_orbit = (BOOSTED[k], trunc(al.mul(xi2k, so)))
+        entries[f"physical_order_{2 * k + 1}"] = al.linear_combination([orbit, zeeman])
+        entries[f"physical_order_{2 * k + 2}"] = al.linear_combination([spin_orbit])
+        kinetic.append(orbit)
+        spin += [zeeman, spin_orbit]
+    entries["kinetic_energy"] = al.linear_combination(kinetic)
+    entries["spin_dipole"] = al.linear_combination(spin)
 
     # Anomalous-moment closed forms, gap-scaled symbols mu and d with their
     # explicit 1/Eg (substitute the gap afterwards to compare with derived
-    # slices).  Static piece: (-1/2 + 3/8 xi^2) beta (Sigma.xi)(G.xi) + beta
-    # Sigma.G for G = (-mu B + d E)/Eg; cross piece carries (mu E + d B)/Eg.
+    # slices).  Static piece: -(1/2) (1 - 3/4 xi^2) beta (Sigma.xi)(G.xi)
+    # + beta Sigma.G for G = (-mu B + d E)/Eg; cross piece carries
+    # (mu E + d B)/Eg under 1/gamma.
     sigma_xi = ham.sigma_dot_pi().scale(1, dims=al.dim(m=-1, c=-1))
     g_dot_xi = (ham.field_dot_pi("B").scale(-1, dims=al.dim(mu=1, Eg=-1, m=-1, c=-1))
                 + ham.field_dot_pi("E").scale(1, dims=al.dim(d=1, Eg=-1, m=-1, c=-1)))
-    static_long = al.truncate_fields(al.mul(al.mul(beta, sigma_xi), g_dot_xi))
-    prefactor = (Expression.term(Fraction(-1, 2))
-                 + ham.xi_squared().scale(Fraction(3, 8)))
-    static = (al.truncate_fields(al.mul(prefactor, static_long))
+    static_long = trunc(al.mul(al.mul(beta, sigma_xi), g_dot_xi))
+    static_prefactor = ham.xi_polynomial(BOOSTED[:2]).scale(Fraction(-1, 2))
+    static = (trunc(al.mul(static_prefactor, static_long))
               + ham.pauli_even_coupling().scale(1, dims=al.dim(Eg=-1)))
 
     cross_core = (ham.sigma_dot_field_cross_pi("E").scale(
                       -1, dims=al.dim(mu=1, Eg=-1, m=-1, c=-1))
                   + ham.sigma_dot_field_cross_pi("B").scale(
                       -1, dims=al.dim(d=1, Eg=-1, m=-1, c=-1)))
-    cross_prefactor = (Expression.term(1)
-                       + ham.xi_squared().scale(Fraction(-1, 2))
-                       + ham.xi_squared(2).scale(Fraction(3, 8)))
-    cross = al.truncate_fields(al.mul(cross_prefactor, cross_core))
+    cross = trunc(al.mul(ham.xi_polynomial(INTRINSIC), cross_core))
 
-    entries = {
-        "physical_order_1": order1,
-        "physical_order_2": order2,
-        "physical_order_3": order3,
-        "physical_order_4": order4,
-        "physical_order_5": order5,
-        "physical_order_6": order6,
-        "kinetic_energy": kinetic,
-        "spin_dipole": spin,
-        "anomalous_static": al.substitute_energy_gap(static),
-        "anomalous_cross": al.substitute_energy_gap(cross),
-    }
+    entries["anomalous_static"] = al.substitute_energy_gap(static)
+    entries["anomalous_cross"] = al.substitute_energy_gap(cross)
     return entries
 
 

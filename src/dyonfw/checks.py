@@ -83,7 +83,7 @@ def appendix_b_checks() -> list[dict]:
     """The sandwich identities that emerge from ordering and truncation."""
     omega = ham.omega_odd()
     w_op = al.commutator(al.commutator(omega, ham.omega_even()), omega)
-    rhs = al.truncate_fields(al.mul(ham.pi_squared().scale(1, dims=al.dim(c=2)), w_op))
+    rhs = al.truncate_fields(al.mul(ham.pi_squared(1).scale(1, dims=al.dim(c=2)), w_op))
     sandwich = al.truncate_fields(al.mul(al.mul(omega, w_op), omega))
     double = al.truncate_fields(
         al.mul(al.mul(omega, omega), w_op) + al.mul(w_op, al.mul(omega, omega)))

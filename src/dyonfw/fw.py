@@ -174,12 +174,13 @@ def fw_run(h: Expression, target_order: int = MAX_ORDER, *,
     # stages would conjugate by generators built from odd parts starting at
     # order 4, whose even corrections begin beyond 2*4, so they cannot
     # contribute through MAX_ORDER given the starting orders verified above.
-    for n in range(0, target_order + 1):
-        if split.even_slice(n) != stages[-2].even_slice(n):
-            raise PipelineError(f"stage-3 even slice at order {n} changed")
+    if split.even != stages[-2].even:
+        n = al.min_order(split.even - stages[-2].even)
+        raise PipelineError(f"stage-3 even slice at order {n} changed")
 
-    return FWRunResult(model, tuple(stages),
-                       {n: split.even_slice(n) for n in range(1, target_order + 1)})
+    slices = al.by_order(split.even)
+    return FWRunResult(model, tuple(stages), {n: slices.get(n, Expression.zero())
+                                              for n in range(1, target_order + 1)})
 
 
 def nested_commutator(outer: Expression, inner: Expression, times: int) -> Expression:

@@ -29,7 +29,8 @@ from . import algebra as al
 from . import hamiltonians as ham
 from .algebra import Expression
 from .fw import MAX_ORDER, FWRunResult
-from .series import SeriesPoly, gamma_ratio_series, gamma_series, xi_series
+from .series import (BOOSTED, INTRINSIC, SeriesPoly, gamma_ratio_series,
+                     gamma_series, xi_series)
 
 
 class ReductionError(RuntimeError):
@@ -56,11 +57,9 @@ def _is_spin_key(key) -> bool:
 
 def _physical_total(result: FWRunResult) -> Expression:
     """Rest mass, the order-0 slice and every kept even slice, physicalized."""
-    total = (Expression.term(1, mat=al.BETA_MAT, dims=al.dim(m=1, c=2))
-             + result.stages[-1].even_slice(0))
-    for ex in result.even_slices.values():
-        total = total + ex
-    return physicalize(total)
+    rest = Expression.term(1, mat=al.BETA_MAT, dims=al.dim(m=1, c=2))
+    parts = [rest, result.stages[-1].even_slice(0), *result.even_slices.values()]
+    return physicalize(al.linear_combination([(1, ex) for ex in parts]))
 
 
 def reduce_to_physical(result: FWRunResult) -> tuple[Expression, Expression]:
@@ -126,16 +125,15 @@ def _signature_keys(basis: Mapping) -> dict:
 
 
 def _peel(e: Expression, basis: Mapping, signature: dict) -> dict:
-    """Exact coefficients of e on the basis expressions, peeled off one by
-    one through each one's signature key; the residue must vanish."""
-    residue = e
+    """Exact coefficients of e on the basis expressions, each read from e at
+    its signature key (no other basis expression holds that key, so the
+    order of the reads cannot matter); the residue must vanish."""
     coeffs = {}
     for label, bexpr in basis.items():
         sig = signature[label]
-        c = residue.terms.get(sig, Fraction(0)) / bexpr.terms[sig]
-        coeffs[label] = c
-        if c:
-            residue = residue - bexpr.scale(c)
+        coeffs[label] = e.terms.get(sig, Fraction(0)) / bexpr.terms[sig]
+    residue = al.linear_combination(
+        [(1, e)] + [(-c, basis[label]) for label, c in coeffs.items() if c])
     if not residue.is_zero():
         raise ReductionError(
             f"{len(residue)} terms outside the channel space")
@@ -206,13 +204,9 @@ def spin_channels_to_series(spin: Expression) -> dict:
     out = {}
     for sector in ("e", "et"):
         for name in ("direct", "cross", "long"):
-            total = SeriesPoly.zero(_SERIES_DEGREE)
-            for k in range(_CHANNEL_MAX_K[name] + 1):
-                c = coeffs.get((sector, name, k), Fraction(0))
-                if c:
-                    total = total + (xi2 ** k) * c
-            total = total * gam ** CHANNEL_GAMMA_POWER[name]
-            out[(sector, name)] = total
+            poly = SeriesPoly([coeffs[(sector, name, k)] for k in range(_CHANNEL_MAX_K[name] + 1)],
+                              _SERIES_DEGREE)
+            out[(sector, name)] = poly.compose(xi2) * gam ** CHANNEL_GAMMA_POWER[name]
     return out
 
 
@@ -291,13 +285,13 @@ def series_check() -> list[SeriesCheckReport]:
     gam = gamma_series(_SERIES_DEGREE)
 
     reports = []
-    intrinsic = 1 - xi2 * Fraction(1, 2) + xi2 * xi2 * Fraction(3, 8)
+    intrinsic = SeriesPoly(INTRINSIC, _SERIES_DEGREE).compose(xi2)
     reports.append(SeriesCheckReport(
         "intrinsic_prefactor_vs_inverse_gamma",
         tuple(intrinsic[d] for d in range(5)),
         tuple(gam.inverse()[d] for d in range(5))))
 
-    boosted = (1 - xi2 * Fraction(3, 4) + xi2 * xi2 * Fraction(5, 8)) * xi * Fraction(1, 2)
+    boosted = SeriesPoly(BOOSTED, _SERIES_DEGREE).compose(xi2) * xi * Fraction(1, 2)
     target = (1 - gamma_ratio_series(_SERIES_DEGREE)) * SeriesPoly.x(_SERIES_DEGREE)
     reports.append(SeriesCheckReport(
         "boosted_prefactor_vs_gamma_ratio",
@@ -326,7 +320,8 @@ def effective_dipoles(order: int) -> tuple[tuple, tuple]:
 
     with the intrinsic moments mu_m = (e hbar/2mc) Sigma and
     mu_p = -(et hbar/2mc) Sigma; order 4 attaches the relativistic prefactor
-    polynomials in |xi|^2 to the intrinsic and boosted pieces.
+    polynomials in |xi|^2 (series.INTRINSIC and BOOSTED) to the intrinsic
+    and boosted pieces.
     """
     if order not in (1, 4):
         raise ValueError("supported expansion orders: 1 and 4")
@@ -334,16 +329,9 @@ def effective_dipoles(order: int) -> tuple[tuple, tuple]:
     mu_m_dims = al.dim(hbar=1, m=-1, c=-1, e=1)
     mu_p_dims = al.dim(hbar=1, m=-1, c=-1, et=1)
 
-    if order == 1:
-        intrinsic_pref = Expression.term(1)
-        cross_pref = Expression.term(half)
-    else:
-        xi2 = ham.xi_squared()
-        xi4 = ham.xi_squared(2)
-        intrinsic_pref = (Expression.term(1) + xi2.scale(Fraction(-1, 2))
-                          + xi4.scale(Fraction(3, 8)))
-        cross_pref = (Expression.term(1) + xi2.scale(Fraction(-3, 4))
-                      + xi4.scale(Fraction(5, 8))).scale(half)
+    kept = 1 if order == 1 else len(INTRINSIC)
+    intrinsic_pref = ham.xi_polynomial(INTRINSIC[:kept])
+    cross_pref = ham.xi_polynomial(BOOSTED[:kept]).scale(half)
 
     def xi_cross_moment(i: int, coeff, dims) -> Expression:
         # (xi x moment)_i = eps_ijk (Pi_j / mc) * moment_k

@@ -1,8 +1,11 @@
-"""Truncated formal power series in one variable with exact rational coefficients.
+"""Truncated formal power series with exact rational coefficients, and the
+weak-field prefactor tables.
 
-Used for the boost-velocity comparisons: the scaled momentum xi relates to the
-boost speed by xi = beta / sqrt(1 - beta^2), and polynomial prefactors in xi
-are compared with gamma-dependent classical prefactors as series in beta.
+SQRT, INTRINSIC and BOOSTED are typed once, here: the Taylor coefficients in
+x = xi^2 of sqrt(1 + x), 1/gamma and 2/(gamma (gamma + 1)), gamma = sqrt(1 + x).
+The catalog builds its closed forms from them; series_check compares them, as
+series in the boost speed (xi = beta / sqrt(1 - beta^2)), with the classical
+gamma forms.
 """
 
 from __future__ import annotations
@@ -10,6 +13,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+
+# Coefficients of x^k, x = xi^2, constant term (for SQRT the rest mass) first.
+SQRT = (Fraction(1), Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16))
+INTRINSIC = (Fraction(1), Fraction(-1, 2), Fraction(3, 8))
+BOOSTED = (Fraction(1), Fraction(-3, 4), Fraction(5, 8))
 
 
 class SeriesPoly:

@@ -48,7 +48,7 @@ def test_mul_by_zero():
 
 def test_omega_squared_closed_form():
     omega = ham.omega_odd()
-    expected = (ham.pi_squared().scale(1, dims=al.dim(c=2))
+    expected = (ham.pi_squared(1).scale(1, dims=al.dim(c=2))
                 + ham.mat_dot_field(0, "B").scale(-1, dims=al.dim(hbar=1, c=1, e=1))
                 + ham.mat_dot_field(0, "E").scale(1, dims=al.dim(hbar=1, c=1, et=1)))
     assert al.mul(omega, omega) == expected
@@ -80,7 +80,7 @@ def test_commutator_of_anything_with_itself_vanishes():
 def test_truncate_fields_drops_bilinear_terms():
     mixed = term(1, word=(al.field_e(1), al.field_b(2), al.pi(1)))
     assert al.truncate_fields(mixed).is_zero()
-    kinetic = ham.pi_squared()
+    kinetic = ham.pi_squared(1)
     assert al.truncate_fields(kinetic) == kinetic
 
 
@@ -104,7 +104,7 @@ def test_hermitian_conjugation_examples():
     assert al.hermitian_conjugate(d_op) == -d_op
     w_op = al.commutator(d_op, ham.omega_odd())
     assert al.hermitian_conjugate(w_op) == w_op
-    kinetic = al.mul(al.Expression.term(1, mat=al.BETA_MAT), ham.pi_squared())
+    kinetic = al.mul(al.Expression.term(1, mat=al.BETA_MAT), ham.pi_squared(1))
     assert al.hermitian_conjugate(kinetic) == kinetic
 
 

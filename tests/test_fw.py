@@ -173,6 +173,22 @@ def test_stage_table_violation_names_the_stage(monkeypatch):
         fw.fw_run(h, target_order=3)
 
 
+def test_even_slice_moved_by_stage_three_names_the_order(monkeypatch):
+    conjugate, calls = fw.bch_conjugate, []
+
+    def third_stage_adds_order_five(s, h, max_order):
+        out = conjugate(s, h, max_order)
+        calls.append(max_order)
+        if len(calls) == 3:
+            out = out + al.Expression.term(1, word=(al.VPOT,), dims=al.dim(Eg=-5))
+        return out
+
+    monkeypatch.setattr(fw, "bch_conjugate", third_stage_adds_order_five)
+    h = ham.build_dirac_hamiltonian(ham.ParticleParams(e=0, etilde=0))
+    with pytest.raises(PipelineError, match=r"^stage-3 even slice at order 5 changed$"):
+        fw.fw_run(h)
+
+
 def test_zero_hamiltonian_runs_through_the_stage_loop():
     result = fw.fw_run(al.Expression.zero())
     assert len(result.stages) == 3

@@ -112,3 +112,11 @@ def test_vector_shapes_match_the_oracle():
     for shape, raw in cases:
         assert oracles.matrices_equal(oracles.expand(raw),
                                       oracles.expression_to_matrices(shape))
+
+
+def test_xi_polynomial_weights_the_powers_of_xi_squared():
+    coeffs = (Fraction(1), Fraction(-3, 4), Fraction(5, 8))
+    expected = (ham.xi_squared(0) + ham.xi_squared(1).scale(coeffs[1])
+                + ham.xi_squared(2).scale(coeffs[2]))
+    assert ham.xi_polynomial(coeffs) == expected
+    assert ham.xi_squared(0) == al.Expression.term(1)
