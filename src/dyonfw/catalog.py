@@ -3,7 +3,9 @@
 Two families of entries:
 
 * ``fw_order_n`` — the order-n slice of the transformed Dirac Hamiltonian in
-  raw commutator form (exact, no weak-field approximation).
+  raw commutator form (exact, no weak-field approximation): one loop over
+  the orders adds the second conjugation's commutators to one table of
+  first-stage forms, for any odd and even operators.
 * ``physical_order_n`` plus aggregates — the weak-field closed forms after
   the gap is written out as 2 m c^2 and terms with two field factors are
   dropped: kinetic chain, Zeeman-type couplings, spin-orbit chain, and the
@@ -21,12 +23,13 @@ import json
 import os
 from fractions import Fraction
 from importlib import resources
+from math import factorial
 from pathlib import Path
 
 from . import algebra as al
 from . import hamiltonians as ham
 from .algebra import Expression
-from .fw import MAX_ORDER, nested_commutator
+from .fw import MAX_ORDER
 from .series import BOOSTED, INTRINSIC, SQRT
 
 FIXTURES_ENV = "FW_FIXTURES"
@@ -37,101 +40,88 @@ PHYSICAL_KEYS = tuple(f"physical_order_{n}" for n in range(1, MAX_ORDER + 1)) + 
     "kinetic_energy", "spin_dipole", "anomalous_static", "anomalous_cross")
 
 
-def _half(e: Expression) -> Expression:
-    return e.scale(Fraction(1, 2))
-
-
 def _beta_times(e: Expression) -> Expression:
     return al.mul(Expression.term(1, mat=al.BETA_MAT), e)
 
 
-def first_stage_odd_forms() -> dict[int, Expression]:
-    """Reduced odd slices of the first conjugation, orders 1..4."""
-    omega_o = ham.omega_odd()
-    d_op = al.commutator(omega_o, ham.omega_even())
-    w_op = al.commutator(d_op, omega_o)
-    omega3 = al.mul(al.mul(omega_o, omega_o), omega_o)
-    omega5 = al.mul(al.mul(omega3, omega_o), omega_o)
-    return {
-        1: _beta_times(d_op),
-        2: omega3.scale(Fraction(-4, 3)),
-        3: _beta_times(al.commutator(omega_o, w_op)).scale(Fraction(1, 6)),
-        4: omega5.scale(Fraction(8, 15)),
-    }
-
-
-def first_stage_even_forms() -> dict[int, Expression]:
-    """Reduced even slices of the first conjugation, orders 0..2."""
-    omega_o = ham.omega_odd()
-    d_op = al.commutator(omega_o, ham.omega_even())
-    return {
-        0: ham.omega_even(),
-        1: _beta_times(al.mul(omega_o, omega_o)),
-        2: _half(al.commutator(d_op, omega_o)),
-    }
-
-
-def odd_pair_sum(total: int) -> Expression:
-    """Sum of [beta O_l, O_m] over l + m = total with the reduced odd forms."""
-    odd = first_stage_odd_forms()
-    out = Expression.zero()
-    for l in range(1, 5):
-        m = total - l
-        if 1 <= m <= 4:
-            out = out + al.commutator(_beta_times(odd[l]), odd[m])
+def _nestings(outer: Expression, inner: Expression, times: int) -> list[Expression]:
+    """inner, [outer, inner], ... through `times` nestings; nesting n keeps
+    1/Eg orders <= MAX_ORDER - n, the room its stage power n leaves."""
+    out = [inner]
+    for n in range(1, times + 1):
+        out.append(al.commutator(outer, out[-1], max_order=MAX_ORDER - n))
     return out
 
 
-def odd_triple_sum(total: int) -> Expression:
-    """Sum of [beta O_l, [beta O_m, h_n]] over l + m + n = total."""
-    odd = first_stage_odd_forms()
-    even = first_stage_even_forms()
-    out = Expression.zero()
-    for l in range(1, 4):
-        for m in range(1, 4):
-            n = total - l - m
-            if 0 <= n <= 2:
-                out = out + al.commutator(
-                    _beta_times(odd[l]), al.commutator(_beta_times(odd[m]), even[n]))
-    return out
+def first_stage_forms(odd_op: Expression, even_op: Expression) -> tuple[dict, dict]:
+    """Even slices h_0..h_MAX_ORDER and odd slices O_1..O_(MAX_ORDER-2), each
+    without its 1/Eg^n, of (Eg/2) beta + O + E conjugated by exp(beta O / Eg),
+    for O = odd_op and E = even_op.
+
+    With ad = [beta O, .], stage power n holds ad^n(E)/n! and O's ad^n(O)/n!
+    less the ad^n(O)/(n+1)! of the rest-mass term's ad^(n+1)/(n+1)!.  ad flips
+    the beta grading, so h_n takes the E chain at even n and the O chain at
+    odd n, O_n the other.  No operator may carry a negative 1/Eg order: that
+    keeps every truncation here and in the sums below exact.
+    """
+    if min(al.min_order(odd_op) or 0, al.min_order(even_op) or 0) < 0:
+        raise ValueError("first-stage operators carry a negative 1/Eg order")
+    beta_odd = _beta_times(odd_op)
+    from_even = _nestings(beta_odd, even_op, MAX_ORDER)
+    from_odd = _nestings(beta_odd, odd_op, MAX_ORDER - 1)  # its nesting 6 is O_6 only
+
+    def piece(n: int, parity: int) -> Expression:
+        if n % 2 == parity:
+            return from_even[n].scale(Fraction(1, factorial(n)))
+        return from_odd[n].scale(Fraction(n, factorial(n + 1)))
+
+    return ({n: piece(n, 0) for n in range(MAX_ORDER + 1)},
+            {n: piece(n, 1) for n in range(1, MAX_ORDER - 1)})
+
+
+def odd_pair_sum(odd: dict[int, Expression], total: int) -> Expression:
+    """Sum of [beta O_l, O_m] over l + m = total, through the 1/Eg order
+    MAX_ORDER - (total + 1) that its stage power total + 1 leaves."""
+    return al.linear_combination(
+        (1, al.commutator(_beta_times(o_l), odd[total - l], max_order=MAX_ORDER - total - 1))
+        for l, o_l in odd.items() if total - l in odd)
+
+
+def odd_triple_sum(odd: dict[int, Expression], even: dict[int, Expression],
+                   total: int) -> Expression:
+    """Sum of [beta O_l, [beta O_m, h_k]] over l + m + k = total, through the
+    1/Eg order MAX_ORDER - (total + 2) that its stage power total + 2 leaves."""
+    room = MAX_ORDER - total - 2
+    return al.linear_combination(
+        (1, al.commutator(_beta_times(o_l), al.commutator(
+            _beta_times(o_m), even[total - l - m], max_order=room), max_order=room))
+        for l, o_l in odd.items() for m, o_m in odd.items() if total - l - m in even)
+
+
+def raw_even_slices(odd_op: Expression, even_op: Expression) -> dict[int, Expression]:
+    """Even slices 1..MAX_ORDER of (Eg/2) beta + odd_op + even_op after two
+    conjugations, in raw commutator form.
+
+    The second conjugation, by exp(beta O' / Eg) with O' the first stage's
+    odd part, adds (1/2)[beta O', O'] and (1/2)[beta O', [beta O', h]] to its
+    even part h; later terms and stages start beyond MAX_ORDER.  So stage
+    power n holds h_n + (1/2) sum_(l+m=n-1) [beta O_l, O_m]
+    + (1/2) sum_(l+m+k=n-2) [beta O_l, [beta O_m, h_k]].  The pieces are
+    summed with their 1/Eg^n and then sliced, since an operator may carry
+    1/Eg orders of its own.
+    """
+    even, odd = first_stage_forms(odd_op, even_op)
+    pieces = [(1, (even[n] + (odd_pair_sum(odd, n - 1) + odd_triple_sum(odd, even, n - 2))
+                   .scale(Fraction(1, 2))).scale(1, dims=al.dim(Eg=-n)))
+              for n in range(MAX_ORDER + 1)]
+    slices = al.by_order(al.truncate_order(al.linear_combination(pieces), MAX_ORDER))
+    return {n: slices.get(n, Expression.zero()) for n in range(1, MAX_ORDER + 1)}
 
 
 def build_fw_entries() -> dict[str, Expression]:
     """Order-by-order commutator forms of the transformed Dirac Hamiltonian."""
-    beta = Expression.term(1, mat=al.BETA_MAT)
-    omega_o = ham.omega_odd()
-    omega_e = ham.omega_even()
-    d_op = al.commutator(omega_o, omega_e)
-    w_op = al.commutator(d_op, omega_o)
-    beta_omega = al.mul(beta, omega_o)
-
-    omega2 = al.mul(omega_o, omega_o)
-    omega3 = al.mul(omega2, omega_o)
-    omega4 = al.mul(omega2, omega2)
-
-    entries = {
-        "fw_order_1": _beta_times(omega2).scale(1, dims=al.dim(Eg=-1)),
-        "fw_order_2": _half(w_op).scale(1, dims=al.dim(Eg=-2)),
-        "fw_order_3": (_beta_times(omega4).scale(-1)
-                       + _beta_times(al.mul(_beta_times(d_op), _beta_times(d_op)))
-                       ).scale(1, dims=al.dim(Eg=-3)),
-        "fw_order_4": (al.commutator(al.commutator(omega_o, w_op), omega_o)
-                       .scale(Fraction(1, 24))
-                       + al.commutator(d_op, omega3).scale(Fraction(-4, 3))
-                       ).scale(1, dims=al.dim(Eg=-4)),
-        "fw_order_5": (nested_commutator(beta_omega, omega_o, 5)
-                       .scale(Fraction(1, 144))
-                       + _half(odd_pair_sum(4)) + _half(odd_triple_sum(3))
-                       ).scale(1, dims=al.dim(Eg=-5)),
-        # The even-order slices pair the nested chain with the even operator;
-        # the sixth-order display that pairs it with the odd one contradicts
-        # the parity pattern of the slices and is not followed.
-        "fw_order_6": (nested_commutator(beta_omega, omega_e, 6)
-                       .scale(Fraction(1, 720))
-                       + _half(odd_pair_sum(5)) + _half(odd_triple_sum(4))
-                       ).scale(1, dims=al.dim(Eg=-6)),
-    }
-    return entries
+    slices = raw_even_slices(ham.omega_odd(), ham.omega_even())
+    return {f"fw_order_{n}": e for n, e in slices.items()}
 
 
 # -- physical closed forms ----------------------------------------------------

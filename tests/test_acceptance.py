@@ -40,18 +40,26 @@ def test_criterion_1_fw_order_exactness(catalog):
     for n, derived in result.even_slices.items():
         assert derived == catalog[f"fw_order_{n}"], f"order {n} residual"
 
-    # the 1/24 and 4/3 prefactors at order 4, restated inline
+    # the order-3 display -beta Omega^4 + beta (beta D)(beta D), restated inline
     omega = ham.omega_odd()
     d_op = al.commutator(omega, ham.omega_even())
     w_op = al.commutator(d_op, omega)
-    omega3 = al.mul(al.mul(omega, omega), omega)
+    beta = al.Expression.term(1, mat=al.BETA_MAT)
+    beta_d = al.mul(beta, d_op)
+    omega2 = al.mul(omega, omega)
+    order3 = (al.mul(beta, al.mul(omega2, omega2)).scale(-1)
+              + al.mul(beta, al.mul(beta_d, beta_d))).scale(1, dims=al.dim(Eg=-3))
+    assert result.even_slices[3] == order3
+
+    # the 1/24 and 4/3 prefactors at order 4
+    omega3 = al.mul(omega2, omega)
     order4 = (al.commutator(al.commutator(omega, w_op), omega).scale(Fraction(1, 24))
               - al.commutator(d_op, omega3).scale(Fraction(4, 3))
               ).scale(1, dims=al.dim(Eg=-4))
     assert result.even_slices[4] == order4
 
     # the 1/144 and 1/720 prefactors on the nested chains at orders 5 and 6
-    beta_omega = al.mul(al.Expression.term(1, mat=al.BETA_MAT), omega)
+    beta_omega = al.mul(beta, omega)
     chain5 = fw.nested_commutator(beta_omega, omega, 5).scale(
         Fraction(1, 144), dims=al.dim(Eg=-5))
     assert result.stages[0].even_slice(5) == chain5
@@ -60,7 +68,7 @@ def test_criterion_1_fw_order_exactness(catalog):
     assert result.stages[0].even_slice(6) == chain6
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     _report(1, f"six exact zero diffs in {elapsed:.1f}s "
-               "(1/24, 4/3, 1/144, 1/720 coefficients included)")
+               "(order-3 display, 1/24, 4/3, 1/144, 1/720 coefficients included)")
 
 
 def test_criterion_2_physical_reduction(dirac_result, catalog):

@@ -1,4 +1,4 @@
-"""Fifth- and sixth-order assembled fixtures as canonical-form identities.
+"""Fourth- to sixth-order assembled fixtures as canonical-form identities.
 
 The displayed intermediate forms: the nested chains reduce to pure powers,
 the pair sums to symmetric momentum-power sandwiches of the spin-orbit core,
@@ -16,6 +16,11 @@ from dyonfw.fw import nested_commutator
 
 def _beta():
     return al.Expression.term(1, mat=al.BETA_MAT)
+
+
+def _forms():
+    """(even, odd) first-stage forms of the Dirac Hamiltonian."""
+    return cat_mod.first_stage_forms(ham.omega_odd(), ham.omega_even())
 
 
 def _core_ops():
@@ -50,19 +55,29 @@ def test_fifth_order_chain_is_thirtytwo_omega_sixth():
 
 def test_fifth_order_pair_sum_truncates_to_omega_sixth():
     omega, _, _ = _core_ops()
-    pair = cat_mod.odd_pair_sum(4)
+    pair = cat_mod.odd_pair_sum(_forms()[1], 4)
     expected = al.mul(_beta(), _power(omega, 6)).scale(Fraction(32, 9))
     assert al.truncate_fields(pair) == al.truncate_fields(expected)
 
 
 def test_fifth_order_triple_sum_is_pure_field_square():
     # both displayed pieces are bilinear in the fields, so nothing survives
-    assert al.truncate_fields(cat_mod.odd_triple_sum(3)).is_zero()
+    even, odd = _forms()
+    assert al.truncate_fields(cat_mod.odd_triple_sum(odd, even, 3)).is_zero()
+
+
+def test_fourth_order_triple_sum_vanishes_exactly():
+    # [beta O_1, [beta O_1, h_0]] = [D, [D, V]]: D is a field, so it commutes
+    # with V, and order 4 carries no triple term at all
+    even, odd = _forms()
+    _, d_op, _ = _core_ops()
+    assert nested_commutator(d_op, ham.omega_even(), 2).is_zero()
+    assert cat_mod.odd_triple_sum(odd, even, 2).is_zero()
 
 
 def test_sixth_order_pair_commutators_exact():
     omega, d_op, w_op = _core_ops()
-    odd = cat_mod.first_stage_odd_forms()
+    _, odd = _forms()
     b = _beta()
 
     lhs_14 = al.commutator(al.mul(b, odd[1]), odd[4])
@@ -96,5 +111,6 @@ def test_sixth_order_aggregates_collapse_onto_spin_orbit_core():
 
     chain = nested_commutator(al.mul(_beta(), omega), ham.omega_even(), 6)
     assert collapses_to(chain, 16)
-    assert collapses_to(cat_mod.odd_pair_sum(5), Fraction(128, 45))
-    assert collapses_to(cat_mod.odd_triple_sum(4), Fraction(64, 9))
+    even, odd = _forms()
+    assert collapses_to(cat_mod.odd_pair_sum(odd, 5), Fraction(128, 45))
+    assert collapses_to(cat_mod.odd_triple_sum(odd, even, 4), Fraction(64, 9))

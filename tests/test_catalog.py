@@ -7,6 +7,8 @@ import pytest
 
 from dyonfw import algebra as al
 from dyonfw import catalog as cat_mod
+from dyonfw import fw
+from dyonfw import hamiltonians as ham
 
 
 def test_shipped_fixtures_match_builders(catalog):
@@ -60,3 +62,29 @@ def test_entries_are_canonical_on_write(catalog):
                 seen_pi = True
             else:
                 assert not seen_pi
+
+
+def test_raw_even_slices_reproduce_the_dirac_pauli_pipeline(pauli_result):
+    # the loop that builds the Dirac entries, fed the Dirac-Pauli operators,
+    # must give every term of the staged run, multi-field terms included
+    split = fw.split_even_odd(ham.build_dirac_pauli_hamiltonian(ham.GENERIC_DYON))
+    slices = cat_mod.raw_even_slices(split.odd, split.even)
+    assert sorted(slices) == [1, 2, 3, 4, 5, 6]
+    for n, derived in pauli_result.even_slices.items():
+        assert slices[n] == derived, f"order {n}"
+    assert any(al.field_degree(key[3]) >= 2 for key in slices[6].terms)
+
+
+def test_build_makes_the_first_stage_forms_once(monkeypatch):
+    calls = []
+    forms = cat_mod.first_stage_forms
+    monkeypatch.setattr(cat_mod, "first_stage_forms",
+                        lambda *ops: calls.append(ops) or forms(*ops))
+    cat_mod.ReferenceCatalog.build()
+    assert len(calls) == 1
+
+
+def test_first_stage_forms_reject_a_negative_order():
+    below = al.Expression.term(1, word=(al.VPOT,), dims=al.dim(Eg=1))
+    with pytest.raises(ValueError, match="negative 1/Eg order"):
+        cat_mod.first_stage_forms(ham.omega_odd(), below)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dyonfw import algebra as al
+from dyonfw import catalog as cat_mod
 from dyonfw import hamiltonians as ham
 from dyonfw import checks, fw
 from dyonfw.fw import PipelineError, bch_conjugate
@@ -103,6 +104,18 @@ def test_stage1_even_slice_two_is_half_w(dirac_result):
     w_op = al.commutator(al.commutator(omega, ham.omega_even()), omega)
     expected = w_op.scale(Fraction(1, 2), dims=al.dim(Eg=-2))
     assert dirac_result.stages[0].even_slice(2) == expected
+
+
+@pytest.mark.parametrize("model", ["dirac", "dirac-pauli"])
+def test_stage1_even_part_is_the_first_stage_forms(model):
+    # sum_(n=0..6) h_n / Eg^n, truncated at order 6, is the stage-1 even part
+    h = (ham.build_dirac_hamiltonian(ham.GENERIC_DYON) if model == "dirac"
+         else ham.build_dirac_pauli_hamiltonian(ham.GENERIC_DYON))
+    split = fw.split_even_odd(h)
+    even, _ = cat_mod.first_stage_forms(split.odd, split.even)
+    summed = al.linear_combination(
+        (1, e.scale(1, dims=al.dim(Eg=-n))) for n, e in even.items())
+    assert checks.pipeline(model).stages[0].even == al.truncate_order(summed, fw.MAX_ORDER)
 
 
 def test_stage1_odd_slices_match_reduced_forms(dirac_result):
