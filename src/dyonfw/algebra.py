@@ -38,9 +38,11 @@ int numerators over one denominator, merges ints only, and its result
 stays packed, reduced by the gcd so the ints do not grow.  Its Fractions
 are built, and each monomial unpacked once (its field atoms becoming the
 sorted word prefix), only when .terms is first read; the packed form is
-then dropped.  Length, zero tests, min_order, hermitian_conjugate and
-linear_combination read the packed form too, so a chain of products that
-nobody reads builds no Fraction.  A commutator or anticommutator visits
+then dropped.  Length, zero tests, equality, min_order and
+hermitian_conjugate read the packed form too, and the order and beta
+filters (truncate_order, order_slice, by_order, beta_split) and
+linear_combination hand back the form they are given, so a chain of
+products, sums and splits that nobody reads builds no Fraction.  A commutator or anticommutator visits
 each term pair once: basis matrices commute or anticommute, so a pair needs
 its matrix product and ord(w1 w2) +- ord(w2 w1); a pair with a central
 term cancels or doubles outright, and any other pair of words is ordered
@@ -49,7 +51,8 @@ hermitian_conjugate, normal_order and from_json_dict are the product of
 their raw terms with the unit, so words are ordered in that one loop only
 and every exponent and field atom count that enters is held to the
 packing bound.  linear_combination sums int numerators over one common
-denominator, but multiplies no monomials, so it keeps the tuple keys.
+denominator, under packed keys if any part is packed (each other part then
+packed once) and under tuple keys if none is.
 """
 
 from __future__ import annotations
@@ -242,6 +245,15 @@ def _unpack(packed: int) -> tuple[tuple, tuple]:
 
 
 @lru_cache(maxsize=None)
+def _order(packed: int) -> int:
+    """The 1/Eg order of a packed monomial, read through the _unpack cache
+    with no range check: reading a product's result, whose digits may reach
+    twice _pack's range, is exact, and only a product checks its operands
+    (_packed_order)."""
+    return -_unpack(packed)[0][_I_EG]
+
+
+@lru_cache(maxsize=None)
 def _packed_order(packed: int) -> int:
     """The 1/Eg order of a packed operand monomial, held to _pack's range.
 
@@ -329,9 +341,10 @@ class Expression:
     Instances are treated as immutable: every operation returns a fresh
     expression and the term dict is never mutated after construction.
 
-    A product's result holds its packed form in _packed instead: _add_product's
-    int numerators under (packed monomial, mat, ip, V/Pi word) keys and one
-    denominator, with no common factor left between them.  The terms dict is
+    A product's result, and a sum or a filtered part of packed forms, hold
+    their packed form in _packed instead: _add_product's int numerators
+    under (packed monomial, mat, ip, V/Pi word) keys and one denominator,
+    with no common factor left between them.  The terms dict is
     built from it when .terms is first read (the slot is unset until then, so
     __getattr__ runs once), and the packed form is dropped.
     """
@@ -408,7 +421,13 @@ class Expression:
         return Expression(out)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Expression) and self.terms == other.terms
+        """Two packed forms are compared as they are: both are reduced, so
+        equal expressions hold equal ints over equal denominators."""
+        if not isinstance(other, Expression):
+            return False
+        if self._packed is not None and other._packed is not None:
+            return self._packed == other._packed
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -442,26 +461,19 @@ def _merge(acc: dict, key, val) -> None:
             del acc[key]
 
 
-def _numerators(e: Expression) -> tuple:
-    """e's terms as a generator of (key, int numerator) items over one
-    denominator: the lcm of its Fractions' denominators, or its packed
-    form's own, with each packed monomial read back through the _unpack
-    cache."""
-    if e._packed is not None:
-        acc, den = e._packed
-        return ((_unpack_key(*key), c) for key, c in acc.items()), den
-    terms = e.terms
-    den = math.lcm(*{val.denominator for val in terms.values()})
-    return ((key, val.numerator * (den // val.denominator)) for key, val in terms.items()), den
+def _numerators(items) -> tuple[list, int]:
+    """(key, Fraction) items as (key, int numerator) items over the lcm of
+    their denominators."""
+    den = math.lcm(*{val.denominator for _, val in items})
+    return [(key, val.numerator * (den // val.denominator)) for key, val in items], den
 
 
 def _packed_numerators(items) -> tuple[list, int]:
     """(key, Fraction) items as ((packed monomial, mat, ip, V/Pi word), int
     numerator) items over the lcm of their denominators, the form
     _add_product reads."""
-    den = math.lcm(*{val.denominator for _, val in items})
-    return [(_pack_key(*key), val.numerator * (den // val.denominator))
-            for key, val in items], den
+    nums, den = _numerators(items)
+    return [(_pack_key(*key), c) for key, c in nums], den
 
 
 def _operand(e: Expression) -> tuple:
@@ -471,6 +483,14 @@ def _operand(e: Expression) -> tuple:
         acc, den = e._packed
         return acc.items(), den
     return _packed_numerators(e.terms.items())
+
+
+def _as_packed(e: Expression) -> Expression:
+    """e in packed form: e itself if it is packed, else packed once."""
+    if e._packed is not None:
+        return e
+    items, den = _packed_numerators(e.terms.items())
+    return Expression._from_packed(dict(items), den)
 
 
 def _unpack_key(p: int, mat: int, ip: int, w: tuple) -> tuple:
@@ -601,20 +621,28 @@ def anticommutator(a: Expression, b: Expression, max_order: int | None = None) -
 def linear_combination(parts) -> Expression:
     """Sum of weight * e over (weight, e) pairs, weight rational.
 
-    Every part is written as int numerators over one common denominator, the
-    lcm over all parts, so the sum adds ints and builds one Fraction per
-    output term.  A packed part is read without building its Fractions, one
-    term at a time; its keys are unpacked, and a key that an earlier part
-    already holds keeps that part's key object.
+    The sum takes the form of its parts.  If any part is packed, every part
+    is read under packed keys, each other part packed once with _pack's
+    range check, and the sum stays packed like a product (see Expression).
+    If none is, the sum holds Fractions under tuple keys, so a sum of terms
+    is not packed only to be unpacked by its reader.  Either way every part
+    is read as int numerators over one common denominator, the lcm over all
+    parts, and the sum adds ints only.
     """
-    parts = [(Fraction(w), *_numerators(e)) for w, e in parts]
+    parts = [(Fraction(w), e) for w, e in parts]
+    packed = any(e._packed is not None for _, e in parts)
+    parts = [(w, *(_operand(e) if packed else _numerators(e.terms.items())))
+             for w, e in parts]
     den = math.lcm(*(w.denominator * d for w, _, d in parts))
     acc: dict[tuple, int] = {}
     for w, items, d in parts:
         factor = w.numerator * (den // (w.denominator * d))
         for key, num in items:
             acc[key] = acc.get(key, 0) + num * factor
-    return Expression({key: Fraction(val, den) for key, val in acc.items() if val})
+    acc = {key: val for key, val in acc.items() if val}
+    if packed:
+        return Expression._from_packed(acc, den)
+    return Expression({key: Fraction(val, den) for key, val in acc.items()})
 
 
 def hermitian_conjugate(e: Expression) -> Expression:
@@ -647,10 +675,34 @@ def is_anti_hermitian(e: Expression) -> bool:
 
 def min_order(e: Expression) -> int | None:
     """The lowest 1/Eg order among e's terms, None for zero; a packed
-    expression is read through the _unpack cache, without its Fractions."""
+    expression is read through _order, without its Fractions."""
     if e._packed is not None:
-        return min((-_unpack(p)[0][_I_EG] for p, _, _, _ in e._packed[0]), default=None)
+        return min((_order(p) for p, _, _, _ in e._packed[0]), default=None)
     return min((eg_order(k) for k in e.terms), default=None)
+
+
+def _partition(e: Expression, label, names: tuple) -> dict:
+    """e's terms grouped by label(order, key), each group in e's own form.
+
+    key is e's own key, so key[1] is its basis matrix; a term labelled None
+    is dropped.  Every name in names gets a group, empty or not.  A packed
+    e gives packed groups over its denominator, each reduced again, since a
+    subset of the ints may share a factor with it; no order is range
+    checked (see _order).  Any other e gives groups of its Fractions.
+    """
+    packed = e._packed
+    groups: dict = {name: {} for name in names}
+    for key, val in (e.terms if packed is None else packed[0]).items():
+        d = key[0]  # dims, or a packed monomial
+        name = label(-d[_I_EG] if packed is None else _order(d), key)
+        if name is not None:
+            try:
+                groups[name][key] = val
+            except KeyError:
+                groups[name] = {key: val}
+    if packed is None:
+        return {name: Expression(t) for name, t in groups.items()}
+    return {name: Expression._from_packed(t, packed[1]) for name, t in groups.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -671,30 +723,25 @@ def truncate_fields(e: Expression) -> Expression:
                        if field_degree(key[3]) < 2})
 
 
+# The order and beta filters below hand back the form they are given (see
+# _partition): a packed expression is split without building a Fraction.
+
 def truncate_order(e: Expression, max_order: int) -> Expression:
-    return Expression({key: val for key, val in e.terms.items()
-                       if eg_order(key) <= max_order})
+    return _partition(e, lambda order, key: order <= max_order or None, (True,))[True]
 
 
 def by_order(e: Expression) -> dict[int, Expression]:
-    slices: dict[int, dict] = {}
-    for key, val in e.terms.items():
-        slices.setdefault(eg_order(key), {})[key] = val
-    return {n: Expression(t) for n, t in sorted(slices.items())}
+    return dict(sorted(_partition(e, lambda order, key: order, ()).items()))
 
 
 def order_slice(e: Expression, n: int) -> Expression:
-    return Expression({key: val for key, val in e.terms.items()
-                       if eg_order(key) == n})
+    return _partition(e, lambda order, key: order == n or None, (True,))[True]
 
 
 def beta_split(e: Expression) -> tuple[Expression, Expression]:
     """(even, odd) with respect to the beta grading; exact term by term."""
-    even: dict[tuple, Fraction] = {}
-    odd: dict[tuple, Fraction] = {}
-    for key, val in e.terms.items():
-        (odd if MAT_ODD[key[1]] else even)[key] = val
-    return Expression(even), Expression(odd)
+    parts = _partition(e, lambda order, key: MAT_ODD[key[1]], (False, True))
+    return parts[False], parts[True]
 
 
 def substitute_energy_gap(e: Expression) -> Expression:

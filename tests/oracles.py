@@ -138,3 +138,13 @@ def engine_term_from_raw(raw) -> al.Expression:
     if im:
         out = out + total.scale(im, ip=1)
     return out
+
+
+def nested_commutator(outer: al.Expression, inner: al.Expression, times: int) -> al.Expression:
+    """[outer, [outer, ... [outer, inner]]] with `times` nestings, untruncated:
+    the nested chains the closed forms restate, built one commutator at a
+    time with no order limit."""
+    out = inner
+    for _ in range(times):
+        out = al.commutator(outer, out)
+    return out

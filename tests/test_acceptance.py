@@ -60,10 +60,10 @@ def test_criterion_1_fw_order_exactness(catalog):
 
     # the 1/144 and 1/720 prefactors on the nested chains at orders 5 and 6
     beta_omega = al.mul(beta, omega)
-    chain5 = fw.nested_commutator(beta_omega, omega, 5).scale(
+    chain5 = oracles.nested_commutator(beta_omega, omega, 5).scale(
         Fraction(1, 144), dims=al.dim(Eg=-5))
     assert result.stages[0].even_slice(5) == chain5
-    chain6 = fw.nested_commutator(beta_omega, ham.omega_even(), 6).scale(
+    chain6 = oracles.nested_commutator(beta_omega, ham.omega_even(), 6).scale(
         Fraction(1, 720), dims=al.dim(Eg=-6))
     assert result.stages[0].even_slice(6) == chain6
     assert elapsed < 60.0, f"took {elapsed:.1f}s"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyonfw import algebra as al
+from dyonfw import fw
 from dyonfw import hamiltonians as ham
 
 import oracles
@@ -398,6 +399,68 @@ def test_packed_results_reenter_like_their_terms(raw_a, raw_b):
                        for v in e.terms.values())
 
 
+def _reduced(e) -> bool:
+    """e is packed, with no factor common to its denominator and all its
+    numerators (the form == and _is_adjoint compare)."""
+    if e._packed is None:
+        return False
+    acc, den = e._packed
+    return math.gcd(den, *acc.values()) == 1
+
+
+def _filtered(e, n, packed_part, plain_part):
+    """Every order and beta filter, the fw split and a sum with a packed and
+    a Fraction part, as one flat list of expressions, and the orders."""
+    split = fw.split_even_odd(e)
+    slices = al.by_order(e)
+    return ([al.truncate_order(e, n), al.order_slice(e, n), *al.beta_split(e),
+             split.mass, split.even, split.odd, *slices.values(),
+             al.linear_combination([(Fraction(3, 7), e), (-2, packed_part), (5, plain_part)])],
+            list(slices))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_wide_terms, max_size=5), st.lists(_wide_terms, max_size=5),
+       st.integers(-2, 7), st.booleans())
+def test_packed_filters_sums_and_equality_match_their_fraction_copies(raw_a, raw_b, n, mass):
+    """The filters, the fw split, linear_combination and == on packed
+    forms against the same calls on copies Expression(dict(e.terms)): every
+    packed input gives packed results, reduced again, and a Fraction input
+    gives Fraction results; linear_combination packs a sum with any packed
+    part and no other."""
+    a, b = _raw_sum(raw_a), _raw_sum(raw_b)
+    rest_mass = al.Expression.term(Fraction(1, 2), mat=al.BETA_MAT, dims=al.dim(Eg=1))
+    builds = (lambda: al.mul(a, b), lambda: al.commutator(a, b, 4),
+              lambda: al.linear_combination([(1, al.mul(a, b)), (Fraction(-2, 3), b),
+                                             (int(mass), rest_mass)]),
+              lambda: al.linear_combination([(Fraction(1, 2), al.mul(a, b))]))
+    plain = [al.Expression(dict(f().terms)) for f in builds]
+    packed = [f() for f in builds]
+    both = [[x == y for y in packed] for x in packed]  # reads no Fraction
+    assert all(map(_reduced, packed))
+    assert (both == [[f() == y for y in plain] for f in builds]
+            == [[x == f() for f in builds] for x in plain]
+            == [[x == y for y in plain] for x in plain])
+    for k, build in enumerate(builds):
+        packed_part, plain_part = builds[k - 1](), plain[k - 2]
+        got, orders = _filtered(build(), n, packed_part, plain_part)
+        expected, plain_orders = _filtered(plain[k], n, packed_part, plain_part)
+        assert all(map(_reduced, got)) and _reduced(expected[-1])
+        assert all(e._packed is None for e in expected[:-1])
+        assert orders == plain_orders and got == expected
+        assert sum(map(len, got[2:4])) == len(plain[k])
+        assert got[4:7] == [al.Expression({key: v for key, v in plain[k].terms.items()
+                                           if part(key)})
+                            for part in (lambda key: key == fw._MASS_KEY,
+                                         lambda key: key != fw._MASS_KEY and not al.MAT_ODD[key[1]],
+                                         lambda key: al.MAT_ODD[key[1]])]
+        fraction_sum = al.linear_combination([(Fraction(3, 7), plain[k]), (5, plain_part)])
+        assert fraction_sum._packed is None
+        assert fraction_sum == al.linear_combination([(Fraction(3, 7), build()), (5, plain_part)])
+        assert expected[-1] == (plain[k].scale(Fraction(3, 7)) + packed_part.scale(-2)
+                                + plain_part.scale(5))
+
+
 def test_products_at_the_packing_limit():
     """Exponents at the packing bound in every slot, both signs, through a
     product whose word emits commutator corrections."""
@@ -413,22 +476,46 @@ def test_products_at_the_packing_limit():
             1, (al.VPOT, al.pi(1), al.pi(2)), dims=d).scale(1, dims=d)
 
 
+def _packed_reads(e):
+    """Every filter, split, comparison and sum that reads the packed e
+    without a range check; each hands back a packed form."""
+    n = al.min_order(e)
+    split = fw.split_even_odd(e)
+    reads = [al.truncate_order(e, n), al.order_slice(e, n), *al.by_order(e).values(),
+             *al.beta_split(e), split.mass, split.even, split.odd,
+             al.linear_combination([(2, e), (Fraction(-1, 3), e)])]
+    assert all(r._packed is not None for r in reads + [e])
+    assert sum(map(len, al.beta_split(e))) == len(e) and e == al.truncate_order(e, n)
+    return [r for r in reads if len(r)]
+
+
 def test_chained_products_keep_the_packing_limit():
-    """A product at twice the packing bound stays readable, but entering
-    another product or the conjugate while still packed, it raises the
-    error _pack raises for its terms."""
+    """A product at twice the packing bound stays readable, through the
+    filters, splits, comparisons and sums as well, but entering another
+    product or the conjugate while still packed, it or any part read from
+    it raises the error _pack raises for its terms.  So does a copy of its
+    Fraction terms, which a product or a packed sum packs again; a sum of
+    Fraction parts only is not packed and checks no range."""
     lim = al._DIM_LIMIT
     c = al.Expression.term(1, (al.pi(3),))
+    c_packed = al._as_packed(c)
     for sign in (1, -1):
         d = (sign * lim,) * 8
         a = al.Expression.term(1, (al.pi(2),), dims=d)
         b = al.Expression.term(1, (al.VPOT, al.pi(1)), dims=d)
         assert al.min_order(al.mul(a, b)) == -2 * sign * lim
+        reads = _packed_reads(al.mul(a, b))
+        assert al.mul(a, b) == al.mul(a, b) != al.anticommutator(a, b)
+        copy = al.Expression(dict(al.mul(a, b).terms))
+        assert al.linear_combination([(2, copy), (-1, copy)]).terms == copy.terms
         message = rf"^hbar exponent {2 * sign * lim} outside the packable range -{lim}..{lim}$"
         for build in (lambda: al.mul(al.mul(a, b), c),
                       lambda: al.commutator(c, al.mul(a, b), 3),
                       lambda: al.hermitian_conjugate(al.mul(a, b)),
-                      lambda: al.mul(al.Expression(dict(al.mul(a, b).terms)), c)):
+                      lambda: al.mul(al.Expression(dict(al.mul(a, b).terms)), c),
+                      lambda: al.linear_combination([(1, al.Expression(dict(al.mul(a, b).terms))),
+                                                     (1, c_packed)]),
+                      *[lambda r=r: al.mul(r, c) for r in reads]):
             with pytest.raises(ValueError, match=message):
                 build()
     # Field atoms are digits of the packed monomial: the same holds for them.
@@ -440,6 +527,7 @@ def test_chained_products_keep_the_packing_limit():
         b = al.Expression.term(1, half + (al.VPOT, al.pi(1)))
         ab = al.mul(a, b)
         assert al.min_order(ab) == 0
+        reads = _packed_reads(ab)
         assert ab == al.Expression({(d, mat, ip, tuple(sorted(w + 2 * half))): val
                                     for (d, mat, ip, w), val in plain.terms.items()})
         message = (rf"^{al.ATOM_NAMES[atom]} exponent {2 * lim} "
@@ -447,13 +535,17 @@ def test_chained_products_keep_the_packing_limit():
         for build in (lambda: al.mul(al.mul(a, b), c),
                       lambda: al.commutator(c, al.mul(a, b), 3),
                       lambda: al.hermitian_conjugate(al.mul(a, b)),
-                      lambda: al.mul(al.Expression(dict(al.mul(a, b).terms)), c)):
+                      lambda: al.mul(al.Expression(dict(al.mul(a, b).terms)), c),
+                      lambda: al.linear_combination([(1, al.Expression(dict(al.mul(a, b).terms))),
+                                                     (1, c_packed)]),
+                      *[lambda r=r: al.mul(r, c) for r in reads]):
             with pytest.raises(ValueError, match=message):
                 build()
 
 
 def test_pack_rejects_out_of_range_exponents():
     lim = al._DIM_LIMIT
+    unit = al._as_packed(al.Expression.term(1))  # a sum with it is packed
     d = (lim, -lim, 0, 1, -1, 2, -2, lim)
     fields = (al.E1,) * lim + (al.E3, al.E3, al.B2) + (al.B3,) * 3
     assert al._unpack(al._pack(d + (lim, 0, 2, 0, 1, 3))) == (d, fields)
@@ -473,6 +565,7 @@ def test_pack_rejects_out_of_range_exponents():
                           lambda: al.Expression.term(1, dims=d),
                           lambda: al.normal_order(raw),
                           lambda: al.hermitian_conjugate(raw),
+                          lambda: al.linear_combination([(1, raw), (1, unit)]),
                           lambda: al.from_json_dict(data)):
                 with pytest.raises(ValueError, match=rf"^{name} exponent {exp} "):
                     build()
@@ -486,6 +579,7 @@ def test_pack_rejects_out_of_range_exponents():
                       lambda: al.Expression.term(1, word),
                       lambda: al.normal_order(raw),
                       lambda: al.hermitian_conjugate(raw),
+                      lambda: al.linear_combination([(1, raw), (1, unit)]),
                       lambda: al.from_json_dict(data)):
             with pytest.raises(ValueError, match=rf"^{name} exponent {lim + 1} outside "
                                                  rf"the packable range -{lim}..{lim}$"):

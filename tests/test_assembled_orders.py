@@ -11,7 +11,8 @@ from fractions import Fraction
 from dyonfw import algebra as al
 from dyonfw import catalog as cat_mod
 from dyonfw import hamiltonians as ham
-from dyonfw.fw import nested_commutator
+
+from oracles import nested_commutator
 
 
 def _beta():

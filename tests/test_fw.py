@@ -34,18 +34,26 @@ def test_bch_guards_read_a_packed_generator():
             bch_conjugate(s, omega, 4)
 
 
-def test_bch_packs_only_its_input_and_unpacks_no_nesting(monkeypatch):
-    """The generator, a product, is packed once, by that product; of the
-    operands bch_conjugate hands to the nestings only the truncated input
-    is packed, and no nesting builds its Fractions."""
-    h = ham.build_dirac_hamiltonian(ham.GENERIC_DYON)
-    s = fw.stage_generator(fw.split_even_odd(h).odd)
+def _count_packing(monkeypatch):
+    """Lists that record the size of every Fraction form packed and of every
+    packed form unpacked into Fractions, from now until monkeypatch.undo()."""
     packed, unpacked = [], []
     pack, unpack = al._packed_numerators, al._unpacked
     monkeypatch.setattr(al, "_packed_numerators",
                         lambda items: packed.append(len(items)) or pack(items))
     monkeypatch.setattr(al, "_unpacked",
                         lambda acc, den: unpacked.append(len(acc)) or unpack(acc, den))
+    return packed, unpacked
+
+
+def test_bch_packs_only_its_input_and_unpacks_no_nesting(monkeypatch):
+    """bch_conjugate packs its truncated Fraction input once and builds no
+    Fraction; a whole fw_run, per model, packs only the built Hamiltonian,
+    once, and builds no Fraction either, and its slices read afterwards are
+    the pipeline's."""
+    h = ham.build_dirac_hamiltonian(ham.GENERIC_DYON)
+    s = fw.stage_generator(fw.split_even_odd(h).odd)
+    packed, unpacked = _count_packing(monkeypatch)
     nestings = []
     commutator = al.commutator
     monkeypatch.setattr(al, "commutator",
@@ -53,9 +61,19 @@ def test_bch_packs_only_its_input_and_unpacks_no_nesting(monkeypatch):
     out = bch_conjugate(s, h, 6)
     assert packed == [len(al.truncate_order(h, 6))]
     assert unpacked == [] and len(nestings) > 3
-    assert s._packed is not None
+    assert s._packed is not None and out._packed is not None
     monkeypatch.undo()
     assert out == bch_conjugate(al.Expression(dict(s.terms)), h, 6)
+
+    for model in ("dirac", "dirac-pauli"):
+        h = (ham.build_dirac_hamiltonian if model == "dirac"
+             else ham.build_dirac_pauli_hamiltonian)(ham.GENERIC_DYON)
+        packed, unpacked = _count_packing(monkeypatch)
+        result = fw.fw_run(h, model=model)
+        monkeypatch.undo()
+        assert packed == [len(h)] and unpacked == []
+        expected = checks.pipeline(model).even_slices
+        assert all(result.even_slices[n].terms == expected[n].terms for n in range(1, 7))
 
 
 @pytest.mark.parametrize("model", ["dirac", "dirac-pauli"])
