@@ -26,33 +26,33 @@ term, stops at the first group past the limit, so the pairs it drops are
 never visited one by one.
 
 Coefficients are exact rationals and dimension monomials are 8-tuples at
-the interface: Expression.terms holds Fractions under (dims, mat, ip, word)
-keys.  Inside, the hot paths compute in Python ints.  A term's monomial is
-one int whose 14 digits are the 8 dimension exponents and the counts of the
-central field atoms E1..B3, so its word holds V and Pi atoms only, and a
-term is central exactly when that word is empty.  Multiplying monomials is
-adding ints; only V/Pi words are normal ordered, through the cached
-_order_vp, which scales by +-1 and adds each commutator correction's field
-atom and dimensions to one packed delta.  A product reads each operand as
-int numerators over one denominator, merges ints only, and its result
-stays packed, reduced by the gcd so the ints do not grow.  Its Fractions
-are built, and each monomial unpacked once (its field atoms becoming the
-sorted word prefix), only when .terms is first read; the packed form is
-then dropped.  Length, zero tests, equality, min_order and
-hermitian_conjugate read the packed form too, and the order and beta
-filters (truncate_order, order_slice, by_order, beta_split) and
-linear_combination hand back the form they are given, so a chain of
-products, sums and splits that nobody reads builds no Fraction.  A commutator or anticommutator visits
-each term pair once: basis matrices commute or anticommute, so a pair needs
-its matrix product and ord(w1 w2) +- ord(w2 w1); a pair with a central
-term cancels or doubles outright, and any other pair of words is ordered
-once, through the cached _order_pair.  Expression.term,
-hermitian_conjugate, normal_order and from_json_dict are the product of
-their raw terms with the unit, so words are ordered in that one loop only
-and every exponent and field atom count that enters is held to the
-packing bound.  linear_combination sums int numerators over one common
-denominator, under packed keys if any part is packed (each other part then
-packed once) and under tuple keys if none is.
+the interface: Expression.terms is a read-only view of Fractions under
+(dims, mat, ip, word) keys.  An expression holds one form only: int
+numerators under (packed monomial, mat, ip, V/Pi word) keys over one
+denominator, reduced by their gcd, which is canonical, so equality and
+hashing read it as it is.  A term's monomial is one int whose 14 digits
+are the 8 dimension exponents and the counts of the central field atoms
+E1..B3, so its word holds V and Pi atoms only, and a term is central
+exactly when that word is empty.  Expression(terms) packs a dict once,
+through _pack's range check; the view is built, each monomial unpacked
+once (its field atoms becoming the sorted word prefix), when .terms is
+first read, and cached beside the packed form.
+
+Multiplying monomials is adding ints; only V/Pi words are normal ordered,
+through the cached _order_vp, which scales by +-1 and adds each commutator
+correction's field atom and dimensions to one packed delta.  A product
+merges ints only, over the product of its operands' denominators.  A
+commutator or anticommutator visits each term pair once: basis matrices
+commute or anticommute, so a pair needs its matrix product and
+ord(w1 w2) +- ord(w2 w1); a pair with a central term cancels or doubles
+outright, and any other pair of words is ordered once, through the cached
+_order_pair.  Expression.term, hermitian_conjugate, normal_order and
+from_json_dict are the product of their raw terms with the unit, so words
+are ordered in that one loop only and every exponent and field atom count
+that enters is held to the packing bound.  linear_combination sums int
+numerators over one common denominator; scale and the substitutions map
+packed keys term by term, and the order, field and beta filters group them;
+none of these reads the view.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ import reprlib
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
+from types import MappingProxyType
 
 from . import clifford
 
@@ -336,52 +337,52 @@ def _order_pair(w1: tuple[int, ...], w2: tuple[int, ...], sigma: int):
 # Expressions
 
 class Expression:
-    """Merged, canonically ordered sum of terms; the empty sum is zero.
+    """Merged sum of terms; the empty sum is zero.
 
-    Instances are treated as immutable: every operation returns a fresh
-    expression and the term dict is never mutated after construction.
-
-    A product's result, and a sum or a filtered part of packed forms, hold
-    their packed form in _packed instead: _add_product's int numerators
-    under (packed monomial, mat, ip, V/Pi word) keys and one denominator,
-    with no common factor left between them.  The terms dict is
-    built from it when .terms is first read (the slot is unset until then, so
-    __getattr__ runs once), and the packed form is dropped.
+    Instances are immutable: every operation returns a fresh expression.
+    Its one state is _packed, int numerators under (packed monomial, mat,
+    ip, V/Pi word) keys and one denominator, with no zero numerator and no
+    factor common to the denominator and all numerators.  That form is
+    canonical, so equal expressions hold equal packed forms.  .terms is a
+    read-only view of it, built on first read and cached beside it in _terms.
     """
 
-    __slots__ = ("terms", "_packed")
+    __slots__ = ("_packed", "_terms")
 
-    def __init__(self, terms=None):
-        self.terms = terms if terms is not None else {}
-        self._packed = None
+    def __init__(self, terms: dict):
+        """The expression of a (dims, mat, ip, word) -> rational dict, each
+        key packed once with _pack's range check.  Keys that pack alike (the
+        same field atoms elsewhere in the word) are summed, zero coefficients
+        are dropped, and the words are kept as given: normal_order orders a
+        hand-built one."""
+        items, den = _packed_numerators(terms.items())
+        acc: dict[tuple, int] = {}
+        for key, c in items:
+            acc[key] = acc.get(key, 0) + c
+        self._packed, self._terms = _lowest(acc, den), None
 
     @staticmethod
     def _from_packed(acc: dict, den: int) -> "Expression":
-        """The expression of int numerators acc over den, reduced by their gcd
-        in place and left packed."""
-        g = math.gcd(den, *acc.values())
-        if g != 1:
-            for key in acc:
-                acc[key] //= g
-            den //= g
+        """The expression of int numerators acc over den, reduced in place."""
         e = Expression.__new__(Expression)
-        e._packed = (acc, den)
+        e._packed, e._terms = _lowest(acc, den), None
         return e
 
-    def __getattr__(self, name):
-        # Python calls this only when normal lookup fails, which for .terms
-        # means its slot is unset: the expression is still packed.
-        if name != "terms":
-            raise AttributeError(name)
-        terms = self.terms = _unpacked(*self._packed)
-        self._packed = None
+    @property
+    def terms(self):
+        """The (dims, mat, ip, word) -> Fraction view, each word starting with
+        its sorted field atoms: one Fraction and one cached unpacking per
+        term, on the first read only."""
+        terms = self._terms
+        if terms is None:
+            terms = self._terms = MappingProxyType(_unpacked(*self._packed))
         return terms
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero() -> "Expression":
-        return Expression()
+        return Expression._from_packed({}, 1)
 
     @staticmethod
     def term(coeff, word=(), mat: int = ID_MAT, ip: int = 0, dims: tuple = DIM_ZERO) -> "Expression":
@@ -390,54 +391,33 @@ class Expression:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Expression") -> "Expression":
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            _merge(out, key, val)
-        return Expression(out)
+        return linear_combination(((1, self), (1, other)))
 
     def __sub__(self, other: "Expression") -> "Expression":
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            _merge(out, key, -val)
-        return Expression(out)
+        return linear_combination(((1, self), (-1, other)))
 
     def __neg__(self) -> "Expression":
-        return Expression({key: -val for key, val in self.terms.items()})
+        return linear_combination(((-1, self),))
 
     def scale(self, coeff, ip: int = 0, dims: tuple = DIM_ZERO) -> "Expression":
-        """Multiply by a scalar monomial coeff * i^ip * dims."""
-        coeff = Fraction(coeff)
-        if coeff == 0:
-            return Expression()
-        ip %= 4
-        unit, no_dims = coeff == 1, dims == DIM_ZERO
-        out: dict[tuple, Fraction] = {}
-        for (d, mat, tip, w), val in self.terms.items():
-            tot = tip + ip
-            c = val if unit else val * coeff
-            if tot & 2:
-                c = -c
-            _merge(out, (d if no_dims else dim_mul(d, dims), mat, tot & 1, w), c)
-        return Expression(out)
+        """Multiply by a scalar monomial coeff * i^ip * dims: each packed key
+        shifts by _pack(dims) and the phase."""
+        coeff, shift = Fraction(coeff), _pack(dims)
+        return _mapped(self, lambda p, mat, tip, w: (
+            (p + shift, mat, (tip + ip) & 1, w), -coeff if (tip + ip) & 2 else coeff))
 
     def __eq__(self, other) -> bool:
-        """Two packed forms are compared as they are: both are reduced, so
-        equal expressions hold equal ints over equal denominators."""
-        if not isinstance(other, Expression):
-            return False
-        if self._packed is not None and other._packed is not None:
-            return self._packed == other._packed
-        return self.terms == other.terms
+        return isinstance(other, Expression) and self._packed == other._packed
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        acc, den = self._packed
+        return hash((frozenset(acc.items()), den))
 
     def is_zero(self) -> bool:
-        return not len(self)
+        return not self._packed[0]
 
     def __len__(self):
-        packed = self._packed
-        return len(self.terms if packed is None else packed[0])
+        return len(self._packed[0])
 
     def __repr__(self):
         if self.is_zero():
@@ -448,49 +428,27 @@ class Expression:
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
 
-def _merge(acc: dict, key, val) -> None:
-    """acc[key] += val for a nonzero val, deleting the key when it cancels."""
-    old = acc.get(key)
-    if old is None:
-        acc[key] = val
-    else:
-        new = old + val
-        if new:
-            acc[key] = new
-        else:
-            del acc[key]
-
-
-def _numerators(items) -> tuple[list, int]:
-    """(key, Fraction) items as (key, int numerator) items over the lcm of
-    their denominators."""
-    den = math.lcm(*{val.denominator for _, val in items})
-    return [(key, val.numerator * (den // val.denominator)) for key, val in items], den
+def _lowest(acc: dict, den: int) -> tuple[dict, int]:
+    """Int numerators acc over a positive den, without their zeros and
+    divided by the gcd of den and all of them (in place when no zero is
+    dropped): the packed form of Expression."""
+    if 0 in acc.values():
+        acc = {key: c for key, c in acc.items() if c}
+    g = math.gcd(den, *acc.values())
+    if g != 1:
+        for key in acc:
+            acc[key] //= g
+        den //= g
+    return acc, den
 
 
 def _packed_numerators(items) -> tuple[list, int]:
-    """(key, Fraction) items as ((packed monomial, mat, ip, V/Pi word), int
-    numerator) items over the lcm of their denominators, the form
-    _add_product reads."""
-    nums, den = _numerators(items)
-    return [(_pack_key(*key), c) for key, c in nums], den
-
-
-def _operand(e: Expression) -> tuple:
-    """e in the form _add_product reads, and its denominator: a packed
-    expression as it is, any other packed once."""
-    if e._packed is not None:
-        acc, den = e._packed
-        return acc.items(), den
-    return _packed_numerators(e.terms.items())
-
-
-def _as_packed(e: Expression) -> Expression:
-    """e in packed form: e itself if it is packed, else packed once."""
-    if e._packed is not None:
-        return e
-    items, den = _packed_numerators(e.terms.items())
-    return Expression._from_packed(dict(items), den)
+    """(key, rational) items as ((packed monomial, mat, ip, V/Pi word), int
+    numerator) items over the lcm of their denominators, each key through
+    _pack's range check."""
+    den = math.lcm(*{val.denominator for _, val in items})
+    return [(_pack_key(*key), val.numerator * (den // val.denominator))
+            for key, val in items], den
 
 
 def _unpack_key(p: int, mat: int, ip: int, w: tuple) -> tuple:
@@ -551,7 +509,7 @@ def _add_product(acc: dict, a, b, max_order: int | None, swapped: int) -> None:
                     if tot & 2:
                         val = -val
                     key = (p + dd, mat, tot & 1, w)
-                    old = acc.get(key)  # _merge, inlined: this runs once per pair
+                    old = acc.get(key)  # merged inline: this runs once per pair
                     if old is None:
                         acc[key] = val
                     else:
@@ -563,17 +521,12 @@ def _add_product(acc: dict, a, b, max_order: int | None, swapped: int) -> None:
 
 
 def _products(a: Expression, b: Expression, max_order: int | None, swapped: int) -> Expression:
-    """a * b + swapped * (b * a), truncated like mul, with swapped in {-1, 0, 1}.
-
-    One _add_product pass over the operands' int numerators merges ints
-    under packed keys, over the denominator den_a * den_b; the result stays
-    packed (see Expression), so terms that cancel, and results that only
-    feed the next product, never build a Fraction.
-    """
-    a_items, den_a = _operand(a)
-    b_items, den_b = _operand(b)
+    """a * b + swapped * (b * a), truncated like mul, with swapped in {-1, 0, 1}:
+    one _add_product pass over the operands' int numerators, over the
+    denominator den_a * den_b, so terms that cancel never build a Fraction."""
+    (acc_a, den_a), (acc_b, den_b) = a._packed, b._packed
     acc: dict[tuple, int] = {}
-    _add_product(acc, a_items, b_items, max_order, swapped)
+    _add_product(acc, acc_a.items(), acc_b.items(), max_order, swapped)
     return Expression._from_packed(acc, den_a * den_b)
 
 
@@ -581,16 +534,20 @@ def _products(a: Expression, b: Expression, max_order: int | None, swapped: int)
 _UNIT = [((0, ID_MAT, 0, ()), 1)]
 
 
-def _canonical(items) -> Expression:
-    """The normal-ordered sum of raw (key, Fraction) items, as their product
-    with the unit on the product's int path.  A key's word may be in any
-    order and its ip any power of i; zero coefficients are dropped.  The unit
-    is the right operand, so _add_product buckets one term, not all of them.
-    The constructors that call this hand back terms, not a packed form."""
-    a_items, den = _packed_numerators([kv for kv in items if kv[1]])
+def _ordered(items, den: int) -> Expression:
+    """The normal-ordered sum of packed (key, nonzero int numerator) items
+    over den, as their product with the unit.  A key's V/Pi word may be in
+    any order and its ip any power of i.  The unit is the right operand, so
+    _add_product buckets one term, not all of them."""
     acc: dict[tuple, int] = {}
-    _add_product(acc, a_items, _UNIT, None, 0)
-    return Expression(_unpacked(acc, den))
+    _add_product(acc, items, _UNIT, None, 0)
+    return Expression._from_packed(acc, den)
+
+
+def _canonical(items) -> Expression:
+    """The normal-ordered sum of raw (key, Fraction) items, each packed once
+    with _pack's range check; zero coefficients are dropped."""
+    return _ordered(*_packed_numerators([kv for kv in items if kv[1]]))
 
 
 def mul(a: Expression, b: Expression, max_order: int | None = None) -> Expression:
@@ -600,8 +557,7 @@ def mul(a: Expression, b: Expression, max_order: int | None = None) -> Expressio
     add under multiplication, so this is an exact truncation, not a bound;
     the right factor's terms are bucketed by order and whole buckets past the
     limit are skipped before any normal ordering.  The arithmetic runs on
-    int numerators, and the result stays packed until .terms is read (see
-    Expression).
+    int numerators (see Expression).
     """
     return _products(a, b, max_order, 0)
 
@@ -619,50 +575,46 @@ def anticommutator(a: Expression, b: Expression, max_order: int | None = None) -
 
 
 def linear_combination(parts) -> Expression:
-    """Sum of weight * e over (weight, e) pairs, weight rational.
-
-    The sum takes the form of its parts.  If any part is packed, every part
-    is read under packed keys, each other part packed once with _pack's
-    range check, and the sum stays packed like a product (see Expression).
-    If none is, the sum holds Fractions under tuple keys, so a sum of terms
-    is not packed only to be unpacked by its reader.  Either way every part
-    is read as int numerators over one common denominator, the lcm over all
-    parts, and the sum adds ints only.
-    """
-    parts = [(Fraction(w), e) for w, e in parts]
-    packed = any(e._packed is not None for _, e in parts)
-    parts = [(w, *(_operand(e) if packed else _numerators(e.terms.items())))
-             for w, e in parts]
+    """Sum of weight * e over (weight, e) pairs, weight rational: every
+    part's int numerators over one common denominator, the lcm over all
+    parts, summed under packed keys."""
+    parts = [(Fraction(w), *e._packed) for w, e in parts]
     den = math.lcm(*(w.denominator * d for w, _, d in parts))
     acc: dict[tuple, int] = {}
     for w, items, d in parts:
         factor = w.numerator * (den // (w.denominator * d))
-        for key, num in items:
+        for key, num in items.items():
             acc[key] = acc.get(key, 0) + num * factor
-    acc = {key: val for key, val in acc.items() if val}
-    if packed:
-        return Expression._from_packed(acc, den)
-    return Expression({key: Fraction(val, den) for key, val in acc.items()})
+    return Expression._from_packed(acc, den)
+
+
+def _mapped(e: Expression, f) -> Expression:
+    """The sum over e's terms of factor * (the term under a new key), for
+    f(*packed key) = (new packed key, rational factor); new keys that
+    coincide are summed."""
+    acc, den = e._packed
+    mapped = [(f(*key), c) for key, c in acc.items()]
+    lcm = math.lcm(*{factor.denominator for (_, factor), _ in mapped})
+    out: dict[tuple, int] = {}
+    for (key, factor), c in mapped:
+        out[key] = out.get(key, 0) + c * factor.numerator * (lcm // factor.denominator)
+    return Expression._from_packed(out, den * lcm)
 
 
 def hermitian_conjugate(e: Expression) -> Expression:
     """Adjoint: words reverse (all atoms are self-adjoint), i conjugates,
     and the phase-free basis matrices are Hermitian.  Field atoms sit in the
-    packed monomials, so only the V/Pi words reverse; they are normal
-    ordered as a product with the unit, and the result stays packed."""
-    items, den = _operand(e)
-    acc: dict[tuple, int] = {}
-    _add_product(acc, [((p, mat, ip, w[::-1]), -c if ip else c)
-                       for (p, mat, ip, w), c in items if c], _UNIT, None, 0)
-    return Expression._from_packed(acc, den)
+    packed monomials, so only the V/Pi words reverse and are ordered again."""
+    acc, den = e._packed
+    return _ordered([((p, mat, ip, w[::-1]), -c if ip else c)
+                     for (p, mat, ip, w), c in acc.items()], den)
 
 
 def _is_adjoint(e: Expression, sign: int) -> bool:
-    """hermitian_conjugate(e) == sign * e, read on packed forms: both are
-    reduced, so equal expressions hold equal ints over equal denominators."""
-    items, den = _operand(e)
+    """hermitian_conjugate(e) == sign * e, read on the packed forms."""
+    acc, den = e._packed
     adjoint, adjoint_den = hermitian_conjugate(e)._packed
-    return adjoint_den == den and adjoint == {key: sign * c for key, c in items}
+    return adjoint_den == den and adjoint == {key: sign * c for key, c in acc.items()}
 
 
 def is_hermitian(e: Expression) -> bool:
@@ -674,35 +626,31 @@ def is_anti_hermitian(e: Expression) -> bool:
 
 
 def min_order(e: Expression) -> int | None:
-    """The lowest 1/Eg order among e's terms, None for zero; a packed
-    expression is read through _order, without its Fractions."""
-    if e._packed is not None:
-        return min((_order(p) for p, _, _, _ in e._packed[0]), default=None)
-    return min((eg_order(k) for k in e.terms), default=None)
+    """The lowest 1/Eg order among e's terms, None for zero."""
+    return min((_order(p) for p, _, _, _ in e._packed[0]), default=None)
 
 
 def _partition(e: Expression, label, names: tuple) -> dict:
-    """e's terms grouped by label(order, key), each group in e's own form.
-
-    key is e's own key, so key[1] is its basis matrix; a term labelled None
-    is dropped.  Every name in names gets a group, empty or not.  A packed
-    e gives packed groups over its denominator, each reduced again, since a
-    subset of the ints may share a factor with it; no order is range
-    checked (see _order).  Any other e gives groups of its Fractions.
-    """
-    packed = e._packed
+    """e's terms grouped by label(order, packed key), so key[1] is the basis
+    matrix; a term labelled None is dropped, and every name in names gets a
+    group, empty or not.  Each group holds e's ints over e's denominator,
+    reduced again, since a subset of the ints may share a factor with it;
+    no order is range checked (see _order)."""
+    acc, den = e._packed
     groups: dict = {name: {} for name in names}
-    for key, val in (e.terms if packed is None else packed[0]).items():
-        d = key[0]  # dims, or a packed monomial
-        name = label(-d[_I_EG] if packed is None else _order(d), key)
+    for key, val in acc.items():
+        name = label(_order(key[0]), key)
         if name is not None:
             try:
                 groups[name][key] = val
             except KeyError:
                 groups[name] = {key: val}
-    if packed is None:
-        return {name: Expression(t) for name, t in groups.items()}
-    return {name: Expression._from_packed(t, packed[1]) for name, t in groups.items()}
+    return {name: Expression._from_packed(t, den) for name, t in groups.items()}
+
+
+def _kept(e: Expression, keep) -> Expression:
+    """e's terms for which keep(order, packed key) holds."""
+    return _partition(e, lambda order, key: keep(order, key) or None, (True,))[True]
 
 
 # ---------------------------------------------------------------------------
@@ -712,22 +660,22 @@ def normal_order(e: Expression) -> Expression:
     """Re-canonicalize from raw term data.
 
     Expressions built through the public operations are already canonical;
-    this rebuilds one whose term dict was assembled by hand.
+    this orders the words of one whose term dict was assembled by hand.
     """
-    return _canonical([(key, Fraction(c)) for key, c in e.terms.items()])
+    acc, den = e._packed
+    return _ordered(acc.items(), den)
 
 
 def truncate_fields(e: Expression) -> Expression:
     """Drop every term whose word carries two or more field atoms."""
-    return Expression({key: val for key, val in e.terms.items()
-                       if field_degree(key[3]) < 2})
+    return _kept(e, lambda order, key: len(_unpack(key[0])[1]) < 2)
 
-
-# The order and beta filters below hand back the form they are given (see
-# _partition): a packed expression is split without building a Fraction.
 
 def truncate_order(e: Expression, max_order: int) -> Expression:
-    return _partition(e, lambda order, key: order <= max_order or None, (True,))[True]
+    """e's terms through 1/Eg order max_order: e itself when none is past it."""
+    if all(_order(key[0]) <= max_order for key in e._packed[0]):
+        return e
+    return _kept(e, lambda order, key: order <= max_order)
 
 
 def by_order(e: Expression) -> dict[int, Expression]:
@@ -735,7 +683,7 @@ def by_order(e: Expression) -> dict[int, Expression]:
 
 
 def order_slice(e: Expression, n: int) -> Expression:
-    return _partition(e, lambda order, key: order == n or None, (True,))[True]
+    return _kept(e, lambda order, key: order == n)
 
 
 def beta_split(e: Expression) -> tuple[Expression, Expression]:
@@ -744,20 +692,20 @@ def beta_split(e: Expression) -> tuple[Expression, Expression]:
     return parts[False], parts[True]
 
 
+_EG_TO_MC2 = _pack(dim(m=1, c=2)) - _pack(dim(Eg=1))
+_TWO = Fraction(2)
+
+
 def substitute_energy_gap(e: Expression) -> Expression:
     """Replace every power of Eg by (2 m c^2)^k."""
-    out: dict[tuple, Fraction] = {}
-    for (d, mat, ip, w), c in e.terms.items():
-        k = d[_I_EG]
-        if k:
-            d = list(d)
-            d[_I_EG] = 0
-            d[_I_M] += k
-            d[_I_C] += 2 * k
-            d = tuple(d)
-            c = c * Fraction(2) ** k
-        _merge(out, (d, mat, ip, w), c)
-    return Expression(out)
+    def substitute(p, mat, ip, w):
+        k = -_order(p)
+        return (p + k * _EG_TO_MC2, mat, ip, w), _TWO ** k
+    return _mapped(e, substitute)
+
+
+_MU_TO_E = _pack(dim(hbar=1, c=1, e=1)) - _pack(dim(mu=1))
+_D_TO_ET = _pack(dim(hbar=1, c=1, et=1)) - _pack(dim(d=1))
 
 
 def substitute_moments(e: Expression, ge, gte) -> Expression:
@@ -765,44 +713,29 @@ def substitute_moments(e: Expression, ge, gte) -> Expression:
     d -> (gte/2 - 1) et hbar c, with exact rational g values."""
     fe = Fraction(ge) / 2 - 1
     ft = Fraction(gte) / 2 - 1
-    out: dict[tuple, Fraction] = {}
-    for (d, mat, ip, w), c in e.terms.items():
+
+    def substitute(p, mat, ip, w):
+        d = _unpack(p)[0]
         a, b = d[_I_MU], d[_I_D]
-        if a or b:
-            factor = fe ** a * ft ** b
-            if factor == 0:
-                continue
-            dd = list(d)
-            dd[_I_MU] = dd[_I_D] = 0
-            dd[_I_E] += a
-            dd[_I_ET] += b
-            dd[_I_HBAR] += a + b
-            dd[_I_C] += a + b
-            d = tuple(dd)
-            c = c * factor
-        _merge(out, (d, mat, ip, w), c)
-    return Expression(out)
+        return (p + a * _MU_TO_E + b * _D_TO_ET, mat, ip, w), fe ** a * ft ** b
+    return _mapped(e, substitute)
 
 
 def drop_symbols(e: Expression, *names: str) -> Expression:
     """Drop terms carrying a positive power of any named dimension symbol
     (models setting a charge or moment to zero)."""
     idx = [_DIM_INDEX[n] for n in names]
-    return Expression({key: val for key, val in e.terms.items()
-                       if all(key[0][i] <= 0 for i in idx)})
+    return _kept(e, lambda order, key: all(_unpack(key[0])[0][i] <= 0 for i in idx))
 
 
 def project_particle_block(e: Expression) -> Expression:
     """Evaluate the block sign on the particle sector: beta -> +1."""
-    out: dict[tuple, Fraction] = {}
-    for (d, mat, ip, w), c in e.terms.items():
+    def project(p, mat, ip, w):
         left, right = mat_parts(mat)
-        if left == 3:
-            mat = mat_code(0, right)
-        elif left != 0:
+        if left not in (0, 3):
             raise ValueError("expression has inter-block matrix content")
-        _merge(out, (d, mat, ip, w), c)
-    return Expression(out)
+        return (p, mat_code(0, right), ip, w), 1
+    return _mapped(e, project)
 
 
 # ---------------------------------------------------------------------------

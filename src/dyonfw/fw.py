@@ -10,12 +10,11 @@ the stability of the even slices across the third stage (h''(n) = h'(n) for
 n <= MAX_ORDER) is asserted by running it, not assumed.  The product of a
 run is the split after each stage and the final even slices, nothing else.
 
-The whole run stays in the packed int form of an algebra product (see
-algebra.Expression): fw_run packs its input once, and the generator, every
-nesting ad_S^n(H), their sum, the splits and the final slices are packed
-results.  The guards, the zero tests and the stability and mass checks
-read that form, so a run builds no Fraction; each part builds its own when
-a caller first reads its .terms.
+Every part of a run is an algebra expression in its one packed int form
+(see algebra.Expression): the generator, every nesting ad_S^n(H), their
+sum, the splits and the final slices.  The guards, the zero tests and the
+stability and mass checks read that form, so a run builds no Fraction;
+each part builds its .terms view when a caller first reads it.
 """
 
 from __future__ import annotations
@@ -49,24 +48,22 @@ class OddEvenSplit:
         return al.order_slice(self.odd, n)
 
 
-_MASS_KEY = (al.dim(Eg=1), al.BETA_MAT, 0, ())
-_MASS_KEYS = (_MASS_KEY, al._pack_key(*_MASS_KEY))  # its Fraction and packed forms
+_MASS_KEY = al._pack_key(al.dim(Eg=1), al.BETA_MAT, 0, ())  # (Eg/2) beta, packed
 
 
 def _part(order: int, key: tuple) -> str:
-    if order == -1 and key in _MASS_KEYS:
+    if order == -1 and key == _MASS_KEY:
         return "mass"
     return "odd" if al.MAT_ODD[key[1]] else "even"
 
 
 def split_even_odd(h: Expression) -> OddEvenSplit:
     """Split off the (Eg/2) beta rest-mass term and grade the remainder, in
-    one pass over h's terms; each part has h's form, packed or not."""
+    one pass over h's packed terms."""
     return OddEvenSplit(**al._partition(h, _part, ("mass", "even", "odd")))
 
 
-# beta / Eg, packed once here so that no stage generator packs it again.
-_BETA_GAP = al._as_packed(Expression.term(1, mat=al.BETA_MAT, dims=al.dim(Eg=-1)))
+_BETA_GAP = Expression.term(1, mat=al.BETA_MAT, dims=al.dim(Eg=-1))
 
 
 def stage_generator(odd: Expression) -> Expression:
@@ -80,12 +77,9 @@ def bch_conjugate(s: Expression, h: Expression, max_order: int) -> Expression:
     Every term of s must sit at a positive 1/Eg order, so each nesting raises
     the order and truncating inside the loop is exact.  s is required to be
     anti-Hermitian (that is what makes exp(s) unitary).  Both guards, every
-    nesting and the zero test read the packed form of a product (see
-    algebra.Expression): a generator built by a product is packed once, by
-    that product, the truncated h is packed once here unless it is packed
-    already, and each nesting enters the next one as it came out.  The
-    nestings are summed once, over one common denominator, and the sum stays
-    packed, so no Fraction is built.
+    nesting and the zero test read the packed form (see algebra.Expression),
+    h is truncated only if it has terms past max_order, and the nestings are
+    summed once, over one common denominator, so no Fraction is built.
     """
     if max_order > MAX_ORDER:
         raise ValueError(f"expansion supported through order {MAX_ORDER} only")
@@ -94,7 +88,7 @@ def bch_conjugate(s: Expression, h: Expression, max_order: int) -> Expression:
     low = al.min_order(s)
     if low is not None and low < 1:
         raise PipelineError("stage generator has terms at non-positive order")
-    nested = al._as_packed(al.truncate_order(h, max_order))
+    nested = al.truncate_order(h, max_order)
     series = [(1, nested)]
     for n in range(1, 4 * (max_order + 2)):
         nested = al.commutator(s, nested, max_order=max_order)
@@ -142,9 +136,8 @@ class FWRunResult:
     stages[k] is the split after stage k + 1, in stage order (the odd slices
     of stages[0] are the raw ingredients of the higher-order corrections);
     even_slices[n], n = 1..target order, are the final stable slices
-    h''(n) = h'(n).  Every part is a packed algebra result: its Fractions
-    are built when its .terms is first read, and a slice taken from a packed
-    part is packed too.
+    h''(n) = h'(n).  Every part is an algebra expression, whose Fractions
+    are built when its .terms view is first read.
     """
 
     model: str
@@ -167,7 +160,6 @@ def fw_run(h: Expression, target_order: int = MAX_ORDER, *,
     if not 1 <= target_order <= MAX_ORDER:
         raise ValueError(f"target_order must be in 1..{MAX_ORDER}")
 
-    h = al._as_packed(h)
     split = split_even_odd(h)
     mass, stages = split.mass, []
     for stage, start in enumerate(ODD_START, 1):

@@ -55,6 +55,10 @@ def _is_spin_key(key) -> bool:
     return right != 0 and left in (0, 3)
 
 
+def _kind(order: int, key: tuple) -> str:
+    return "orbit" if _is_orbit_key(key) else "spin" if _is_spin_key(key) else "residue"
+
+
 def _physical_total(result: FWRunResult) -> Expression:
     """Rest mass, the order-0 slice and every kept even slice, physicalized."""
     rest = Expression.term(1, mat=al.BETA_MAT, dims=al.dim(m=1, c=2))
@@ -67,19 +71,13 @@ def reduce_to_physical(result: FWRunResult) -> tuple[Expression, Expression]:
 
     Orbital terms carry only block-diagonal matrix content (identity or the
     block sign); spin terms carry a Pauli factor.  Anything else is a
-    classification failure and raises.
+    classification failure and raises.  Only the basis matrix, key[1],
+    classifies a term, so the packed keys are grouped as they are.
     """
-    orbit, spin, residue = {}, {}, {}
-    for key, val in _physical_total(result).terms.items():
-        if _is_orbit_key(key):
-            orbit[key] = val
-        elif _is_spin_key(key):
-            spin[key] = val
-        else:
-            residue[key] = val
-    if residue:
-        raise ReductionError(f"{len(residue)} terms left unclassified")
-    return Expression(orbit), Expression(spin)
+    parts = al._partition(_physical_total(result), _kind, ("orbit", "spin", "residue"))
+    if parts["residue"]:
+        raise ReductionError(f"{len(parts['residue'])} terms left unclassified")
+    return parts["orbit"], parts["spin"]
 
 
 def pauli_extra_terms(h_phys: Expression) -> tuple[Expression, Expression]:

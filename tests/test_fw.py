@@ -23,20 +23,26 @@ def test_bch_requires_anti_hermitian_generator():
 
 
 def test_bch_guards_read_a_packed_generator():
+    """Generators built by a product, checked against dict reads of their
+    views: one-atom words reverse to themselves, so the adjoint of a term
+    only conjugates its phase."""
     omega = ham.omega_odd()
     gap = al.Expression.term(1, dims=al.dim(Eg=-1))
     hermitian = al.mul(gap, omega)  # Hermitian, not anti-Hermitian
     order_zero = al.mul(_beta(), omega)  # anti-Hermitian, at order 0
-    assert al.min_order(order_zero) == 0
+    for s, sign in ((hermitian, 1), (order_zero, -1)):
+        assert all(len(key[3]) == 1 for key in s.terms)
+        assert {key: (-c if key[2] else c) for key, c in s.terms.items()} == {
+            key: sign * c for key, c in s.terms.items()}
+    assert min(map(al.eg_order, order_zero.terms)) == 0 < min(map(al.eg_order, hermitian.terms))
     for s, message in ((hermitian, "not anti-Hermitian"), (order_zero, "non-positive order")):
-        assert s._packed is not None
         with pytest.raises(PipelineError, match=message):
             bch_conjugate(s, omega, 4)
 
 
 def _count_packing(monkeypatch):
-    """Lists that record the size of every Fraction form packed and of every
-    packed form unpacked into Fractions, from now until monkeypatch.undo()."""
+    """Lists that record the size of every dict packed by the constructor and
+    of every .terms view built, from now until monkeypatch.undo()."""
     packed, unpacked = [], []
     pack, unpack = al._packed_numerators, al._unpacked
     monkeypatch.setattr(al, "_packed_numerators",
@@ -47,10 +53,8 @@ def _count_packing(monkeypatch):
 
 
 def test_bch_packs_only_its_input_and_unpacks_no_nesting(monkeypatch):
-    """bch_conjugate packs its truncated Fraction input once and builds no
-    Fraction; a whole fw_run, per model, packs only the built Hamiltonian,
-    once, and builds no Fraction either, and its slices read afterwards are
-    the pipeline's."""
+    """bch_conjugate, and a whole fw_run per model, pack no dict and build no
+    .terms view; the slices of the run, read afterwards, are the pipeline's."""
     h = ham.build_dirac_hamiltonian(ham.GENERIC_DYON)
     s = fw.stage_generator(fw.split_even_odd(h).odd)
     packed, unpacked = _count_packing(monkeypatch)
@@ -59,9 +63,7 @@ def test_bch_packs_only_its_input_and_unpacks_no_nesting(monkeypatch):
     monkeypatch.setattr(al, "commutator",
                         lambda *args, **kwargs: nestings.append(1) or commutator(*args, **kwargs))
     out = bch_conjugate(s, h, 6)
-    assert packed == [len(al.truncate_order(h, 6))]
-    assert unpacked == [] and len(nestings) > 3
-    assert s._packed is not None and out._packed is not None
+    assert packed == unpacked == [] and len(nestings) > 3
     monkeypatch.undo()
     assert out == bch_conjugate(al.Expression(dict(s.terms)), h, 6)
 
@@ -71,7 +73,7 @@ def test_bch_packs_only_its_input_and_unpacks_no_nesting(monkeypatch):
         packed, unpacked = _count_packing(monkeypatch)
         result = fw.fw_run(h, model=model)
         monkeypatch.undo()
-        assert packed == [len(h)] and unpacked == []
+        assert packed == unpacked == []
         expected = checks.pipeline(model).even_slices
         assert all(result.even_slices[n].terms == expected[n].terms for n in range(1, 7))
 
