@@ -6,8 +6,7 @@ from .algebra import Expression, commutator, anticommutator, mul
 from .clifford import BasisElement, basis_mul, beta_grade, to_numeric
 from .hamiltonians import (ParticleParams, build_dirac_hamiltonian,
                            build_dirac_pauli_hamiltonian)
-from .fw import (FWOrderReport, FWRunResult, bch_conjugate, fw_run,
-                 split_even_odd)
+from .fw import FWRunResult, bch_conjugate, fw_run, split_even_odd
 from .catalog import ReferenceCatalog
 from .reduction import (effective_dipoles, match_tbmt, pauli_extra_terms,
                         reduce_to_physical, series_check)
@@ -22,7 +21,7 @@ __all__ = [
     "Expression", "commutator", "anticommutator", "mul",
     "BasisElement", "basis_mul", "beta_grade", "to_numeric",
     "ParticleParams", "build_dirac_hamiltonian", "build_dirac_pauli_hamiltonian",
-    "FWOrderReport", "FWRunResult", "bch_conjugate", "fw_run",
+    "FWRunResult", "bch_conjugate", "fw_run",
     "split_even_odd", "ReferenceCatalog",
     "effective_dipoles", "match_tbmt", "pauli_extra_terms",
     "reduce_to_physical", "series_check", "SeriesPoly",

@@ -34,9 +34,11 @@ hashing read it as it is.  A term's monomial is one int whose 14 digits
 are the 8 dimension exponents and the counts of the central field atoms
 E1..B3, so its word holds V and Pi atoms only, and a term is central
 exactly when that word is empty.  Expression(terms) packs a dict once,
-through _pack's range check; the view is built, each monomial unpacked
-once (its field atoms becoming the sorted word prefix), when .terms is
-first read, and cached beside the packed form.
+through _pack's range check, and normal orders it, so every expression is
+canonical from construction and == and hash are exact for all of them;
+the view is built, each monomial unpacked once (its field atoms becoming
+the sorted word prefix), when .terms is first read, and cached beside the
+packed form.
 
 Multiplying monomials is adding ints; only V/Pi words are normal ordered,
 through the cached _order_vp, which scales by +-1 and adds each commutator
@@ -46,13 +48,13 @@ commutator or anticommutator visits each term pair once: basis matrices
 commute or anticommute, so a pair needs its matrix product and
 ord(w1 w2) +- ord(w2 w1); a pair with a central term cancels or doubles
 outright, and any other pair of words is ordered once, through the cached
-_order_pair.  Expression.term, hermitian_conjugate, normal_order and
-from_json_dict are the product of their raw terms with the unit, so words
-are ordered in that one loop only and every exponent and field atom count
-that enters is held to the packing bound.  linear_combination sums int
-numerators over one common denominator; scale and the substitutions map
-packed keys term by term, and the order, field and beta filters group them;
-none of these reads the view.
+_order_pair.  The constructor (and so Expression.term and from_json_dict)
+and hermitian_conjugate take the product of their raw terms with the unit,
+so words are ordered in that one loop only and every exponent and field
+atom count that enters is held to the packing bound.  linear_combination
+sums int numerators over one common denominator; scale and the
+substitutions map packed keys term by term, and the order, field and beta
+filters group them; none of these reads the view.
 """
 
 from __future__ import annotations
@@ -350,16 +352,12 @@ class Expression:
     __slots__ = ("_packed", "_terms")
 
     def __init__(self, terms: dict):
-        """The expression of a (dims, mat, ip, word) -> rational dict, each
-        key packed once with _pack's range check.  Keys that pack alike (the
-        same field atoms elsewhere in the word) are summed, zero coefficients
-        are dropped, and the words are kept as given: normal_order orders a
-        hand-built one."""
+        """The normal-ordered expression of a (dims, mat, ip, word) ->
+        rational dict, each key packed once with _pack's range check.  A
+        word's atoms may come in any order and ip is read mod 4; keys that
+        order alike are summed and zero coefficients are dropped."""
         items, den = _packed_numerators(terms.items())
-        acc: dict[tuple, int] = {}
-        for key, c in items:
-            acc[key] = acc.get(key, 0) + c
-        self._packed, self._terms = _lowest(acc, den), None
+        self._packed, self._terms = _lowest(_ordered(items), den), None
 
     @staticmethod
     def _from_packed(acc: dict, den: int) -> "Expression":
@@ -386,7 +384,7 @@ class Expression:
 
     @staticmethod
     def term(coeff, word=(), mat: int = ID_MAT, ip: int = 0, dims: tuple = DIM_ZERO) -> "Expression":
-        return _canonical([((dims, mat, ip, tuple(word)), Fraction(coeff))])
+        return Expression({(dims, mat, ip, tuple(word)): Fraction(coeff)})
 
     # -- ring operations ---------------------------------------------------
 
@@ -534,20 +532,15 @@ def _products(a: Expression, b: Expression, max_order: int | None, swapped: int)
 _UNIT = [((0, ID_MAT, 0, ()), 1)]
 
 
-def _ordered(items, den: int) -> Expression:
-    """The normal-ordered sum of packed (key, nonzero int numerator) items
-    over den, as their product with the unit.  A key's V/Pi word may be in
-    any order and its ip any power of i.  The unit is the right operand, so
-    _add_product buckets one term, not all of them."""
+def _ordered(items) -> dict:
+    """The int numerators of the normal-ordered sum of packed (key, int
+    numerator) items, as their product with the unit, zeros not yet dropped.
+    A key's V/Pi word may be in any order and its ip any power of i.  The
+    unit is the right operand, so _add_product buckets one term, not all of
+    them."""
     acc: dict[tuple, int] = {}
     _add_product(acc, items, _UNIT, None, 0)
-    return Expression._from_packed(acc, den)
-
-
-def _canonical(items) -> Expression:
-    """The normal-ordered sum of raw (key, Fraction) items, each packed once
-    with _pack's range check; zero coefficients are dropped."""
-    return _ordered(*_packed_numerators([kv for kv in items if kv[1]]))
+    return acc
 
 
 def mul(a: Expression, b: Expression, max_order: int | None = None) -> Expression:
@@ -606,8 +599,9 @@ def hermitian_conjugate(e: Expression) -> Expression:
     and the phase-free basis matrices are Hermitian.  Field atoms sit in the
     packed monomials, so only the V/Pi words reverse and are ordered again."""
     acc, den = e._packed
-    return _ordered([((p, mat, ip, w[::-1]), -c if ip else c)
-                     for (p, mat, ip, w), c in acc.items()], den)
+    adjoint = _ordered([((p, mat, ip, w[::-1]), -c if ip else c)
+                        for (p, mat, ip, w), c in acc.items()])
+    return Expression._from_packed(adjoint, den)
 
 
 def _is_adjoint(e: Expression, sign: int) -> bool:
@@ -655,16 +649,6 @@ def _kept(e: Expression, keep) -> Expression:
 
 # ---------------------------------------------------------------------------
 # Filters and substitutions
-
-def normal_order(e: Expression) -> Expression:
-    """Re-canonicalize from raw term data.
-
-    Expressions built through the public operations are already canonical;
-    this orders the words of one whose term dict was assembled by hand.
-    """
-    acc, den = e._packed
-    return _ordered(acc.items(), den)
-
 
 def truncate_fields(e: Expression) -> Expression:
     """Drop every term whose word carries two or more field atoms."""
@@ -774,9 +758,9 @@ def from_json_dict(data: dict) -> Expression:
     files, so every field is checked: a malformed one is a ValueError that
     names the field and its value.  Names are looked up in tuples, which
     compare rather than hash, so no JSON value makes a lookup raise
-    TypeError."""
+    TypeError.  Repeated terms are summed."""
     terms = _checked("expression", data, isinstance(data, dict)).get("terms")
-    raw = []
+    raw: dict[tuple, Fraction] = {}
     for t in _checked("terms", terms, isinstance(terms, list)):
         m = _checked("term", t, isinstance(t, dict)).get("mat")
         exps, word, c = t.get("dim", {}), t.get("word"), t.get("coeff")
@@ -796,9 +780,9 @@ def from_json_dict(data: dict) -> Expression:
             coeff = _fraction(_checked("coeff", c, type(c) in (int, str)))
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"invalid coeff: {reprlib.repr(c)}") from None
-        raw.append(((tuple(d), mat_code(m["left"], m["right"]),
-                     _PHASE_NAMES.index(m["phase"]), atoms), coeff))
-    return _canonical(raw)
+        key = (tuple(d), mat_code(m["left"], m["right"]), _PHASE_NAMES.index(m["phase"]), atoms)
+        raw[key] = raw[key] + coeff if key in raw else coeff
+    return Expression(raw)
 
 
 _DIM_LATEX = ("\\hbar", "c", "m", "E_g", "e", r"\tilde e", r"\mu''", "d''")

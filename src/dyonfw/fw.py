@@ -101,35 +101,6 @@ def bch_conjugate(s: Expression, h: Expression, max_order: int) -> Expression:
 
 
 @dataclass(frozen=True)
-class FWOrderReport:
-    """One derived expansion order against its target form (the
-    ``verify --dump-reports`` format)."""
-
-    order: int
-    derived: Expression
-    reference: Expression
-
-    @property
-    def diff(self) -> Expression:
-        return self.derived - self.reference
-
-    @property
-    def passed(self) -> bool:
-        return self.diff.is_zero()
-
-    def to_json_dict(self) -> dict:
-        return {"order": self.order, "pass": self.passed,
-                "derived": al.to_json_dict(self.derived),
-                "reference": al.to_json_dict(self.reference),
-                "diff": al.to_json_dict(self.diff)}
-
-    def to_latex(self) -> str:
-        return "\n".join([f"% order {self.order}", al.to_latex(self.derived),
-                          "% reference", al.to_latex(self.reference),
-                          "% difference", al.to_latex(self.diff)])
-
-
-@dataclass(frozen=True)
 class FWRunResult:
     """What the staged transformation produced.
 
@@ -149,13 +120,12 @@ class FWRunResult:
 ODD_START = (1, 3, 4)
 
 
-def fw_run(h: Expression, target_order: int = MAX_ORDER, *,
-           model: str = "dirac") -> FWRunResult:
+def fw_run(h: Expression, target_order: int = MAX_ORDER, *, model: str) -> FWRunResult:
     """Run the three-stage transformation and slice the result by order.
 
     Raises PipelineError, naming the stage and the order, if a stage moves
     the rest-mass term, if a residual odd part appears below its entry in
-    ODD_START, or if the even slices are not stable across the third stage.
+    ODD_START, or if the even slices are not stable across the last stage.
     """
     if not 1 <= target_order <= MAX_ORDER:
         raise ValueError(f"target_order must be in 1..{MAX_ORDER}")
@@ -174,13 +144,13 @@ def fw_run(h: Expression, target_order: int = MAX_ORDER, *,
                                 f"expected >= {start}")
         stages.append(split)
 
-    # Stability of the even slices: stage 3 must not move them.  Further
+    # Stability of the even slices: the last stage must not move them.  Further
     # stages would conjugate by generators built from odd parts starting at
     # order 4, whose even corrections begin beyond 2*4, so they cannot
     # contribute through MAX_ORDER given the starting orders verified above.
     if split.even != stages[-2].even:
         n = al.min_order(split.even - stages[-2].even)
-        raise PipelineError(f"stage-3 even slice at order {n} changed")
+        raise PipelineError(f"stage-{len(stages)} even slice at order {n} changed")
 
     slices = al.by_order(split.even)
     return FWRunResult(model, tuple(stages), {n: slices.get(n, Expression.zero())

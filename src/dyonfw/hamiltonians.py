@@ -64,8 +64,7 @@ def potential() -> al.Expression:
 def _sum(terms) -> al.Expression:
     """The normal-ordered sum of (mat, word, sign) unit terms, in one pass;
     no two of them share a (mat, word)."""
-    return al.normal_order(al.Expression(
-        {(al.DIM_ZERO, mat, 0, word): sign for mat, word, sign in terms}))
+    return al.Expression({(al.DIM_ZERO, mat, 0, word): sign for mat, word, sign in terms})
 
 
 def omega_odd() -> al.Expression:

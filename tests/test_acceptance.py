@@ -34,7 +34,7 @@ def _assert_all_passed(results):
 def test_criterion_1_fw_order_exactness(catalog):
     start = time.perf_counter()
     h = ham.build_dirac_hamiltonian(ham.ParticleParams(e=1, etilde=1))
-    result = fw.fw_run(h)
+    result = fw.fw_run(h, model="dirac")
     elapsed = time.perf_counter() - start
     assert sorted(result.even_slices) == [1, 2, 3, 4, 5, 6]
     for n, derived in result.even_slices.items():
@@ -72,7 +72,7 @@ def test_criterion_1_fw_order_exactness(catalog):
 
 
 def test_criterion_2_physical_reduction(dirac_result, catalog):
-    _assert_all_passed(checks.fw_checks(catalog))
+    _assert_all_passed(checks.fw_checks(catalog, None))
     physical = reduction.physical_orders(dirac_result)
 
     # order 4 is the -(3/4)(|Pi|/mc)^2 rescaling of order 2

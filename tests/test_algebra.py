@@ -147,9 +147,23 @@ def test_substitute_moments():
 
 def test_normal_order_rebuilds_hand_made_dicts():
     raw = al.Expression({(al.DIM_ZERO, al.ID_MAT, 0, (al.pi(2), al.pi(1))): Fraction(1)})
-    fixed = al.normal_order(raw)
-    assert fixed == term(1, word=(al.pi(2), al.pi(1)))
-    assert (al.DIM_ZERO, al.ID_MAT, 0, (al.pi(1), al.pi(2))) in fixed.terms
+    assert raw == term(1, word=(al.pi(2), al.pi(1)))
+    assert (al.DIM_ZERO, al.ID_MAT, 0, (al.pi(1), al.pi(2))) in raw.terms
+    assert (al.DIM_ZERO, al.ID_MAT, 0, (al.pi(2), al.pi(1))) not in raw.terms
+
+
+def test_hand_built_dicts_equal_their_term_twins():
+    """The constructor normal orders: a hand-built dict with an unsorted V/Pi
+    word, or with ip 2 or 3, compares equal to, hashes like and differs by
+    zero from the Expression.term of the same key."""
+    keys = [((al.pi(2), al.pi(1)), 0), ((), 2), ((al.VPOT, al.pi(1)), 3),
+            ((al.pi(3), al.field_b(1), al.VPOT), 2), ((al.pi(1), al.VPOT, al.field_e(2)), 3)]
+    for word, ip in keys:
+        dims = al.dim(hbar=1, Eg=-2)
+        built = al.Expression({(dims, al.BETA_MAT, ip, word): Fraction(-2, 3)})
+        twin = al.Expression.term(Fraction(-2, 3), word, al.BETA_MAT, ip, dims)
+        assert built == twin and twin == built and hash(built) == hash(twin)
+        assert (built - twin).is_zero() and (twin - built).is_zero()
 
 
 def test_builders_merge_repeated_terms_and_drop_zeros():
@@ -159,7 +173,7 @@ def test_builders_merge_repeated_terms_and_drop_zeros():
     data["terms"].append(dict(entry, coeff="-3"))
     assert al.from_json_dict(data).is_zero()
     key = (al.DIM_ZERO, al.ID_MAT, 0, (al.pi(2), al.pi(1)))
-    assert al.normal_order(al.Expression({key: Fraction(0)})).is_zero()
+    assert al.Expression({key: Fraction(0)}).is_zero()
 
 
 def test_json_roundtrip():
@@ -204,6 +218,27 @@ def test_normal_order_is_confluent(word):
     engine = al.Expression.term(1, word=word)
     brute = oracles.expand([(1.0, al.DIM_ZERO, np.eye(4, dtype=complex), list(word))])
     assert oracles.matrices_equal(brute, oracles.expression_to_matrices(engine))
+
+
+# Raw dict keys as a hand-built expression may hold them: words in any
+# order with field atoms anywhere, any phase ip in 0..3, a few monomials
+# (so that keys which order alike meet) and zero coefficients among the rest.
+_raw_keys = st.tuples(st.sampled_from((al.DIM_ZERO, al.dim(hbar=1, c=-1), al.dim(Eg=-2, mu=1))),
+                      st.integers(0, 15), st.integers(0, 3),
+                      st.one_of(_words, _field_rich_words))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_raw_keys, st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3))),
+                       min_size=1, max_size=3))
+def test_constructor_matches_the_bruteforce_expander(raw):
+    """Expression(d) on a raw dict against oracles.expand of the same terms,
+    their basis matrices and phases i^ip multiplied out numerically."""
+    from dyonfw import clifford as cl
+    terms = [(complex(c) * 1j ** ip, d, cl.to_numeric(cl.BasisElement(*al.mat_parts(mat))),
+              list(w)) for (d, mat, ip, w), c in raw.items()]
+    assert oracles.matrices_equal(oracles.expand(terms),
+                                  oracles.expression_to_matrices(al.Expression(raw)))
 
 
 @settings(max_examples=200, deadline=None)

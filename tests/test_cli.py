@@ -78,6 +78,8 @@ def test_verify_fw_six_zero_diffs(tmp_path, capsys):
     reports = json.loads(dump.read_text())["reports"]
     assert [r["order"] for r in reports] == [1, 2, 3, 4, 5, 6]
     assert all(r["pass"] and r["diff"] == {"terms": []} for r in reports)
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
+        "74003a0f7537e3beed7ad5638e0b4f7df315b2e982524e4fdae0a1578b8f4139")
 
 
 def test_verify_pauli_suite(capsys):
@@ -244,11 +246,15 @@ def test_verify_fails_against_perturbed_fixtures(tmp_path, monkeypatch, capsys,
     first["coeff"] = "7/13"
     (tmp_path / "catalog.json").write_text(json_mod.dumps(data))
     monkeypatch.setenv("FW_FIXTURES", str(tmp_path))
-    code, out = run_cli(capsys, "verify", "--suite", "fw")
+    dump = tmp_path / "reports.json"
+    code, out = run_cli(capsys, "verify", "--suite", "fw", "--dump-reports", str(dump))
     assert code == 1
     report = json.loads(out)
     assert not report["passed"]
     assert not report["checks"][0]["passed"]
+    reports = json.loads(dump.read_text())["reports"]
+    assert [(r["order"], r["pass"]) for r in reports] == [(1, False)] + [(n, True) for n in range(2, 7)]
+    assert reports[0]["diff"]["terms"] and all(r["diff"] == {"terms": []} for r in reports[1:])
 
 
 @pytest.mark.parametrize("edit, field", [

@@ -173,7 +173,7 @@ def test_free_particle_reproduces_square_root_expansion():
     """Field-free case: the kinetic chain must match the Taylor series of
     sqrt(m^2 c^4 + c^2 |Pi|^2), computed by an independent series oracle."""
     h = ham.build_dirac_hamiltonian(ham.ParticleParams(e=0, etilde=0))
-    result = fw.fw_run(h)
+    result = fw.fw_run(h, model="dirac")
     # sqrt(1 + x) coefficients around x = |xi|^2
     sqrt_series = (1 + SeriesPoly.x(8) ** 2).rsqrt().inverse()
     beta = _beta()
@@ -203,27 +203,33 @@ def test_stage_table_violation_names_the_stage(monkeypatch):
     monkeypatch.setattr(fw, "ODD_START", (1, 4, 4))
     h = ham.build_dirac_hamiltonian(ham.GENERIC_DYON)
     with pytest.raises(PipelineError, match="stage-2 odd part starts at order 3"):
-        fw.fw_run(h, target_order=3)
+        fw.fw_run(h, target_order=3, model="dirac")
 
 
 def test_even_slice_moved_by_stage_three_names_the_order(monkeypatch):
-    conjugate, calls = fw.bch_conjugate, []
-
-    def third_stage_adds_order_five(s, h, max_order):
-        out = conjugate(s, h, max_order)
-        calls.append(max_order)
-        if len(calls) == 3:
-            out = out + al.Expression.term(1, word=(al.VPOT,), dims=al.dim(Eg=-5))
-        return out
-
-    monkeypatch.setattr(fw, "bch_conjugate", third_stage_adds_order_five)
+    """A last stage that moves an even slice is named in the error: stage 3
+    with today's table, stage 4 with a fourth stage added to it."""
+    conjugate = fw.bch_conjugate
     h = ham.build_dirac_hamiltonian(ham.ParticleParams(e=0, etilde=0))
-    with pytest.raises(PipelineError, match=r"^stage-3 even slice at order 5 changed$"):
-        fw.fw_run(h)
+    for table in ((1, 3, 4), (1, 3, 4, 4)):
+        calls = []
+
+        def last_stage_adds_order_five(s, h, max_order):
+            out = conjugate(s, h, max_order)
+            calls.append(max_order)
+            if len(calls) == len(table):
+                out = out + al.Expression.term(1, word=(al.VPOT,), dims=al.dim(Eg=-5))
+            return out
+
+        monkeypatch.setattr(fw, "ODD_START", table)
+        monkeypatch.setattr(fw, "bch_conjugate", last_stage_adds_order_five)
+        with pytest.raises(PipelineError,
+                           match=rf"^stage-{len(table)} even slice at order 5 changed$"):
+            fw.fw_run(h, model="dirac")
 
 
 def test_zero_hamiltonian_runs_through_the_stage_loop():
-    result = fw.fw_run(al.Expression.zero())
+    result = fw.fw_run(al.Expression.zero(), model="dirac")
     assert len(result.stages) == 3
     assert sorted(result.even_slices) == [1, 2, 3, 4, 5, 6]
     assert all(e.is_zero() for e in result.even_slices.values())
@@ -232,6 +238,6 @@ def test_zero_hamiltonian_runs_through_the_stage_loop():
 def test_run_rejects_bad_order():
     h = ham.build_dirac_hamiltonian(ham.ParticleParams())
     with pytest.raises(ValueError):
-        fw.fw_run(h, target_order=7)
+        fw.fw_run(h, target_order=7, model="dirac")
     with pytest.raises(ValueError):
-        fw.fw_run(h, target_order=0)
+        fw.fw_run(h, target_order=0, model="dirac")
