@@ -75,14 +75,12 @@ def pauli_checks(catalog) -> list[dict]:
         _check("anomalous_vanishes_at_g2",
                al.substitute_moments(static + cross, 2, 2).is_zero()),
     ]
-    mismatches = reduction.match_tbmt(spin)
+    diff = reduction.match_tbmt(spin)
     detail = ""
-    if mismatches:
-        ge, gte = mismatches[0][:2]
-        first = tuple(m[2:] for m in mismatches if m[:2] == (ge, gte))
-        detail = f"first failure at ge={ge}, gte={gte}: {first[:3]}"
+    if not diff.is_zero():
+        detail = f"{len(diff)} terms differ, first {diff.sorted_items()[0]}"
     checks.append(_check(f"classical_match_through_beta{reduction.TBMT_DEGREE}",
-                         not mismatches, detail))
+                         diff.is_zero(), detail))
     return checks
 
 

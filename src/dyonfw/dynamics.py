@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -202,17 +202,10 @@ class Trajectory:
     u: np.ndarray
     s: np.ndarray
     helicity: np.ndarray
-    energy: np.ndarray = field(default=None)
+    energy: np.ndarray
 
     def __len__(self):
         return len(self.t)
-
-    def spin_phase(self) -> np.ndarray:
-        """Unwrapped azimuth of the transverse spin (precession phase)."""
-        return np.unwrap(np.arctan2(self.s[:, 1], self.s[:, 0]))
-
-    def momentum_phase(self) -> np.ndarray:
-        return np.unwrap(np.arctan2(self.u[:, 1], self.u[:, 0]))
 
     def drifts(self) -> dict[str, float]:
         """Largest deviation of the helicity, spin norm and energy from their

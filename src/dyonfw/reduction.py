@@ -1,29 +1,27 @@
-"""Physical reduction of the derived slices and the boost-velocity comparison.
+"""Physical reduction of the derived slices and the classical spin comparison.
 
 A derived slice becomes "physical" by writing the gap out as 2 m c^2 and
 dropping terms with two field factors.  The surviving terms are grouped into
 the orbital part (block-diagonal matrix content only) and the spin part
-(couplings carrying a Pauli factor), then the spin part is decomposed onto
-six structural channels
+(couplings carrying a Pauli factor).  On the particle block the spin part is
+compared, as one expression, with the classical Thomas-BMT spin Hamiltonian
+built on six structural channels
 
     sector e:   Sigma.B,   Sigma.(E x Pi),  (Sigma.Pi)(B.Pi)
     sector et:  Sigma.E,   Sigma.(B x Pi),  (Sigma.Pi)(E.Pi)
 
-each with a polynomial prefactor in (|Pi|/mc)^2.  Replacing |Pi|/mc by
-beta*gamma(beta) turns each prefactor into a power series in the boost speed,
-which is compared exactly against the classical spin-precession coefficients
-through degree TBMT_DEGREE = MAX_ORDER - 1.  Both sides are affine in the
-gyro-ratios, so the comparison at three anchor points holds for every
-(ge, gte).
+each with its prefactor expanded in x = (|Pi|/mc)^2 = xi^2.  A channel with
+j momentum factors keeps x^k for k <= (TBMT_DEGREE - j) // 2; since
+xi^2 = beta^2 / (1 - beta^2) has unit leading term, that compares its
+boost-speed series through beta^(TBMT_DEGREE - j), TBMT_DEGREE = MAX_ORDER - 1.
+The moments mu and d stay symbols on both sides, so the one equality holds
+for every (ge, gte).
 """
 
 from __future__ import annotations
 
-import functools
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 
 from . import algebra as al
 from . import hamiltonians as ham
@@ -45,25 +43,17 @@ def physical_orders(result: FWRunResult) -> dict[int, Expression]:
     return {n: physicalize(ex) for n, ex in result.even_slices.items()}
 
 
-def _is_orbit_key(key) -> bool:
-    left, right = al.mat_parts(key[1])
-    return right == 0 and left in (0, 3)
-
-
-def _is_spin_key(key) -> bool:
-    left, right = al.mat_parts(key[1])
-    return right != 0 and left in (0, 3)
-
-
 def _kind(order: int, key: tuple) -> str:
-    return "orbit" if _is_orbit_key(key) else "spin" if _is_spin_key(key) else "residue"
+    left, right = al.mat_parts(key[1])
+    if left not in (0, 3):
+        return "residue"
+    return "spin" if right else "orbit"
 
 
-def _physical_total(result: FWRunResult) -> Expression:
-    """Rest mass, the order-0 slice and every kept even slice, physicalized."""
+def physical_hamiltonian(result: FWRunResult) -> Expression:
+    """Rest mass plus the last stage's even part, physicalized."""
     rest = Expression.term(1, mat=al.BETA_MAT, dims=al.dim(m=1, c=2))
-    parts = [rest, result.stages[-1].even_slice(0), *result.even_slices.values()]
-    return physicalize(al.linear_combination([(1, ex) for ex in parts]))
+    return physicalize(rest + result.stages[-1].even)
 
 
 def reduce_to_physical(result: FWRunResult) -> tuple[Expression, Expression]:
@@ -74,7 +64,7 @@ def reduce_to_physical(result: FWRunResult) -> tuple[Expression, Expression]:
     classification failure and raises.  Only the basis matrix, key[1],
     classifies a term, so the packed keys are grouped as they are.
     """
-    parts = al._partition(_physical_total(result), _kind, ("orbit", "spin", "residue"))
+    parts = al._partition(physical_hamiltonian(result), _kind, ("orbit", "spin", "residue"))
     if parts["residue"]:
         raise ReductionError(f"{len(parts['residue'])} terms left unclassified")
     return parts["orbit"], parts["spin"]
@@ -105,161 +95,54 @@ def pauli_extra_terms(h_phys: Expression) -> tuple[Expression, Expression]:
 
 
 # ---------------------------------------------------------------------------
-# Exact decomposition onto structural channels
-
-def _signature_keys(basis: Mapping) -> dict:
-    """One term key per basis expression that no other basis expression has."""
-    key_owners: dict[tuple, list] = {}
-    for label, bexpr in basis.items():
-        for key in bexpr.terms:
-            key_owners.setdefault(key, []).append(label)
-    signature = {}
-    for label, bexpr in basis.items():
-        unique = [k for k in bexpr.terms if len(key_owners[k]) == 1]
-        if not unique:
-            raise ValueError(f"basis element {label} has no signature key")
-        signature[label] = unique[0]
-    return signature
-
-
-def _peel(e: Expression, basis: Mapping, signature: dict) -> dict:
-    """Exact coefficients of e on the basis expressions, each read from e at
-    its signature key (no other basis expression holds that key, so the
-    order of the reads cannot matter); the residue must vanish."""
-    coeffs = {}
-    for label, bexpr in basis.items():
-        sig = signature[label]
-        coeffs[label] = e.terms.get(sig, Fraction(0)) / bexpr.terms[sig]
-    residue = al.linear_combination(
-        [(1, e)] + [(-c, basis[label]) for label, c in coeffs.items() if c])
-    if not residue.is_zero():
-        raise ReductionError(
-            f"{len(residue)} terms outside the channel space")
-    return coeffs
-
-
-_MOMENT_DIMS = {
-    "e": al.dim(hbar=1, m=-1, c=-1, e=1),
-    "et": al.dim(hbar=1, m=-1, c=-1, et=1),
-}
-_DIRECT_KIND = {"e": "B", "et": "E"}
-_CROSS_KIND = {"e": "E", "et": "B"}
+# The classical spin Hamiltonian
 
 TBMT_DEGREE = MAX_ORDER - 1
-_SERIES_DEGREE = MAX_ORDER  # the highest degree any comparison reads
-
-CHANNEL_GAMMA_POWER = {"direct": 0, "cross": 1, "long": 2}
-# Highest power k of (|Pi|/mc)^2k a channel needs through beta^TBMT_DEGREE.
-_CHANNEL_MAX_K = {c: (TBMT_DEGREE - j) // 2 for c, j in CHANNEL_GAMMA_POWER.items()}
+_SERIES_DEGREE = MAX_ORDER  # the highest degree series_check reads
 
 
-@functools.lru_cache(maxsize=None)
-def _channels() -> tuple[Mapping, dict]:
-    """channel_basis() and its signature keys, built together once per process."""
-    basis = {}
-    for sector in ("e", "et"):
-        dims = _MOMENT_DIMS[sector]
-        half = Fraction(1, 2)
-        direct = ham.mat_dot_field(0, _DIRECT_KIND[sector]).scale(half, dims=dims)
-        cross = ham.sigma_dot_field_cross_pi(_CROSS_KIND[sector]).scale(
-            half, dims=al.dim_mul(dims, al.dim(m=-1, c=-1)))
-        long_core = al.truncate_fields(al.mul(
-            ham.sigma_dot_pi().scale(1, dims=al.dim(m=-1, c=-1)),
-            ham.field_dot_pi(_DIRECT_KIND[sector]).scale(
-                half, dims=al.dim_mul(dims, al.dim(m=-1, c=-1)))))
-        for name, core in (("direct", direct), ("cross", cross), ("long", long_core)):
-            for k in range(_CHANNEL_MAX_K[name] + 1):
-                grown = core if k == 0 else al.truncate_fields(
-                    al.mul(ham.xi_squared(k), core))
-                basis[(sector, name, k)] = grown
-    basis = MappingProxyType(basis)
-    return basis, _signature_keys(basis)
+def classical_spin_hamiltonian() -> Expression:
+    """The Thomas-BMT spin Hamiltonian -(e/mc) s.F - (et/mc) s.F_dual on the
+    particle block, s = hbar Sigma / 2 and beta = xi / gamma, through
+    beta^TBMT_DEGREE.
 
-
-def channel_basis() -> Mapping:
-    """Structural channels with moment-normalized cores, keyed by
-    (sector, channel, k) for the (|Pi|/mc)^2k relativistic corrections.
-
-    Built once per process and shared by every caller, so the mapping is
-    read-only.
+    Each channel is a core in units of hbar charge / 2mc times a prefactor
+    in x = xi^2, gamma = sqrt(1 + x).  An anomalous prefactor carries the
+    gap-scaled moment in place of the charge, since every anomalous
+    classical term is (g/2 - 1) charge hbar c, so mu and d stay symbols.  A
+    core with j momentum factors keeps x^k for k <= (TBMT_DEGREE - j) // 2.
     """
-    return _channels()[0]
+    deg = TBMT_DEGREE // 2
+    one, x = SeriesPoly.const(1, deg), SeriesPoly.x(deg)
+    inv_gamma = (one + x).rsqrt()
+    inv_gamma_plus_one = ((one + x) * inv_gamma + 1).inverse()
+    over_mc = al.dim(m=-1, c=-1)
+    parts = []
+    for charge, moment, direct, cross, sign in (("e", "mu", "B", "E", -1),
+                                                ("et", "d", "E", "B", 1)):
+        long_core = al.truncate_fields(al.mul(ham.sigma_dot_pi(), ham.field_dot_pi(direct)))
+        channels = (  # core, its momentum factors j, normal and anomalous prefactors
+            (ham.mat_dot_field(0, direct), 0, inv_gamma * sign, one * sign),
+            (ham.sigma_dot_field_cross_pi(cross).scale(1, dims=over_mc), 1,
+             inv_gamma_plus_one - inv_gamma, -inv_gamma),
+            (long_core.scale(1, dims=al.dim_mul(over_mc, over_mc)), 2,
+             SeriesPoly.zero(deg), inv_gamma * inv_gamma_plus_one * -sign),
+        )
+        normal = al.dim(hbar=1, m=-1, c=-1, **{charge: 1})
+        anomalous = al.dim(m=-1, c=-2, **{moment: 1})
+        for core, j, normal_pref, anomalous_pref in channels:
+            for k in range((TBMT_DEGREE - j) // 2 + 1):
+                grown = core if k == 0 else al.truncate_fields(al.mul(ham.xi_squared(k), core))
+                parts += [(normal_pref[k] / 2, grown.scale(1, dims=normal)),
+                          (anomalous_pref[k] / 2, grown.scale(1, dims=anomalous))]
+    return al.linear_combination(parts)
 
 
-def spin_channels_to_series(spin: Expression) -> dict:
-    """Decompose a spin Hamiltonian and convert prefactors to beta series
-    through degree MAX_ORDER, keyed by (sector, channel).
-
-    The expression is projected on the particle block first; each momentum
-    factor in a channel core contributes one factor gamma(beta) on top of the
-    structural beta-hat vectors.
-    """
-    flat = al.project_particle_block(spin)
-    coeffs = _peel(flat, *_channels())
-    xi = xi_series(_SERIES_DEGREE)
-    xi2 = xi * xi
-    gam = gamma_series(_SERIES_DEGREE)
-    out = {}
-    for sector in ("e", "et"):
-        for name in ("direct", "cross", "long"):
-            poly = SeriesPoly([coeffs[(sector, name, k)] for k in range(_CHANNEL_MAX_K[name] + 1)],
-                              _SERIES_DEGREE)
-            out[(sector, name)] = poly.compose(xi2) * gam ** CHANNEL_GAMMA_POWER[name]
-    return out
-
-
-def tbmt_channel_series(ge, gte) -> dict:
-    """Classical spin-precession coefficients on the same channel structures.
-
-    From H = -(e/mc) s.F - (et/mc) s.F_dual with s = hbar Sigma / 2 and the
-    dual fields B -> -E, E -> B; coefficients are exact series in beta.
-    """
-    gam = gamma_series(_SERIES_DEGREE)
-    inv_gam = gam.inverse()
-    ratio = gamma_ratio_series(_SERIES_DEGREE)
-    ge = Fraction(ge)
-    gte = Fraction(gte)
-    return {
-        ("e", "direct"): -(inv_gam + (ge / 2 - 1)),
-        ("e", "cross"): ratio - ge / 2,
-        ("e", "long"): ratio * (ge / 2 - 1),
-        ("et", "direct"): inv_gam + (gte / 2 - 1),
-        ("et", "cross"): ratio - gte / 2,
-        ("et", "long"): -(ratio * (gte / 2 - 1)),
-    }
-
-
-# Once every spin term carries at most one of mu and d, to the first power,
-# substitute_moments makes the spin Hamiltonian affine in (ge/2 - 1, gte/2 - 1).
-# _peel and the series conversion are linear, and tbmt_channel_series is affine
-# in the same variables, so the difference vanishes for every real (ge, gte)
-# once it vanishes at three affinely independent points.
-_ANCHORS = ((2, 2), (4, 2), (2, 4))
-
-
-def match_tbmt(h_spin: Expression) -> tuple:
-    """Compare the Dirac-Pauli spin Hamiltonian against the classical
-    coefficients for every (ge, gte).
-
-    h_spin is the reduced spin part with mu and d left as symbols.  The
-    comparison runs channel by channel through total degree TBMT_DEGREE in
-    the boost speed (a channel structure carrying j beta-hat vectors leaves
-    degree TBMT_DEGREE - j for its scalar series).  Returns the mismatches
-    as (ge, gte, sector, channel, degree, fw, classical) tuples.
-    """
-    for key in h_spin.terms:
-        if (key[0][6], key[0][7]) not in ((0, 0), (1, 0), (0, 1)):
-            raise ReductionError(f"spin term not affine in the moments: {key}")
-    mismatches = []
-    for ge, gte in _ANCHORS:
-        fw = spin_channels_to_series(al.substitute_moments(h_spin, ge, gte))
-        classical = tbmt_channel_series(ge, gte)
-        for (sector, name), fw_series in fw.items():
-            ref = classical[(sector, name)]
-            for d in range(TBMT_DEGREE - CHANNEL_GAMMA_POWER[name] + 1):
-                if fw_series[d] != ref[d]:
-                    mismatches.append((ge, gte, sector, name, d, fw_series[d], ref[d]))
-    return tuple(mismatches)
+def match_tbmt(h_spin: Expression) -> Expression:
+    """The reduced spin Hamiltonian, mu and d left as symbols, minus the
+    classical one on the particle block: zero exactly when the two agree
+    through beta^TBMT_DEGREE for every (ge, gte)."""
+    return al.project_particle_block(h_spin) - classical_spin_hamiltonian()
 
 
 # ---------------------------------------------------------------------------

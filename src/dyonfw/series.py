@@ -11,7 +11,6 @@ gamma forms.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 # Coefficients of x^k, x = xi^2, constant term (for SQRT the rest mass) first.
@@ -135,24 +134,19 @@ def _coerce(value, max_deg: int) -> SeriesPoly:
     return SeriesPoly.const(value, max_deg)
 
 
-# Kinematic series in the boost speed beta.  They depend on the degree only,
-# so each is built once per degree and the same instance is handed to every
-# caller: treat it as read-only (every SeriesPoly operation returns a new one).
+# Kinematic series in the boost speed beta.
 
-@lru_cache(maxsize=None)
 def gamma_series(max_deg: int) -> SeriesPoly:
     """1 / sqrt(1 - beta^2)."""
     beta = SeriesPoly.x(max_deg)
     return (SeriesPoly.const(1, max_deg) - beta * beta).rsqrt()
 
 
-@lru_cache(maxsize=None)
 def xi_series(max_deg: int) -> SeriesPoly:
     """Scaled momentum magnitude: beta gamma(beta)."""
     return SeriesPoly.x(max_deg) * gamma_series(max_deg)
 
 
-@lru_cache(maxsize=None)
 def gamma_ratio_series(max_deg: int) -> SeriesPoly:
     """gamma / (gamma + 1)."""
     g = gamma_series(max_deg)

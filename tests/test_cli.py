@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from dyonfw import algebra as al
 from dyonfw import checks, cli, reduction
 
 EXPECTED = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
@@ -108,15 +109,17 @@ def test_verify_all_stdout_matches_the_pinned_digest(capsys):
 
 
 def test_verify_reports_the_first_tbmt_failure(monkeypatch, capsys):
-    def match_tbmt(spin):
-        return ((1, 2, "first"), (3, 0, "second"))
-    monkeypatch.setattr(reduction, "match_tbmt", match_tbmt)
+    diff = (al.Expression.term(1, word=(al.field_b(3),), mat=al.mat_code(0, 3), dims=al.dim(mu=2))
+            + al.Expression.term(-2, word=(al.field_e(1),), mat=al.mat_code(0, 1),
+                                 dims=al.dim(d=-1)))
+    monkeypatch.setattr(reduction, "match_tbmt", lambda spin: diff)
     code, out = run_cli(capsys, "verify", "--suite", "pauli")
     assert code == 1
     grid = json.loads(out)["checks"][-1]
     assert grid["name"] == "classical_match_through_beta5"
     assert not grid["passed"]
-    assert grid["detail"] == "first failure at ge=1, gte=2: (('first',),)"
+    assert grid["detail"] == ("2 terms differ, first "
+                              "(((0, 0, 0, 0, 0, 0, 0, -1), 1, 0, (0,)), Fraction(-2, 1))")
 
 
 def test_verify_pauli_builds_only_the_dirac_pauli_pipeline(monkeypatch, capsys):
@@ -130,9 +133,9 @@ def test_verify_pauli_builds_only_the_dirac_pauli_pipeline(monkeypatch, capsys):
 
 def test_verify_pauli_physicalizes_the_result_once(monkeypatch, capsys):
     calls = []
-    physical_total = reduction._physical_total
-    monkeypatch.setattr(reduction, "_physical_total",
-                        lambda result: calls.append(result) or physical_total(result))
+    physical_hamiltonian = reduction.physical_hamiltonian
+    monkeypatch.setattr(reduction, "physical_hamiltonian",
+                        lambda result: calls.append(result) or physical_hamiltonian(result))
     code, _ = run_cli(capsys, "verify", "--suite", "pauli")
     assert code == 0
     assert len(calls) == 1

@@ -194,7 +194,8 @@ def test_anomalous_precession_rate():
     steps = 400
     traj = dyn.integrate(PhaseState(u=(1.0, 0, 0), s=(1.0, 0, 0)), fields, p,
                          dt=period / steps, steps=steps)
-    relative_phase = traj.spin_phase() - traj.momentum_phase()
+    relative_phase = (np.unwrap(np.arctan2(traj.s[:, 1], traj.s[:, 0]))
+                      - np.unwrap(np.arctan2(traj.u[:, 1], traj.u[:, 0])))
     relative = relative_phase[-1] - relative_phase[0]
     expected = 2 * math.pi * gamma * (g / 2 - 1)
     assert abs(abs(relative) - expected) / expected < 1e-9
@@ -337,6 +338,13 @@ def test_drifts_see_a_nan_in_the_last_block(column):
     assert all(v == 0.0 for k, v in drifts.items() if k != drift)
 
 
+def test_trajectory_needs_an_energy_column():
+    n = 3
+    with pytest.raises(TypeError, match="energy"):
+        dyn.Trajectory(t=np.arange(n, dtype=float), x=np.zeros((n, 3)), u=np.zeros((n, 3)),
+                       s=np.zeros((n, 3)), helicity=np.zeros(n))
+
+
 @pytest.mark.parametrize("n", [1, 1024, 1025])
 def test_write_csv_equals_one_repr_per_value(tmp_path, n):
     # n = 1 is a steps = 0 run; 1024 rows fill one formatting chunk exactly
@@ -348,7 +356,7 @@ def test_write_csv_equals_one_repr_per_value(tmp_path, n):
         return np.array(flat).reshape(n, width) if width else np.array(flat)
 
     traj = dyn.Trajectory(t=column(0), x=column(1, 3), u=column(2, 3), s=column(3, 3),
-                          helicity=column(4))
+                          helicity=column(4), energy=column(0))
     traj.write_csv(tmp_path / "chunked.csv")
     with open(tmp_path / "naive.csv", "w") as f:
         f.write("t,x,y,z,ux,uy,uz,sx,sy,sz,helicity\n")

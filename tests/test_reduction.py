@@ -1,4 +1,4 @@
-"""Physical reduction, channel decomposition, classical comparison."""
+"""Physical reduction and the classical spin comparison."""
 
 from fractions import Fraction
 
@@ -8,8 +8,7 @@ from dyonfw import algebra as al
 from dyonfw import hamiltonians as ham
 from dyonfw import reduction
 from dyonfw.fw import MAX_ORDER
-from dyonfw.reduction import ReductionError
-from dyonfw.series import SeriesPoly, gamma_ratio_series, gamma_series, xi_series
+from dyonfw.series import gamma_ratio_series, gamma_series, xi_series
 
 
 def test_third_order_contains_mass_correction(dirac_result):
@@ -18,7 +17,7 @@ def test_third_order_contains_mass_correction(dirac_result):
                                           dims=al.dim(m=-3, c=-2)),
                        ham.pi_squared(2))
     orbitlike = al.Expression(
-        {k: v for k, v in physical[3].terms.items() if reduction._is_orbit_key(k)})
+        {k: v for k, v in physical[3].terms.items() if reduction._kind(3, k) == "orbit"})
     assert orbitlike == al.truncate_fields(mass_corr)
 
 
@@ -37,28 +36,50 @@ def test_catalog_entries_hermitian_and_even(catalog):
 
 
 def test_pauli_extras_vanish_at_g_two(pauli_result):
-    static, cross = reduction.pauli_extra_terms(reduction._physical_total(pauli_result))
+    static, cross = reduction.pauli_extra_terms(reduction.physical_hamiltonian(pauli_result))
     assert al.substitute_moments(static, 2, 2).is_zero()
     assert al.substitute_moments(cross, 2, 2).is_zero()
 
 
-def test_tbmt_low_speed_limit(dirac_result, pauli_result):
-    # degree-0 channel values: -(g/2) on the magnetic coupling, +(g/2) dual
-    _, spin = reduction.reduce_to_physical(dirac_result)
-    static, cross = reduction.pauli_extra_terms(reduction._physical_total(pauli_result))
+def test_physical_hamiltonian_sums_the_rest_mass_and_every_even_slice(dirac_result,
+                                                                    pauli_result):
+    rest = al.Expression.term(1, mat=al.BETA_MAT, dims=al.dim(m=1, c=2))
+    for result in (dirac_result, pauli_result):
+        slices = [result.stages[-1].even_slice(0), *result.even_slices.values()]
+        assert reduction.physical_hamiltonian(result) == reduction.physicalize(
+            al.linear_combination([(1, ex) for ex in (rest, *slices)])), result.model
+
+
+@pytest.fixture(scope="module")
+def classical():
+    return reduction.classical_spin_hamiltonian()
+
+
+def test_tbmt_low_speed_limit(classical):
+    # at xi^0: -(ge/2) (hbar e/2mc) Sigma.B + (gte/2) (hbar et/2mc) Sigma.E
     ge, gte = Fraction(3), Fraction(1)
-    total = spin + al.substitute_moments(static + cross, ge, gte)
-    fw_series = reduction.spin_channels_to_series(total)
-    assert fw_series[("e", "direct")][0] == -ge / 2
-    assert fw_series[("et", "direct")][0] == gte / 2
-    # longitudinal term scales with (g/2 - 1) and vanishes for g = 2
-    assert fw_series[("e", "long")][0] == (ge / 2 - 1) * Fraction(1, 2)
+    at_rest = al.Expression({
+        key: val for key, val in al.substitute_moments(classical, ge, gte).terms.items()
+        if not any(al.is_pi(a) for a in key[3])})
+    assert at_rest == (
+        ham.mat_dot_field(0, "B").scale(-ge / 4, dims=al.dim(hbar=1, m=-1, c=-1, e=1))
+        + ham.mat_dot_field(0, "E").scale(gte / 4, dims=al.dim(hbar=1, m=-1, c=-1, et=1)))
 
 
 def test_tbmt_detects_wrong_coefficient(pauli_result):
     _, spin = reduction.reduce_to_physical(pauli_result)
     broken = spin + spin.scale(Fraction(1, 100))
-    assert reduction.match_tbmt(broken)
+    assert reduction.match_tbmt(broken) == al.project_particle_block(spin).scale(Fraction(1, 100))
+
+
+def test_tbmt_detects_a_flipped_anomalous_channel(pauli_result):
+    # the mu-with-E terms are the anomalous part of the Sigma.(E x Pi) channel
+    _, spin = reduction.reduce_to_physical(pauli_result)
+    _, cross = reduction.pauli_extra_terms(spin)
+    mu_cross = al.drop_symbols(cross, "d")
+    assert not mu_cross.is_zero()
+    diff = reduction.match_tbmt(spin - mu_cross.scale(2))
+    assert diff == al.project_particle_block(mu_cross.scale(-2))
 
 
 @pytest.mark.parametrize("moments", [{"mu": 2}, {"mu": 1, "d": 1}, {"mu": -1}],
@@ -67,41 +88,7 @@ def test_match_tbmt_rejects_spin_terms_not_affine_in_the_moments(pauli_result, m
     _, spin = reduction.reduce_to_physical(pauli_result)
     stray = al.Expression.term(1, word=(al.field_b(3),), mat=al.mat_code(0, 3),
                                dims=al.dim(**moments))
-    with pytest.raises(ReductionError, match="not affine"):
-        reduction.match_tbmt(spin + stray)
-
-
-def test_match_tbmt_builds_the_channel_basis_once(monkeypatch, pauli_result):
-    _, spin = reduction.reduce_to_physical(pauli_result)
-    reduction.match_tbmt(spin)
-    basis = reduction.channel_basis()
-    with pytest.raises(TypeError):
-        basis[("e", "direct", 0)] = al.Expression.zero()
-
-    def no_products(*args, **kwargs):
-        raise AssertionError("channel basis rebuilt")
-
-    monkeypatch.setattr(al, "mul", no_products)
-    assert not reduction.match_tbmt(spin)
-    assert reduction.channel_basis() is basis
-
-
-def test_match_tbmt_builds_the_kinematic_series_once(monkeypatch, pauli_result):
-    _, spin = reduction.reduce_to_physical(pauli_result)
-    for cached in (gamma_series, xi_series, gamma_ratio_series):
-        cached.cache_clear()
-    calls = []
-    rsqrt = SeriesPoly.rsqrt
-    monkeypatch.setattr(SeriesPoly, "rsqrt", lambda s: calls.append(s) or rsqrt(s))
-    assert not reduction.match_tbmt(spin)
-    assert len(calls) == 1  # one gamma_series, shared by all three anchor points
-
-
-def test_decompose_rejects_leftovers():
-    stray = al.Expression.term(1, word=(al.field_e(1),), mat=al.mat_code(0, 2),
-                               dims=al.dim(hbar=1, m=-1, c=-1, e=1))
-    with pytest.raises(ReductionError):
-        reduction.spin_channels_to_series(stray)
+    assert reduction.match_tbmt(spin + stray) == stray
 
 
 def test_dirac_pauli_without_moments_is_dirac(dirac_result, pauli_result):
@@ -113,13 +100,12 @@ def test_dirac_pauli_without_moments_is_dirac(dirac_result, pauli_result):
         assert al.drop_symbols(pauli.odd, "mu", "d") == dirac.odd, k
     _, dirac_spin = reduction.reduce_to_physical(dirac_result)
     _, pauli_spin = reduction.reduce_to_physical(pauli_result)
-    static, cross = reduction.pauli_extra_terms(reduction._physical_total(pauli_result))
+    static, cross = reduction.pauli_extra_terms(reduction.physical_hamiltonian(pauli_result))
     assert pauli_spin == dirac_spin + static + cross
 
 
-# Per-point cross-check of the affine argument behind match_tbmt: a classical
-# coefficient that is not affine in the gyro-ratios passes at the three
-# anchors but fails here.
+# Per-point cross-check of the symbolic match: the Dirac spin part plus the
+# anomalous extras, and the classical side, each with the moments substituted.
 G_GRID = tuple((ge, gte) for ge in (0, 1, 2, Fraction("2.0023"), 3)
                for gte in (0, 1, 2, 3))
 
@@ -127,20 +113,15 @@ G_GRID = tuple((ge, gte) for ge in (0, 1, 2, Fraction("2.0023"), 3)
 @pytest.fixture(scope="module")
 def dirac_spin_and_extras(dirac_result, pauli_result):
     _, spin = reduction.reduce_to_physical(dirac_result)
-    static, cross = reduction.pauli_extra_terms(reduction._physical_total(pauli_result))
+    static, cross = reduction.pauli_extra_terms(reduction.physical_hamiltonian(pauli_result))
     return spin, static + cross
 
 
 @pytest.mark.parametrize("ge, gte", G_GRID, ids=[f"{float(ge):g}-{gte}" for ge, gte in G_GRID])
-def test_spin_hamiltonian_matches_tbmt_on_the_grid(dirac_spin_and_extras, ge, gte):
+def test_spin_hamiltonian_matches_tbmt_on_the_grid(dirac_spin_and_extras, classical, ge, gte):
     spin, extras = dirac_spin_and_extras
-    fw_series = reduction.spin_channels_to_series(
-        spin + al.substitute_moments(extras, ge, gte))
-    classical = reduction.tbmt_channel_series(ge, gte)
-    for (sector, name), series in fw_series.items():
-        deg = reduction.TBMT_DEGREE - reduction.CHANNEL_GAMMA_POWER[name]
-        assert ([series[d] for d in range(deg + 1)]
-                == [classical[(sector, name)][d] for d in range(deg + 1)]), (sector, name)
+    fw = al.project_particle_block(spin + al.substitute_moments(extras, ge, gte))
+    assert fw == al.substitute_moments(classical, ge, gte)
 
 
 def test_effective_dipoles_first_order():
