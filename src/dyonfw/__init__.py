@@ -3,7 +3,7 @@ Hamiltonians, plus the classical spin-precession dynamics it is checked
 against."""
 
 from .algebra import Expression, commutator, anticommutator, mul
-from .clifford import BasisElement, basis_mul, beta_grade, to_numeric
+from .clifford import BasisElement, basis_mul, beta_grade
 from .hamiltonians import (ParticleParams, build_dirac_hamiltonian,
                            build_dirac_pauli_hamiltonian)
 from .fw import FWRunResult, bch_conjugate, fw_run, split_even_odd
@@ -11,22 +11,31 @@ from .catalog import ReferenceCatalog
 from .reduction import (effective_dipoles, match_tbmt, pauli_extra_terms,
                         reduce_to_physical, series_check)
 from .series import SeriesPoly
-from .dynamics import (FieldConfig, PhaseState, Trajectory, boost_dipole,
-                       boost_dipole_integrated, fw_effective_field, integrate,
-                       orbit_rhs, spin_rhs, thomas_F, thomas_F_dual)
 
 __version__ = "0.1.0"
 
+# The dynamics names are resolved on first use (PEP 562): dynamics imports
+# numpy, which the symbolic layers never run.
+_DYNAMICS = ("FieldConfig", "PhaseState", "Trajectory", "boost_dipole",
+             "boost_dipole_integrated", "fw_effective_field", "integrate",
+             "orbit_rhs", "spin_rhs", "thomas_F", "thomas_F_dual")
+
+
+def __getattr__(name):
+    if name in _DYNAMICS:
+        from . import dynamics
+        return getattr(dynamics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
     "Expression", "commutator", "anticommutator", "mul",
-    "BasisElement", "basis_mul", "beta_grade", "to_numeric",
+    "BasisElement", "basis_mul", "beta_grade",
     "ParticleParams", "build_dirac_hamiltonian", "build_dirac_pauli_hamiltonian",
     "FWRunResult", "bch_conjugate", "fw_run",
     "split_even_odd", "ReferenceCatalog",
     "effective_dipoles", "match_tbmt", "pauli_extra_terms",
     "reduce_to_physical", "series_check", "SeriesPoly",
-    "FieldConfig", "PhaseState", "Trajectory", "boost_dipole",
-    "boost_dipole_integrated", "fw_effective_field", "integrate",
-    "orbit_rhs", "spin_rhs", "thomas_F", "thomas_F_dual",
+    *_DYNAMICS,
     "__version__",
 ]

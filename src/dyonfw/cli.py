@@ -16,7 +16,6 @@ import sys
 from . import algebra as al
 from . import catalog as cat_mod
 from . import checks
-from . import dynamics as dyn
 from . import reduction
 from . import fw
 
@@ -58,6 +57,7 @@ def _report(suite: str, results: list[dict]) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import dynamics as dyn  # numpy loads only for the commands that run it
     params, fields, state, run = dyn.load_scenario(args.config)
     traj = dyn.integrate(state, fields, params, **run)
     drifts = traj.drifts()
@@ -80,6 +80,7 @@ def _vec(text: str):
 
 
 def cmd_boost_dipole(args) -> int:
+    from . import dynamics as dyn
     if args.integrated:
         p, m = dyn.boost_dipole_integrated(args.mu_p, args.mu_m, args.beta)
     else:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 # sigma_a sigma_b = delta_ab + i eps_abc sigma_c
 _EPS_CYCLE = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
 
@@ -67,19 +65,6 @@ def beta_grade(a: BasisElement) -> str:
     anticommutes with {sigma_x, sigma_y}.
     """
     return ODD if a.left in (1, 2) else EVEN
-
-
-_PAULI_NUMERIC = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
-
-def to_numeric(a: BasisElement) -> np.ndarray:
-    """4x4 complex matrix; entries are Gaussian integers so products are exact."""
-    return a.phase * np.kron(_PAULI_NUMERIC[a.left], _PAULI_NUMERIC[a.right])
 
 
 # Named elements.  gamma_i = i (y ⊗ sigma_i) and eta = -i (y ⊗ 1) carry the

@@ -24,9 +24,13 @@ the same bit for bit as one stepped through `PhaseState` objects.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -224,14 +228,83 @@ class Trajectory:
                 "energy_drift": float(energy)}
 
     def write_csv(self, path: str | Path) -> None:
-        """One line per sample, each value as repr(float); formatted
-        _CHUNK_ROWS rows at a time, so no copy of the whole table is made."""
+        """One line per sample, each value as repr(float).
+
+        The _CHUNK_ROWS-row chunks are split into one contiguous block per
+        usable CPU, at most _MAX_BLOCKS.  This process writes the header and
+        the first block straight to path; a forked helper writes each later
+        block to an anonymous temporary file, appended in order once the
+        helper has exited.  Every value is the repr of the same float for any
+        split, so the file is the same byte for byte, and no copy of the
+        whole table is made.
+        """
         columns = (self.t, self.x, self.u, self.s, self.helicity)
-        with open(path, "w") as f:
-            f.write("t,x,y,z,ux,uy,uz,sx,sy,sz,helicity\n")
-            for a in range(0, len(self.t), _CHUNK_ROWS):
-                rows = np.column_stack([col[a:a + _CHUNK_ROWS] for col in columns])
-                f.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())
+        starts = range(0, len(self.t), _CHUNK_ROWS)
+        n = min(_usable_cpus(), len(starts), _MAX_BLOCKS) or 1
+        blocks = [starts[len(starts) * i // n:len(starts) * (i + 1) // n] for i in range(n)]
+        with open(path, "w") as f:  # opened before any helper starts
+            helpers = []
+            try:
+                for block in blocks[1:]:
+                    helpers.append((block.start, *_start_helper(columns, block)))
+                f.write("t,x,y,z,ux,uy,uz,sx,sy,sz,helicity\n")
+                _write_chunks(f, columns, blocks[0])
+                f.flush()
+                for row, pid, tmp in helpers:
+                    status = os.waitpid(pid, 0)[1]
+                    if status:
+                        raise OSError(f"the helper writing CSV rows from {row} exited "
+                                      f"with status {os.waitstatus_to_exitcode(status)}")
+                    tmp.seek(0)
+                    shutil.copyfileobj(tmp, f.buffer)
+            finally:
+                for _, pid, tmp in helpers:
+                    tmp.close()
+                    with contextlib.suppress(ChildProcessError):  # reaped above
+                        os.waitpid(pid, 0)
+
+
+_MAX_BLOCKS = 4  # the most processes one CSV write runs on
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _write_chunks(f, columns, starts: range) -> None:
+    """Write the rows of the _CHUNK_ROWS-row chunks beginning at starts to
+    the text file f, one chunk formatted at a time."""
+    for a in starts:
+        rows = np.column_stack([col[a:a + _CHUNK_ROWS] for col in columns])
+        f.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())
+
+
+def _start_helper(columns, starts: range):
+    """Fork a helper that writes the chunks beginning at starts to a new
+    anonymous temporary file; returns (pid, file).  The helper leaves through
+    os._exit, so it never returns into the caller or flushes a buffer it
+    inherited; its exit status is 0 only when its block is written.  Only
+    the forking thread exists in the helper, so it must not call into
+    numpy's BLAS thread pool; formatting rows makes no such call."""
+    tmp = tempfile.TemporaryFile()
+    try:
+        pid = os.fork()
+    except OSError:
+        tmp.close()
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            with open(tmp.fileno(), "w", closefd=False) as out:
+                _write_chunks(out, columns, starts)
+            status = 0
+        finally:
+            os._exit(status)
+    return pid, tmp
 
 
 def _rotate(v: Vec3, axis: Vec3, angle: float) -> Vec3:

@@ -197,8 +197,8 @@ def test_criterion_8_oracle_equivalence():
     count = 0
     for a in elements:
         for b in elements:
-            lhs = cl.to_numeric(cl.basis_mul(a, b))
-            rhs = cl.to_numeric(a) @ cl.to_numeric(b)
+            lhs = oracles.to_numeric(cl.basis_mul(a, b))
+            rhs = oracles.to_numeric(a) @ oracles.to_numeric(b)
             assert np.array_equal(lhs, rhs)
             count += 1
     assert count == 256

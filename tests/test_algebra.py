@@ -121,7 +121,7 @@ def test_conjugate_matches_numeric_oracle_with_commuting_placeholders():
         scalar = complex(c) * (1j if ip else 1)
         for atom in w:
             scalar *= placeholders[atom]
-        numeric += scalar * cl.to_numeric(cl.BasisElement(*al.mat_parts(mat)))
+        numeric += scalar * oracles.to_numeric(cl.BasisElement(*al.mat_parts(mat)))
     assert np.abs(numeric + numeric.conj().T).max() < 1e-12  # anti-Hermitian
 
 
@@ -235,7 +235,7 @@ def test_constructor_matches_the_bruteforce_expander(raw):
     """Expression(d) on a raw dict against oracles.expand of the same terms,
     their basis matrices and phases i^ip multiplied out numerically."""
     from dyonfw import clifford as cl
-    terms = [(complex(c) * 1j ** ip, d, cl.to_numeric(cl.BasisElement(*al.mat_parts(mat))),
+    terms = [(complex(c) * 1j ** ip, d, oracles.to_numeric(cl.BasisElement(*al.mat_parts(mat))),
               list(w)) for (d, mat, ip, w), c in raw.items()]
     assert oracles.matrices_equal(oracles.expand(terms),
                                   oracles.expression_to_matrices(al.Expression(raw)))
@@ -298,7 +298,7 @@ def test_mat_anti_matches_the_numeric_matrices():
     """MAT_ANTI[m1][m2] against A B == -B A (else A B == B A) on 4x4 matrices."""
     import numpy as np
     from dyonfw import clifford as cl
-    numeric = [cl.to_numeric(cl.BasisElement(*al.mat_parts(m))) for m in range(16)]
+    numeric = [oracles.to_numeric(cl.BasisElement(*al.mat_parts(m))) for m in range(16)]
     for m1, a in enumerate(numeric):
         for m2, b in enumerate(numeric):
             sign = -1 if al.MAT_ANTI[m1][m2] else 1
@@ -324,7 +324,7 @@ def test_commutators_of_field_only_words_match_the_oracle(central, other, centra
     left, right = (central, other) if central_left else (other, central)
 
     def numeric(raw):
-        return [(c * 1j ** ip, cl.to_numeric(cl.BasisElement(*al.mat_parts(m))), list(w))
+        return [(c * 1j ** ip, oracles.to_numeric(cl.BasisElement(*al.mat_parts(m))), list(w))
                 for c, w, m, ip in raw]
 
     a, b = (_raw_sum((c, w, m, ip, al.DIM_ZERO) for c, w, m, ip in raw) for raw in (left, right))

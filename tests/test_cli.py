@@ -311,6 +311,25 @@ def test_directory_paths_report_error(tmp_path, monkeypatch, capsys, argv):
     assert set(json.loads(out)) == {"error"}
 
 
+def test_simulate_out_directory_fails_before_any_helper_starts(tmp_path, monkeypatch, capsys):
+    from dyonfw import dynamics as dyn
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise OSError("fork attempted")
+
+    monkeypatch.setattr(dyn, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", fork)
+    cfg = _write_scenario(tmp_path, lambda scenario: scenario["run"].update(steps=3000))
+    folder = tmp_path / "out.csv"
+    folder.mkdir()
+    code, out = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(folder))
+    assert code == 1
+    assert set(json.loads(out)) == {"error"}
+    assert forks == []
+
+
 def test_boost_dipole_density(capsys):
     code, out = run_cli(capsys, "boost-dipole", "--beta", "0.6,0,0",
                         "--mu-p", "0,0.2,0")

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -345,28 +346,67 @@ def test_trajectory_needs_an_energy_column():
                        s=np.zeros((n, 3)), helicity=np.zeros(n))
 
 
-@pytest.mark.parametrize("n", [1, 1024, 1025])
-def test_write_csv_equals_one_repr_per_value(tmp_path, n):
-    # n = 1 is a steps = 0 run; 1024 rows fill one formatting chunk exactly
-    # and 1025 spill one row into a second.
+def _awkward_table(n):
+    """An n-row trajectory cycling through values whose repr is easy to get
+    wrong: a negative zero, the smallest subnormal and an exponent form."""
     values = [-0.0, 1e-05, 1e16, 5e-324, 1.0]
 
     def column(offset, width=None):
         flat = [values[(offset + i) % len(values)] for i in range(n * (width or 1))]
         return np.array(flat).reshape(n, width) if width else np.array(flat)
 
-    traj = dyn.Trajectory(t=column(0), x=column(1, 3), u=column(2, 3), s=column(3, 3),
+    return dyn.Trajectory(t=column(0), x=column(1, 3), u=column(2, 3), s=column(3, 3),
                           helicity=column(4), energy=column(0))
+
+
+def _naive_csv(traj) -> str:
+    lines = ["t,x,y,z,ux,uy,uz,sx,sy,sz,helicity\n"]
+    for k in range(len(traj)):
+        row = [traj.t[k], *traj.x[k], *traj.u[k], *traj.s[k], traj.helicity[k]]
+        lines.append(",".join(repr(float(v)) for v in row) + "\n")
+    return "".join(lines)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n", [1, 1024, 1025])
+def test_write_csv_equals_one_repr_per_value(tmp_path, n):
+    # n = 1 is a steps = 0 run; 1024 rows fill one formatting chunk exactly
+    # and 1025 spill one row into a second.
+    traj = _awkward_table(n)
     traj.write_csv(tmp_path / "chunked.csv")
-    with open(tmp_path / "naive.csv", "w") as f:
-        f.write("t,x,y,z,ux,uy,uz,sx,sy,sz,helicity\n")
-        for k in range(n):
-            row = [traj.t[k], *traj.x[k], *traj.u[k], *traj.s[k], traj.helicity[k]]
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
     written = (tmp_path / "chunked.csv").read_text()
-    assert written == (tmp_path / "naive.csv").read_text()
+    assert written == _naive_csv(traj)
     assert written.count("\n") == n + 1
     assert "-0.0" in written and "5e-324" in written and "1e+16" in written
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_write_csv_is_the_same_for_any_block_count(tmp_path, monkeypatch, cpus):
+    # Four chunks, the last one short: three blocks split them 1 + 1 + 2.
+    monkeypatch.setattr(dyn, "_usable_cpus", lambda: cpus)
+    traj = _awkward_table(3 * dyn._CHUNK_ROWS + 5)
+    traj.write_csv(tmp_path / "blocks.csv")
+    _assert_no_child_left()
+    assert (tmp_path / "blocks.csv").read_bytes() == _naive_csv(traj).encode()
+
+
+def test_write_csv_fails_when_a_helper_fails_and_reaps_every_helper(tmp_path, monkeypatch):
+    parent, write_chunks = os.getpid(), dyn._write_chunks
+
+    def fail_in_helpers(f, columns, starts):
+        if os.getpid() != parent:
+            raise RuntimeError("helper failure")
+        write_chunks(f, columns, starts)
+
+    monkeypatch.setattr(dyn, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(dyn, "_write_chunks", fail_in_helpers)
+    with pytest.raises(OSError, match="rows from 1024 exited with status 1"):
+        _awkward_table(3 * dyn._CHUNK_ROWS + 5).write_csv(tmp_path / "blocks.csv")
+    _assert_no_child_left()
 
 
 # -- dipole boosts -------------------------------------------------------------
