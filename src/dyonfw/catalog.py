@@ -1,4 +1,4 @@
-"""Closed-form target expressions, transcribed once and frozen as fixtures.
+"""Closed-form target expressions, built once and frozen as fixtures.
 
 Two families of entries:
 
@@ -6,11 +6,12 @@ Two families of entries:
   raw commutator form (exact, no weak-field approximation): one loop over
   the orders adds the second conjugation's commutators to one table of
   first-stage forms, for any odd and even operators.
-* ``physical_order_n`` plus aggregates — the weak-field closed forms after
-  the gap is written out as 2 m c^2 and terms with two field factors are
-  dropped: kinetic chain, Zeeman-type couplings, spin-orbit chain, and the
-  anomalous-moment pieces, built in one loop over the prefactor tables of
-  ``series``.
+* ``physical_order_n`` plus aggregates — the weak-field closed forms, each
+  a view of the one classical Hamiltonian ``reduction.classical_hamiltonian``
+  lifted off the particle block: ``kinetic_energy`` and ``spin_dipole`` are
+  its orbit part and its spin part at mu = d = 0, ``physical_order_n`` is
+  their m^-n slice, and ``anomalous_static`` and ``anomalous_cross`` are its
+  mu and d terms split by field pairing.
 
 Entries live in versioned JSON fixtures next to the package; FW_FIXTURES
 overrides the directory.  They are also constructible from scratch, and the
@@ -28,9 +29,9 @@ from pathlib import Path
 
 from . import algebra as al
 from . import hamiltonians as ham
+from . import reduction
 from .algebra import Expression
 from .fw import MAX_ORDER
-from .series import BOOSTED, INTRINSIC, SQRT
 
 FIXTURES_ENV = "FW_FIXTURES"
 FIXTURES_VERSION = 1
@@ -126,73 +127,32 @@ def build_fw_entries() -> dict[str, Expression]:
 
 # -- physical closed forms ----------------------------------------------------
 
-def _zeeman_pair() -> Expression:
-    """mu_m . B + mu_p . E with the intrinsic (g = 2) moments:
-    (e hbar / 2mc) Sigma . B - (et hbar / 2mc) Sigma . E."""
-    return (ham.mat_dot_field(0, "B").scale(
-                Fraction(1, 2), dims=al.dim(hbar=1, m=-1, c=-1, e=1))
-            + ham.mat_dot_field(0, "E").scale(
-                Fraction(-1, 2), dims=al.dim(hbar=1, m=-1, c=-1, et=1)))
-
-
-def spin_orbit_pair() -> Expression:
-    """- E.(xi x mu_m)/2 - B.(-xi x mu_p)/2, both cross couplings expanded."""
-    # E . (xi x mu_m) = (e hbar/2m^2c^2) eps_ijk Sigma_k E_i Pi_j -> use
-    # Sigma.(F x Pi) shapes: E.(Pi x Sigma) = Sigma.(E x Pi).
-    e_part = ham.sigma_dot_field_cross_pi("E").scale(
-        Fraction(-1, 4), dims=al.dim(hbar=1, m=-2, c=-2, e=1))
-    b_part = ham.sigma_dot_field_cross_pi("B").scale(
-        Fraction(-1, 4), dims=al.dim(hbar=1, m=-2, c=-2, et=1))
-    return e_part + b_part
+def _m_order(order: int, key: tuple) -> int:
+    """Minus a packed term's power of m: its physical order."""
+    return -al._unpack(key[0])[0][al._I_M]
 
 
 def build_physical_entries() -> dict[str, Expression]:
-    """Weak-field reductions, order by order, plus the grouped aggregates.
+    """The weak-field closed forms, each a view of the classical Hamiltonian.
 
-    Orders 2k+1 and 2k+2 carry the xi^2k terms of the classical prefactors
-    (series.SQRT, INTRINSIC, BOOSTED): the orbital beta m c^2 sqrt(1 + xi^2)
-    with the Zeeman pair under 1/gamma, then the spin-orbit pair under
-    2/(gamma (gamma + 1)).
+    reduction.classical_hamiltonian() lives on the particle block.  A term
+    lifts off it with a factor beta when its power of m is odd, as the
+    derived even slices carry beta at odd 1/Eg orders (beta m c^2 and the
+    Zeeman couplings, not the spin-orbit chain).  Its orbit part is
+    kinetic_energy, its spin part at mu = d = 0 spin_dipole, and
+    physical_order_n is the m^-n slice of the two.  The anomalous entries are
+    its mu and d terms, split by pauli_extra_terms.
     """
-    beta = Expression.term(1, mat=al.BETA_MAT)
-    beta_mc2 = beta.scale(1, dims=al.dim(m=1, c=2))
-    beta_zeeman = al.mul(beta, _zeeman_pair())
-    so = spin_orbit_pair()
-    trunc = al.truncate_fields
-    entries, kinetic, spin = {}, [(SQRT[0], beta_mc2)], []
-    for k in range(MAX_ORDER // 2):
-        xi2k = ham.xi_squared(k)
-        orbit = (SQRT[k + 1], trunc(al.mul(beta_mc2, ham.xi_squared(k + 1))))
-        zeeman = (-INTRINSIC[k], trunc(al.mul(xi2k, beta_zeeman)))
-        spin_orbit = (BOOSTED[k], trunc(al.mul(xi2k, so)))
-        entries[f"physical_order_{2 * k + 1}"] = al.linear_combination([orbit, zeeman])
-        entries[f"physical_order_{2 * k + 2}"] = al.linear_combination([spin_orbit])
-        kinetic.append(orbit)
-        spin += [zeeman, spin_orbit]
-    entries["kinetic_energy"] = al.linear_combination(kinetic)
-    entries["spin_dipole"] = al.linear_combination(spin)
-
-    # Anomalous-moment closed forms, gap-scaled symbols mu and d with their
-    # explicit 1/Eg (substitute the gap afterwards to compare with derived
-    # slices).  Static piece: -(1/2) (1 - 3/4 xi^2) beta (Sigma.xi)(G.xi)
-    # + beta Sigma.G for G = (-mu B + d E)/Eg; cross piece carries
-    # (mu E + d B)/Eg under 1/gamma.
-    sigma_xi = ham.sigma_dot_pi().scale(1, dims=al.dim(m=-1, c=-1))
-    g_dot_xi = (ham.field_dot_pi("B").scale(-1, dims=al.dim(mu=1, Eg=-1, m=-1, c=-1))
-                + ham.field_dot_pi("E").scale(1, dims=al.dim(d=1, Eg=-1, m=-1, c=-1)))
-    static_long = trunc(al.mul(al.mul(beta, sigma_xi), g_dot_xi))
-    static_prefactor = ham.xi_polynomial(BOOSTED[:2]).scale(Fraction(-1, 2))
-    static = (trunc(al.mul(static_prefactor, static_long))
-              + ham.pauli_even_coupling().scale(1, dims=al.dim(Eg=-1)))
-
-    cross_core = (ham.sigma_dot_field_cross_pi("E").scale(
-                      -1, dims=al.dim(mu=1, Eg=-1, m=-1, c=-1))
-                  + ham.sigma_dot_field_cross_pi("B").scale(
-                      -1, dims=al.dim(d=1, Eg=-1, m=-1, c=-1)))
-    cross = trunc(al.mul(ham.xi_polynomial(INTRINSIC), cross_core))
-
-    entries["anomalous_static"] = al.substitute_energy_gap(static)
-    entries["anomalous_cross"] = al.substitute_energy_gap(cross)
+    parity = al._partition(reduction.classical_hamiltonian(),
+                           lambda order, key: _m_order(order, key) % 2, (0, 1))
+    h = parity[0] + _beta_times(parity[1])
+    parts = al._partition(h, reduction._kind, ("orbit", "spin"))
+    entries = {"kinetic_energy": parts["orbit"],
+               "spin_dipole": al.drop_symbols(parts["spin"], "mu", "d")}
+    slices = al._partition(entries["kinetic_energy"] + entries["spin_dipole"], _m_order, ())
+    for n in range(1, MAX_ORDER + 1):
+        entries[f"physical_order_{n}"] = slices[n]
+    entries["anomalous_static"], entries["anomalous_cross"] = reduction.pauli_extra_terms(h)
     return entries
 
 

@@ -1,21 +1,28 @@
-"""Physical reduction of the derived slices and the classical spin comparison.
+"""Physical reduction of the derived slices, and the classical Hamiltonian
+they are compared with.
 
-A derived slice becomes "physical" by writing the gap out as 2 m c^2 and
-dropping terms with two field factors.  The surviving terms are grouped into
+A derived slice becomes "physical" by dropping terms with two field factors
+and writing the gap out as 2 m c^2.  The surviving terms are grouped into
 the orbital part (block-diagonal matrix content only) and the spin part
-(couplings carrying a Pauli factor).  On the particle block the spin part is
-compared, as one expression, with the classical Thomas-BMT spin Hamiltonian
-built on six structural channels
+(couplings carrying a Pauli factor); pauli_extra_terms splits off the
+anomalous-moment terms by field pairing.
+
+classical_hamiltonian() is the one classical Hamiltonian on the particle
+block: the orbital m c^2 sqrt(1 + xi^2) plus the Thomas-BMT spin term on six
+structural channels
 
     sector e:   Sigma.B,   Sigma.(E x Pi),  (Sigma.Pi)(B.Pi)
     sector et:  Sigma.E,   Sigma.(B x Pi),  (Sigma.Pi)(E.Pi)
 
-each with its prefactor expanded in x = (|Pi|/mc)^2 = xi^2.  A channel with
-j momentum factors keeps x^k for k <= (TBMT_DEGREE - j) // 2; since
+each with its prefactor expanded in x = (|Pi|/mc)^2 = xi^2, all kept through
+1/Eg order MAX_ORDER as the derived slices are.  match_tbmt compares its
+spin half with the derived spin part as one expression.  A channel with j
+momentum factors reaches x^k for 1 + j + 2k <= MAX_ORDER; since
 xi^2 = beta^2 / (1 - beta^2) has unit leading term, that compares its
 boost-speed series through beta^(TBMT_DEGREE - j), TBMT_DEGREE = MAX_ORDER - 1.
 The moments mu and d stay symbols on both sides, so the one equality holds
-for every (ge, gte).
+for every (ge, gte).  The catalog's weak-field entries are views of the
+same Hamiltonian.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from . import algebra as al
 from . import hamiltonians as ham
 from .algebra import Expression
 from .fw import MAX_ORDER, FWRunResult
-from .series import (BOOSTED, INTRINSIC, SeriesPoly, gamma_ratio_series,
+from .series import (BOOSTED, INTRINSIC, SQRT, SeriesPoly, gamma_ratio_series,
                      gamma_series, xi_series)
 
 
@@ -36,7 +43,7 @@ class ReductionError(RuntimeError):
 
 
 def physicalize(e: Expression) -> Expression:
-    return al.truncate_fields(al.substitute_energy_gap(e))
+    return al.substitute_energy_gap(al.truncate_fields(e))
 
 
 def physical_orders(result: FWRunResult) -> dict[int, Expression]:
@@ -70,79 +77,92 @@ def reduce_to_physical(result: FWRunResult) -> tuple[Expression, Expression]:
     return parts["orbit"], parts["spin"]
 
 
+def _anomalous(order: int, key: tuple) -> str | None:
+    """The label of a packed term: static for mu-with-B and d-with-E, cross
+    for mu-with-E and d-with-B, None without an anomalous moment."""
+    d, fields = al._unpack(key[0])
+    moments = d[al._I_MU], d[al._I_D]
+    if moments == (0, 0):
+        return None
+    electric = {a < 3 for a in fields}
+    if moments not in ((1, 0), (0, 1)) or len(electric) != 1:
+        raise ReductionError(f"unrecognized anomalous term {al._unpack_key(*key)}")
+    return "static" if (moments == (1, 0)) != electric.pop() else "cross"
+
+
 def pauli_extra_terms(h_phys: Expression) -> tuple[Expression, Expression]:
     """Split the anomalous-moment terms of a physicalized Hamiltonian (the
     orbit plus spin parts of reduce_to_physical) by field pairing.
 
     Returns (static, cross): static collects mu-with-B and d-with-E couplings,
-    cross collects mu-with-E and d-with-B.  Terms carrying an anomalous moment
-    but no single identifiable field report as residue.
+    cross collects mu-with-E and d-with-B.  A term carrying an anomalous
+    moment other than one power of mu or of d, or no single kind of field,
+    raises.
     """
-    static, cross = {}, {}
-    for key, val in h_phys.terms.items():
-        mu_exp, d_exp = key[0][6], key[0][7]
-        if not mu_exp and not d_exp:
-            continue
-        kinds = {("E" if a < 3 else "B") for a in key[3] if al.is_field(a)}
-        if len(kinds) != 1 or mu_exp + d_exp != 1:
-            raise ReductionError(f"unrecognized anomalous term {key}")
-        kind = kinds.pop()
-        if (mu_exp and kind == "B") or (d_exp and kind == "E"):
-            static[key] = val
-        else:
-            cross[key] = val
-    return Expression(static), Expression(cross)
+    parts = al._partition(h_phys, _anomalous, ("static", "cross"))
+    return parts["static"], parts["cross"]
 
 
 # ---------------------------------------------------------------------------
-# The classical spin Hamiltonian
+# The classical Hamiltonian
 
 TBMT_DEGREE = MAX_ORDER - 1
 _SERIES_DEGREE = MAX_ORDER  # the highest degree series_check reads
 
 
-def classical_spin_hamiltonian() -> Expression:
-    """The Thomas-BMT spin Hamiltonian -(e/mc) s.F - (et/mc) s.F_dual on the
-    particle block, s = hbar Sigma / 2 and beta = xi / gamma, through
-    beta^TBMT_DEGREE.
+def classical_hamiltonian() -> Expression:
+    """The classical Hamiltonian on the particle block: the orbital
+    m c^2 sqrt(1 + xi^2) plus the Thomas-BMT spin term
+    -(e/mc) s.F - (et/mc) s.F_dual, s = hbar Sigma / 2 and beta = xi / gamma.
 
-    Each channel is a core in units of hbar charge / 2mc times a prefactor
-    in x = xi^2, gamma = sqrt(1 + x).  An anomalous prefactor carries the
-    gap-scaled moment in place of the charge, since every anomalous
-    classical term is (g/2 - 1) charge hbar c, so mu and d stay symbols.  A
-    core with j momentum factors keeps x^k for k <= (TBMT_DEGREE - j) // 2.
+    It is written in the gap, m c^2 = Eg / 2 and xi = 2 c Pi / Eg, so each
+    product keeps 1/Eg orders through MAX_ORDER as the derived slices do, and
+    is then physicalized like them.  Each spin channel is a core in units of
+    hbar charge c / Eg = hbar charge / 2mc times a prefactor in x = xi^2,
+    gamma = sqrt(1 + x).  An anomalous prefactor carries the gap-scaled
+    moment over Eg in place of that unit, since every anomalous classical
+    term is (g/2 - 1) charge hbar c, so mu and d stay symbols.
     """
-    deg = TBMT_DEGREE // 2
+    deg = MAX_ORDER // 2
     one, x = SeriesPoly.const(1, deg), SeriesPoly.x(deg)
     inv_gamma = (one + x).rsqrt()
     inv_gamma_plus_one = ((one + x) * inv_gamma + 1).inverse()
-    over_mc = al.dim(m=-1, c=-1)
-    parts = []
+    c_over_gap = al.dim(c=1, Eg=-1)
+    c2_over_gap2 = al.dim_mul(c_over_gap, c_over_gap)
+    xi2, xi2k = ham.pi_squared(1).scale(4, dims=c2_over_gap2), [Expression.term(1)]
+    for _ in range(deg):
+        xi2k.append(al.truncate_fields(al.mul(xi2k[-1], xi2, max_order=MAX_ORDER)))
+
+    def in_xi(coeffs, dims: tuple) -> Expression:
+        """Sum_k coeffs[k] xi^2k times the monomial dims."""
+        return al.linear_combination(zip(coeffs, xi2k)).scale(1, dims=dims)
+
+    parts = [(Fraction(1, 2), in_xi(SQRT, al.dim(Eg=1)))]
     for charge, moment, direct, cross, sign in (("e", "mu", "B", "E", -1),
                                                 ("et", "d", "E", "B", 1)):
-        long_core = al.truncate_fields(al.mul(ham.sigma_dot_pi(), ham.field_dot_pi(direct)))
-        channels = (  # core, its momentum factors j, normal and anomalous prefactors
-            (ham.mat_dot_field(0, direct), 0, inv_gamma * sign, one * sign),
-            (ham.sigma_dot_field_cross_pi(cross).scale(1, dims=over_mc), 1,
+        long_core = al.mul(ham.sigma_dot_pi(), ham.field_dot_pi(direct))
+        channels = (  # core, normal and anomalous prefactors
+            (ham.mat_dot_field(0, direct), inv_gamma * sign, one * sign),
+            (ham.sigma_dot_field_cross_pi(cross).scale(2, dims=c_over_gap),
              inv_gamma_plus_one - inv_gamma, -inv_gamma),
-            (long_core.scale(1, dims=al.dim_mul(over_mc, over_mc)), 2,
+            (long_core.scale(4, dims=c2_over_gap2),
              SeriesPoly.zero(deg), inv_gamma * inv_gamma_plus_one * -sign),
         )
-        normal = al.dim(hbar=1, m=-1, c=-1, **{charge: 1})
-        anomalous = al.dim(m=-1, c=-2, **{moment: 1})
-        for core, j, normal_pref, anomalous_pref in channels:
-            for k in range((TBMT_DEGREE - j) // 2 + 1):
-                grown = core if k == 0 else al.truncate_fields(al.mul(ham.xi_squared(k), core))
-                parts += [(normal_pref[k] / 2, grown.scale(1, dims=normal)),
-                          (anomalous_pref[k] / 2, grown.scale(1, dims=anomalous))]
-    return al.linear_combination(parts)
+        normal = al.dim(hbar=1, c=1, Eg=-1, **{charge: 1})
+        anomalous = al.dim(Eg=-1, **{moment: 1})
+        for core, normal_pref, anomalous_pref in channels:
+            prefactor = (in_xi(normal_pref.coeffs, normal)
+                         + in_xi(anomalous_pref.coeffs, anomalous))
+            parts.append((1, al.mul(prefactor, core, max_order=MAX_ORDER)))
+    return physicalize(al.linear_combination(parts))
 
 
 def match_tbmt(h_spin: Expression) -> Expression:
     """The reduced spin Hamiltonian, mu and d left as symbols, minus the
     classical one on the particle block: zero exactly when the two agree
     through beta^TBMT_DEGREE for every (ge, gte)."""
-    return al.project_particle_block(h_spin) - classical_spin_hamiltonian()
+    classical = al._partition(classical_hamiltonian(), _kind, ("spin",))["spin"]
+    return al.project_particle_block(h_spin) - classical
 
 
 # ---------------------------------------------------------------------------

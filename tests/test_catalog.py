@@ -9,6 +9,7 @@ from dyonfw import algebra as al
 from dyonfw import catalog as cat_mod
 from dyonfw import fw
 from dyonfw import hamiltonians as ham
+from dyonfw import reduction
 
 
 def test_shipped_fixtures_match_builders(catalog):
@@ -88,3 +89,23 @@ def test_first_stage_forms_reject_a_negative_order():
     below = al.Expression.term(1, word=(al.VPOT,), dims=al.dim(Eg=1))
     with pytest.raises(ValueError, match="negative 1/Eg order"):
         cat_mod.first_stage_forms(ham.omega_odd(), below)
+
+
+def test_physical_entries_are_lifts_of_the_classical_hamiltonian():
+    # on the frozen fixture: each weak-field entry is its particle block with
+    # beta put back on every term whose power of m is odd, physical order n
+    # is the m^-n slice, and the entries with a spin or orbit of their own
+    # add up to the classical Hamiltonian
+    m = al.DIM_NAMES.index("m")
+    loaded = cat_mod.ReferenceCatalog.load()
+    for key in cat_mod.PHYSICAL_KEYS:
+        block = al.project_particle_block(loaded[key])
+        lifted = al.Expression({
+            (dims, al.mat_code(3, al.mat_parts(mat)[1]) if dims[m] % 2 else mat, ip, word): val
+            for (dims, mat, ip, word), val in block.terms.items()})
+        assert lifted == loaded[key], key
+    for n in range(1, fw.MAX_ORDER + 1):
+        assert {-key[0][m] for key in loaded[f"physical_order_{n}"].terms} == {n}
+    whole = al.linear_combination((1, loaded[key]) for key in (
+        "kinetic_energy", "spin_dipole", "anomalous_static", "anomalous_cross"))
+    assert al.project_particle_block(whole) == reduction.classical_hamiltonian()

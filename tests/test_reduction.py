@@ -1,5 +1,6 @@
 """Physical reduction and the classical spin comparison."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -52,7 +53,9 @@ def test_physical_hamiltonian_sums_the_rest_mass_and_every_even_slice(dirac_resu
 
 @pytest.fixture(scope="module")
 def classical():
-    return reduction.classical_spin_hamiltonian()
+    # the spin half of the classical Hamiltonian, which match_tbmt subtracts
+    return al.Expression({key: val for key, val in reduction.classical_hamiltonian().terms.items()
+                          if reduction._kind(0, key) == "spin"})
 
 
 def test_tbmt_low_speed_limit(classical):
@@ -102,6 +105,18 @@ def test_dirac_pauli_without_moments_is_dirac(dirac_result, pauli_result):
     _, pauli_spin = reduction.reduce_to_physical(pauli_result)
     static, cross = reduction.pauli_extra_terms(reduction.physical_hamiltonian(pauli_result))
     assert pauli_spin == dirac_spin + static + cross
+
+
+@pytest.mark.parametrize("word, moments", [
+    ((al.field_e(1), al.field_b(2)), {"mu": 1}),
+    ((al.field_b(3),), {"mu": 1, "d": 1}),
+    ((al.pi(1), al.pi(2)), {"mu": 1}),
+], ids=["mu-with-e-and-b", "mu-d", "mu-without-a-field"])
+def test_pauli_extra_terms_names_an_unrecognized_anomalous_term(pauli_result, word, moments):
+    stray = al.Expression.term(1, word=word, mat=al.mat_code(3, 3), dims=al.dim(**moments))
+    (key,) = stray.terms
+    with pytest.raises(reduction.ReductionError, match=re.escape(f"anomalous term {key}")):
+        reduction.pauli_extra_terms(reduction.physical_hamiltonian(pauli_result) + stray)
 
 
 # Per-point cross-check of the symbolic match: the Dirac spin part plus the
