@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # The dynamics names are resolved on first use (PEP 562): dynamics imports
 # numpy, which the symbolic layers never run.
 _DYNAMICS = ("FieldConfig", "PhaseState", "Trajectory", "boost_dipole",
-             "boost_dipole_integrated", "fw_effective_field", "integrate",
+             "boost_dipole_integrated", "integrate",
              "orbit_rhs", "spin_rhs", "thomas_F", "thomas_F_dual")
 
 

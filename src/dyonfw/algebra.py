@@ -92,10 +92,6 @@ def pi(i: int) -> int:
     return P1 + i - 1
 
 
-def is_field(atom: int) -> bool:
-    return atom < VPOT
-
-
 def is_pi(atom: int) -> bool:
     return atom > VPOT
 
@@ -429,14 +425,15 @@ class Expression:
 def _lowest(acc: dict, den: int) -> tuple[dict, int]:
     """Int numerators acc over a positive den, without their zeros and
     divided by the gcd of den and all of them (in place when no zero is
-    dropped): the packed form of Expression."""
+    dropped): the packed form of Expression.  Over den 1 the gcd is 1."""
     if 0 in acc.values():
         acc = {key: c for key, c in acc.items() if c}
-    g = math.gcd(den, *acc.values())
-    if g != 1:
-        for key in acc:
-            acc[key] //= g
-        den //= g
+    if den != 1:
+        g = math.gcd(den, *acc.values())
+        if g != 1:
+            for key in acc:
+                acc[key] //= g
+            den //= g
     return acc, den
 
 
@@ -629,7 +626,8 @@ def _partition(e: Expression, label, names: tuple) -> dict:
     matrix; a term labelled None is dropped, and every name in names gets a
     group, empty or not.  Each group holds e's ints over e's denominator,
     reduced again, since a subset of the ints may share a factor with it;
-    no order is range checked (see _order)."""
+    a group that takes every term is e itself.  No order is range checked
+    (see _order)."""
     acc, den = e._packed
     groups: dict = {name: {} for name in names}
     for key, val in acc.items():
@@ -639,7 +637,8 @@ def _partition(e: Expression, label, names: tuple) -> dict:
                 groups[name][key] = val
             except KeyError:
                 groups[name] = {key: val}
-    return {name: Expression._from_packed(t, den) for name, t in groups.items()}
+    return {name: e if len(t) == len(acc) else Expression._from_packed(t, den)
+            for name, t in groups.items()}
 
 
 def _kept(e: Expression, keep) -> Expression:

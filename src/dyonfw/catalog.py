@@ -127,29 +127,21 @@ def build_fw_entries() -> dict[str, Expression]:
 
 # -- physical closed forms ----------------------------------------------------
 
-def _m_order(order: int, key: tuple) -> int:
-    """Minus a packed term's power of m: its physical order."""
-    return -al._unpack(key[0])[0][al._I_M]
-
-
 def build_physical_entries() -> dict[str, Expression]:
     """The weak-field closed forms, each a view of the classical Hamiltonian.
 
-    reduction.classical_hamiltonian() lives on the particle block.  A term
-    lifts off it with a factor beta when its power of m is odd, as the
-    derived even slices carry beta at odd 1/Eg orders (beta m c^2 and the
-    Zeeman couplings, not the spin-orbit chain).  Its orbit part is
-    kinetic_energy, its spin part at mu = d = 0 spin_dipole, and
-    physical_order_n is the m^-n slice of the two.  The anomalous entries are
-    its mu and d terms, split by pauli_extra_terms.
+    reduction.classical_hamiltonian() lives on the particle block, and
+    reduction.beta_lift lifts it off.  Its orbit part is kinetic_energy, its
+    spin part at mu = d = 0 spin_dipole, and physical_order_n is the m^-n
+    slice of the two.  The anomalous entries are its mu and d terms, split
+    by pauli_extra_terms.
     """
-    parity = al._partition(reduction.classical_hamiltonian(),
-                           lambda order, key: _m_order(order, key) % 2, (0, 1))
-    h = parity[0] + _beta_times(parity[1])
+    h = reduction.beta_lift(reduction.classical_hamiltonian())
     parts = al._partition(h, reduction._kind, ("orbit", "spin"))
     entries = {"kinetic_energy": parts["orbit"],
                "spin_dipole": al.drop_symbols(parts["spin"], "mu", "d")}
-    slices = al._partition(entries["kinetic_energy"] + entries["spin_dipole"], _m_order, ())
+    slices = al._partition(entries["kinetic_energy"] + entries["spin_dipole"],
+                           reduction._m_order, ())
     for n in range(1, MAX_ORDER + 1):
         entries[f"physical_order_{n}"] = slices[n]
     entries["anomalous_static"], entries["anomalous_cross"] = reduction.pauli_extra_terms(h)

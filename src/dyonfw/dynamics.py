@@ -486,32 +486,6 @@ def boost_dipole_integrated(p: Vec3, m: Vec3, beta: Vec3) -> tuple[Vec3, Vec3]:
     return lab_p, lab_m
 
 
-def fw_effective_field(beta: Vec3, fields: FieldConfig, ge: float,
-                       gte: float) -> tuple[Vec3, Vec3]:
-    """Effective precession fields from the gamma-form coefficient braces of
-    the reduced spin Hamiltonian, evaluated on the particle block.
-
-    Returned in the same convention as (thomas_F, thomas_F_dual); the second
-    brace couples to the negative intrinsic electric moment, which flips its
-    overall sign relative to the dual effective field.
-    """
-    gamma = _gamma(beta)
-    r = gamma / (gamma + 1.0)
-    bxE = _cross(beta, fields.E)
-    bxB = _cross(beta, fields.B)
-    bdotB = _dot(beta, fields.B)
-    bdotE = _dot(beta, fields.E)
-    brace_e = tuple((ge / 2 - 1 + 1 / gamma) * fields.B[i]
-                    - (ge / 2 - r) * bxE[i]
-                    - r * (ge / 2 - 1) * beta[i] * bdotB
-                    for i in range(3))
-    brace_et = tuple((gte / 2 - 1 + 1 / gamma) * fields.E[i]
-                     + (gte / 2 - r) * bxB[i]
-                     - r * (gte / 2 - 1) * beta[i] * bdotE
-                     for i in range(3))
-    return brace_e, tuple(-v for v in brace_et)
-
-
 # ---------------------------------------------------------------------------
 # Scenario files
 

@@ -6,10 +6,9 @@ the staged block-diagonalization can track expansion orders by Eg powers
 alone.  The anomalous-moment couplings enter through the gap-scaled symbols
 mu = Eg * mu' and d = Eg * d', each carrying an explicit 1/Eg.
 
-The vector shapes (c alpha.Pi, Sigma.F, F.Pi, Sigma.(F x Pi), (Pi x Sigma)_i,
-Pi^2k) have unit coefficients and are each normal ordered in one pass;
-callers give them their scalar prefactor with Expression.scale.
-xi_polynomial weights the powers of xi^2 by a prefactor table.
+The vector shapes (c alpha.Pi, Sigma.F, F.Pi, Sigma.(F x Pi), Pi^2k) have
+unit coefficients and are each normal ordered in one pass; callers give
+them their scalar prefactor with Expression.scale.
 """
 
 from __future__ import annotations
@@ -105,12 +104,6 @@ def sigma_dot_field_cross_pi(kind: str) -> al.Expression:
                 for i, j, k, sign in _EPS_TRIPLES)
 
 
-def pi_cross_sigma(i: int) -> al.Expression:
-    """(Pi x Sigma)_i = eps_ijk Pi_j Sigma_k (the boosted-moment shape)."""
-    return _sum((al.mat_code(0, k), (al.pi(j),), sign)
-                for a, j, k, sign in _EPS_TRIPLES if a == i)
-
-
 def pi_squared(power: int) -> al.Expression:
     """(Pi . Pi)^power; power 0 is 1."""
     square = _sum((al.ID_MAT, (al.pi(i), al.pi(i)), 1) for i in (1, 2, 3))
@@ -123,11 +116,6 @@ def pi_squared(power: int) -> al.Expression:
 def xi_squared(power: int) -> al.Expression:
     """(|Pi| / m c)^(2 power) as a commuting scalar factor."""
     return pi_squared(power).scale(1, dims=al.dim(m=-2 * power, c=-2 * power))
-
-
-def xi_polynomial(coeffs) -> al.Expression:
-    """Sum_k coeffs[k] (|Pi| / m c)^2k, e.g. one of the series tables."""
-    return al.linear_combination([(c, xi_squared(k)) for k, c in enumerate(coeffs)])
 
 
 # -- Hamiltonians ------------------------------------------------------------

@@ -21,8 +21,9 @@ momentum factors reaches x^k for 1 + j + 2k <= MAX_ORDER; since
 xi^2 = beta^2 / (1 - beta^2) has unit leading term, that compares its
 boost-speed series through beta^(TBMT_DEGREE - j), TBMT_DEGREE = MAX_ORDER - 1.
 The moments mu and d stay symbols on both sides, so the one equality holds
-for every (ge, gte).  The catalog's weak-field entries are views of the
-same Hamiltonian.
+for every (ge, gte).  The catalog's weak-field entries and the effective
+dipoles are views of the same Hamiltonian, lifted off the particle block by
+beta_lift.
 """
 
 from __future__ import annotations
@@ -157,12 +158,15 @@ def classical_hamiltonian() -> Expression:
     return physicalize(al.linear_combination(parts))
 
 
+def _classical_spin() -> Expression:
+    return al._partition(classical_hamiltonian(), _kind, ("spin",))["spin"]
+
+
 def match_tbmt(h_spin: Expression) -> Expression:
     """The reduced spin Hamiltonian, mu and d left as symbols, minus the
     classical one on the particle block: zero exactly when the two agree
     through beta^TBMT_DEGREE for every (ge, gte)."""
-    classical = al._partition(classical_hamiltonian(), _kind, ("spin",))["spin"]
-    return al.project_particle_block(h_spin) - classical
+    return al.project_particle_block(h_spin) - _classical_spin()
 
 
 # ---------------------------------------------------------------------------
@@ -209,42 +213,40 @@ def series_check() -> list[SeriesCheckReport]:
 
 
 # ---------------------------------------------------------------------------
-# Effective dipole moments
+# Views of the classical Hamiltonian
 
-def effective_dipoles(order: int) -> tuple[tuple, tuple]:
-    """Boosted effective dipole pair as component expressions (indexed 1..3).
+def _m_order(order: int, key: tuple) -> int:
+    """Minus a packed term's power of m: its physical order."""
+    return -al._unpack(key[0])[0][al._I_M]
 
-    order 1 gives the leading pair
 
-        p_eff = beta mu_p + (xi x mu_m) / 2
-        m_eff = beta mu_m - (xi x mu_p) / 2
+def beta_lift(e: Expression) -> Expression:
+    """A particle-block expression lifted to the four-component form: each
+    term with an odd power of m takes a factor beta, as the derived even
+    slices carry beta at odd 1/Eg orders (beta m c^2 and the Zeeman
+    couplings, not the spin-orbit chain)."""
+    parity = al._partition(e, lambda order, key: _m_order(order, key) % 2, (0, 1))
+    return parity[0] + al.mul(Expression.term(1, mat=al.BETA_MAT), parity[1])
 
-    with the intrinsic moments mu_m = (e hbar/2mc) Sigma and
-    mu_p = -(et hbar/2mc) Sigma; order 4 attaches the relativistic prefactor
-    polynomials in |xi|^2 (series.INTRINSIC and BOOSTED) to the intrinsic
-    and boosted pieces.
+
+def effective_dipoles() -> tuple[tuple, tuple]:
+    """Effective electric and magnetic dipoles (p_eff, m_eff), each as
+    component expressions indexed 1..3: minus the E_i and B_i gradients of
+    the classical spin Hamiltonian at mu = d = 0, lifted by beta_lift.
+
+    Every term of that spin half carries exactly one field atom, so a
+    gradient removes the atom from the terms that carry it.  To leading
+    order p_eff = beta mu_p + (xi x mu_m) / 2 and
+    m_eff = beta mu_m - (xi x mu_p) / 2, with mu_m = (e hbar/2mc) Sigma and
+    mu_p = -(et hbar/2mc) Sigma; the higher powers of xi^2 carry the
+    relativistic prefactors 1/gamma and 2/(gamma (gamma + 1)).
     """
-    if order not in (1, 4):
-        raise ValueError("supported expansion orders: 1 and 4")
-    half = Fraction(1, 2)
-    mu_m_dims = al.dim(hbar=1, m=-1, c=-1, e=1)
-    mu_p_dims = al.dim(hbar=1, m=-1, c=-1, et=1)
+    spin = beta_lift(al.drop_symbols(_classical_spin(), "mu", "d"))
+    by_field = al._partition(spin, lambda order, key: al._unpack(key[0])[1], ())
 
-    kept = 1 if order == 1 else len(INTRINSIC)
-    intrinsic_pref = ham.xi_polynomial(INTRINSIC[:kept])
-    cross_pref = ham.xi_polynomial(BOOSTED[:kept]).scale(half)
+    def minus_gradient(atom: int) -> Expression:
+        unit = al._FIELD_UNIT[atom]
+        return al._mapped(by_field[(atom,)], lambda p, mat, ip, w: ((p - unit, mat, ip, w), -1))
 
-    def xi_cross_moment(i: int, coeff, dims) -> Expression:
-        # (xi x moment)_i = eps_ijk (Pi_j / mc) * moment_k
-        return ham.pi_cross_sigma(i).scale(coeff, dims=al.dim_mul(dims, al.dim(m=-1, c=-1)))
-
-    p_eff, m_eff = [], []
-    for i in (1, 2, 3):
-        beta_sigma = al.mat_code(3, i)
-        p_eff.append(al.truncate_fields(
-            al.mul(intrinsic_pref, Expression.term(-half, mat=beta_sigma, dims=mu_p_dims))
-            + al.mul(cross_pref, xi_cross_moment(i, half, mu_m_dims))))
-        m_eff.append(al.truncate_fields(
-            al.mul(intrinsic_pref, Expression.term(half, mat=beta_sigma, dims=mu_m_dims))
-            - al.mul(cross_pref, xi_cross_moment(i, -half, mu_p_dims))))
-    return tuple(p_eff), tuple(m_eff)
+    return (tuple(minus_gradient(al.field_e(i)) for i in (1, 2, 3)),
+            tuple(minus_gradient(al.field_b(i)) for i in (1, 2, 3)))

@@ -4,9 +4,9 @@ weak-field prefactor tables.
 SQRT, INTRINSIC and BOOSTED are typed once, here: the Taylor coefficients in
 x = xi^2 of sqrt(1 + x), 1/gamma and 2/(gamma (gamma + 1)), gamma = sqrt(1 + x).
 reduction.classical_hamiltonian takes its orbital m c^2 sqrt(1 + xi^2) from
-SQRT and expands its spin prefactors as SeriesPoly.  effective_dipoles reads
-INTRINSIC and BOOSTED, and series_check compares those two, as series in the
-boost speed (xi = beta / sqrt(1 - beta^2)), with the classical gamma forms.
+SQRT and expands its spin prefactors as SeriesPoly.  Only series_check reads
+INTRINSIC and BOOSTED: it compares them, as series in the boost speed
+(xi = beta / sqrt(1 - beta^2)), with the classical gamma forms.
 """
 
 from __future__ import annotations

@@ -161,3 +161,24 @@ def nested_commutator(outer: al.Expression, inner: al.Expression, times: int) ->
     for _ in range(times):
         out = al.commutator(outer, out)
     return out
+
+
+def sigma_coefficients(e: al.Expression, symbols: dict, fields, pi) -> list:
+    """The Sigma_1..Sigma_3 coefficients of a particle-block expression as
+    complex floats, its atoms read as commuting numbers: each dimension
+    symbol from symbols (by DIM_NAMES name), E_i and B_i from fields.E and
+    fields.B, Pi_i from pi.  Exact on a weak-field quotient whose terms carry
+    one field atom each, as reordering their Pi's only adds a second one."""
+    atoms = (*fields.E, *fields.B, None, *pi)
+    out = [0j, 0j, 0j]
+    for (dims, mat, ip, word), c in e.terms.items():
+        left, right = al.mat_parts(mat)
+        if left or not right:
+            raise ValueError(f"term {(dims, mat, ip, word)} is not a Sigma_k term")
+        value = complex(c) * 1j ** ip
+        for name, exp in zip(al.DIM_NAMES, dims):
+            value *= symbols[name] ** exp
+        for atom in word:
+            value *= atoms[atom]
+        out[right - 1] += value
+    return out

@@ -545,6 +545,15 @@ def test_constructor_drops_zero_coefficients():
     assert cancelled == al.Expression.zero()
 
 
+def test_filters_hand_back_an_expression_they_keep_whole():
+    e = (term(Fraction(2, 3), word=(al.field_e(1), al.pi(1)), Eg=-1)
+         + term(5, word=(al.pi(2), al.pi(3))) + term(-1, word=(al.field_b(3),), Eg=-2))
+    assert al.truncate_fields(e) is e
+    assert al.beta_split(e)[0] is e and al.beta_split(e)[1].is_zero()
+    zeeman = al.order_slice(e, 2)
+    assert zeeman is not e and zeeman == term(-1, word=(al.field_b(3),), Eg=-2)
+
+
 def test_truncate_order_hands_back_an_expression_within_the_limit():
     e = (term(3, word=(al.pi(1),), Eg=-1) + term(Fraction(1, 2), word=(al.VPOT,), Eg=-2)
          + term(5, word=(al.pi(2), al.pi(3)), Eg=-4))

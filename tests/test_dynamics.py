@@ -1,4 +1,5 @@
-"""Classical orbit + spin integration, effective fields, dipole boosts."""
+"""Classical orbit + spin integration, the precession law against the derived
+spin Hamiltonian, dipole boosts."""
 
 import hashlib
 import json
@@ -10,8 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
+from dyonfw import algebra as al
 from dyonfw import cli
 from dyonfw import dynamics as dyn
+from dyonfw import reduction
 from dyonfw.dynamics import FieldConfig, PhaseState
 from dyonfw.hamiltonians import ParticleParams
 
@@ -49,8 +53,7 @@ def test_thomas_field_rejects_superluminal():
 
 @pytest.mark.parametrize("field", [
     lambda beta: dyn.thomas_F(beta, FieldConfig(), ge=2.0),
-    lambda beta: dyn.fw_effective_field(beta, FieldConfig(), 2.0, 2.0),
-], ids=["thomas_F", "fw_effective_field"])
+], ids=["thomas_F"])
 def test_effective_fields_reject_nan_speed(field):
     with pytest.raises(ValueError, match="below 1"):
         field((math.nan, 0, 0))
@@ -69,14 +72,42 @@ def test_dual_field_is_duality_image():
                      dyn.thomas_F(beta, swapped, 2.6))
 
 
-def test_fw_effective_field_equals_thomas_forms_on_a_grid():
-    fields = FieldConfig(E=(0.2, -0.1, 0.3), B=(0.1, 0.4, -0.2))
-    for speed in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
-        beta = (speed * 0.6, speed * 0.48, speed * 0.64)
-        for ge, gte in ((2.0, 2.0), (2.2, 1.0), (0.5, 3.0)):
-            fe, fd = dyn.fw_effective_field(beta, fields, ge, gte)
-            assert vec_close(fe, dyn.thomas_F(beta, fields, ge), 1e-12)
-            assert vec_close(fd, dyn.thomas_F_dual(beta, fields, gte), 1e-12)
+# The derived dirac-pauli spin Hamiltonian, read as floats on the particle
+# block at Pi = gamma m c beta, is Sigma . W with
+# W = -(hbar/2mc) (e F + et F_dual) through beta^5: the law integrate runs.
+PRECESSION_UNITS = {"hbar": 1.3, "c": 1.7, "m": 0.8, "e": 0.6, "et": -0.45}
+PRECESSION_FIELDS = FieldConfig(E=(0.3, -0.2, 0.5), B=(-0.4, 0.25, 0.35))
+PRECESSION_DIRECTION = (0.6, -0.48, 0.64)
+
+
+@pytest.fixture(scope="module")
+def particle_spin(pauli_result):
+    _, spin = reduction.reduce_to_physical(pauli_result)
+    return al.project_particle_block(spin)
+
+
+@pytest.mark.parametrize("ge, gte", [(2.0, 2.0), (3.0, 0.5), (2.0023, 3.0)])
+def test_derived_spin_hamiltonian_runs_the_integrators_precession_law(particle_spin, ge, gte):
+    u = PRECESSION_UNITS
+    hbar, c, m, e, et = u["hbar"], u["c"], u["m"], u["e"], u["et"]
+    symbols = dict(u, Eg=2 * m * c * c, mu=(ge / 2 - 1) * e * hbar * c,
+                   d=(gte / 2 - 1) * et * hbar * c)
+
+    def error(speed):
+        beta = tuple(speed * v for v in PRECESSION_DIRECTION)
+        gamma = 1 / math.sqrt(1 - speed * speed)
+        pi = tuple(gamma * m * c * b for b in beta)
+        w = oracles.sigma_coefficients(particle_spin, symbols, PRECESSION_FIELDS, pi)
+        f = dyn.thomas_F(beta, PRECESSION_FIELDS, ge)
+        f_dual = dyn.thomas_F_dual(beta, PRECESSION_FIELDS, gte)
+        law = [-hbar / (2 * m * c) * (e * a + et * b) for a, b in zip(f, f_dual)]
+        return max(abs(x - y) for x, y in zip(w, law))
+
+    errors = [error(speed) for speed in (0.02, 0.04, 0.08)]
+    assert errors[0] < 1e-10
+    # halving |beta| divides the error by 2^6: the truncation is at beta^6
+    for fine, coarse in zip(errors, errors[1:]):
+        assert 60 <= coarse / fine <= 68, errors
 
 
 # -- right-hand sides ---------------------------------------------------------

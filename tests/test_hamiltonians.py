@@ -99,11 +99,7 @@ def test_vector_shapes_match_the_oracle():
         cases.append((ham.sigma_dot_field_cross_pi(kind),
                       [(_eps(i, j, k), one, mat(0, i), [field(kind, j), al.pi(k)])
                        for i, j, k in itertools.permutations(idx)]))
-    cases += [(ham.pi_cross_sigma(i),
-               [(_eps(i, j, k), one, mat(0, k), [al.pi(j)])
-                for j, k in itertools.permutations(idx, 2) if i not in (j, k)])
-              for i in idx]
-    powers = [(ham.pi_squared(n), n, one) for n in (1, 2, 3)]
+    powers = [(ham.pi_squared(n), n, one) for n in (0, 1, 2, 3)]
     powers.append((ham.xi_squared(2), 2, al.dim(m=-4, c=-4)))
     for shape, power, dims in powers:
         # (Pi.Pi)^n expanded: Pi_i Pi_i Pi_j Pi_j ... over every index word
@@ -112,11 +108,3 @@ def test_vector_shapes_match_the_oracle():
     for shape, raw in cases:
         assert oracles.matrices_equal(oracles.expand(raw),
                                       oracles.expression_to_matrices(shape))
-
-
-def test_xi_polynomial_weights_the_powers_of_xi_squared():
-    coeffs = (Fraction(1), Fraction(-3, 4), Fraction(5, 8))
-    expected = (ham.xi_squared(0) + ham.xi_squared(1).scale(coeffs[1])
-                + ham.xi_squared(2).scale(coeffs[2]))
-    assert ham.xi_polynomial(coeffs) == expected
-    assert ham.xi_squared(0) == al.Expression.term(1)

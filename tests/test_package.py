@@ -1,9 +1,10 @@
 """Package surface: every name the package advertises can be imported, the
-command-line module loads without numpy, and the count of defaulted
-parameters does not creep back up."""
+command-line module loads without numpy, the count of defaulted parameters
+does not creep back up, and no public helper goes unused."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,3 +40,39 @@ def test_parameters_with_defaults_do_not_grow():
                 count += len(node.args.defaults)
                 count += sum(d is not None for d in node.args.kw_defaults)
     assert count <= MAX_DEFAULTED_PARAMETERS
+
+
+def _names_used(tree: ast.AST) -> set:
+    """Every identifier a module reads, imports or spells in a string other
+    than a docstring (the perfbench tracer wraps attributes by name)."""
+    docstrings = {id(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            names.update(re.findall(r"\w+", node.value))
+    return names
+
+
+def test_every_public_helper_is_used():
+    # A top-level public function or class of the package must be named
+    # somewhere in the package, the tests or the benchmark.
+    package = Path(dyonfw.__file__).parent
+    root = package.parents[1]
+    used = set()
+    for directory in ("src", "tests", "perfbench"):
+        for path in (root / directory).rglob("*.py"):
+            used |= _names_used(ast.parse(path.read_text()))
+    unused = [f"{path.stem}.{node.name}"
+              for path in sorted(package.rglob("*.py"))
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used]
+    assert unused == []

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from dyonfw import algebra as al
+from dyonfw import catalog as cat_mod
 from dyonfw import hamiltonians as ham
 from dyonfw import reduction
 from dyonfw.fw import MAX_ORDER
-from dyonfw.series import gamma_ratio_series, gamma_series, xi_series
 
 
 def test_third_order_contains_mass_correction(dirac_result):
@@ -54,8 +54,7 @@ def test_physical_hamiltonian_sums_the_rest_mass_and_every_even_slice(dirac_resu
 @pytest.fixture(scope="module")
 def classical():
     # the spin half of the classical Hamiltonian, which match_tbmt subtracts
-    return al.Expression({key: val for key, val in reduction.classical_hamiltonian().terms.items()
-                          if reduction._kind(0, key) == "spin"})
+    return reduction._classical_spin()
 
 
 def test_tbmt_low_speed_limit(classical):
@@ -139,45 +138,49 @@ def test_spin_hamiltonian_matches_tbmt_on_the_grid(dirac_spin_and_extras, classi
     assert fw == al.substitute_moments(classical, ge, gte)
 
 
-def test_effective_dipoles_first_order():
-    p_eff, m_eff = reduction.effective_dipoles(1)
-    half = Fraction(1, 2)
-    mu_m_dims = al.dim(hbar=1, m=-1, c=-1, e=1)
-    mu_p_dims = al.dim(hbar=1, m=-1, c=-1, et=1)
-    # z components: beta mu_p_z + (xi x mu_m)_z / 2
-    expected_p3 = (al.Expression.term(-half, mat=al.mat_code(3, 3), dims=mu_p_dims)
-                   + al.Expression.term(Fraction(1, 4), word=(al.pi(1),),
-                                        mat=al.mat_code(0, 2),
-                                        dims=al.dim_mul(mu_m_dims, al.dim(m=-1, c=-1)))
-                   - al.Expression.term(Fraction(1, 4), word=(al.pi(2),),
-                                        mat=al.mat_code(0, 1),
-                                        dims=al.dim_mul(mu_m_dims, al.dim(m=-1, c=-1))))
-    assert p_eff[2] == expected_p3
-    # dropping the magnetic charge leaves only the boosted piece in p_eff
-    electron_only = al.drop_symbols(p_eff[2], "et")
-    assert electron_only == expected_p3 - al.Expression.term(
-        -half, mat=al.mat_code(3, 3), dims=mu_p_dims)
-    assert len(m_eff[2]) == 3
+_EPS = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
+        (2, 1, 3): -1, (3, 2, 1): -1, (1, 3, 2): -1}
 
 
-def test_effective_dipoles_order_four_prefactors():
-    p_eff, _ = reduction.effective_dipoles(4)
-    # the intrinsic prefactor series must match 1/gamma when xi -> beta gamma
-    deg = 8
-    xi = xi_series(deg)
-    xi2 = xi * xi
-    intrinsic = 1 - xi2 * Fraction(1, 2) + xi2 * xi2 * Fraction(3, 8)
-    inv_gamma = gamma_series(deg).inverse()
-    assert all(intrinsic[k] == inv_gamma[k] for k in range(5))
-    boosted = (1 - xi2 * Fraction(3, 4) + xi2 * xi2 * Fraction(5, 8)) * Fraction(1, 2)
-    ratio_form = (1 - gamma_ratio_series(deg)) * gamma_series(deg).inverse()
-    # (1 - gamma/(gamma+1)) for the vector beta-hat: scalar part matches
-    # through beta^4 once one gamma is peeled off for the xi -> beta map
-    assert all((boosted * gamma_series(deg))[k] == (1 - gamma_ratio_series(deg))[k]
-               for k in range(5))
-    assert len(p_eff[0]) > 3  # quartic corrections present
+@pytest.fixture(scope="module")
+def dipoles():
+    return reduction.effective_dipoles()
 
 
-def test_effective_dipoles_rejects_unsupported_order():
-    with pytest.raises(ValueError):
-        reduction.effective_dipoles(2)
+def test_effective_dipoles_first_order(dipoles):
+    # the m^-1 and m^-2 slices: p_eff = beta mu_p + (xi x mu_m) / 2 and
+    # m_eff = beta mu_m - (xi x mu_p) / 2, with mu_m = (e hbar/2mc) Sigma,
+    # mu_p = -(et hbar/2mc) Sigma and xi = Pi / mc
+    def leading(i, intrinsic, sign, boosted):
+        out = al.Expression.term(Fraction(sign, 2), mat=al.mat_code(3, i),
+                                 dims=al.dim(hbar=1, m=-1, c=-1, **{intrinsic: 1}))
+        for (a, j, k), eps in _EPS.items():
+            if a == i:
+                out = out + al.Expression.term(
+                    Fraction(eps, 4), word=(al.pi(j),), mat=al.mat_code(0, k),
+                    dims=al.dim(hbar=1, m=-2, c=-2, **{boosted: 1}))
+        return out
+
+    p_eff, m_eff = dipoles
+    for i in (1, 2, 3):
+        for dipole, expected in ((p_eff, leading(i, "et", -1, "e")),
+                                 (m_eff, leading(i, "e", 1, "et"))):
+            first = al.Expression({key: val for key, val in dipole[i - 1].terms.items()
+                                   if key[0][al._I_M] >= -2})
+            assert first == expected, i
+
+
+def test_effective_dipoles_carry_no_field_atom(dipoles):
+    for dipole in dipoles:
+        for component in dipole:
+            assert not component.is_zero()
+            assert all(al.field_degree(word) == 0 for _, _, _, word in component.terms)
+
+
+def test_effective_dipoles_contract_to_the_frozen_spin_dipole(dipoles):
+    # -sum_i (E_i p_i + B_i m_i) is the spin half at mu = d = 0, lifted
+    p_eff, m_eff = dipoles
+    contraction = al.linear_combination(
+        (-1, al.mul(al.Expression.term(1, word=(atom(i),)), dipole[i - 1]))
+        for atom, dipole in ((al.field_e, p_eff), (al.field_b, m_eff)) for i in (1, 2, 3))
+    assert contraction == cat_mod.ReferenceCatalog.load()["spin_dipole"]
