@@ -57,13 +57,9 @@ def _report(suite: str, results: list[dict]) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from . import dynamics as dyn  # numpy loads only for the commands that run it
+    from . import dynamics as dyn  # imported only by the commands that run it
     params, fields, state, run = dyn.load_scenario(args.config)
-    traj = dyn.integrate(state, fields, params, **run)
-    drifts = traj.drifts()
-    if not all(map(math.isfinite, drifts.values())):
-        raise ValueError(f"trajectory is not finite: {drifts}")
-    traj.write_csv(args.out)
+    traj, drifts = dyn.simulate(state, fields, params, path=args.out, **run)
     json.dump({"samples": len(traj), "out": args.out, **drifts},
               sys.stdout, indent=1)
     print()

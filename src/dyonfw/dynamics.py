@@ -13,18 +13,22 @@ drifts |s| and the orbit energy by ~1e-6 — orders above the conservation
 targets this module is checked against, which is why rotation splitting is
 the default.
 
-`PhaseState` is the validated boundary type: `integrate` reads its start
-state once, binds every per-run constant (float charges and masses, the
-kick, the rotation numerator, the dual fields) into a step function, and
+`PhaseState` is the validated boundary type: `_integrate_blocks` reads its
+start state once, binds every per-run constant (float charges and masses,
+the kick, the rotation numerator, the dual fields) into a step function, and
 the loop then steps plain (x, u, s) float tuples.  Each float expression
 keeps the operand order of the per-state formulas (`thomas_F`, `orbit_rhs`,
 `spin_rhs`, `orbit_hamiltonian`, `PhaseState.helicity`), so a trajectory is
 the same bit for bit as one stepped through `PhaseState` objects.
+
+The loop yields after every block of whole chunks, so `simulate` hands the
+finished rows to forked CSV helpers (`_CsvWriter`) while the next block is
+stepped.  numpy is imported only by the code that builds or reads arrays;
+the dipole boosts run on float tuples without it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import numbers
@@ -34,8 +38,6 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from .hamiltonians import ParticleParams
 
@@ -194,7 +196,9 @@ def _hamiltonian(gamma, x, fields: FieldConfig, params: ParticleParams, c: float
             - float(params.etilde) * _dot(fields.B, x))
 
 
-_CHUNK_ROWS = 1024  # rows per block when columns are formatted or combined
+_CHUNK_ROWS = 1024  # rows per chunk when columns are formatted or combined
+_BLOCK_CHUNKS = 8  # chunks stepped between two hand-offs to the CSV writer
+_MAX_BLOCKS = 4  # the most CSV helpers alive at once
 
 
 @dataclass
@@ -214,6 +218,7 @@ class Trajectory:
     def drifts(self) -> dict[str, float]:
         """Largest deviation of the helicity, spin norm and energy from their
         first sample, _CHUNK_ROWS rows at a time; a NaN sample gives a NaN drift."""
+        import numpy as np
         maxima = []
         for a in range(0, len(self.t), _CHUNK_ROWS):
             b = a + _CHUNK_ROWS
@@ -228,43 +233,93 @@ class Trajectory:
                 "energy_drift": float(energy)}
 
     def write_csv(self, path: str | Path) -> None:
-        """One line per sample, each value as repr(float).
-
-        The _CHUNK_ROWS-row chunks are split into one contiguous block per
-        usable CPU, at most _MAX_BLOCKS.  This process writes the header and
-        the first block straight to path; a forked helper writes each later
-        block to an anonymous temporary file, appended in order once the
-        helper has exited.  Every value is the repr of the same float for any
-        split, so the file is the same byte for byte, and no copy of the
-        whole table is made.
-        """
-        columns = (self.t, self.x, self.u, self.s, self.helicity)
-        starts = range(0, len(self.t), _CHUNK_ROWS)
-        n = min(_usable_cpus(), len(starts), _MAX_BLOCKS) or 1
-        blocks = [starts[len(starts) * i // n:len(starts) * (i + 1) // n] for i in range(n)]
-        with open(path, "w") as f:  # opened before any helper starts
-            helpers = []
-            try:
-                for block in blocks[1:]:
-                    helpers.append((block.start, *_start_helper(columns, block)))
-                f.write("t,x,y,z,ux,uy,uz,sx,sy,sz,helicity\n")
-                _write_chunks(f, columns, blocks[0])
-                f.flush()
-                for row, pid, tmp in helpers:
-                    status = os.waitpid(pid, 0)[1]
-                    if status:
-                        raise OSError(f"the helper writing CSV rows from {row} exited "
-                                      f"with status {os.waitstatus_to_exitcode(status)}")
-                    tmp.seek(0)
-                    shutil.copyfileobj(tmp, f.buffer)
-            finally:
-                for _, pid, tmp in helpers:
-                    tmp.close()
-                    with contextlib.suppress(ChildProcessError):  # reaped above
-                        os.waitpid(pid, 0)
+        """One line per sample, each value as repr(float): a _CsvWriter handed
+        the whole table at once."""
+        with open(path, "w") as f, _CsvWriter() as writer:  # opened before any helper starts
+            writer.write(f, self)
 
 
-_MAX_BLOCKS = 4  # the most processes one CSV write runs on
+class _CsvWriter:
+    """Writes a trajectory's CSV, formatting its rows on forked helpers.
+
+    hand gives finished rows to a new helper, which writes them to an
+    anonymous temporary file while the caller steps on.  At most one helper
+    per usable CPU, and at most _MAX_BLOCKS, is alive at once; at that cap
+    the oldest is waited for first.  write splits the rows not yet handed out
+    into one contiguous part per usable CPU and starts a helper on each part
+    but the first.  It then writes the header, appends the helpers' files in
+    row order, each once its helper has exited with status 0, and formats the
+    first part itself, in its place and one chunk at a time.  Every value is
+    the repr of the same float for any split, so the file is the same byte
+    for byte.  Nothing reaches the file before write, and leaving the with
+    block reaps every helper.
+    """
+
+    def __init__(self):
+        self._cap = min(_usable_cpus(), _MAX_BLOCKS)
+        self._helpers = []  # (first row, pid, file), in row order
+        self._reaped = 0  # helpers [0, _reaped) have exited
+        self._handed = 0  # rows [0, _handed) are handed to helpers
+
+    def __enter__(self) -> "_CsvWriter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for _, _, tmp in self._helpers:
+            tmp.close()
+        for _, pid, _ in self._helpers[self._reaped:]:
+            os.waitpid(pid, 0)
+
+    def hand(self, traj: Trajectory, stop: int) -> None:
+        """Start a helper on rows [handed, stop) of traj, which must be final;
+        stop is a multiple of _CHUNK_ROWS or len(traj)."""
+        self._start(traj, range(self._handed, stop, _CHUNK_ROWS))
+        self._handed = stop
+
+    def write(self, f, traj: Trajectory) -> None:
+        """Write traj's CSV to the text file f, the rows not yet handed out
+        split over the usable CPUs."""
+        starts = range(self._handed, len(traj), _CHUNK_ROWS)
+        n = min(self._cap, len(starts)) or 1
+        parts = [starts[len(starts) * i // n:len(starts) * (i + 1) // n] for i in range(n)]
+        handed = len(self._helpers)
+        for part in parts[1:]:
+            self._start(traj, part)
+        f.write("t,x,y,z,ux,uy,uz,sx,sy,sz,helicity\n")
+        for i in range(handed):
+            self._append(f, i)
+        _write_chunks(f, _columns(traj), parts[0])
+        for i in range(handed, len(self._helpers)):
+            self._append(f, i)
+
+    def _start(self, traj: Trajectory, starts: range) -> None:
+        if len(self._helpers) - self._reaped >= self._cap:
+            self._reap(self._reaped)
+        self._helpers.append((starts.start, *_start_helper(_columns(traj), starts)))
+
+    def _reap(self, i: int) -> None:
+        """Wait for the helpers up to the i-th, in order; raise OSError for
+        one that did not exit with status 0."""
+        while self._reaped <= i:
+            row, pid, _ = self._helpers[self._reaped]
+            status = os.waitpid(pid, 0)[1]
+            self._reaped += 1
+            if status:
+                raise OSError(f"the helper writing CSV rows from {row} exited "
+                              f"with status {os.waitstatus_to_exitcode(status)}")
+
+    def _append(self, f, i: int) -> None:
+        self._reap(i)
+        tmp = self._helpers[i][2]
+        f.flush()
+        tmp.seek(0)
+        shutil.copyfileobj(tmp, f.buffer)
+        tmp.close()
+
+
+def _columns(traj: Trajectory) -> tuple:
+    """The arrays a CSV row is read from, in column order."""
+    return traj.t, traj.x, traj.u, traj.s, traj.helicity
 
 
 def _usable_cpus() -> int:
@@ -278,6 +333,7 @@ def _usable_cpus() -> int:
 def _write_chunks(f, columns, starts: range) -> None:
     """Write the rows of the _CHUNK_ROWS-row chunks beginning at starts to
     the text file f, one chunk formatted at a time."""
+    import numpy as np
     for a in starts:
         rows = np.column_stack([col[a:a + _CHUNK_ROWS] for col in columns])
         f.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())
@@ -406,14 +462,16 @@ def _rk4_stepper(fields: FieldConfig, params: ParticleParams, dt: float, c: floa
 _STEPPERS = {"split": _split_stepper, "rk4": _rk4_stepper}
 
 
-def integrate(state0: PhaseState, fields: FieldConfig, params: ParticleParams,
-              dt: float, steps: int, c: float = 1.0,
-              scheme: str = "split") -> Trajectory:
-    """Fixed-step integration; returns steps + 1 samples including the start.
+def _integrate_blocks(state0: PhaseState, fields: FieldConfig, params: ParticleParams,
+                      dt: float, steps: int, c: float, scheme: str):
+    """integrate's loop, _BLOCK_CHUNKS chunks of rows at a time.
 
-    The loop steps plain (x, u, s) float tuples from state0; the helicity and
-    energy columns are computed afterwards, elementwise, by the same float
-    operations as PhaseState.helicity and orbit_hamiltonian.
+    Yields (trajectory, stop) each time rows [0, stop) are final, the last
+    time with stop = steps + 1; the trajectory is the same object each time,
+    its rows from stop on not yet written.  The loop steps plain (x, u, s)
+    float tuples from state0; each block's helicity and energy are then
+    computed elementwise, a chunk at a time, by the same float operations as
+    PhaseState.helicity and orbit_hamiltonian.
     """
     for name, value in (("dt", dt), ("c", c)):
         if not (math.isfinite(value) and value > 0):
@@ -422,28 +480,64 @@ def integrate(state0: PhaseState, fields: FieldConfig, params: ParticleParams,
         raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
     if scheme not in _STEPPERS:
         raise ValueError(f"scheme must be one of {sorted(_STEPPERS)}, got {scheme!r}")
+    import numpy as np
     step = _STEPPERS[scheme](fields, params, dt, c)
     n = steps + 1
     t = np.empty(n)
     xus = np.empty((n, 9))  # one row per sample; x, u and s are views of it
     x, u, s = xus[:, 0:3], xus[:, 3:6], xus[:, 6:9]
-    tk, xk, uk, sk = state0.t, state0.x, state0.u, state0.s
-    t[0], xus[0] = tk, xk + uk + sk
-    for k in range(1, n):
-        xk, uk, sk = step(xk, uk, sk)
-        tk += dt
-        t[k], xus[k] = tk, xk + uk + sk
     hel = np.empty(n)
     energy = np.empty(n)
-    for a in range(0, n, _CHUNK_ROWS):
-        rows = slice(a, a + _CHUNK_ROWS)
-        ub, sb = u[rows].T, s[rows].T
-        uu = _dot(ub, ub)
-        umag = np.sqrt(uu)
-        hel[rows] = np.divide(_dot(sb, ub), umag, out=np.zeros_like(umag),
-                              where=umag != 0.0)
-        energy[rows] = _hamiltonian(np.sqrt(1.0 + uu), x[rows].T, fields, params, c)
-    return Trajectory(t=t, x=x, u=u, s=s, helicity=hel, energy=energy)
+    traj = Trajectory(t=t, x=x, u=u, s=s, helicity=hel, energy=energy)
+    tk, xk, uk, sk = state0.t, state0.x, state0.u, state0.s
+    t[0], xus[0] = tk, xk + uk + sk
+    block = _BLOCK_CHUNKS * _CHUNK_ROWS
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        for k in range(max(start, 1), stop):
+            xk, uk, sk = step(xk, uk, sk)
+            tk += dt
+            t[k], xus[k] = tk, xk + uk + sk
+        for a in range(start, stop, _CHUNK_ROWS):
+            rows = slice(a, a + _CHUNK_ROWS)
+            ub, sb = u[rows].T, s[rows].T
+            uu = _dot(ub, ub)
+            umag = np.sqrt(uu)
+            hel[rows] = np.divide(_dot(sb, ub), umag, out=np.zeros_like(umag),
+                                  where=umag != 0.0)
+            energy[rows] = _hamiltonian(np.sqrt(1.0 + uu), x[rows].T, fields, params, c)
+        yield traj, stop
+
+
+def integrate(state0: PhaseState, fields: FieldConfig, params: ParticleParams,
+              dt: float, steps: int, c: float = 1.0,
+              scheme: str = "split") -> Trajectory:
+    """Fixed-step integration; returns steps + 1 samples including the start
+    (_integrate_blocks run to its end)."""
+    for traj, _ in _integrate_blocks(state0, fields, params, dt, steps, c, scheme):
+        pass
+    return traj
+
+
+def simulate(state0: PhaseState, fields: FieldConfig, params: ParticleParams,
+             dt: float, steps: int, scheme: str, path: str | Path) -> tuple[Trajectory, dict]:
+    """integrate at c = 1, its CSV written to path while it steps; returns
+    the trajectory and its drifts.
+
+    path is opened first, so a bad path fails before any helper starts.
+    Each finished block but the last goes to a _CsvWriter helper at once;
+    the rest is split over the CPUs once the drifts are known to be finite,
+    so no byte reaches path before that check, which raises ValueError.
+    """
+    with open(path, "w") as f, _CsvWriter() as writer:
+        for traj, stop in _integrate_blocks(state0, fields, params, dt, steps, 1.0, scheme):
+            if stop < len(traj):  # the last block is split over the CPUs by write
+                writer.hand(traj, stop)
+        drifts = traj.drifts()
+        if not all(map(math.isfinite, drifts.values())):
+            raise ValueError(f"trajectory is not finite: {drifts}")
+        writer.write(f, traj)
+    return traj, drifts
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -22,3 +23,38 @@ def dirac_result():
 @pytest.fixture(scope="session")
 def pauli_result():
     return checks.pipeline("dirac-pauli")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test that leaves a child process behind, such as a forked
+    CSV helper, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def helper_forks(monkeypatch):
+    """Count the forks a test makes, and the most forked children alive
+    (forked and not yet waited for) at once."""
+    fork, waitpid = os.fork, os.waitpid
+    alive = set()
+    seen = {"forks": 0, "most_alive": 0}
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            alive.add(pid)
+            seen["forks"] += 1
+            seen["most_alive"] = max(seen["most_alive"], len(alive))
+        return pid
+
+    def counting_waitpid(pid, options):
+        result = waitpid(pid, options)
+        alive.discard(result[0])
+        return result
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "waitpid", counting_waitpid)
+    return seen

@@ -163,6 +163,18 @@ def nested_commutator(outer: al.Expression, inner: al.Expression, times: int) ->
     return out
 
 
+def _term_value(key, c, symbols: dict, atoms) -> complex:
+    """One term's coefficient times its dimension symbols and atoms, read
+    as commuting complex floats; its basis matrix is left out."""
+    dims, _, ip, word = key
+    value = complex(c) * 1j ** ip
+    for name, exp in zip(al.DIM_NAMES, dims):
+        value *= symbols[name] ** exp
+    for atom in word:
+        value *= atoms[atom]
+    return value
+
+
 def sigma_coefficients(e: al.Expression, symbols: dict, fields, pi) -> list:
     """The Sigma_1..Sigma_3 coefficients of a particle-block expression as
     complex floats, its atoms read as commuting numbers: each dimension
@@ -171,14 +183,25 @@ def sigma_coefficients(e: al.Expression, symbols: dict, fields, pi) -> list:
     one field atom each, as reordering their Pi's only adds a second one."""
     atoms = (*fields.E, *fields.B, None, *pi)
     out = [0j, 0j, 0j]
-    for (dims, mat, ip, word), c in e.terms.items():
-        left, right = al.mat_parts(mat)
+    for key, c in e.terms.items():
+        left, right = al.mat_parts(key[1])
         if left or not right:
-            raise ValueError(f"term {(dims, mat, ip, word)} is not a Sigma_k term")
-        value = complex(c) * 1j ** ip
-        for name, exp in zip(al.DIM_NAMES, dims):
-            value *= symbols[name] ** exp
-        for atom in word:
-            value *= atoms[atom]
-        out[right - 1] += value
+            raise ValueError(f"term {key} is not a Sigma_k term")
+        out[right - 1] += _term_value(key, c, symbols, atoms)
     return out
+
+
+def free_identity_coefficient(e: al.Expression, symbols: dict, pi) -> complex:
+    """The identity coefficient of a particle-block expression's free part
+    as a complex float: the terms whose words hold only Pi's, read as in
+    sigma_coefficients with Pi_i from pi.  Terms with a field atom or V are
+    left out, which is their value in no field at the origin, V = 0."""
+    atoms = (None,) * al.P1 + tuple(pi)
+    total = 0j
+    for key, c in e.terms.items():
+        if not all(map(al.is_pi, key[3])):
+            continue
+        if key[1] != al.mat_code(0, 0):
+            raise ValueError(f"term {key} is not an identity term")
+        total += _term_value(key, c, symbols, atoms)
+    return total

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 from dyonfw import algebra as al
 from dyonfw import checks, cli, reduction
+from dyonfw import dynamics as dyn
 
 EXPECTED = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
                        / "expected.json").read_text())
@@ -311,8 +313,11 @@ def test_directory_paths_report_error(tmp_path, monkeypatch, capsys, argv):
     assert set(json.loads(out)) == {"error"}
 
 
+# Enough steps for simulate to hand three whole blocks to helpers.
+_SEVERAL_BLOCKS = 3 * dyn._BLOCK_CHUNKS * dyn._CHUNK_ROWS + 100
+
+
 def test_simulate_out_directory_fails_before_any_helper_starts(tmp_path, monkeypatch, capsys):
-    from dyonfw import dynamics as dyn
     forks = []
 
     def fork():
@@ -321,13 +326,69 @@ def test_simulate_out_directory_fails_before_any_helper_starts(tmp_path, monkeyp
 
     monkeypatch.setattr(dyn, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", fork)
-    cfg = _write_scenario(tmp_path, lambda scenario: scenario["run"].update(steps=3000))
+    cfg = _write_scenario(tmp_path, lambda scenario: scenario["run"].update(
+        steps=_SEVERAL_BLOCKS))
     folder = tmp_path / "out.csv"
     folder.mkdir()
     code, out = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(folder))
     assert code == 1
     assert set(json.loads(out)) == {"error"}
     assert forks == []
+
+
+@pytest.mark.parametrize("failure, error, forks", [
+    ("raise", "step failed", 1),
+    ("nan", "trajectory is not finite", 3),
+], ids=["step-raises", "trajectory-not-finite"])
+def test_simulate_failure_after_a_helper_started_writes_no_row(tmp_path, monkeypatch, capsys,
+                                                               helper_forks, failure, error,
+                                                               forks):
+    # From the first step of the second block on, the stepper raises or
+    # carries a NaN position, which only the finite check after the last
+    # step sees.
+    split = dyn._STEPPERS["split"]
+
+    def failing_in_the_second_block(*args):
+        step, calls = split(*args), []
+
+        def fail_late(x, u, s):
+            calls.append(1)
+            if len(calls) == dyn._BLOCK_CHUNKS * dyn._CHUNK_ROWS:
+                if failure == "raise":
+                    raise ValueError("step failed")
+                x = (math.nan,) * 3
+            return step(x, u, s)
+        return fail_late
+
+    monkeypatch.setitem(dyn._STEPPERS, "split", failing_in_the_second_block)
+    cfg = _write_scenario(tmp_path, lambda scenario: scenario["run"].update(
+        steps=_SEVERAL_BLOCKS))
+    out_csv = tmp_path / "o.csv"
+    code, out = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out_csv))
+    assert code == 1
+    assert json.loads(out)["error"].startswith(error)
+    assert helper_forks["forks"] == forks
+    assert out_csv.read_text() == ""
+
+
+def test_simulate_reports_a_failing_helper_and_writes_no_row(tmp_path, monkeypatch, capsys):
+    parent, write_chunks = os.getpid(), dyn._write_chunks
+
+    def fail_in_helpers(f, columns, starts):
+        if os.getpid() != parent:
+            raise RuntimeError("helper failure")
+        write_chunks(f, columns, starts)
+
+    monkeypatch.setattr(dyn, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(dyn, "_write_chunks", fail_in_helpers)
+    cfg = _write_scenario(tmp_path, lambda scenario: scenario["run"].update(
+        steps=_SEVERAL_BLOCKS))
+    out_csv = tmp_path / "o.csv"
+    code, out = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out_csv))
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "the helper writing CSV rows from 0 exited with status 1"}
+    assert out_csv.read_text() == ""
 
 
 def test_boost_dipole_density(capsys):

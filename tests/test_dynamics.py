@@ -110,6 +110,36 @@ def test_derived_spin_hamiltonian_runs_the_integrators_precession_law(particle_s
         assert 60 <= coarse / fine <= 68, errors
 
 
+@pytest.fixture(scope="module")
+def particle_orbit(pauli_result):
+    orbit, _ = reduction.reduce_to_physical(pauli_result)
+    return al.project_particle_block(orbit)
+
+
+def test_derived_orbit_hamiltonian_is_the_integrators_free_energy(particle_orbit):
+    # The free part of the derived dirac-pauli orbit Hamiltonian (its terms
+    # without a field atom or V), read at Pi = gamma m c beta, is
+    # orbit_hamiltonian with no field at the origin: gamma m c^2.  The
+    # derived series goes through xi^6, so the error is beta^8.
+    u = PRECESSION_UNITS
+    c, m = u["c"], u["m"]
+    symbols = dict(u, Eg=2 * m * c * c, mu=0.3, d=-0.2)
+
+    def error(speed):
+        gamma = 1 / math.sqrt(1 - speed * speed)
+        gamma_beta = tuple(gamma * speed * v for v in PRECESSION_DIRECTION)
+        pi = tuple(m * c * v for v in gamma_beta)
+        energy = dyn.orbit_hamiltonian(PhaseState(u=gamma_beta), FieldConfig(),
+                                       ParticleParams(m=m), c)
+        return abs(oracles.free_identity_coefficient(particle_orbit, symbols, pi) - energy)
+
+    errors = [error(speed) for speed in (0.04, 0.08, 0.16)]
+    assert errors[0] < 1e-11
+    # doubling |beta| multiplies the error by about 2^8
+    for fine, coarse in zip(errors, errors[1:]):
+        assert 230 <= coarse / fine <= 290, errors
+
+
 # -- right-hand sides ---------------------------------------------------------
 
 def test_spin_rhs_vanishes_when_aligned():
@@ -398,11 +428,6 @@ def _naive_csv(traj) -> str:
     return "".join(lines)
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("n", [1, 1024, 1025])
 def test_write_csv_equals_one_repr_per_value(tmp_path, n):
     # n = 1 is a steps = 0 run; 1024 rows fill one formatting chunk exactly
@@ -421,7 +446,6 @@ def test_write_csv_is_the_same_for_any_block_count(tmp_path, monkeypatch, cpus):
     monkeypatch.setattr(dyn, "_usable_cpus", lambda: cpus)
     traj = _awkward_table(3 * dyn._CHUNK_ROWS + 5)
     traj.write_csv(tmp_path / "blocks.csv")
-    _assert_no_child_left()
     assert (tmp_path / "blocks.csv").read_bytes() == _naive_csv(traj).encode()
 
 
@@ -437,7 +461,56 @@ def test_write_csv_fails_when_a_helper_fails_and_reaps_every_helper(tmp_path, mo
     monkeypatch.setattr(dyn, "_write_chunks", fail_in_helpers)
     with pytest.raises(OSError, match="rows from 1024 exited with status 1"):
         _awkward_table(3 * dyn._CHUNK_ROWS + 5).write_csv(tmp_path / "blocks.csv")
-    _assert_no_child_left()
+
+
+# Three whole blocks, then two whole chunks and a short one.
+STREAMED_STEPS = 3 * dyn._BLOCK_CHUNKS * dyn._CHUNK_ROWS + 2 * dyn._CHUNK_ROWS + 300
+
+
+def _dyon_config(directory, steps):
+    cfg = directory / "cfg.json"
+    cfg.write_text(json.dumps(dict(DYON, run=dict(DYON["run"], steps=steps))))
+    return cfg
+
+
+def _simulate(cfg, capsys):
+    """simulate's exit code, stdout JSON and CSV path for the config cfg."""
+    out_csv = cfg.with_name("traj.csv")
+    code = cli.main(["simulate", "--config", str(cfg), "--out", str(out_csv)])
+    return code, json.loads(capsys.readouterr().out), out_csv
+
+
+@pytest.fixture(scope="module")
+def streamed_run(tmp_path_factory):
+    """The DYON config with STREAMED_STEPS steps, its integrate result and
+    that result's one-repr-per-value CSV."""
+    cfg = _dyon_config(tmp_path_factory.mktemp("streamed"), STREAMED_STEPS)
+    params, fields, state, run = dyn.load_scenario(cfg)
+    traj = dyn.integrate(state, fields, params, **run)
+    return cfg, traj, _naive_csv(traj)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_streamed_csv_equals_the_whole_table_write(tmp_path, monkeypatch, capsys, helper_forks,
+                                                   streamed_run, cpus):
+    cfg, traj, naive = streamed_run
+    monkeypatch.setattr(dyn, "_usable_cpus", lambda: cpus)
+    code, summary, out_csv = _simulate(cfg, capsys)
+    assert code == 0 and summary["samples"] == STREAMED_STEPS + 1
+    # A helper per whole block, then one per part of the three-chunk tail
+    # but the first, which the parent formats.
+    assert helper_forks["forks"] == 3 + min(cpus, 3) - 1
+    assert helper_forks["most_alive"] <= cpus
+    traj.write_csv(tmp_path / "whole.csv")
+    assert out_csv.read_bytes() == (tmp_path / "whole.csv").read_bytes() == naive.encode()
+
+
+def test_streamed_csv_of_no_step_is_the_start_row(tmp_path, capsys, helper_forks):
+    code, summary, out_csv = _simulate(_dyon_config(tmp_path, 0), capsys)
+    assert code == 0 and summary["samples"] == 1
+    assert helper_forks["forks"] == 0
+    traj = dyn.integrate(DYON_STATE, DYON_FIELDS, DYON_PARAMS, dt=0.02, steps=0)
+    assert out_csv.read_text() == _naive_csv(traj)
 
 
 # -- dipole boosts -------------------------------------------------------------

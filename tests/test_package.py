@@ -22,14 +22,24 @@ def test_star_import_resolves_every_public_name():
     assert set(dyonfw.__all__) <= set(namespace)
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # Only simulate and boost-dipole run numpy; verify and derive never pay
-    # for importing it.
+def _numpy_stays_unloaded(code: str) -> None:
+    """Run code in a fresh interpreter, then check numpy was never imported."""
     src = str(Path(dyonfw.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = 'import dyonfw.cli; import sys; assert "numpy" not in sys.modules'
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+    subprocess.run([sys.executable, "-c", code + '\nassert "numpy" not in sys.modules'],
+                   check=True, timeout=120, stdout=subprocess.DEVNULL,
                    env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # Only simulate runs numpy; verify and derive never pay for importing it.
+    _numpy_stays_unloaded("import sys; import dyonfw.cli")
+
+
+def test_boost_dipole_leaves_numpy_unloaded():
+    # The boosts run on float tuples; importing dynamics loads no numpy.
+    _numpy_stays_unloaded('import sys; from dyonfw import cli\n'
+                          'assert cli.main(["boost-dipole", "--beta", "0.6,0,0"]) == 0')
 
 
 def test_parameters_with_defaults_do_not_grow():
