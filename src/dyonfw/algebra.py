@@ -92,14 +92,6 @@ def pi(i: int) -> int:
     return P1 + i - 1
 
 
-def is_pi(atom: int) -> bool:
-    return atom > VPOT
-
-
-def field_degree(word: tuple[int, ...]) -> int:
-    return sum(1 for a in word if a < VPOT)
-
-
 # ---------------------------------------------------------------------------
 # Dimension monomials
 
@@ -120,11 +112,6 @@ def dim(**exponents: int) -> tuple[int, ...]:
 
 def dim_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(add, a, b))
-
-
-def eg_order(key) -> int:
-    """1/Eg order of a term key (mass term has order -1)."""
-    return -key[0][_I_EG]
 
 
 # ---------------------------------------------------------------------------
@@ -738,6 +725,32 @@ def to_json_dict(e: Expression) -> dict:
             "word": [ATOM_NAMES[a] for a in w],
         })
     return {"terms": terms}
+
+
+_DIM_SORTED = tuple(sorted(range(8), key=DIM_NAMES.__getitem__))  # Eg, c, d, ..., mu
+
+
+def to_json_text(e: Expression, depth: int) -> str:
+    """The text of json.dumps(to_json_dict(e), indent=1, sort_keys=True),
+    written directly, with every line after the first indented by `depth`
+    more spaces: one f-string per term and one join per expression.  (With
+    an indent, the stdlib encoder steps a generator per JSON token.)"""
+    i0, i1, i2, i3, i4 = ("\n" + " " * (depth + k) for k in range(5))
+    if e.is_zero():
+        return f'{{{i1}"terms": []{i0}}}'
+    sep = "," + i4
+    terms = []
+    for (d, mat, ip, w), c in e.sorted_items():
+        left, right = mat_parts(mat)
+        dims = sep.join([f'"{DIM_NAMES[k]}": {d[k]}' for k in _DIM_SORTED if d[k]])
+        word = sep.join([f'"{ATOM_NAMES[a]}"' for a in w])
+        terms.append(
+            f'{i2}{{{i3}"coeff": "{c}",'
+            f'{i3}"dim": {f"{{{i4}{dims}{i3}}}" if dims else "{}"},'
+            f'{i3}"mat": {{{i4}"left": {left},{i4}"phase": "{_PHASE_NAMES[ip]}",'
+            f'{i4}"right": {right}{i3}}},'
+            f'{i3}"word": {f"[{i4}{word}{i3}]" if word else "[]"}{i2}}}')
+    return f'{{{i1}"terms": [{",".join(terms)}{i1}]{i0}}}'
 
 
 # Coefficient strings repeat across a catalog (93 distinct among 1601

@@ -187,15 +187,16 @@ class ReferenceCatalog:
         return cls(out)
 
     def save(self, directory: str | Path) -> Path:
+        """Write catalog.json, the text json.dumps would give the payload
+        {"version", "entries": {key: to_json_dict(entry)}} with indent=1 and
+        sort_keys=True; each entry's text comes from al.to_json_text."""
         path = Path(directory)
         path.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "version": FIXTURES_VERSION,
-            "entries": {key: al.to_json_dict(self.entries[key])
-                        for key in sorted(self.entries)},
-        }
+        body = ",".join(f"\n  {json.dumps(key)}: {al.to_json_text(self.entries[key], 2)}"
+                        for key in sorted(self.entries))
+        entries = f"{{{body}\n }}" if body else "{}"
         out = path / "catalog.json"
-        out.write_text(json.dumps(payload, indent=1, sort_keys=True))
+        out.write_text(f'{{\n "entries": {entries},\n "version": {FIXTURES_VERSION}\n}}')
         return out
 
     def __getitem__(self, key: str) -> Expression:

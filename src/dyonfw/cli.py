@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import algebra as al
@@ -57,6 +58,9 @@ def _report(suite: str, results: list[dict]) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # Before numpy loads: OpenBLAS would start a thread pool, which competes
+    # with the CSV helpers for the CPUs and makes every os.fork multi-threaded.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import dynamics as dyn  # imported only by the commands that run it
     params, fields, state, run = dyn.load_scenario(args.config)
     traj, drifts = dyn.simulate(state, fields, params, path=args.out, **run)

@@ -28,6 +28,20 @@ def to_numeric(a: cl.BasisElement) -> np.ndarray:
     return a.phase * np.kron(PAULI_NUMERIC[a.left], PAULI_NUMERIC[a.right])
 
 
+def is_pi(atom: int) -> bool:
+    return atom > al.VPOT
+
+
+def field_degree(word: tuple[int, ...]) -> int:
+    """Number of field atoms in a word."""
+    return sum(1 for a in word if a < al.VPOT)
+
+
+def eg_order(key) -> int:
+    """1/Eg order of a term key (mass term has order -1)."""
+    return -key[0][al.DIM_NAMES.index("Eg")]
+
+
 _EPS = {(1, 2): (3, 1), (2, 1): (3, -1), (2, 3): (1, 1),
         (3, 2): (1, -1), (3, 1): (2, 1), (1, 3): (2, -1)}
 
@@ -64,14 +78,14 @@ def expand(terms):
         a, b = word[swap_at], word[swap_at + 1]
         swapped = word[:swap_at] + [b, a] + word[swap_at + 2:]
         work.append((coeff, dims, mat, swapped))
-        if al.is_pi(a) and b == al.VPOT:
+        if is_pi(a) and b == al.VPOT:
             i = a - al.VPOT
             rest = word[:swap_at] + word[swap_at + 2:]
             work.append((coeff * 1j, _dim_add(dims, hbar=1, e=1), mat,
                          rest[:swap_at] + [al.field_e(i)] + rest[swap_at:]))
             work.append((coeff * 1j, _dim_add(dims, hbar=1, et=1), mat,
                          rest[:swap_at] + [al.field_b(i)] + rest[swap_at:]))
-        elif al.is_pi(a) and al.is_pi(b):
+        elif is_pi(a) and is_pi(b):
             kk, sign = _EPS[(a - al.VPOT, b - al.VPOT)]
             rest = word[:swap_at] + word[swap_at + 2:]
             work.append((coeff * 1j * sign, _dim_add(dims, hbar=1, c=-1, e=1),
@@ -199,7 +213,7 @@ def free_identity_coefficient(e: al.Expression, symbols: dict, pi) -> complex:
     atoms = (None,) * al.P1 + tuple(pi)
     total = 0j
     for key, c in e.terms.items():
-        if not all(map(al.is_pi, key[3])):
+        if not all(map(is_pi, key[3])):
             continue
         if key[1] != al.mat_code(0, 0):
             raise ValueError(f"term {key} is not an identity term")

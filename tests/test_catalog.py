@@ -1,15 +1,21 @@
 """Fixture storage of the closed-form targets."""
 
 import json
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dyonfw import algebra as al
 from dyonfw import catalog as cat_mod
 from dyonfw import fw
 from dyonfw import hamiltonians as ham
 from dyonfw import reduction
+
+import oracles
+from test_algebra import _raw_keys
 
 
 def test_shipped_fixtures_match_builders(catalog):
@@ -22,6 +28,37 @@ def test_shipped_fixtures_match_builders(catalog):
 def test_rebuilt_catalog_file_is_byte_identical(tmp_path, catalog):
     packaged = Path(cat_mod.__file__).parent / "fixtures" / "catalog.json"
     assert catalog.save(tmp_path).read_bytes() == packaged.read_bytes()
+
+
+_expressions = st.dictionaries(
+    _raw_keys, st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3))),
+    max_size=3).map(al.Expression)
+
+# Beside the keys load requires, every catalog holds the zero expression and
+# unit terms (an empty dim and an empty word) entered with all four phases;
+# the canonical form keeps +1 and +i, with the sign in the coefficient.
+_FIXED_ENTRIES = {
+    "zero": al.Expression.zero(),
+    "phases": al.Expression({(al.DIM_ZERO, mat, ip, ()): c for mat in (al.ID_MAT, al.BETA_MAT)
+                             for ip, c in enumerate(map(Fraction, ("-3/2", "5/7", "1/3", "-2")))}),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_expressions, min_size=1, max_size=4),
+       st.dictionaries(st.text(max_size=8), _expressions, max_size=2))
+def test_save_writes_the_stdlib_encoders_text(required, extra):
+    entries = {**extra, **_FIXED_ENTRIES,
+               **{key: required[k % len(required)]
+                  for k, key in enumerate(cat_mod.FW_KEYS + cat_mod.PHYSICAL_KEYS)}}
+    payload = {"version": cat_mod.FIXTURES_VERSION,
+               "entries": {key: al.to_json_dict(e) for key, e in entries.items()}}
+    with tempfile.TemporaryDirectory() as directory:
+        path = cat_mod.ReferenceCatalog(entries).save(directory)
+        assert path.read_bytes() == json.dumps(payload, indent=1, sort_keys=True).encode()
+        assert cat_mod.ReferenceCatalog.load(directory).entries == entries
+    for e in entries.values():
+        assert al.to_json_text(e, 0) == json.dumps(al.to_json_dict(e), indent=1, sort_keys=True)
 
 
 def test_save_load_roundtrip(tmp_path, catalog):
@@ -73,7 +110,7 @@ def test_raw_even_slices_reproduce_the_dirac_pauli_pipeline(pauli_result):
     assert sorted(slices) == [1, 2, 3, 4, 5, 6]
     for n, derived in pauli_result.even_slices.items():
         assert slices[n] == derived, f"order {n}"
-    assert any(al.field_degree(key[3]) >= 2 for key in slices[6].terms)
+    assert any(oracles.field_degree(key[3]) >= 2 for key in slices[6].terms)
 
 
 def test_build_makes_the_first_stage_forms_once(monkeypatch):

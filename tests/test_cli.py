@@ -242,6 +242,25 @@ def test_simulate_writes_csv(tmp_path, capsys):
     assert len(lines) == 402
 
 
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
+def test_simulate_keeps_one_thread_without_openblas_settings(tmp_path):
+    # numpy's OpenBLAS starts a thread pool unless OPENBLAS_NUM_THREADS is
+    # set; simulate sets it, so it forks its CSV helpers from one thread.
+    code = ("import os, sys; from dyonfw import cli; "
+            f"assert cli.main(['simulate', '--config', {str(_write_scenario(tmp_path))!r}, "
+            f"'--out', {str(tmp_path / 'traj.csv')!r}]) == 0; "
+            "assert 'numpy' in sys.modules; "
+            "print(len(os.listdir('/proc/self/task')))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "1"
+
+
 def test_verify_fails_against_perturbed_fixtures(tmp_path, monkeypatch, capsys,
                                                  catalog):
     import json as json_mod

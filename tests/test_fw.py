@@ -11,6 +11,8 @@ from dyonfw import checks, fw
 from dyonfw.fw import PipelineError, bch_conjugate
 from dyonfw.series import SeriesPoly
 
+import oracles
+
 
 def _beta():
     return al.Expression.term(1, mat=al.BETA_MAT)
@@ -34,7 +36,8 @@ def test_bch_guards_read_a_packed_generator():
         assert all(len(key[3]) == 1 for key in s.terms)
         assert {key: (-c if key[2] else c) for key, c in s.terms.items()} == {
             key: sign * c for key, c in s.terms.items()}
-    assert min(map(al.eg_order, order_zero.terms)) == 0 < min(map(al.eg_order, hermitian.terms))
+    assert (min(map(oracles.eg_order, order_zero.terms)) == 0
+            < min(map(oracles.eg_order, hermitian.terms)))
     for s, message in ((hermitian, "not anti-Hermitian"), (order_zero, "non-positive order")):
         with pytest.raises(PipelineError, match=message):
             bch_conjugate(s, omega, 4)
@@ -166,7 +169,7 @@ def test_no_terms_beyond_target_order(dirac_result, pauli_result):
     for result in (dirac_result, pauli_result):
         for split in result.stages:
             for expr in (split.even, split.odd):
-                assert all(al.eg_order(k) <= 6 for k in expr.terms)
+                assert all(oracles.eg_order(k) <= 6 for k in expr.terms)
 
 
 def test_free_particle_reproduces_square_root_expansion():
@@ -180,19 +183,19 @@ def test_free_particle_reproduces_square_root_expansion():
     for n in (1, 3, 5):
         derived = al.Expression(
             {k: v for k, v in al.substitute_energy_gap(result.even_slices[n]).terms.items()
-             if al.field_degree(k[3]) == 0})
+             if oracles.field_degree(k[3]) == 0})
         k = (n + 1) // 2
         coeff = sqrt_series[2 * k]
         expected = al.Expression(
             {key: v for key, v in
              al.mul(al.mul(beta, al.Expression.term(coeff, dims=al.dim(m=1, c=2))),
                     ham.xi_squared(k)).terms.items()
-             if al.field_degree(key[3]) == 0})
+             if oracles.field_degree(key[3]) == 0})
         assert derived == expected
     for n in (2, 4, 6):
         assert al.Expression(
             {k: v for k, v in result.even_slices[n].terms.items()
-             if al.field_degree(k[3]) == 0}).is_zero()
+             if oracles.field_degree(k[3]) == 0}).is_zero()
 
 
 def test_mass_term_preserved(dirac_result):

@@ -5,6 +5,8 @@ from fractions import Fraction
 from dyonfw import algebra as al
 from dyonfw import hamiltonians as ham
 
+import oracles
+
 
 def _w_f():
     """[[Omega_o, even coupling], Omega_o] under linear-field truncation."""
@@ -39,13 +41,13 @@ def test_no_anomalous_longitudinal_terms_at_order_four(pauli_result):
     slice4 = pauli_result.stages[0].even_slice(4)
     for key in slice4.terms:
         if key[0][6] > 0 or key[0][7] > 0:
-            pi_count = sum(1 for a in key[3] if al.is_pi(a))
+            pi_count = sum(1 for a in key[3] if oracles.is_pi(a))
             assert pi_count != 4
 
 
 def test_anomalous_quartic_appears_at_order_five(pauli_result):
     slice5 = pauli_result.stages[0].even_slice(5)
     found = any((key[0][6] > 0 or key[0][7] > 0)
-                and sum(1 for a in key[3] if al.is_pi(a)) == 4
+                and sum(1 for a in key[3] if oracles.is_pi(a)) == 4
                 for key in slice5.terms)
     assert found
