@@ -254,10 +254,6 @@ def _packed_order(packed: int) -> int:
 # ---------------------------------------------------------------------------
 # Word normal ordering
 
-_EPS3 = {(1, 2): (3, 1), (2, 1): (3, -1),
-         (2, 3): (1, 1), (3, 2): (1, -1),
-         (3, 1): (2, 1), (1, 3): (2, -1)}
-
 _DIM_PIV_E = _pack(dim(hbar=1, e=1))
 _DIM_PIV_B = _pack(dim(hbar=1, et=1))
 _DIM_PIPI_B = _pack(dim(hbar=1, c=-1, e=1))
@@ -290,7 +286,7 @@ def _order_vp(word: tuple[int, ...]):
                        (_FIELD_UNIT[field_b(i)] + _DIM_PIV_B, 1))
     else:
         # Pi_i Pi_j -> Pi_j Pi_i + (i hbar / c) eps_ijk (e B_k - et E_k)
-        kk, sign = _EPS3[(i, b - VPOT)]
+        kk, sign = clifford.LEVI_CIVITA[(i, b - VPOT)]
         corrections = ((_FIELD_UNIT[field_b(kk)] + _DIM_PIPI_B, sign),
                        (_FIELD_UNIT[field_e(kk)] + _DIM_PIPI_E, -sign))
     acc: dict[tuple, int] = {}

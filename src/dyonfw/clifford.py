@@ -11,8 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# sigma_a sigma_b = delta_ab + i eps_abc sigma_c
-_EPS_CYCLE = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
+# The Levi-Civita symbol, typed once: (i, j) -> (k, eps_ijk) for i != j, the
+# cyclic pairs first.  sigma_i sigma_j = delta_ij + i eps_ijk sigma_k; algebra
+# reads it for [Pi_i, Pi_j] and hamiltonians for Sigma . (F x Pi).
+LEVI_CIVITA = {(1, 2): (3, 1), (2, 3): (1, 1), (3, 1): (2, 1),
+               (2, 1): (3, -1), (3, 2): (1, -1), (1, 3): (2, -1)}
 
 PHASES = (1, 1j, -1, -1j)
 
@@ -28,9 +31,8 @@ def pauli_mul(a: int, b: int) -> tuple[int, complex]:
         return a, 1
     if a == b:
         return 0, 1
-    if (a, b) in _EPS_CYCLE:
-        return _EPS_CYCLE[(a, b)], 1j
-    return _EPS_CYCLE[(b, a)], -1j
+    k, sign = LEVI_CIVITA[(a, b)]
+    return k, sign * 1j
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,12 @@ keeps the operand order of the per-state formulas (`thomas_F`, `orbit_rhs`,
 `spin_rhs`, `orbit_hamiltonian`, `PhaseState.helicity`), so a trajectory is
 the same bit for bit as one stepped through `PhaseState` objects.
 
-The loop yields after every block of whole chunks, so `simulate` hands the
-finished rows to forked CSV helpers (`_CsvWriter`) while the next block is
-stepped.  numpy is imported only by the code that builds or reads arrays;
-the dipole boosts run on float tuples without it.
+The loop yields after every block of whole chunks, so `simulate` hands each
+block, the last one included, to a forked CSV helper (`_CsvWriter`) while
+the next block is stepped; `Trajectory.write_csv` formats the same rows in
+this process, the reference the streamed file is compared with.  numpy is
+imported only by the code that builds or reads arrays; the dipole boosts run
+on float tuples without it.
 """
 
 from __future__ import annotations
@@ -199,6 +201,7 @@ def _hamiltonian(gamma, x, fields: FieldConfig, params: ParticleParams, c: float
 _CHUNK_ROWS = 1024  # rows per chunk when columns are formatted or combined
 _BLOCK_CHUNKS = 8  # chunks stepped between two hand-offs to the CSV writer
 _MAX_BLOCKS = 4  # the most CSV helpers alive at once
+_CSV_HEADER = "t,x,y,z,ux,uy,uz,sx,sy,sz,helicity\n"
 
 
 @dataclass
@@ -233,10 +236,11 @@ class Trajectory:
                 "energy_drift": float(energy)}
 
     def write_csv(self, path: str | Path) -> None:
-        """One line per sample, each value as repr(float): a _CsvWriter handed
-        the whole table at once."""
-        with open(path, "w") as f, _CsvWriter() as writer:  # opened before any helper starts
-            writer.write(f, self)
+        """One line per sample, each value as repr(float), formatted in this
+        process one chunk at a time."""
+        with open(path, "w") as f:
+            f.write(_CSV_HEADER)
+            _write_chunks(f, _columns(self), range(0, len(self), _CHUNK_ROWS))
 
 
 class _CsvWriter:
@@ -245,13 +249,9 @@ class _CsvWriter:
     hand gives finished rows to a new helper, which writes them to an
     anonymous temporary file while the caller steps on.  At most one helper
     per usable CPU, and at most _MAX_BLOCKS, is alive at once; at that cap
-    the oldest is waited for first.  write splits the rows not yet handed out
-    into one contiguous part per usable CPU and starts a helper on each part
-    but the first.  It then writes the header, appends the helpers' files in
-    row order, each once its helper has exited with status 0, and formats the
-    first part itself, in its place and one chunk at a time.  Every value is
-    the repr of the same float for any split, so the file is the same byte
-    for byte.  Nothing reaches the file before write, and leaving the with
+    the oldest is waited for first.  write writes the header, then appends
+    the helpers' files in row order, each once its helper has exited with
+    status 0.  Nothing reaches the file before write, and leaving the with
     block reaps every helper.
     """
 
@@ -273,29 +273,21 @@ class _CsvWriter:
     def hand(self, traj: Trajectory, stop: int) -> None:
         """Start a helper on rows [handed, stop) of traj, which must be final;
         stop is a multiple of _CHUNK_ROWS or len(traj)."""
-        self._start(traj, range(self._handed, stop, _CHUNK_ROWS))
-        self._handed = stop
-
-    def write(self, f, traj: Trajectory) -> None:
-        """Write traj's CSV to the text file f, the rows not yet handed out
-        split over the usable CPUs."""
-        starts = range(self._handed, len(traj), _CHUNK_ROWS)
-        n = min(self._cap, len(starts)) or 1
-        parts = [starts[len(starts) * i // n:len(starts) * (i + 1) // n] for i in range(n)]
-        handed = len(self._helpers)
-        for part in parts[1:]:
-            self._start(traj, part)
-        f.write("t,x,y,z,ux,uy,uz,sx,sy,sz,helicity\n")
-        for i in range(handed):
-            self._append(f, i)
-        _write_chunks(f, _columns(traj), parts[0])
-        for i in range(handed, len(self._helpers)):
-            self._append(f, i)
-
-    def _start(self, traj: Trajectory, starts: range) -> None:
         if len(self._helpers) - self._reaped >= self._cap:
             self._reap(self._reaped)
-        self._helpers.append((starts.start, *_start_helper(_columns(traj), starts)))
+        starts = range(self._handed, stop, _CHUNK_ROWS)
+        self._helpers.append((self._handed, *_start_helper(_columns(traj), starts)))
+        self._handed = stop
+
+    def write(self, f) -> None:
+        """Write the header and then every handed row to the text file f."""
+        f.write(_CSV_HEADER)
+        f.flush()  # the helpers' bytes go to f.buffer, after the header
+        for i, (_, _, tmp) in enumerate(self._helpers):
+            self._reap(i)
+            tmp.seek(0)
+            shutil.copyfileobj(tmp, f.buffer)
+            tmp.close()
 
     def _reap(self, i: int) -> None:
         """Wait for the helpers up to the i-th, in order; raise OSError for
@@ -307,14 +299,6 @@ class _CsvWriter:
             if status:
                 raise OSError(f"the helper writing CSV rows from {row} exited "
                               f"with status {os.waitstatus_to_exitcode(status)}")
-
-    def _append(self, f, i: int) -> None:
-        self._reap(i)
-        tmp = self._helpers[i][2]
-        f.flush()
-        tmp.seek(0)
-        shutil.copyfileobj(tmp, f.buffer)
-        tmp.close()
 
 
 def _columns(traj: Trajectory) -> tuple:
@@ -525,18 +509,17 @@ def simulate(state0: PhaseState, fields: FieldConfig, params: ParticleParams,
     the trajectory and its drifts.
 
     path is opened first, so a bad path fails before any helper starts.
-    Each finished block but the last goes to a _CsvWriter helper at once;
-    the rest is split over the CPUs once the drifts are known to be finite,
-    so no byte reaches path before that check, which raises ValueError.
+    Each finished block, the last one included, goes to a _CsvWriter helper
+    at once; the helpers' rows reach path only once the drifts are known to
+    be finite, a check that raises ValueError.
     """
     with open(path, "w") as f, _CsvWriter() as writer:
         for traj, stop in _integrate_blocks(state0, fields, params, dt, steps, 1.0, scheme):
-            if stop < len(traj):  # the last block is split over the CPUs by write
-                writer.hand(traj, stop)
+            writer.hand(traj, stop)
         drifts = traj.drifts()
         if not all(map(math.isfinite, drifts.values())):
             raise ValueError(f"trajectory is not finite: {drifts}")
-        writer.write(f, traj)
+        writer.write(f)
     return traj, drifts
 
 
@@ -587,11 +570,12 @@ def load_scenario(path: str | Path) -> tuple[ParticleParams, FieldConfig, PhaseS
     """Read a simulation config: particle, fields, initial state, run block.
 
     Raises ValueError naming the offending field for a missing block or one
-    that is not a JSON object, a non-positive or non-finite mass, a
-    non-finite charge, gyro-ratio, field or initial value, a vector that is
-    not three numbers, a missing or non-positive dt, a missing, negative or
-    non-integer step count, or a scheme other than split/rk4.  The returned
-    run block holds exactly dt, steps and scheme.
+    that is not a JSON object, a non-positive mass, a mass, charge,
+    gyro-ratio, field or initial value that is not a finite JSON number (a
+    bool or a string is not), a vector that is not three numbers, a missing,
+    non-numeric or non-positive dt, a missing, negative or non-integer step
+    count, or a scheme other than split/rk4.  The returned run block holds
+    exactly dt, steps and scheme.
     """
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
@@ -625,11 +609,13 @@ def load_scenario(path: str | Path) -> tuple[ParticleParams, FieldConfig, PhaseS
 
 
 def _as_fraction(name: str, value) -> Fraction:
-    """Exact value of a finite scenario number (floats via their repr)."""
-    try:
-        return Fraction(str(value)) if isinstance(value, float) else Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise ValueError(f"scenario {name} must be a finite number, got {value!r}") from None
+    """Exact value of a finite scenario number: a JSON integer, or a JSON
+    float via its repr.  A bool or a string is no number."""
+    if type(value) is int:
+        return Fraction(value)
+    if type(value) is float and math.isfinite(value):
+        return Fraction(repr(value))
+    raise ValueError(f"scenario {name} must be a finite number, got {value!r}")
 
 
 def _vector(name: str, value) -> Vec3:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import algebra as al
+from . import clifford
 
 
 @dataclass(frozen=True)
@@ -94,14 +95,10 @@ def field_dot_pi(kind: str) -> al.Expression:
     return _sum((al.ID_MAT, (_field_atom(kind, i), al.pi(i)), 1) for i in (1, 2, 3))
 
 
-_EPS_TRIPLES = [(1, 2, 3, 1), (2, 3, 1, 1), (3, 1, 2, 1),
-                (2, 1, 3, -1), (3, 2, 1, -1), (1, 3, 2, -1)]
-
-
 def sigma_dot_field_cross_pi(kind: str) -> al.Expression:
     """Sum over eps_ijk Sigma_i F_j Pi_k (the spin-orbit word shape)."""
     return _sum((al.mat_code(0, i), (_field_atom(kind, j), al.pi(k)), sign)
-                for i, j, k, sign in _EPS_TRIPLES)
+                for (i, j), (k, sign) in clifford.LEVI_CIVITA.items())
 
 
 def pi_squared(power: int) -> al.Expression:

@@ -35,7 +35,7 @@ from . import algebra as al
 from . import hamiltonians as ham
 from .algebra import Expression
 from .fw import MAX_ORDER, FWRunResult
-from .series import (BOOSTED, INTRINSIC, SQRT, SeriesPoly, gamma_ratio_series,
+from .series import (BOOSTED, INTRINSIC, SeriesPoly, gamma_ratio_series,
                      gamma_series, xi_series)
 
 
@@ -127,7 +127,8 @@ def classical_hamiltonian() -> Expression:
     deg = MAX_ORDER // 2
     one, x = SeriesPoly.const(1, deg), SeriesPoly.x(deg)
     inv_gamma = (one + x).rsqrt()
-    inv_gamma_plus_one = ((one + x) * inv_gamma + 1).inverse()
+    gamma = (one + x) * inv_gamma
+    inv_gamma_plus_one = (gamma + 1).inverse()
     c_over_gap = al.dim(c=1, Eg=-1)
     c2_over_gap2 = al.dim_mul(c_over_gap, c_over_gap)
     xi2, xi2k = ham.pi_squared(1).scale(4, dims=c2_over_gap2), [Expression.term(1)]
@@ -138,7 +139,7 @@ def classical_hamiltonian() -> Expression:
         """Sum_k coeffs[k] xi^2k times the monomial dims."""
         return al.linear_combination(zip(coeffs, xi2k)).scale(1, dims=dims)
 
-    parts = [(Fraction(1, 2), in_xi(SQRT, al.dim(Eg=1)))]
+    parts = [(Fraction(1, 2), in_xi(gamma.coeffs, al.dim(Eg=1)))]
     for charge, moment, direct, cross, sign in (("e", "mu", "B", "E", -1),
                                                 ("et", "d", "E", "B", 1)):
         long_core = al.mul(ham.sigma_dot_pi(), ham.field_dot_pi(direct))

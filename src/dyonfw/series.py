@@ -1,12 +1,12 @@
 """Truncated formal power series with exact rational coefficients, and the
 weak-field prefactor tables.
 
-SQRT, INTRINSIC and BOOSTED are typed once, here: the Taylor coefficients in
-x = xi^2 of sqrt(1 + x), 1/gamma and 2/(gamma (gamma + 1)), gamma = sqrt(1 + x).
-reduction.classical_hamiltonian takes its orbital m c^2 sqrt(1 + xi^2) from
-SQRT and expands its spin prefactors as SeriesPoly.  Only series_check reads
-INTRINSIC and BOOSTED: it compares them, as series in the boost speed
+INTRINSIC and BOOSTED are typed once, here: the Taylor coefficients in
+x = xi^2 of 1/gamma and 2/(gamma (gamma + 1)), gamma = sqrt(1 + x).  Only
+series_check reads them: it compares them, as series in the boost speed
 (xi = beta / sqrt(1 - beta^2)), with the classical gamma forms.
+reduction.classical_hamiltonian types no table: it derives its orbital
+m c^2 sqrt(1 + xi^2) and its spin prefactors as SeriesPoly.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-# Coefficients of x^k, x = xi^2, constant term (for SQRT the rest mass) first.
-SQRT = (Fraction(1), Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16))
+# Coefficients of x^k, x = xi^2, constant term first.
 INTRINSIC = (Fraction(1), Fraction(-1, 2), Fraction(3, 8))
 BOOSTED = (Fraction(1), Fraction(-3, 4), Fraction(5, 8))
 

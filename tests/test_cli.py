@@ -295,9 +295,15 @@ def test_verify_fails_against_perturbed_fixtures(tmp_path, monkeypatch, capsys,
     (lambda scenario: scenario["run"].update(steps=-5), "run.steps"),
     (lambda scenario: scenario["run"].update(steps=2.5), "run.steps"),
     (lambda scenario: scenario["run"].update(scheme="euler"), "run.scheme"),
+    (lambda scenario: scenario["particle"].update(m=True), "particle.m"),
+    (lambda scenario: scenario["fields"].update(B=[0, 0, True]), "fields.B"),
+    (lambda scenario: scenario["run"].update(dt="0.01"), "run.dt"),
+    (lambda scenario: scenario["fields"].update(E=[0, float("nan"), 0]), "fields.E"),
+    (lambda scenario: scenario["particle"].update(gte=float("-inf")), "particle.gte"),
 ], ids=["no-run-block", "list-fields-block", "nan-field", "short-field",
         "zero-mass", "negative-mass", "inf-ge", "no-dt", "zero-dt", "no-steps",
-        "negative-steps", "fractional-steps", "unknown-scheme"])
+        "negative-steps", "fractional-steps", "unknown-scheme", "bool-mass",
+        "bool-field", "string-dt", "nan-literal-field", "inf-literal-gte"])
 def test_simulate_bad_scenario_reports_error(tmp_path, capsys, edit, field):
     cfg = _write_scenario(tmp_path, edit)
     code, out = run_cli(capsys, "simulate", "--config", str(cfg), "--out",
@@ -357,7 +363,7 @@ def test_simulate_out_directory_fails_before_any_helper_starts(tmp_path, monkeyp
 
 @pytest.mark.parametrize("failure, error, forks", [
     ("raise", "step failed", 1),
-    ("nan", "trajectory is not finite", 3),
+    ("nan", "trajectory is not finite", 4),
 ], ids=["step-raises", "trajectory-not-finite"])
 def test_simulate_failure_after_a_helper_started_writes_no_row(tmp_path, monkeypatch, capsys,
                                                                helper_forks, failure, error,
