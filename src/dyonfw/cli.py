@@ -81,12 +81,8 @@ def _vec(text: str):
 
 def cmd_boost_dipole(args) -> int:
     from . import dynamics as dyn
-    if args.integrated:
-        p, m = dyn.boost_dipole_integrated(args.mu_p, args.mu_m, args.beta)
-    else:
-        p, m = dyn.boost_dipole(args.mu_p, args.mu_m, args.beta)
-    json.dump({"integrated": args.integrated, "p": list(p), "m": list(m)},
-              sys.stdout, indent=1)
+    p, m = dyn.boost_dipole(args.mu_p, args.mu_m, args.beta)
+    json.dump({"p": list(p), "m": list(m)}, sys.stdout, indent=1)
     print()
     return 0
 
@@ -124,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_boost.add_argument("--beta", type=_vec, required=True)
     p_boost.add_argument("--mu-p", type=_vec, default=(0.0, 0.0, 0.0))
     p_boost.add_argument("--mu-m", type=_vec, default=(0.0, 0.0, 0.0))
-    p_boost.add_argument("--integrated", action="store_true")
     p_boost.set_defaults(func=cmd_boost_dipole)
     return parser
 

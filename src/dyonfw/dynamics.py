@@ -25,8 +25,12 @@ The loop yields after every block of whole chunks, so `simulate` hands each
 block, the last one included, to a forked CSV helper (`_CsvWriter`) while
 the next block is stepped; `Trajectory.write_csv` formats the same rows in
 this process, the reference the streamed file is compared with.  numpy is
-imported only by the code that builds or reads arrays; the dipole boosts run
-on float tuples without it.
+imported only by the code that builds or reads arrays.
+
+`boost_dipole` reads the dipoles of a moving particle off the same
+Thomas-BMT field the integrator precesses with, on float tuples without
+numpy; the tests check it against the dipoles of the derived spin
+Hamiltonian.
 """
 
 from __future__ import annotations
@@ -462,16 +466,19 @@ def _integrate_blocks(state0: PhaseState, fields: FieldConfig, params: ParticleP
             raise ValueError(f"{name} must be a positive finite number, got {value!r}")
     if not isinstance(steps, numbers.Integral) or steps < 0:
         raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
-    if scheme not in _STEPPERS:
+    if not isinstance(scheme, str) or scheme not in _STEPPERS:
         raise ValueError(f"scheme must be one of {sorted(_STEPPERS)}, got {scheme!r}")
     import numpy as np
     step = _STEPPERS[scheme](fields, params, dt, c)
     n = steps + 1
-    t = np.empty(n)
-    xus = np.empty((n, 9))  # one row per sample; x, u and s are views of it
+    try:
+        t = np.empty(n)
+        xus = np.empty((n, 9))  # one row per sample; x, u and s are views of it
+        hel = np.empty(n)
+        energy = np.empty(n)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
+        raise ValueError(f"steps = {steps} needs more memory than can be allocated") from exc
     x, u, s = xus[:, 0:3], xus[:, 3:6], xus[:, 6:9]
-    hel = np.empty(n)
-    energy = np.empty(n)
     traj = Trajectory(t=t, x=x, u=u, s=s, helicity=hel, energy=energy)
     tk, xk, uk, sk = state0.t, state0.x, state0.u, state0.s
     t[0], xus[0] = tk, xk + uk + sk
@@ -526,41 +533,26 @@ def simulate(state0: PhaseState, fields: FieldConfig, params: ParticleParams,
 # ---------------------------------------------------------------------------
 # Dipole boosts
 
-def _gamma(beta: Vec3) -> float:
-    """The Lorentz factor of a boost speed below 1."""
-    b2 = _dot(beta, beta)
-    if not b2 < 1.0:  # also rejects NaN
-        raise ValueError("boost speed must be below 1")
-    return 1.0 / math.sqrt(1.0 - b2)
-
-
 def boost_dipole(mu_p: Vec3, mu_m: Vec3, beta: Vec3) -> tuple[Vec3, Vec3]:
-    """Density transformation law (covariant; same as the field law under
-    E <-> mu_p, B <-> -mu_m)."""
-    gamma = _gamma(beta)
-    g2r = gamma * gamma / (gamma + 1.0)
-    bxm = _cross(beta, mu_m)
-    bxp = _cross(beta, mu_p)
-    bdotp = _dot(beta, mu_p)
-    bdotm = _dot(beta, mu_m)
-    lab_p = tuple(gamma * (mu_p[i] + bxm[i]) - g2r * beta[i] * bdotp for i in range(3))
-    lab_m = tuple(gamma * (mu_m[i] - bxp[i]) - g2r * beta[i] * bdotm for i in range(3))
-    return lab_p, lab_m
+    """The electric and magnetic dipoles (p, m) of a particle moving at beta
+    with rest moments (mu_p, mu_m): minus the E and B gradients of the g = 2
+    Thomas-BMT energy H = -mu_m.F(beta, E, B) + mu_p.F(beta, B, -E) that the
+    integrator precesses with.  F is linear in its fields, so each gradient
+    is F on a unit field; the result is p = mu_p/gamma + beta x mu_m/(gamma+1)
+    and m = mu_m/gamma - beta x mu_p/(gamma+1).
 
-
-def boost_dipole_integrated(p: Vec3, m: Vec3, beta: Vec3) -> tuple[Vec3, Vec3]:
-    """Integrated-moment law; the spatial volume factor makes it gamma^2-weighted
-    and non-covariant, with the p/2 convention on the electric moment."""
-    gamma = _gamma(beta)
-    r = gamma / (gamma + 1.0)
-    half_p = tuple(0.5 * pi for pi in p)
-    bxm = _cross(beta, m)
-    bxp = _cross(beta, half_p)
-    lab_p = tuple(2.0 * gamma * gamma * (half_p[i] + bxm[i] - r * beta[i] * _dot(beta, half_p))
-                  for i in range(3))
-    lab_m = tuple(gamma * gamma * (m[i] - bxp[i] - r * beta[i] * _dot(beta, m))
-                  for i in range(3))
-    return lab_p, lab_m
+    Raises ValueError for a boost speed that is not below 1 (NaN included)
+    and for a result that is not finite.
+    """
+    zero = (0.0, 0.0, 0.0)
+    p, m = [], []
+    for unit in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
+        along_E, along_B = _thomas(beta, unit, zero, 1.0), _thomas(beta, zero, unit, 1.0)
+        p.append(_dot(mu_m, along_E) + _dot(mu_p, along_B))
+        m.append(_dot(mu_m, along_B) - _dot(mu_p, along_E))
+    if not all(map(math.isfinite, p + m)):
+        raise ValueError(f"boosted dipoles are not finite: p = {p}, m = {m}")
+    return tuple(p), tuple(m)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +594,7 @@ def load_scenario(path: str | Path) -> tuple[ParticleParams, FieldConfig, PhaseS
     if type(steps) is not int or steps < 0:
         raise ValueError(f"scenario run.steps must be a non-negative integer, got {steps!r}")
     scheme = run.get("scheme", "split")
-    if scheme not in _STEPPERS:
+    if not isinstance(scheme, str) or scheme not in _STEPPERS:
         raise ValueError(f"scenario run.scheme must be one of {sorted(_STEPPERS)}, "
                          f"got {scheme!r}")
     return params, fields, state, {"dt": float(dt), "steps": steps, "scheme": scheme}

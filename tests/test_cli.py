@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -300,18 +302,25 @@ def test_verify_fails_against_perturbed_fixtures(tmp_path, monkeypatch, capsys,
     (lambda scenario: scenario["run"].update(dt="0.01"), "run.dt"),
     (lambda scenario: scenario["fields"].update(E=[0, float("nan"), 0]), "fields.E"),
     (lambda scenario: scenario["particle"].update(gte=float("-inf")), "particle.gte"),
+    (lambda scenario: scenario["run"].update(scheme=[]), "run.scheme"),
+    # 8e16 bytes of times alone, more than any 64-bit address space holds;
+    # 2**60 steps pass numpy's own array size limit
+    (lambda scenario: scenario["run"].update(steps=10**16), "steps"),
+    (lambda scenario: scenario["run"].update(steps=2**60), "steps"),
 ], ids=["no-run-block", "list-fields-block", "nan-field", "short-field",
         "zero-mass", "negative-mass", "inf-ge", "no-dt", "zero-dt", "no-steps",
         "negative-steps", "fractional-steps", "unknown-scheme", "bool-mass",
-        "bool-field", "string-dt", "nan-literal-field", "inf-literal-gte"])
+        "bool-field", "string-dt", "nan-literal-field", "inf-literal-gte",
+        "list-scheme", "unallocatable-steps", "oversized-steps"])
 def test_simulate_bad_scenario_reports_error(tmp_path, capsys, edit, field):
     cfg = _write_scenario(tmp_path, edit)
-    code, out = run_cli(capsys, "simulate", "--config", str(cfg), "--out",
-                        str(tmp_path / "o.csv"))
+    out_csv = tmp_path / "o.csv"
+    code, out = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out_csv))
     assert code == 1
     error = json.loads(out)
     assert set(error) == {"error"}
     assert field in error["error"]
+    assert not out_csv.exists() or out_csv.read_text() == ""
 
 
 def test_simulate_missing_config_reports_error(tmp_path, capsys):
@@ -416,22 +425,23 @@ def test_simulate_reports_a_failing_helper_and_writes_no_row(tmp_path, monkeypat
     assert out_csv.read_text() == ""
 
 
-def test_boost_dipole_density(capsys):
+def test_boost_dipole_prints_p_and_m(capsys):
     code, out = run_cli(capsys, "boost-dipole", "--beta", "0.6,0,0",
                         "--mu-p", "0,0.2,0")
     assert code == 0
     data = json.loads(out)
-    assert abs(data["p"][1] - 0.25) < 1e-12
-    assert abs(data["m"][2] + 1.25 * 0.6 * 0.2) < 1e-12
+    assert set(data) == {"p", "m"}
+    assert abs(data["p"][1] - 0.16) < 1e-12
+    assert abs(data["m"][2] + 0.16 / 3) < 1e-12
 
 
-def test_boost_dipole_integrated_flag(capsys):
-    code, out = run_cli(capsys, "boost-dipole", "--beta", "0,0.5,0",
-                        "--mu-p", "0.4,0,0", "--integrated")
-    assert code == 0
-    data = json.loads(out)
-    gamma_sq = 1 / 0.75
-    assert abs(data["m"][2] - gamma_sq * 0.1) < 1e-12
+def test_boost_dipole_reports_an_overflowing_result(capsys):
+    # p_x is about 1.85e308, beyond the largest float under any formula
+    code, out = run_cli(capsys, "boost-dipole", "--beta", "0,0.1,-0.1",
+                        "--mu-p", "1.7e308,0,0", "--mu-m", "0,1.7e308,1.7e308")
+    assert code == 1
+    error = json.loads(out)
+    assert set(error) == {"error"} and "not finite" in error["error"]
 
 
 @pytest.mark.parametrize("flag, value", [("--beta", "nan,0,0"), ("--mu-p", "inf,0,1"),
@@ -443,3 +453,14 @@ def test_boost_dipole_rejects_non_finite(capsys, flag, value):
         cli.main(["boost-dipole", *(x for item in args.items() for x in item)])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("dyonfw ")]
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])

@@ -1,5 +1,5 @@
-"""Classical orbit + spin integration, the precession law against the derived
-spin Hamiltonian, dipole boosts."""
+"""Classical orbit + spin integration, the precession law and the dipole law
+against the derived spin Hamiltonian."""
 
 import hashlib
 import json
@@ -52,7 +52,8 @@ def test_thomas_field_rejects_superluminal():
 
 @pytest.mark.parametrize("field", [
     lambda beta: dyn.thomas_F(beta, FieldConfig(), ge=2.0),
-], ids=["thomas_F"])
+    lambda beta: dyn.boost_dipole((0, 0, 1), (0, 0, 0), beta),
+], ids=["thomas_F", "boost_dipole"])
 def test_effective_fields_reject_nan_speed(field):
     with pytest.raises(ValueError, match="below 1"):
         field((math.nan, 0, 0))
@@ -113,9 +114,9 @@ def test_derived_dipoles_follow_their_closed_law(particle_spin):
     # At mu = d = 0 the derived spin part is -p.E - m.B with Sigma-vector
     # dipoles, so a unit field E = e_i (B = e_i) reads off -p_i (-m_i).  For
     # a spin along n, with rest moments mu_m = (e hbar/2mc) n and
-    # mu_p = -(et hbar/2mc) n, they are p = mu_p/gamma + beta x mu_m/(gamma+1)
-    # and m = mu_m/gamma - beta x mu_p/(gamma+1): time dilation and
-    # Thomas's factor.
+    # mu_p = -(et hbar/2mc) n, they are boost_dipole's
+    # p = mu_p/gamma + beta x mu_m/(gamma+1) and
+    # m = mu_m/gamma - beta x mu_p/(gamma+1): time dilation and Thomas's factor.
     u = PRECESSION_UNITS
     hbar, c, m, e, et = u["hbar"], u["c"], u["m"], u["e"], u["et"]
     symbols = dict(u, Eg=2 * m * c * c, mu=0.0, d=0.0)
@@ -132,8 +133,7 @@ def test_derived_dipoles_follow_their_closed_law(particle_spin):
                 particle_spin, symbols, FieldConfig(**{kind: unit}), pi)) @ n
                 for unit in np.eye(3)])
 
-        law_p = mu_p / gamma + np.cross(beta, mu_m) / (gamma + 1)
-        law_m = mu_m / gamma - np.cross(beta, mu_p) / (gamma + 1)
+        law_p, law_m = map(np.array, dyn.boost_dipole(tuple(mu_p), tuple(mu_m), tuple(beta)))
         return max(abs(dipole("E") - law_p).max(), abs(dipole("B") - law_m).max())
 
     errors = [error(speed) for speed in (0.02, 0.04, 0.08)]
@@ -249,7 +249,8 @@ def test_integrate_rejects_bad_dt():
     ({"steps": -1}, "steps"),
     ({"steps": 2.5}, "steps"),
     ({"steps": 3, "scheme": "euler"}, "scheme"),
-], ids=["negative-steps", "fractional-steps", "unknown-scheme"])
+    ({"steps": 3, "scheme": []}, "scheme"),
+], ids=["negative-steps", "fractional-steps", "unknown-scheme", "list-scheme"])
 def test_integrate_rejects_bad_argument(kwargs, name):
     with pytest.raises(ValueError, match=name):
         dyn.integrate(PhaseState(), FieldConfig(), ParticleParams(), dt=0.1, **kwargs)
@@ -530,75 +531,19 @@ def test_boost_dipole_identity_at_rest():
     assert vec_close(out_p, mu_p) and vec_close(out_m, mu_m)
 
 
-def test_boost_dipole_density_law_values():
-    beta = (0.6, 0, 0)
-    gamma = 1.25
-    mu_p = (0, 0.2, 0)
-    out_p, out_m = dyn.boost_dipole(mu_p, (0, 0, 0), beta)
-    # transverse electric density scales by gamma; magnetic gains -gamma beta x mu_p
-    assert vec_close(out_p, (0, 0.25, 0))
-    assert vec_close(out_m, (0, 0, -gamma * 0.6 * 0.2))
-
-
-def test_boost_dipole_matches_field_transformation_rule():
-    # replacement E <-> mu_p, B <-> -mu_m in the (primed -> lab) field law
-    rng_vals = [(0.11, -0.2, 0.31), (0.4, 0.05, -0.17)]
-    beta = (0.3, -0.2, 0.4)
-    b2 = sum(b * b for b in beta)
-    gamma = 1 / math.sqrt(1 - b2)
-    r = gamma * gamma / (gamma + 1)
-
-    def field_boost(e, b):
-        def cross(a, v):
-            return (a[1] * v[2] - a[2] * v[1], a[2] * v[0] - a[0] * v[2],
-                    a[0] * v[1] - a[1] * v[0])
-        bxB = cross(beta, b)
-        bxE = cross(beta, e)
-        bdotE = sum(x * y for x, y in zip(beta, e))
-        bdotB = sum(x * y for x, y in zip(beta, b))
-        lab_e = tuple(gamma * (e[i] - bxB[i]) - r * beta[i] * bdotE for i in range(3))
-        lab_b = tuple(gamma * (b[i] + bxE[i]) - r * beta[i] * bdotB for i in range(3))
-        return lab_e, lab_b
-
-    mu_p, mu_m = rng_vals
-    lab_e, lab_b = field_boost(mu_p, tuple(-m for m in mu_m))
-    out_p, out_m = dyn.boost_dipole(mu_p, mu_m, beta)
-    assert vec_close(out_p, lab_e, 1e-12)
-    assert vec_close(out_m, tuple(-x for x in lab_b), 1e-12)
-
-
-@pytest.mark.parametrize("boost", [dyn.boost_dipole, dyn.boost_dipole_integrated])
-def test_boost_rejects_nan_speed(boost):
-    with pytest.raises(ValueError, match="below 1"):
-        boost((0, 0, 1), (0, 0, 0), (math.nan, 0, 0))
-
-
-def test_integrated_boost_with_electric_moment_only():
-    beta = (0, 0.5, 0)
-    gamma = 1 / math.sqrt(0.75)
-    p_vec = (0.4, 0, 0)
-    out_p, out_m = dyn.boost_dipole_integrated(p_vec, (0, 0, 0), beta)
-    # m = -gamma^2 (beta x p/2); beta x p = (0.5*0 - 0, 0, -0.5*0.4)
-    assert vec_close(out_m, (0, 0, gamma * gamma * 0.5 * 0.2), 1e-12)
-    # p/2 transverse to beta picks the full gamma^2
-    assert vec_close(out_p, (gamma * gamma * 0.4, 0, 0), 1e-12)
-
-
-def test_integrated_boost_with_magnetic_moment_only():
-    beta = (0.5, 0, 0)
-    gamma = 1 / math.sqrt(0.75)
-    m_vec = (0, 0, 0.3)
-    out_p, out_m = dyn.boost_dipole_integrated((0, 0, 0), m_vec, beta)
-    # p = 2 gamma^2 (beta x m) and beta x m = (0, -0.15, 0)
-    assert vec_close(out_p, (0, -2 * gamma * gamma * 0.15, 0), 1e-12)
-    assert vec_close(out_m, (gamma * gamma * 0, 0, gamma * gamma * 0.3), 1e-12)
+@pytest.mark.parametrize("mu_p, mu_m, p, m", [
+    ((0, 0.2, 0), (0, 0, 0), (0, 0.16, 0), (0, 0, -0.16 / 3)),
+    ((0, 0, 0), (0, 0, 0.3), (0, -0.08, 0), (0, 0, 0.24)),
+], ids=["electric", "magnetic"])
+def test_boost_dipole_hand_values(mu_p, mu_m, p, m):
+    # beta = 0.6 x: gamma = 1.25, so 1/gamma = 0.8 and 1/(gamma + 1) = 4/9
+    out_p, out_m = dyn.boost_dipole(mu_p, mu_m, (0.6, 0, 0))
+    assert vec_close(out_p, p) and vec_close(out_m, m)
 
 
 def test_boost_rejects_superluminal():
     with pytest.raises(ValueError):
         dyn.boost_dipole((1, 0, 0), (0, 0, 0), (0, 1.0, 0))
-    with pytest.raises(ValueError):
-        dyn.boost_dipole_integrated((1, 0, 0), (0, 0, 0), (1.0, 0, 0))
 
 
 # -- scenario io ----------------------------------------------------------------
