@@ -19,42 +19,47 @@ The dimension monomial tracks integer exponents of hbar, c, m, the energy
 gap Eg = 2 m c^2, the charges e and et, and the gap-scaled anomalous moments
 mu and d.  The 1/Eg order of a term is minus its Eg exponent.
 
-Orders add under multiplication (normal ordering only brings in hbar, c and
-the charges), so a product truncated at a 1/Eg order is exact.  A truncated
-product groups the right factor's terms by order once and, for each left
-term, stops at the first group past the limit, so the pairs it drops are
-never visited one by one.
+Orders add under multiplication (normal ordering only brings in hbar, c,
+the charges and field atoms), so a product truncated at a 1/Eg order is
+exact.  A truncated product buckets the right factor's groups by order once
+and, for each left group, stops at the first bucket past the limit, so the
+pairs it drops are never visited one by one.
 
 Coefficients are exact rationals and dimension monomials are 8-tuples at
 the interface: Expression.terms is a read-only view of Fractions under
 (dims, mat, ip, word) keys.  An expression holds one form only: int
-numerators under (packed monomial, mat, ip, V/Pi word) keys over one
-denominator, reduced by their gcd, which is canonical, so equality and
-hashing read it as it is.  A term's monomial is one int whose 14 digits
-are the 8 dimension exponents and the counts of the central field atoms
-E1..B3, so its word holds V and Pi atoms only, and a term is central
-exactly when that word is empty.  Expression(terms) packs a dict once,
-through _pack's range check, and normal orders it, so every expression is
-canonical from construction and == and hash are exact for all of them;
-the view is built, each monomial unpacked once (its field atoms becoming
-the sorted word prefix), when .terms is first read, and cached beside the
-packed form.
+numerators over one denominator, in groups keyed by (1/Eg order, mat, ip,
+V/Pi word), each group mapping packed monomials to numerators.  The
+numerators are reduced by their gcd with the denominator and no group is
+empty, so the form is canonical and equality and hashing read it as it is.
+A term's monomial is one int whose 14 digits are the 8 dimension exponents
+and the counts of the central field atoms E1..B3, so its word holds V and
+Pi atoms only, and a term is central exactly when that word is empty.
+Expression(terms) packs a dict once, through _pack's range check, and
+normal orders it, so every expression is canonical from construction and
+== and hash are exact for all of them; the view is built, each monomial
+unpacked once (its field atoms becoming the sorted word prefix), when
+.terms is first read, and cached beside the grouped form.
 
 Multiplying monomials is adding ints; only V/Pi words are normal ordered,
 through the cached _order_vp, which scales by +-1 and adds each commutator
 correction's field atom and dimensions to one packed delta.  A product
-merges ints only, over the product of its operands' denominators.  A
-commutator or anticommutator visits each term pair once: basis matrices
-commute or anticommute, so a pair needs its matrix product and
-ord(w1 w2) +- ord(w2 w1); a pair with a central term cancels or doubles
-outright, and any other pair of words is ordered once, through the cached
-_order_pair.  The constructor (and so Expression.term and from_json_dict)
-and hermitian_conjugate take the product of their raw terms with the unit,
-so words are ordered in that one loop only and every exponent and field
-atom count that enters is held to the packing bound.  linear_combination
-sums int numerators over one common denominator; scale and the
-substitutions map packed keys term by term, and the order, field and beta
-filters group them; none of these reads the view.
+walks pairs of groups: the truncation test, the cancel test, the matrix
+product and the word ordering run once per pair, and each ordered
+contribution merges the two groups' monomials, under int keys, into one
+output group, over the product of the operands' denominators.  A
+commutator or anticommutator visits each pair once: basis matrices commute
+or anticommute, so a pair needs its matrix product and ord(w1 w2) +-
+ord(w2 w1); a pair with a central group cancels or doubles outright, and
+any other pair of words is ordered once, through the cached _order_pair.
+The constructor (and so Expression.term and from_json_dict) and
+hermitian_conjugate take the product of their raw groups with the unit, so
+words are ordered in that one loop only, once per group, and every exponent
+and field atom count that enters is held to the packing bound.
+linear_combination sums int numerators group by group over one common
+denominator; the order filters keep or split whole groups, scale, the
+substitutions and the field and beta filters map or label packed terms one
+by one; none of these reads the view.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ import math
 import reprlib
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from operator import add
 from types import MappingProxyType
 
@@ -98,7 +104,6 @@ def pi(i: int) -> int:
 DIM_NAMES = ("hbar", "c", "m", "Eg", "e", "et", "mu", "d")
 _DIM_INDEX = {name: k for k, name in enumerate(DIM_NAMES)}
 DIM_ZERO = (0,) * 8
-_ONE = 1
 
 _I_HBAR, _I_C, _I_M, _I_EG, _I_E, _I_ET, _I_MU, _I_D = range(8)
 
@@ -235,20 +240,8 @@ def _order(packed: int) -> int:
     """The 1/Eg order of a packed monomial, read through the _unpack cache
     with no range check: reading a product's result, whose digits may reach
     twice _pack's range, is exact, and only a product checks its operands
-    (_packed_order)."""
+    (_check_held)."""
     return -_unpack(packed)[0][_I_EG]
-
-
-@lru_cache(maxsize=None)
-def _packed_order(packed: int) -> int:
-    """The 1/Eg order of a packed operand monomial, held to _pack's range.
-
-    A product's digits may reach twice that range, and a packed result
-    enters the next product without going through _pack, so each distinct
-    monomial is checked here once: out of range, it raises _pack's error."""
-    d, fields = _unpack(packed)
-    _held(d + tuple(map(fields.count, range(VPOT))))
-    return -d[_I_EG]
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +258,16 @@ def _order_vp(word: tuple[int, ...]):
     """Canonicalize a word of V and Pi atoms.
 
     Returns merged, nonzero (vp_word, packed delta, ip, int coeff)
-    contributions, coeff _ONE itself when it is 1.  Each adjacent swap of an
-    out-of-order pair replaces it with its commutator, a field atom times a
-    shorter V/Pi word; the field atom is central, so the correction adds its
-    unit and its dimensions to the delta and only the V/Pi rest recurses.
+    contributions.  Each adjacent swap of an out-of-order pair replaces it
+    with its commutator, a field atom times a shorter V/Pi word; the field
+    atom is central, so the correction adds its unit and its dimensions to
+    the delta and only the V/Pi rest recurses.
     """
     for k in range(len(word) - 1):
         if word[k] > word[k + 1]:
             break
     else:
-        return ((word, 0, 0, _ONE),)
+        return ((word, 0, 0, 1),)
 
     a, b = word[k], word[k + 1]
     head, tail = word[:k], word[k + 2:]
@@ -296,7 +289,7 @@ def _order_vp(word: tuple[int, ...]):
         for w, dd, ip, c in _order_vp(rest):
             key = (w, dd + delta, 1 - ip)  # times i: i * i = -1
             acc[key] = acc.get(key, 0) + (c * scale if ip == 0 else -c * scale)
-    return tuple((*key, _ONE if c == 1 else c) for key, c in acc.items() if c)
+    return tuple((*key, c) for key, c in acc.items() if c)
 
 
 @lru_cache(maxsize=None)
@@ -310,8 +303,7 @@ def _order_pair(w1: tuple[int, ...], w2: tuple[int, ...], sigma: int):
         for w, dd, ip, c in _order_vp.__wrapped__(word):
             key = (w, dd, ip)
             acc[key] = acc.get(key, 0) + s * c
-    return tuple((w, dd, ip, _ONE if c == 1 else c)
-                 for (w, dd, ip), c in acc.items() if c)
+    return tuple((w, dd, ip, c) for (w, dd, ip), c in acc.items() if c)
 
 
 # ---------------------------------------------------------------------------
@@ -321,28 +313,30 @@ class Expression:
     """Merged sum of terms; the empty sum is zero.
 
     Instances are immutable: every operation returns a fresh expression.
-    Its one state is _packed, int numerators under (packed monomial, mat,
-    ip, V/Pi word) keys and one denominator, with no zero numerator and no
-    factor common to the denominator and all numerators.  That form is
-    canonical, so equal expressions hold equal packed forms.  .terms is a
-    read-only view of it, built on first read and cached beside it in _terms.
+    Its one state is _grouped, the pair (groups, den): int numerators over
+    one denominator den, grouped by (1/Eg order, mat, ip, V/Pi word), each
+    group mapping packed monomials to numerators.  Every monomial of a group
+    has the group's order, no group is empty, no numerator is zero and no
+    factor is common to den and all numerators.  That form is canonical, so
+    equal expressions hold equal grouped forms.  .terms is a read-only view
+    of the form, built on first read and cached beside it in _terms.
     """
 
-    __slots__ = ("_packed", "_terms")
+    __slots__ = ("_grouped", "_terms")
 
     def __init__(self, terms: dict):
         """The normal-ordered expression of a (dims, mat, ip, word) ->
         rational dict, each key packed once with _pack's range check.  A
         word's atoms may come in any order and ip is read mod 4; keys that
         order alike are summed and zero coefficients are dropped."""
-        items, den = _packed_numerators(terms.items())
-        self._packed, self._terms = _lowest(_ordered(items), den), None
+        groups, den = _grouped_numerators(terms.items())
+        self._grouped, self._terms = _lowest(_ordered(groups), den), None
 
     @staticmethod
-    def _from_packed(acc: dict, den: int) -> "Expression":
-        """The expression of int numerators acc over den, reduced in place."""
+    def _from_grouped(groups: dict, den: int) -> "Expression":
+        """The expression of int numerator groups over den, reduced."""
         e = Expression.__new__(Expression)
-        e._packed, e._terms = _lowest(acc, den), None
+        e._grouped, e._terms = _lowest(groups, den), None
         return e
 
     @property
@@ -352,14 +346,14 @@ class Expression:
         term, on the first read only."""
         terms = self._terms
         if terms is None:
-            terms = self._terms = MappingProxyType(_unpacked(*self._packed))
+            terms = self._terms = MappingProxyType(_ungrouped(*self._grouped))
         return terms
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero() -> "Expression":
-        return Expression._from_packed({}, 1)
+        return Expression._from_grouped({}, 1)
 
     @staticmethod
     def term(coeff, word=(), mat: int = ID_MAT, ip: int = 0, dims: tuple = DIM_ZERO) -> "Expression":
@@ -384,17 +378,18 @@ class Expression:
             (p + shift, mat, (tip + ip) & 1, w), -coeff if (tip + ip) & 2 else coeff))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Expression) and self._packed == other._packed
+        return isinstance(other, Expression) and self._grouped == other._grouped
 
     def __hash__(self):
-        acc, den = self._packed
-        return hash((frozenset(acc.items()), den))
+        groups, den = self._grouped
+        return hash((frozenset((key, frozenset(sub.items())) for key, sub in groups.items()),
+                     den))
 
     def is_zero(self) -> bool:
-        return not self._packed[0]
+        return not self._grouped[0]
 
     def __len__(self):
-        return len(self._packed[0])
+        return sum(map(len, self._grouped[0].values()))
 
     def __repr__(self):
         if self.is_zero():
@@ -405,28 +400,54 @@ class Expression:
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
 
-def _lowest(acc: dict, den: int) -> tuple[dict, int]:
-    """Int numerators acc over a positive den, without their zeros and
-    divided by the gcd of den and all of them (in place when no zero is
-    dropped): the packed form of Expression.  Over den 1 the gcd is 1."""
-    if 0 in acc.values():
-        acc = {key: c for key, c in acc.items() if c}
+def _numerators(groups: dict):
+    """An iterator over every numerator of the groups."""
+    return chain.from_iterable(map(dict.values, groups.values()))
+
+
+def _lowest(groups: dict, den: int) -> tuple[dict, int]:
+    """Int numerator groups over a positive den, without their zeros (and
+    the groups left empty) and divided by the gcd of den and all
+    numerators: the grouped form of Expression.  The groups are the
+    caller's own and change in place.  Over den 1 the gcd is 1."""
+    if 0 in _numerators(groups):
+        for key in [key for key, sub in groups.items() if 0 in sub.values()]:
+            sub = {p: c for p, c in groups[key].items() if c}
+            if sub:
+                groups[key] = sub
+            else:
+                del groups[key]
     if den != 1:
-        g = math.gcd(den, *acc.values())
+        g = math.gcd(den, *_numerators(groups))
         if g != 1:
-            for key in acc:
-                acc[key] //= g
+            for sub in groups.values():
+                for p in sub:
+                    sub[p] //= g
             den //= g
-    return acc, den
+    return groups, den
 
 
-def _packed_numerators(items) -> tuple[list, int]:
-    """(key, rational) items as ((packed monomial, mat, ip, V/Pi word), int
-    numerator) items over the lcm of their denominators, each key through
-    _pack's range check."""
+def _grouped_numerators(items) -> tuple[dict, int]:
+    """(key, rational) items as int numerator groups over the lcm of their
+    denominators, each key through _pack_key's range check; a group's word
+    is a raw V/Pi word, in any order, and its ip any power of i."""
     den = math.lcm(*{val.denominator for _, val in items})
-    return [(_pack_key(*key), val.numerator * (den // val.denominator))
-            for key, val in items], den
+    return _grouped((_pack_key(*key), val.numerator * (den // val.denominator))
+                    for key, val in items), den
+
+
+def _grouped(items) -> dict:
+    """(packed key, int numerator) items summed into int numerator groups,
+    a packed key being (packed monomial, mat, ip, V/Pi word)."""
+    groups: dict[tuple, dict] = {}
+    for (p, mat, ip, w), c in items:
+        key = (_order(p), mat, ip, w)
+        sub = groups.get(key)
+        if sub is None:
+            groups[key] = {p: c}
+        else:
+            sub[p] = sub.get(p, 0) + c
+    return groups
 
 
 def _unpack_key(p: int, mat: int, ip: int, w: tuple) -> tuple:
@@ -435,92 +456,120 @@ def _unpack_key(p: int, mat: int, ip: int, w: tuple) -> tuple:
     return d, mat, ip, fields + w
 
 
-def _unpacked(acc: dict, den: int) -> dict:
-    """The terms of int numerators acc over den under packed keys: one
-    Fraction, in lowest terms, and one cached unpacking per term."""
-    return {_unpack_key(*key): Fraction(val, den) for key, val in acc.items()}
+def _ungrouped(groups: dict, den: int) -> dict:
+    """The terms of int numerator groups over den: one Fraction, in lowest
+    terms, and one cached unpacking per term."""
+    return {_unpack_key(p, mat, ip, w): Fraction(c, den)
+            for (_, mat, ip, w), sub in groups.items() for p, c in sub.items()}
 
 
-def _add_product(acc: dict, a, b, max_order: int | None, swapped: int) -> None:
-    """Merge a * b + swapped * (b * a) into acc, swapped in {-1, 0, 1},
-    keeping 1/Eg orders <= max_order; a and b are ((packed monomial, mat,
-    ip, V/Pi word), int numerator) items, so acc gathers ints under packed
-    keys and only V/Pi words are ever ordered.
+# Biased by _HELD_BIAS, a monomial with a digit outside _pack's range sets
+# bit 14 or 15 of that digit, which _HELD_MASK reads.  A digit of
+# _DIM_LIMIT itself, or one a lower digit borrowed from, may set them too.
+_HELD_BIAS = sum(_DIM_LIMIT << (k * _DIM_BITS) for k in range(len(_EXP_NAMES)))
+_HELD_MASK = sum((_DIM_MASK & -(2 * _DIM_LIMIT)) << (k * _DIM_BITS)
+                 for k in range(len(_EXP_NAMES)))
 
-    b's terms are grouped by order once and the groups walked lowest first;
-    each term of a stops at the first group that would exceed max_order.
-    b * a has the same term pairs, so each pair is visited once: basis
-    matrices commute or anticommute (M2 M1 = s M1 M2, s = -1 where MAT_ANTI)
-    and field atoms are in the monomials, so the pair gives
+
+def _check_held(groups: dict) -> None:
+    """Raise _pack's error if a monomial of the groups is outside _pack's
+    range.  A product's digits may reach twice that range, and a result
+    enters the next product without going through _pack, so each operand
+    monomial is tested here, with one add and one mask; one it flags is
+    checked exactly."""
+    for sub in groups.values():
+        for p in sub:
+            if (p + _HELD_BIAS) & _HELD_MASK:
+                d, fields = _unpack(p)
+                _held(d + tuple(map(fields.count, range(VPOT))))
+
+
+def _add_product(out: dict, a: dict, b: dict, max_order: int | None, swapped: int) -> None:
+    """Merge a * b + swapped * (b * a) into out, swapped in {-1, 0, 1},
+    keeping 1/Eg orders <= max_order; a, b and out are int numerator groups
+    (see Expression), so only V/Pi words are ever ordered, once per pair of
+    groups, and each ordered contribution merges the two groups' monomials
+    under int keys into one group of out.  Its order is the sum of the
+    pair's: normal ordering only brings in hbar, c, charges and field atoms.
+
+    b's groups are bucketed by order once and the buckets walked lowest
+    first; each group of a stops at the first bucket that would exceed
+    max_order.  b * a has the same pairs, so each pair is visited once:
+    basis matrices commute or anticommute (M2 M1 = s M1 M2, s = -1 where
+    MAT_ANTI) and field atoms are in the monomials, so the pair gives
     c i^ip M1 M2 (ord(w1 w2) + sigma ord(w2 w1)) with sigma = swapped * s.
-    A term with an empty word is central: the pair then gives nothing or
-    twice ord(w1 w2).  Otherwise _order_pair holds the sum.
+    An empty word is central: the pair then gives nothing or twice
+    ord(w1 w2).  Otherwise _order_pair holds the sum.
     """
+    _check_held(a)
+    _check_held(b)
     buckets: dict[int, list] = {}
-    for (p, m, ip, w), c in b:
-        buckets.setdefault(_packed_order(p), []).append((p, m, ip, w, c))
-    groups = sorted(buckets.items())
+    for (o, m, ip, w), sub in b.items():
+        buckets.setdefault(o, []).append((m, ip, w, sub.items()))
+    buckets = sorted(buckets.items())
     limit = math.inf if max_order is None else max_order
-    for (p1, m1, ip1, w1), c1 in a:
-        room = limit - _packed_order(p1)  # highest order of b this term may meet
+    for (o1, m1, ip1, w1), sub1 in a.items():
+        room = limit - o1  # highest order of b this group may meet
         row, anti = MAT_TABLE[m1], MAT_ANTI[m1]
-        for o2, items in groups:
+        items1 = sub1.items()
+        for o2, bucket in buckets:
             if o2 > room:
                 break
-            for p2, m2, ip2, w2, c2 in items:
-                c = c1 * c2
+            order = o1 + o2
+            for m2, ip2, w2, items2 in bucket:
+                k = 1
                 if not swapped:
                     ordered = _order_vp(w1 + w2)
                 elif not (w1 and w2):
                     if (swapped < 0) != anti[m2]:  # sigma = -1: the pair cancels
                         continue
-                    c += c
+                    k = 2
                     ordered = _order_vp(w1 + w2)
                 else:
                     ordered = _order_pair(w1, w2, -swapped if anti[m2] else swapped)
                 mat, ip = row[m2]
                 ip += ip1 + ip2
-                p = p1 + p2
                 for w, dd, dip, cw in ordered:
                     tot = ip + dip
-                    val = c if cw is _ONE else c * cw
+                    val = k * cw
                     if tot & 2:
                         val = -val
-                    key = (p + dd, mat, tot & 1, w)
-                    old = acc.get(key)  # merged inline: this runs once per pair
-                    if old is None:
-                        acc[key] = val
-                    else:
-                        new = old + val
-                        if new:
-                            acc[key] = new
-                        else:
-                            del acc[key]
+                    key = (order, mat, tot & 1, w)
+                    sub = out.get(key)
+                    if sub is None:
+                        sub = out[key] = {}
+                    get = sub.get
+                    for p1, c1 in items1:  # merged inline: this runs once per term pair
+                        p1 += dd
+                        c1 *= val
+                        for p2, c2 in items2:
+                            p = p1 + p2
+                            sub[p] = get(p, 0) + c1 * c2
 
 
 def _products(a: Expression, b: Expression, max_order: int | None, swapped: int) -> Expression:
     """a * b + swapped * (b * a), truncated like mul, with swapped in {-1, 0, 1}:
-    one _add_product pass over the operands' int numerators, over the
+    one _add_product pass over the operands' numerator groups, over the
     denominator den_a * den_b, so terms that cancel never build a Fraction."""
-    (acc_a, den_a), (acc_b, den_b) = a._packed, b._packed
-    acc: dict[tuple, int] = {}
-    _add_product(acc, acc_a.items(), acc_b.items(), max_order, swapped)
-    return Expression._from_packed(acc, den_a * den_b)
+    (groups_a, den_a), (groups_b, den_b) = a._grouped, b._grouped
+    out: dict[tuple, dict] = {}
+    _add_product(out, groups_a, groups_b, max_order, swapped)
+    return Expression._from_grouped(out, den_a * den_b)
 
 
-# The unit, 1, as _add_product items.
-_UNIT = [((0, ID_MAT, 0, ()), 1)]
+# The unit, 1, as _add_product groups.
+_UNIT = {(0, ID_MAT, 0, ()): {0: 1}}
 
 
-def _ordered(items) -> dict:
-    """The int numerators of the normal-ordered sum of packed (key, int
-    numerator) items, as their product with the unit, zeros not yet dropped.
-    A key's V/Pi word may be in any order and its ip any power of i.  The
-    unit is the right operand, so _add_product buckets one term, not all of
-    them."""
-    acc: dict[tuple, int] = {}
-    _add_product(acc, items, _UNIT, None, 0)
-    return acc
+def _ordered(groups: dict) -> dict:
+    """The numerator groups of the normal-ordered sum of int numerator
+    groups, as their product with the unit, zeros not yet dropped.  A
+    group's V/Pi word may be in any order and its ip any power of i; each
+    word is ordered once, and the group's monomials shift by each
+    correction's delta."""
+    out: dict[tuple, dict] = {}
+    _add_product(out, groups, _UNIT, None, 0)
+    return out
 
 
 def mul(a: Expression, b: Expression, max_order: int | None = None) -> Expression:
@@ -528,17 +577,17 @@ def mul(a: Expression, b: Expression, max_order: int | None = None) -> Expressio
 
     max_order drops every product term whose 1/Eg order exceeds it.  Orders
     add under multiplication, so this is an exact truncation, not a bound;
-    the right factor's terms are bucketed by order and whole buckets past the
-    limit are skipped before any normal ordering.  The arithmetic runs on
-    int numerators (see Expression).
+    the right factor's groups are bucketed by order and whole buckets past
+    the limit are skipped before any normal ordering.  The arithmetic runs
+    on int numerators (see Expression).
     """
     return _products(a, b, max_order, 0)
 
 
 def commutator(a: Expression, b: Expression, max_order: int | None = None) -> Expression:
-    """[a, b] = ab - ba, truncated like mul, in one pass over the term
+    """[a, b] = ab - ba, truncated like mul, in one pass over the group
     pairs: each pair's two words are ordered together, and a pair of
-    commuting terms is skipped before any ordering (see _add_product)."""
+    commuting groups is skipped before any ordering (see _add_product)."""
     return _products(a, b, max_order, -1)
 
 
@@ -550,45 +599,52 @@ def anticommutator(a: Expression, b: Expression, max_order: int | None = None) -
 def linear_combination(parts) -> Expression:
     """Sum of weight * e over (weight, e) pairs, weight rational: every
     part's int numerators over one common denominator, the lcm over all
-    parts, summed under packed keys."""
-    parts = [(Fraction(w), *e._packed) for w, e in parts]
+    parts, summed group by group."""
+    parts = [(Fraction(w), *e._grouped) for w, e in parts]
     den = math.lcm(*(w.denominator * d for w, _, d in parts))
-    acc: dict[tuple, int] = {}
-    for w, items, d in parts:
+    out: dict[tuple, dict] = {}
+    for w, groups, d in parts:
         factor = w.numerator * (den // (w.denominator * d))
-        for key, num in items.items():
-            acc[key] = acc.get(key, 0) + num * factor
-    return Expression._from_packed(acc, den)
+        for key, sub in groups.items():
+            acc = out.get(key)
+            if acc is None:
+                out[key] = {p: c * factor for p, c in sub.items()}
+            else:
+                for p, c in sub.items():
+                    acc[p] = acc.get(p, 0) + c * factor
+    return Expression._from_grouped(out, den)
 
 
 def _mapped(e: Expression, f) -> Expression:
     """The sum over e's terms of factor * (the term under a new key), for
-    f(*packed key) = (new packed key, rational factor); new keys that
-    coincide are summed."""
-    acc, den = e._packed
-    mapped = [(f(*key), c) for key, c in acc.items()]
+    f(*packed key) = (new packed key, rational factor) (see _grouped); new
+    keys that coincide are summed."""
+    groups, den = e._grouped
+    mapped = [(f(p, mat, ip, w), c)
+              for (_, mat, ip, w), sub in groups.items() for p, c in sub.items()]
     lcm = math.lcm(*{factor.denominator for (_, factor), _ in mapped})
-    out: dict[tuple, int] = {}
-    for (key, factor), c in mapped:
-        out[key] = out.get(key, 0) + c * factor.numerator * (lcm // factor.denominator)
-    return Expression._from_packed(out, den * lcm)
+    return Expression._from_grouped(_grouped(
+        (key, c * factor.numerator * (lcm // factor.denominator))
+        for (key, factor), c in mapped), den * lcm)
 
 
 def hermitian_conjugate(e: Expression) -> Expression:
     """Adjoint: words reverse (all atoms are self-adjoint), i conjugates,
     and the phase-free basis matrices are Hermitian.  Field atoms sit in the
-    packed monomials, so only the V/Pi words reverse and are ordered again."""
-    acc, den = e._packed
-    adjoint = _ordered([((p, mat, ip, w[::-1]), -c if ip else c)
-                        for (p, mat, ip, w), c in acc.items()])
-    return Expression._from_packed(adjoint, den)
+    packed monomials, so only each group's V/Pi word reverses, and it is
+    ordered once for the whole group."""
+    groups, den = e._grouped
+    return Expression._from_grouped(
+        _ordered({(o, mat, -ip, w[::-1]): sub for (o, mat, ip, w), sub in groups.items()}),
+        den)
 
 
 def _is_adjoint(e: Expression, sign: int) -> bool:
-    """hermitian_conjugate(e) == sign * e, read on the packed forms."""
-    acc, den = e._packed
-    adjoint, adjoint_den = hermitian_conjugate(e)._packed
-    return adjoint_den == den and adjoint == {key: sign * c for key, c in acc.items()}
+    """hermitian_conjugate(e) == sign * e, read on the grouped forms."""
+    groups, den = e._grouped
+    adjoint, adjoint_den = hermitian_conjugate(e)._grouped
+    return adjoint_den == den and adjoint == (groups if sign == 1 else {
+        key: {p: -c for p, c in sub.items()} for key, sub in groups.items()})
 
 
 def is_hermitian(e: Expression) -> bool:
@@ -601,27 +657,48 @@ def is_anti_hermitian(e: Expression) -> bool:
 
 def min_order(e: Expression) -> int | None:
     """The lowest 1/Eg order among e's terms, None for zero."""
-    return min((_order(p) for p, _, _, _ in e._packed[0]), default=None)
+    return min((key[0] for key in e._grouped[0]), default=None)
 
 
 def _partition(e: Expression, label, names: tuple) -> dict:
-    """e's terms grouped by label(order, packed key), so key[1] is the basis
-    matrix; a term labelled None is dropped, and every name in names gets a
-    group, empty or not.  Each group holds e's ints over e's denominator,
-    reduced again, since a subset of the ints may share a factor with it;
-    a group that takes every term is e itself.  No order is range checked
-    (see _order)."""
-    acc, den = e._packed
-    groups: dict = {name: {} for name in names}
-    for key, val in acc.items():
-        name = label(_order(key[0]), key)
-        if name is not None:
-            try:
-                groups[name][key] = val
-            except KeyError:
-                groups[name] = {key: val}
-    return {name: e if len(t) == len(acc) else Expression._from_packed(t, den)
-            for name, t in groups.items()}
+    """e's terms split by label(order, packed key), a packed key being
+    (packed monomial, mat, ip, V/Pi word); a term labelled None is dropped,
+    and every name in names gets a part, empty or not.  Each part holds e's
+    ints over e's denominator, reduced again, since a subset of the ints may
+    share a factor with it; a part that takes every term is e itself.  No
+    order is range checked (see _order)."""
+    parts: dict = {name: {} for name in names}
+    for gkey, sub in e._grouped[0].items():
+        order, mat, ip, w = gkey
+        labels = [label(order, (p, mat, ip, w)) for p in sub]
+        if labels.count(labels[0]) == len(labels):  # the group stays whole
+            split = {labels[0]: sub}
+        else:
+            split = {}
+            for name, (p, c) in zip(labels, sub.items()):
+                split.setdefault(name, {})[p] = c
+        for name, part in split.items():
+            if name is not None:
+                parts.setdefault(name, {})[gkey] = part
+    return _expressions(e, parts)
+
+
+def _by_group(e: Expression, label) -> dict:
+    """e's groups split by label(group key), as _partition splits terms."""
+    parts: dict = {}
+    for key, sub in e._grouped[0].items():
+        parts.setdefault(label(key), {})[key] = sub
+    return _expressions(e, parts)
+
+
+def _expressions(e: Expression, parts: dict) -> dict:
+    """Each part, groups read from e, as an expression over e's denominator:
+    e itself for a part that holds every term, else a copy of its groups,
+    which _lowest reduces in place."""
+    n, den = len(e), e._grouped[1]
+    return {name: e if sum(map(len, part.values())) == n else
+            Expression._from_grouped({key: dict(sub) for key, sub in part.items()}, den)
+            for name, part in parts.items()}
 
 
 def _kept(e: Expression, keep) -> Expression:
@@ -639,17 +716,15 @@ def truncate_fields(e: Expression) -> Expression:
 
 def truncate_order(e: Expression, max_order: int) -> Expression:
     """e's terms through 1/Eg order max_order: e itself when none is past it."""
-    if all(_order(key[0]) <= max_order for key in e._packed[0]):
-        return e
-    return _kept(e, lambda order, key: order <= max_order)
+    return _by_group(e, lambda key: key[0] <= max_order).get(True, Expression.zero())
 
 
 def by_order(e: Expression) -> dict[int, Expression]:
-    return dict(sorted(_partition(e, lambda order, key: order, ()).items()))
+    return dict(sorted(_by_group(e, lambda key: key[0]).items()))
 
 
 def order_slice(e: Expression, n: int) -> Expression:
-    return _kept(e, lambda order, key: order == n)
+    return _by_group(e, lambda key: key[0] == n).get(True, Expression.zero())
 
 
 def beta_split(e: Expression) -> tuple[Expression, Expression]:

@@ -464,7 +464,7 @@ def _integrate_blocks(state0: PhaseState, fields: FieldConfig, params: ParticleP
     for name, value in (("dt", dt), ("c", c)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-    if not isinstance(steps, numbers.Integral) or steps < 0:
+    if not isinstance(steps, numbers.Integral) or isinstance(steps, bool) or steps < 0:
         raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
     if not isinstance(scheme, str) or scheme not in _STEPPERS:
         raise ValueError(f"scheme must be one of {sorted(_STEPPERS)}, got {scheme!r}")

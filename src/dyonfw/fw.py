@@ -10,9 +10,10 @@ the stability of the even slices across the third stage (h''(n) = h'(n) for
 n <= MAX_ORDER) is asserted by running it, not assumed.  The product of a
 run is the split after each stage and the final even slices, nothing else.
 
-Every part of a run is an algebra expression in its one packed int form
-(see algebra.Expression): the generator, every nesting ad_S^n(H), their
-sum, the splits and the final slices.  The guards, the zero tests and the
+Every part of a run is an algebra expression in its one grouped int form,
+int numerators grouped by (1/Eg order, matrix, phase, V/Pi word) (see
+algebra.Expression): the generator, every nesting ad_S^n(H), their sum, the
+splits and the final slices.  The guards, the zero tests and the
 stability and mass checks read that form, so a run builds no Fraction;
 each part builds its .terms view when a caller first reads it.
 """
@@ -77,7 +78,7 @@ def bch_conjugate(s: Expression, h: Expression, max_order: int) -> Expression:
     Every term of s must sit at a positive 1/Eg order, so each nesting raises
     the order and truncating inside the loop is exact.  s is required to be
     anti-Hermitian (that is what makes exp(s) unitary).  Both guards, every
-    nesting and the zero test read the packed form (see algebra.Expression),
+    nesting and the zero test read the grouped form (see algebra.Expression),
     h is truncated only if it has terms past max_order, and the nestings are
     summed once, over one common denominator, so no Fraction is built.
     """

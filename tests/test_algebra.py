@@ -405,11 +405,16 @@ def _raw_of(e):
 
 
 def _reduced(e) -> bool:
-    """e's packed ints are nonzero and share no factor with their
+    """e's grouped ints are nonzero, in no empty group, each under a
+    monomial of its group's 1/Eg order, and share no factor with their
     denominator, which is the lcm of its view's denominators: the form ==
     and hash compare."""
-    acc, den = e._packed
-    return (0 not in acc.values() and math.gcd(den, *acc.values()) == 1
+    groups, den = e._grouped
+    nums = [c for sub in groups.values() for c in sub.values()]
+    return (all(groups.values()) and 0 not in nums
+            and all(oracles.eg_order(al._unpack_key(p, *key[1:])) == key[0]
+                    for key, sub in groups.items() for p in sub)
+            and math.gcd(den, *nums) == 1
             and den == math.lcm(*(v.denominator for v in e.terms.values())))
 
 
@@ -575,8 +580,8 @@ def test_reading_terms_changes_nothing(raw_a, raw_b):
     read-only, and equal expressions hash alike."""
     a, b = _raw_sum(raw_a), _raw_sum(raw_b)
     read, twin = al.commutator(a, b), al.commutator(a, b)
-    packed, view = read._packed, read.terms
-    assert read.terms is view and read._packed is packed and twin._terms is None
+    grouped, view = read._grouped, read.terms
+    assert read.terms is view and read._grouped is grouped and twin._terms is None
     assert ((len(read), al.min_order(read), hash(read))
             == (len(twin), al.min_order(twin), hash(twin)))
     assert read == twin and twin == read

@@ -248,9 +248,10 @@ def test_integrate_rejects_bad_dt():
 @pytest.mark.parametrize("kwargs, name", [
     ({"steps": -1}, "steps"),
     ({"steps": 2.5}, "steps"),
+    ({"steps": True}, "steps"),
     ({"steps": 3, "scheme": "euler"}, "scheme"),
     ({"steps": 3, "scheme": []}, "scheme"),
-], ids=["negative-steps", "fractional-steps", "unknown-scheme", "list-scheme"])
+], ids=["negative-steps", "fractional-steps", "bool-steps", "unknown-scheme", "list-scheme"])
 def test_integrate_rejects_bad_argument(kwargs, name):
     with pytest.raises(ValueError, match=name):
         dyn.integrate(PhaseState(), FieldConfig(), ParticleParams(), dt=0.1, **kwargs)

@@ -1,5 +1,6 @@
 """Staged transformation: conjugation mechanics, slice identities, stability."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,11 @@ import oracles
 
 def _beta():
     return al.Expression.term(1, mat=al.BETA_MAT)
+
+
+def _hamiltonian(model):
+    return (ham.build_dirac_hamiltonian if model == "dirac"
+            else ham.build_dirac_pauli_hamiltonian)(ham.GENERIC_DYON)
 
 
 def test_bch_requires_anti_hermitian_generator():
@@ -47,11 +53,11 @@ def _count_packing(monkeypatch):
     """Lists that record the size of every dict packed by the constructor and
     of every .terms view built, from now until monkeypatch.undo()."""
     packed, unpacked = [], []
-    pack, unpack = al._packed_numerators, al._unpacked
-    monkeypatch.setattr(al, "_packed_numerators",
+    pack, unpack = al._grouped_numerators, al._ungrouped
+    monkeypatch.setattr(al, "_grouped_numerators",
                         lambda items: packed.append(len(items)) or pack(items))
-    monkeypatch.setattr(al, "_unpacked",
-                        lambda acc, den: unpacked.append(len(acc)) or unpack(acc, den))
+    monkeypatch.setattr(al, "_ungrouped", lambda groups, den: unpacked.append(
+        sum(map(len, groups.values()))) or unpack(groups, den))
     return packed, unpacked
 
 
@@ -71,14 +77,46 @@ def test_bch_packs_only_its_input_and_unpacks_no_nesting(monkeypatch):
     assert out == bch_conjugate(al.Expression(dict(s.terms)), h, 6)
 
     for model in ("dirac", "dirac-pauli"):
-        h = (ham.build_dirac_hamiltonian if model == "dirac"
-             else ham.build_dirac_pauli_hamiltonian)(ham.GENERIC_DYON)
+        h = _hamiltonian(model)
         packed, unpacked = _count_packing(monkeypatch)
         result = fw.fw_run(h, model=model)
         monkeypatch.undo()
         assert packed == unpacked == []
         expected = checks.pipeline(model).even_slices
         assert all(result.even_slices[n].terms == expected[n].terms for n in range(1, 7))
+
+
+# Per model: product calls, term pairs offered and term pairs within the
+# order limit of one fw_run, as the benchmark's traced gate pins them.
+_FW_PRODUCTS = {"dirac": (31, 22_091_772, 59_120),
+                "dirac-pauli": (31, 163_081_196, 167_766)}
+
+
+@pytest.mark.parametrize("model", ["dirac", "dirac-pauli"])
+def test_fw_run_products_are_pinned(monkeypatch, model):
+    """A fresh fw_run's products, counted from outside: a commutator is two
+    products, a pair offered is one of len(a) * len(b), and a pair in order
+    is one whose 1/Eg orders, read off the operands' views, sum to at most
+    max_order (every pair, untruncated)."""
+    counts = [0, 0, 0]
+
+    def counted(product, n):
+        def count(a, b, max_order=None):
+            offered = in_order = len(a) * len(b)
+            if max_order is not None:
+                ha, hb = (Counter(map(oracles.eg_order, e.terms)) for e in (a, b))
+                in_order = sum(na * nb for oa, na in ha.items() for ob, nb in hb.items()
+                               if oa + ob <= max_order)
+            for k, val in enumerate((n, n * offered, n * in_order)):
+                counts[k] += val
+            return product(a, b, max_order)
+        return count
+
+    monkeypatch.setattr(al, "mul", counted(al.mul, 1))
+    monkeypatch.setattr(al, "commutator", counted(al.commutator, 2))
+    fw.fw_run(_hamiltonian(model), model=model)
+    monkeypatch.undo()
+    assert tuple(counts) == _FW_PRODUCTS[model]
 
 
 @pytest.mark.parametrize("model", ["dirac", "dirac-pauli"])
@@ -99,9 +137,7 @@ def test_ordering_caches_never_see_a_field_atom(monkeypatch, model):
 
     recorder("_order_vp")
     recorder("_order_pair")
-    h = (ham.build_dirac_hamiltonian if model == "dirac"
-         else ham.build_dirac_pauli_hamiltonian)(ham.GENERIC_DYON)
-    result = fw.fw_run(h, target_order=4, model=model)
+    result = fw.fw_run(_hamiltonian(model), target_order=4, model=model)
     monkeypatch.undo()
     assert all(asked.values())
     assert all(min(w, default=al.VPOT) >= al.VPOT for words in asked.values() for w in words)
@@ -132,9 +168,7 @@ def test_stage1_even_slice_two_is_half_w(dirac_result):
 @pytest.mark.parametrize("model", ["dirac", "dirac-pauli"])
 def test_stage1_even_part_is_the_first_stage_forms(model):
     # sum_(n=0..6) h_n / Eg^n, truncated at order 6, is the stage-1 even part
-    h = (ham.build_dirac_hamiltonian(ham.GENERIC_DYON) if model == "dirac"
-         else ham.build_dirac_pauli_hamiltonian(ham.GENERIC_DYON))
-    split = fw.split_even_odd(h)
+    split = fw.split_even_odd(_hamiltonian(model))
     even, _ = cat_mod.first_stage_forms(split.odd, split.even)
     summed = al.linear_combination(
         (1, e.scale(1, dims=al.dim(Eg=-n))) for n, e in even.items())
