@@ -8,8 +8,7 @@ from .hamiltonians import (ParticleParams, build_dirac_hamiltonian,
                            build_dirac_pauli_hamiltonian)
 from .fw import FWRunResult, bch_conjugate, fw_run, split_even_odd
 from .catalog import ReferenceCatalog
-from .reduction import (effective_dipoles, match_tbmt, pauli_extra_terms,
-                        reduce_to_physical, series_check)
+from .reduction import match_tbmt, pauli_extra_terms, reduce_to_physical, series_check
 from .series import SeriesPoly
 
 __version__ = "0.1.0"
@@ -33,7 +32,7 @@ __all__ = [
     "ParticleParams", "build_dirac_hamiltonian", "build_dirac_pauli_hamiltonian",
     "FWRunResult", "bch_conjugate", "fw_run",
     "split_even_odd", "ReferenceCatalog",
-    "effective_dipoles", "match_tbmt", "pauli_extra_terms",
+    "match_tbmt", "pauli_extra_terms",
     "reduce_to_physical", "series_check", "SeriesPoly",
     *_DYNAMICS,
     "__version__",

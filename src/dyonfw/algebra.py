@@ -57,9 +57,13 @@ hermitian_conjugate take the product of their raw groups with the unit, so
 words are ordered in that one loop only, once per group, and every exponent
 and field atom count that enters is held to the packing bound.
 linear_combination sums int numerators group by group over one common
-denominator; the order filters keep or split whole groups, scale, the
-substitutions and the field and beta filters map or label packed terms one
-by one; none of these reads the view.
+denominator.  scale, substitute_energy_gap and project_particle_block map
+whole groups (_mapped): a group takes a new key, one packed shift and one
+rational factor.  The order filters and beta_split label whole groups by
+(order, mat) (_by_group); only labels that read a monomial, the field and
+symbol filters and substitute_moments' split by its (mu, d) exponents,
+label packed terms one by one (_partition); term_of looks one term up.
+None of these reads the view.
 """
 
 from __future__ import annotations
@@ -371,11 +375,13 @@ class Expression:
         return linear_combination(((-1, self),))
 
     def scale(self, coeff, ip: int = 0, dims: tuple = DIM_ZERO) -> "Expression":
-        """Multiply by a scalar monomial coeff * i^ip * dims: each packed key
-        shifts by _pack(dims) and the phase."""
-        coeff, shift = Fraction(coeff), _pack(dims)
-        return _mapped(self, lambda p, mat, tip, w: (
-            (p + shift, mat, (tip + ip) & 1, w), -coeff if (tip + ip) & 2 else coeff))
+        """Multiply by a scalar monomial coeff * i^ip * dims: each group
+        moves by dims' 1/Eg order and the phase, and its monomials shift by
+        _pack(dims)."""
+        coeff, shift, moved = Fraction(coeff), _pack(dims), -dims[_I_EG]
+        return _mapped(self, lambda order, mat, tip, w: (
+            (order + moved, mat, (tip + ip) & 1, w), shift,
+            -coeff if (tip + ip) & 2 else coeff))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Expression) and self._grouped == other._grouped
@@ -428,26 +434,20 @@ def _lowest(groups: dict, den: int) -> tuple[dict, int]:
 
 
 def _grouped_numerators(items) -> tuple[dict, int]:
-    """(key, rational) items as int numerator groups over the lcm of their
-    denominators, each key through _pack_key's range check; a group's word
-    is a raw V/Pi word, in any order, and its ip any power of i."""
+    """(key, rational) items summed into int numerator groups over the lcm
+    of their denominators, each key through _pack_key's range check; a
+    group's word is a raw V/Pi word, in any order, and its ip any power of i."""
     den = math.lcm(*{val.denominator for _, val in items})
-    return _grouped((_pack_key(*key), val.numerator * (den // val.denominator))
-                    for key, val in items), den
-
-
-def _grouped(items) -> dict:
-    """(packed key, int numerator) items summed into int numerator groups,
-    a packed key being (packed monomial, mat, ip, V/Pi word)."""
     groups: dict[tuple, dict] = {}
-    for (p, mat, ip, w), c in items:
-        key = (_order(p), mat, ip, w)
-        sub = groups.get(key)
+    for key, val in items:
+        p, mat, ip, w = _pack_key(*key)
+        gkey, c = (_order(p), mat, ip, w), val.numerator * (den // val.denominator)
+        sub = groups.get(gkey)
         if sub is None:
-            groups[key] = {p: c}
+            groups[gkey] = {p: c}
         else:
             sub[p] = sub.get(p, 0) + c
-    return groups
+    return groups, den
 
 
 def _unpack_key(p: int, mat: int, ip: int, w: tuple) -> tuple:
@@ -616,16 +616,25 @@ def linear_combination(parts) -> Expression:
 
 
 def _mapped(e: Expression, f) -> Expression:
-    """The sum over e's terms of factor * (the term under a new key), for
-    f(*packed key) = (new packed key, rational factor) (see _grouped); new
-    keys that coincide are summed."""
+    """The sum over e's groups of factor * (the group under a new key), for
+    f(*group key) = (new group key, packed shift, rational factor): each
+    monomial of the group shifts by the one packed shift, which must move
+    its 1/Eg order as the new key does.  Groups whose new keys coincide are
+    summed."""
     groups, den = e._grouped
-    mapped = [(f(p, mat, ip, w), c)
-              for (_, mat, ip, w), sub in groups.items() for p, c in sub.items()]
-    lcm = math.lcm(*{factor.denominator for (_, factor), _ in mapped})
-    return Expression._from_grouped(_grouped(
-        (key, c * factor.numerator * (lcm // factor.denominator))
-        for (key, factor), c in mapped), den * lcm)
+    mapped = [(f(*key), sub) for key, sub in groups.items()]
+    lcm = math.lcm(*{factor.denominator for (_, _, factor), _ in mapped})
+    out: dict[tuple, dict] = {}
+    for (key, shift, factor), sub in mapped:
+        k = factor.numerator * (lcm // factor.denominator)
+        acc = out.get(key)
+        if acc is None:
+            out[key] = {p + shift: c * k for p, c in sub.items()}
+        else:
+            for p, c in sub.items():
+                p += shift
+                acc[p] = acc.get(p, 0) + c * k
+    return Expression._from_grouped(out, den * lcm)
 
 
 def hermitian_conjugate(e: Expression) -> Expression:
@@ -661,16 +670,17 @@ def min_order(e: Expression) -> int | None:
 
 
 def _partition(e: Expression, label, names: tuple) -> dict:
-    """e's terms split by label(order, packed key), a packed key being
-    (packed monomial, mat, ip, V/Pi word); a term labelled None is dropped,
-    and every name in names gets a part, empty or not.  Each part holds e's
-    ints over e's denominator, reduced again, since a subset of the ints may
-    share a factor with it; a part that takes every term is e itself.  No
-    order is range checked (see _order)."""
+    """e's terms split by label(packed key), a packed key being (packed
+    monomial, mat, ip, V/Pi word); a term labelled None is dropped, and
+    every name in names gets a part, empty or not.  Each part holds e's ints
+    over e's denominator, reduced again, since a subset of the ints may
+    share a factor with it; a part that takes every term is e itself.  Only
+    a label that reads the monomial needs this: one that reads the order or
+    the matrix labels whole groups (_by_group)."""
     parts: dict = {name: {} for name in names}
     for gkey, sub in e._grouped[0].items():
-        order, mat, ip, w = gkey
-        labels = [label(order, (p, mat, ip, w)) for p in sub]
+        _, mat, ip, w = gkey
+        labels = [label((p, mat, ip, w)) for p in sub]
         if labels.count(labels[0]) == len(labels):  # the group stays whole
             split = {labels[0]: sub}
         else:
@@ -683,11 +693,15 @@ def _partition(e: Expression, label, names: tuple) -> dict:
     return _expressions(e, parts)
 
 
-def _by_group(e: Expression, label) -> dict:
-    """e's groups split by label(group key), as _partition splits terms."""
-    parts: dict = {}
+def _by_group(e: Expression, label, names: tuple) -> dict:
+    """e's groups split by label(order, mat), called once per group; a group
+    labelled None is dropped, and every name in names gets a part, as in
+    _partition."""
+    parts: dict = {name: {} for name in names}
     for key, sub in e._grouped[0].items():
-        parts.setdefault(label(key), {})[key] = sub
+        name = label(key[0], key[1])
+        if name is not None:
+            parts.setdefault(name, {})[key] = sub
     return _expressions(e, parts)
 
 
@@ -702,8 +716,8 @@ def _expressions(e: Expression, parts: dict) -> dict:
 
 
 def _kept(e: Expression, keep) -> Expression:
-    """e's terms for which keep(order, packed key) holds."""
-    return _partition(e, lambda order, key: keep(order, key) or None, (True,))[True]
+    """e's terms for which keep(packed key) holds."""
+    return _partition(e, lambda key: keep(key) or None, (True,))[True]
 
 
 # ---------------------------------------------------------------------------
@@ -711,26 +725,36 @@ def _kept(e: Expression, keep) -> Expression:
 
 def truncate_fields(e: Expression) -> Expression:
     """Drop every term whose word carries two or more field atoms."""
-    return _kept(e, lambda order, key: len(_unpack(key[0])[1]) < 2)
+    return _kept(e, lambda key: len(_unpack(key[0])[1]) < 2)
 
 
 def truncate_order(e: Expression, max_order: int) -> Expression:
     """e's terms through 1/Eg order max_order: e itself when none is past it."""
-    return _by_group(e, lambda key: key[0] <= max_order).get(True, Expression.zero())
+    return _by_group(e, lambda order, mat: order <= max_order or None, (True,))[True]
 
 
 def by_order(e: Expression) -> dict[int, Expression]:
-    return dict(sorted(_by_group(e, lambda key: key[0]).items()))
+    return dict(sorted(_by_group(e, lambda order, mat: order, ()).items()))
 
 
 def order_slice(e: Expression, n: int) -> Expression:
-    return _by_group(e, lambda key: key[0] == n).get(True, Expression.zero())
+    return _by_group(e, lambda order, mat: order == n or None, (True,))[True]
 
 
 def beta_split(e: Expression) -> tuple[Expression, Expression]:
-    """(even, odd) with respect to the beta grading; exact term by term."""
-    parts = _partition(e, lambda order, key: MAT_ODD[key[1]], (False, True))
+    """(even, odd) with respect to the beta grading; exact group by group."""
+    parts = _by_group(e, lambda order, mat: MAT_ODD[mat], (False, True))
     return parts[False], parts[True]
+
+
+def term_of(e: Expression, key: tuple) -> Expression:
+    """e's one term under key, a (dims, mat, ip, word) key as .terms holds
+    it, read off the grouped form: zero when e has no term there."""
+    p, mat, ip, w = _pack_key(*key)
+    gkey = (_order(p), mat, ip, w)
+    groups, den = e._grouped
+    c = groups.get(gkey, {}).get(p)
+    return Expression._from_grouped({gkey: {p: c}} if c else {}, den)
 
 
 _EG_TO_MC2 = _pack(dim(m=1, c=2)) - _pack(dim(Eg=1))
@@ -738,44 +762,38 @@ _TWO = Fraction(2)
 
 
 def substitute_energy_gap(e: Expression) -> Expression:
-    """Replace every power of Eg by (2 m c^2)^k."""
-    def substitute(p, mat, ip, w):
-        k = -_order(p)
-        return (p + k * _EG_TO_MC2, mat, ip, w), _TWO ** k
-    return _mapped(e, substitute)
-
-
-_MU_TO_E = _pack(dim(hbar=1, c=1, e=1)) - _pack(dim(mu=1))
-_D_TO_ET = _pack(dim(hbar=1, c=1, et=1)) - _pack(dim(d=1))
+    """Replace every power of Eg by (2 m c^2)^k: a group of order -k moves to
+    order 0, so groups that differ only in order meet and are summed."""
+    return _mapped(e, lambda order, mat, ip, w: (
+        (0, mat, ip, w), -order * _EG_TO_MC2, _TWO ** -order))
 
 
 def substitute_moments(e: Expression, ge, gte) -> Expression:
     """Replace the gap-scaled moments: mu -> (ge/2 - 1) e hbar c and
-    d -> (gte/2 - 1) et hbar c, with exact rational g values."""
+    d -> (gte/2 - 1) et hbar c, with exact rational g values.  e's terms
+    are split by their (mu, d) exponents and each part is scaled."""
     fe = Fraction(ge) / 2 - 1
     ft = Fraction(gte) / 2 - 1
-
-    def substitute(p, mat, ip, w):
-        d = _unpack(p)[0]
-        a, b = d[_I_MU], d[_I_D]
-        return (p + a * _MU_TO_E + b * _D_TO_ET, mat, ip, w), fe ** a * ft ** b
-    return _mapped(e, substitute)
+    parts = _partition(e, lambda key: _unpack(key[0])[0][_I_MU:_I_D + 1], ())
+    return linear_combination(
+        (1, part.scale(fe ** a * ft ** b, dims=dim(hbar=a + b, c=a + b, e=a, et=b, mu=-a, d=-b)))
+        for (a, b), part in parts.items())
 
 
 def drop_symbols(e: Expression, *names: str) -> Expression:
     """Drop terms carrying a positive power of any named dimension symbol
     (models setting a charge or moment to zero)."""
     idx = [_DIM_INDEX[n] for n in names]
-    return _kept(e, lambda order, key: all(_unpack(key[0])[0][i] <= 0 for i in idx))
+    return _kept(e, lambda key: all(_unpack(key[0])[0][i] <= 0 for i in idx))
 
 
 def project_particle_block(e: Expression) -> Expression:
     """Evaluate the block sign on the particle sector: beta -> +1."""
-    def project(p, mat, ip, w):
+    def project(order, mat, ip, w):
         left, right = mat_parts(mat)
         if left not in (0, 3):
             raise ValueError("expression has inter-block matrix content")
-        return (p, mat_code(0, right), ip, w), 1
+        return (order, mat_code(0, right), ip, w), 0, 1
     return _mapped(e, project)
 
 
@@ -846,7 +864,7 @@ def from_json_dict(data: dict) -> Expression:
     raw: dict[tuple, Fraction] = {}
     for t in _checked("terms", terms, isinstance(terms, list)):
         m = _checked("term", t, isinstance(t, dict)).get("mat")
-        exps, word, c = t.get("dim", {}), t.get("word"), t.get("coeff")
+        exps, word, c = t.get("dim"), t.get("word"), t.get("coeff")
         _checked("mat", m, isinstance(m, dict) and m.get("phase") in _PHASE_NAMES
                  and type(m.get("left")) is type(m.get("right")) is int
                  and 0 <= m["left"] <= 3 and 0 <= m["right"] <= 3)

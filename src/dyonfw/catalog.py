@@ -137,7 +137,7 @@ def build_physical_entries() -> dict[str, Expression]:
     by pauli_extra_terms.
     """
     h = reduction.beta_lift(reduction.classical_hamiltonian())
-    parts = al._partition(h, reduction._kind, ("orbit", "spin"))
+    parts = al._by_group(h, reduction._kind, ("orbit", "spin"))
     entries = {"kinetic_energy": parts["orbit"],
                "spin_dipole": al.drop_symbols(parts["spin"], "mu", "d")}
     slices = al._partition(entries["kinetic_energy"] + entries["spin_dipole"],

@@ -49,19 +49,16 @@ class OddEvenSplit:
         return al.order_slice(self.odd, n)
 
 
-_MASS_KEY = al._pack_key(al.dim(Eg=1), al.BETA_MAT, 0, ())  # (Eg/2) beta, packed
-
-
-def _part(order: int, key: tuple) -> str:
-    if order == -1 and key == _MASS_KEY:
-        return "mass"
-    return "odd" if al.MAT_ODD[key[1]] else "even"
+_REST_MASS = (al.dim(Eg=1), al.BETA_MAT, 0, ())  # the term key of (Eg/2) beta
 
 
 def split_even_odd(h: Expression) -> OddEvenSplit:
-    """Split off the (Eg/2) beta rest-mass term and grade the remainder, in
-    one pass over h's packed terms."""
-    return OddEvenSplit(**al._partition(h, _part, ("mass", "even", "odd")))
+    """Split off the rest-mass term, h's one term on the (Eg/2) beta key,
+    and grade the remainder: beta_split keeps or moves whole groups, and
+    the mass is one exact term lookup in the even part."""
+    even, odd = al.beta_split(h)
+    mass = al.term_of(even, _REST_MASS)
+    return OddEvenSplit(mass, even - mass, odd)
 
 
 _BETA_GAP = Expression.term(1, mat=al.BETA_MAT, dims=al.dim(Eg=-1))

@@ -21,9 +21,8 @@ momentum factors reaches x^k for 1 + j + 2k <= MAX_ORDER; since
 xi^2 = beta^2 / (1 - beta^2) has unit leading term, that compares its
 boost-speed series through beta^(TBMT_DEGREE - j), TBMT_DEGREE = MAX_ORDER - 1.
 The moments mu and d stay symbols on both sides, so the one equality holds
-for every (ge, gte).  The catalog's weak-field entries and the effective
-dipoles are views of the same Hamiltonian, lifted off the particle block by
-beta_lift.
+for every (ge, gte).  The catalog's weak-field entries are views of the
+same Hamiltonian, lifted off the particle block by beta_lift.
 """
 
 from __future__ import annotations
@@ -51,8 +50,8 @@ def physical_orders(result: FWRunResult) -> dict[int, Expression]:
     return {n: physicalize(ex) for n, ex in result.even_slices.items()}
 
 
-def _kind(order: int, key: tuple) -> str:
-    left, right = al.mat_parts(key[1])
+def _kind(order: int, mat: int) -> str:
+    left, right = al.mat_parts(mat)
     if left not in (0, 3):
         return "residue"
     return "spin" if right else "orbit"
@@ -69,16 +68,16 @@ def reduce_to_physical(result: FWRunResult) -> tuple[Expression, Expression]:
 
     Orbital terms carry only block-diagonal matrix content (identity or the
     block sign); spin terms carry a Pauli factor.  Anything else is a
-    classification failure and raises.  Only the basis matrix, key[1],
-    classifies a term, so the packed keys are grouped as they are.
+    classification failure and raises.  Only the basis matrix classifies a
+    term, so whole groups are labelled.
     """
-    parts = al._partition(physical_hamiltonian(result), _kind, ("orbit", "spin", "residue"))
+    parts = al._by_group(physical_hamiltonian(result), _kind, ("orbit", "spin", "residue"))
     if parts["residue"]:
         raise ReductionError(f"{len(parts['residue'])} terms left unclassified")
     return parts["orbit"], parts["spin"]
 
 
-def _anomalous(order: int, key: tuple) -> str | None:
+def _anomalous(key: tuple) -> str | None:
     """The label of a packed term: static for mu-with-B and d-with-E, cross
     for mu-with-E and d-with-B, None without an anomalous moment."""
     d, fields = al._unpack(key[0])
@@ -160,7 +159,7 @@ def classical_hamiltonian() -> Expression:
 
 
 def _classical_spin() -> Expression:
-    return al._partition(classical_hamiltonian(), _kind, ("spin",))["spin"]
+    return al._by_group(classical_hamiltonian(), _kind, ("spin",))["spin"]
 
 
 def match_tbmt(h_spin: Expression) -> Expression:
@@ -216,7 +215,7 @@ def series_check() -> list[SeriesCheckReport]:
 # ---------------------------------------------------------------------------
 # Views of the classical Hamiltonian
 
-def _m_order(order: int, key: tuple) -> int:
+def _m_order(key: tuple) -> int:
     """Minus a packed term's power of m: its physical order."""
     return -al._unpack(key[0])[0][al._I_M]
 
@@ -226,28 +225,6 @@ def beta_lift(e: Expression) -> Expression:
     term with an odd power of m takes a factor beta, as the derived even
     slices carry beta at odd 1/Eg orders (beta m c^2 and the Zeeman
     couplings, not the spin-orbit chain)."""
-    parity = al._partition(e, lambda order, key: _m_order(order, key) % 2, (0, 1))
+    parity = al._partition(e, lambda key: _m_order(key) % 2, (0, 1))
     return parity[0] + al.mul(Expression.term(1, mat=al.BETA_MAT), parity[1])
 
-
-def effective_dipoles() -> tuple[tuple, tuple]:
-    """Effective electric and magnetic dipoles (p_eff, m_eff), each as
-    component expressions indexed 1..3: minus the E_i and B_i gradients of
-    the classical spin Hamiltonian at mu = d = 0, lifted by beta_lift.
-
-    Every term of that spin half carries exactly one field atom, so a
-    gradient removes the atom from the terms that carry it.  To leading
-    order p_eff = beta mu_p + (xi x mu_m) / 2 and
-    m_eff = beta mu_m - (xi x mu_p) / 2, with mu_m = (e hbar/2mc) Sigma and
-    mu_p = -(et hbar/2mc) Sigma; the higher powers of xi^2 carry the
-    relativistic prefactors 1/gamma and 2/(gamma (gamma + 1)).
-    """
-    spin = beta_lift(al.drop_symbols(_classical_spin(), "mu", "d"))
-    by_field = al._partition(spin, lambda order, key: al._unpack(key[0])[1], ())
-
-    def minus_gradient(atom: int) -> Expression:
-        unit = al._FIELD_UNIT[atom]
-        return al._mapped(by_field[(atom,)], lambda p, mat, ip, w: ((p - unit, mat, ip, w), -1))
-
-    return (tuple(minus_gradient(al.field_e(i)) for i in (1, 2, 3)),
-            tuple(minus_gradient(al.field_b(i)) for i in (1, 2, 3)))

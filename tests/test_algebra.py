@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dyonfw import algebra as al
 from dyonfw import fw
@@ -477,9 +477,26 @@ def test_packed_results_reenter_like_their_terms(raw_a, raw_b):
 _MASS_TERM = (al.dim(Eg=1), al.BETA_MAT, 0, ())  # (Eg/2) beta's key, unpacked
 
 
+_P1, _P2 = (al.pi(1),), (al.pi(2),)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_wide_terms, max_size=5), st.lists(_wide_terms, max_size=5),
        st.integers(-2, 7), st.booleans())
+# Groups that meet under one map: Eg^-1 m^2 and Eg^-2 m^3 c^2 both become
+# m / c^2 under substitute_energy_gap (here they cancel); beta Sigma_3 and
+# Sigma_3 meet under project_particle_block; and scale's dims, which carry
+# Eg, move groups at orders -1, 0 and 2, the rest mass among them.
+@example([(Fraction(1), _P1, al.ID_MAT, 0, al.dim(Eg=-1, m=2)),
+          (Fraction(-2), _P1, al.ID_MAT, 0, al.dim(Eg=-2, m=3, c=2))],
+         [(Fraction(3), _P2, al.ID_MAT, 1, al.dim(Eg=-1))], 0, False)
+@example([(Fraction(1, 2), _P2, al.mat_code(3, 3), 0, al.DIM_ZERO),
+          (Fraction(3), _P2, al.mat_code(0, 3), 0, al.DIM_ZERO)],
+         [(Fraction(1), _P1, al.BETA_MAT, 0, al.dim(Eg=-1))], 1, False)
+@example([(Fraction(1, 2), (), al.BETA_MAT, 0, al.dim(Eg=1)),
+          (Fraction(2), (al.VPOT,), al.ID_MAT, 0, al.DIM_ZERO),
+          (Fraction(-1, 3), _P1 + _P1, al.BETA_MAT, 1, al.dim(Eg=-2))],
+         [(Fraction(5), _P2, al.mat_code(1, 2), 0, al.dim(Eg=-1, e=1))], 0, True)
 def test_filters_sums_and_equality_match_dict_oracles(raw_a, raw_b, n, mass):
     """The order, field and beta filters, the fw split, scale, the
     substitutions, linear_combination, == and hash against dict filters,
@@ -696,7 +713,8 @@ def test_pack_rejects_out_of_range_exponents():
         name = al.ATOM_NAMES[atom]
         word = (al.pi(2),) + (atom,) * (lim + 1) + (al.pi(1),)
         raw = {(al.DIM_ZERO, al.ID_MAT, 0, word): Fraction(1)}
-        data = {"terms": [{"coeff": "1", "word": ["P2"] + [name] * (lim + 1) + ["P1"],
+        data = {"terms": [{"coeff": "1", "dim": {},
+                           "word": ["P2"] + [name] * (lim + 1) + ["P1"],
                            "mat": {"left": 0, "right": 0, "phase": "+1"}}]}
         for build in (lambda: al.Expression(raw),
                       lambda: al.Expression.term(1, word),

@@ -160,6 +160,7 @@ _MALFORMED_FIXTURES = {
     "unknown-phase": lambda _, t: t["mat"].update(phase="+2"),
     "matrix-factor-5": lambda _, t: t["mat"].update(left=5),
     "term-without-mat": lambda _, t: t.pop("mat"),
+    "term-without-dim": lambda _, t: t.pop("dim"),
     "zero-denominator": lambda _, t: t.update(coeff="1/0"),
     "fractional-exponent": lambda _, t: t["dim"].update(hbar=1.5),
     "entry-is-a-list": lambda entries, _: entries.update(fw_order_1=[]),

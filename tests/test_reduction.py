@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from dyonfw import algebra as al
-from dyonfw import catalog as cat_mod
 from dyonfw import hamiltonians as ham
 from dyonfw import reduction
 from dyonfw.fw import MAX_ORDER
@@ -20,7 +19,7 @@ def test_third_order_contains_mass_correction(dirac_result):
                                           dims=al.dim(m=-3, c=-2)),
                        ham.pi_squared(2))
     orbitlike = al.Expression(
-        {k: v for k, v in physical[3].terms.items() if reduction._kind(3, k) == "orbit"})
+        {k: v for k, v in physical[3].terms.items() if reduction._kind(3, k[1]) == "orbit"})
     assert orbitlike == al.truncate_fields(mass_corr)
 
 
@@ -138,51 +137,3 @@ def test_spin_hamiltonian_matches_tbmt_on_the_grid(dirac_spin_and_extras, classi
     spin, extras = dirac_spin_and_extras
     fw = al.project_particle_block(spin + al.substitute_moments(extras, ge, gte))
     assert fw == al.substitute_moments(classical, ge, gte)
-
-
-_EPS = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
-        (2, 1, 3): -1, (3, 2, 1): -1, (1, 3, 2): -1}
-
-
-@pytest.fixture(scope="module")
-def dipoles():
-    return reduction.effective_dipoles()
-
-
-def test_effective_dipoles_first_order(dipoles):
-    # the m^-1 and m^-2 slices: p_eff = beta mu_p + (xi x mu_m) / 2 and
-    # m_eff = beta mu_m - (xi x mu_p) / 2, with mu_m = (e hbar/2mc) Sigma,
-    # mu_p = -(et hbar/2mc) Sigma and xi = Pi / mc
-    def leading(i, intrinsic, sign, boosted):
-        out = al.Expression.term(Fraction(sign, 2), mat=al.mat_code(3, i),
-                                 dims=al.dim(hbar=1, m=-1, c=-1, **{intrinsic: 1}))
-        for (a, j, k), eps in _EPS.items():
-            if a == i:
-                out = out + al.Expression.term(
-                    Fraction(eps, 4), word=(al.pi(j),), mat=al.mat_code(0, k),
-                    dims=al.dim(hbar=1, m=-2, c=-2, **{boosted: 1}))
-        return out
-
-    p_eff, m_eff = dipoles
-    for i in (1, 2, 3):
-        for dipole, expected in ((p_eff, leading(i, "et", -1, "e")),
-                                 (m_eff, leading(i, "e", 1, "et"))):
-            first = al.Expression({key: val for key, val in dipole[i - 1].terms.items()
-                                   if key[0][al._I_M] >= -2})
-            assert first == expected, i
-
-
-def test_effective_dipoles_carry_no_field_atom(dipoles):
-    for dipole in dipoles:
-        for component in dipole:
-            assert not component.is_zero()
-            assert all(oracles.field_degree(word) == 0 for _, _, _, word in component.terms)
-
-
-def test_effective_dipoles_contract_to_the_frozen_spin_dipole(dipoles):
-    # -sum_i (E_i p_i + B_i m_i) is the spin half at mu = d = 0, lifted
-    p_eff, m_eff = dipoles
-    contraction = al.linear_combination(
-        (-1, al.mul(al.Expression.term(1, word=(atom(i),)), dipole[i - 1]))
-        for atom, dipole in ((al.field_e, p_eff), (al.field_b, m_eff)) for i in (1, 2, 3))
-    assert contraction == cat_mod.ReferenceCatalog.load()["spin_dipole"]
