@@ -3,7 +3,6 @@ Hamiltonians, plus the classical spin-precession dynamics it is checked
 against."""
 
 from .algebra import Expression, commutator, anticommutator, mul
-from .clifford import BasisElement, basis_mul, beta_grade
 from .hamiltonians import (ParticleParams, build_dirac_hamiltonian,
                            build_dirac_pauli_hamiltonian)
 from .fw import FWRunResult, bch_conjugate, fw_run, split_even_odd
@@ -28,7 +27,6 @@ def __getattr__(name):
 
 __all__ = [
     "Expression", "commutator", "anticommutator", "mul",
-    "BasisElement", "basis_mul", "beta_grade",
     "ParticleParams", "build_dirac_hamiltonian", "build_dirac_pauli_hamiltonian",
     "FWRunResult", "bch_conjugate", "fw_run",
     "split_even_odd", "ReferenceCatalog",

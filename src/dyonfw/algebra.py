@@ -62,8 +62,7 @@ whole groups (_mapped): a group takes a new key, one packed shift and one
 rational factor.  The order filters and beta_split label whole groups by
 (order, mat) (_by_group); only labels that read a monomial, the field and
 symbol filters and substitute_moments' split by its (mu, d) exponents,
-label packed terms one by one (_partition); term_of looks one term up.
-None of these reads the view.
+label packed terms one by one (_partition).  None of these reads the view.
 """
 
 from __future__ import annotations
@@ -76,7 +75,8 @@ from itertools import chain
 from operator import add
 from types import MappingProxyType
 
-from . import clifford
+from .clifford import (BETA_MAT, ID_MAT, LEVI_CIVITA, MAT_ANTI, MAT_ODD, MAT_TABLE,
+                       mat_code, mat_parts)
 
 # ---------------------------------------------------------------------------
 # Atoms
@@ -124,45 +124,7 @@ def dim_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Basis-matrix product table (mat codes 0..15 = left*4 + right)
-
-ID_MAT = 0
-BETA_MAT = 12
-
-
-def mat_code(left: int, right: int) -> int:
-    return left * 4 + right
-
-
-def mat_parts(mat: int) -> tuple[int, int]:
-    return mat // 4, mat % 4
-
-
-_PHASE_TO_IP = {1: 0, 1j: 1, -1: 2, -1j: 3}
-
-
-def _build_mat_table():
-    table = []
-    for m1 in range(16):
-        row = []
-        for m2 in range(16):
-            a = clifford.BasisElement(*mat_parts(m1))
-            b = clifford.BasisElement(*mat_parts(m2))
-            prod = clifford.basis_mul(a, b)
-            row.append((mat_code(prod.left, prod.right), _PHASE_TO_IP[prod.phase]))
-        table.append(tuple(row))
-    return tuple(table)
-
-
-MAT_TABLE = _build_mat_table()
-
-# MAT_ANTI[m1][m2]: the two basis matrices anticommute (else they commute),
-# read off the phases of m1 m2 and m2 m1, which differ by 1 or by -1.
-MAT_ANTI = tuple(tuple((MAT_TABLE[m1][m2][1] - MAT_TABLE[m2][m1][1]) % 4 == 2
-                       for m2 in range(16)) for m1 in range(16))
-
-MAT_ODD = tuple(clifford.beta_grade(clifford.BasisElement(*mat_parts(m))) == clifford.ODD
-                for m in range(16))
+# Basis-matrix labels (mat codes and their product table are in clifford)
 
 _MAT_LATEX = {
     ID_MAT: "",
@@ -283,7 +245,7 @@ def _order_vp(word: tuple[int, ...]):
                        (_FIELD_UNIT[field_b(i)] + _DIM_PIV_B, 1))
     else:
         # Pi_i Pi_j -> Pi_j Pi_i + (i hbar / c) eps_ijk (e B_k - et E_k)
-        kk, sign = clifford.LEVI_CIVITA[(i, b - VPOT)]
+        kk, sign = LEVI_CIVITA[(i, b - VPOT)]
         corrections = ((_FIELD_UNIT[field_b(kk)] + _DIM_PIPI_B, sign),
                        (_FIELD_UNIT[field_e(kk)] + _DIM_PIPI_E, -sign))
     acc: dict[tuple, int] = {}
@@ -745,16 +707,6 @@ def beta_split(e: Expression) -> tuple[Expression, Expression]:
     """(even, odd) with respect to the beta grading; exact group by group."""
     parts = _by_group(e, lambda order, mat: MAT_ODD[mat], (False, True))
     return parts[False], parts[True]
-
-
-def term_of(e: Expression, key: tuple) -> Expression:
-    """e's one term under key, a (dims, mat, ip, word) key as .terms holds
-    it, read off the grouped form: zero when e has no term there."""
-    p, mat, ip, w = _pack_key(*key)
-    gkey = (_order(p), mat, ip, w)
-    groups, den = e._grouped
-    c = groups.get(gkey, {}).get(p)
-    return Expression._from_grouped({gkey: {p: c}} if c else {}, den)
 
 
 _EG_TO_MC2 = _pack(dim(m=1, c=2)) - _pack(dim(Eg=1))

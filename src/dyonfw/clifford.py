@@ -3,13 +3,13 @@
 Every 4x4 matrix used here is a tensor product (left ⊗ right) of Pauli
 factors, the left factor acting on the particle/antiparticle blocks and the
 right factor on spin.  Factor indices follow the convention 0 = identity,
-1..3 = sigma_x, sigma_y, sigma_z.  Products close on the 16 phase-free
-elements up to a phase in {+1, -1, +i, -i}, so the whole algebra is exact.
+1..3 = sigma_x, sigma_y, sigma_z, and a basis matrix is the int code
+left * 4 + right.  Products close on the 16 phase-free matrices up to a
+phase i^ip, ip in 0..3, so the whole algebra is exact: MAT_TABLE[m1][m2] is
+the (code, ip) of m1 m2, built at import from the Pauli product.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 # The Levi-Civita symbol, typed once: (i, j) -> (k, eps_ijk) for i != j, the
 # cyclic pairs first.  sigma_i sigma_j = delta_ij + i eps_ijk sigma_k; algebra
@@ -17,84 +17,43 @@ from dataclasses import dataclass
 LEVI_CIVITA = {(1, 2): (3, 1), (2, 3): (1, 1), (3, 1): (2, 1),
                (2, 1): (3, -1), (3, 2): (1, -1), (1, 3): (2, -1)}
 
-PHASES = (1, 1j, -1, -1j)
-
-EVEN = "even"
-ODD = "odd"
+ID_MAT = 0
+BETA_MAT = 12
 
 
-def pauli_mul(a: int, b: int) -> tuple[int, complex]:
-    """Product of two Pauli factors as (index, phase)."""
+def mat_code(left: int, right: int) -> int:
+    return left * 4 + right
+
+
+def mat_parts(mat: int) -> tuple[int, int]:
+    return mat // 4, mat % 4
+
+
+def _pauli_mul(a: int, b: int) -> tuple[int, int]:
+    """Product of two Pauli factors as (index, power of i)."""
     if a == 0:
-        return b, 1
+        return b, 0
     if b == 0:
-        return a, 1
+        return a, 0
     if a == b:
-        return 0, 1
+        return 0, 0
     k, sign = LEVI_CIVITA[(a, b)]
-    return k, sign * 1j
+    return k, sign % 4
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    """One of the 16 basis matrices, carrying an explicit phase."""
-
-    left: int
-    right: int
-    phase: complex = 1
-
-    def __post_init__(self):
-        if not (0 <= self.left <= 3 and 0 <= self.right <= 3):
-            raise ValueError(f"factor indices out of range: {self.left}, {self.right}")
-        if self.phase not in PHASES:
-            raise ValueError(f"phase must be a fourth root of unity, got {self.phase}")
-
-    def __repr__(self):
-        return f"BasisElement({self.left}, {self.right}, {self.phase})"
+def _mat_mul(m1: int, m2: int) -> tuple[int, int]:
+    (l1, r1), (l2, r2) = mat_parts(m1), mat_parts(m2)
+    (left, pl), (right, pr) = _pauli_mul(l1, l2), _pauli_mul(r1, r2)
+    return mat_code(left, right), (pl + pr) % 4
 
 
-def basis_mul(a: BasisElement, b: BasisElement) -> BasisElement:
-    """Exact product; always a single basis element with a phase."""
-    left, pl = pauli_mul(a.left, b.left)
-    right, pr = pauli_mul(a.right, b.right)
-    return BasisElement(left, right, a.phase * b.phase * pl * pr)
+MAT_TABLE = tuple(tuple(_mat_mul(m1, m2) for m2 in range(16)) for m1 in range(16))
 
+# MAT_ANTI[m1][m2]: the two basis matrices anticommute (else they commute),
+# read off the phases of m1 m2 and m2 m1, which differ by 1 or by -1.
+MAT_ANTI = tuple(tuple((MAT_TABLE[m1][m2][1] - MAT_TABLE[m2][m1][1]) % 4 == 2
+                       for m2 in range(16)) for m1 in range(16))
 
-def beta_grade(a: BasisElement) -> str:
-    """EVEN if the element commutes with beta = (z ⊗ 1), ODD if it anticommutes.
-
-    Only the left factor matters: sigma_z commutes with {1, sigma_z} and
-    anticommutes with {sigma_x, sigma_y}.
-    """
-    return ODD if a.left in (1, 2) else EVEN
-
-
-# Named elements.  gamma_i = i (y ⊗ sigma_i) and eta = -i (y ⊗ 1) carry the
-# phase that makes their block form real.
-
-def identity() -> BasisElement:
-    return BasisElement(0, 0)
-
-
-def beta() -> BasisElement:
-    return BasisElement(3, 0)
-
-
-def alpha(i: int) -> BasisElement:
-    return BasisElement(1, i)
-
-
-def sigma(i: int) -> BasisElement:
-    return BasisElement(0, i)
-
-
-def beta_sigma(i: int) -> BasisElement:
-    return BasisElement(3, i)
-
-
-def gamma_vec(i: int) -> BasisElement:
-    return BasisElement(2, i, 1j)
-
-
-def eta() -> BasisElement:
-    return BasisElement(2, 0, -1j)
+# MAT_ODD[mat]: the matrix anticommutes with beta = (z ⊗ 1), so it is odd in
+# the block grading (else it commutes and is even).
+MAT_ODD = MAT_ANTI[BETA_MAT]

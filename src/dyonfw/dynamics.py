@@ -40,6 +40,7 @@ import math
 import numbers
 import os
 import shutil
+import sys
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
@@ -601,9 +602,9 @@ def load_scenario(path: str | Path) -> tuple[ParticleParams, FieldConfig, PhaseS
 
 
 def _as_fraction(name: str, value) -> Fraction:
-    """Exact value of a finite scenario number: a JSON integer, or a JSON
-    float via its repr.  A bool or a string is no number."""
-    if type(value) is int:
+    """Exact value of a finite scenario number: a JSON integer within float
+    range, or a JSON float via its repr.  A bool or a string is no number."""
+    if type(value) is int and abs(value) <= sys.float_info.max:
         return Fraction(value)
     if type(value) is float and math.isfinite(value):
         return Fraction(repr(value))

@@ -49,16 +49,12 @@ class OddEvenSplit:
         return al.order_slice(self.odd, n)
 
 
-_REST_MASS = (al.dim(Eg=1), al.BETA_MAT, 0, ())  # the term key of (Eg/2) beta
-
-
 def split_even_odd(h: Expression) -> OddEvenSplit:
-    """Split off the rest-mass term, h's one term on the (Eg/2) beta key,
-    and grade the remainder: beta_split keeps or moves whole groups, and
-    the mass is one exact term lookup in the even part."""
-    even, odd = al.beta_split(h)
-    mass = al.term_of(even, _REST_MASS)
-    return OddEvenSplit(mass, even - mass, odd)
+    """Split h in one pass over its groups: the (order -1, beta) group is
+    the rest mass, and every other group is even or odd by its matrix."""
+    parts = al._by_group(h, lambda order, mat: "mass" if (order, mat) == (-1, al.BETA_MAT)
+                         else al.MAT_ODD[mat], ("mass", False, True))
+    return OddEvenSplit(parts["mass"], parts[False], parts[True])
 
 
 _BETA_GAP = Expression.term(1, mat=al.BETA_MAT, dims=al.dim(Eg=-1))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from dyonfw import algebra as al
-from dyonfw import clifford as cl
 
 PAULI_NUMERIC = (
     np.eye(2, dtype=complex),
@@ -23,9 +22,10 @@ PAULI_NUMERIC = (
 )
 
 
-def to_numeric(a: cl.BasisElement) -> np.ndarray:
-    """4x4 complex matrix; entries are Gaussian integers so products are exact."""
-    return a.phase * np.kron(PAULI_NUMERIC[a.left], PAULI_NUMERIC[a.right])
+def to_numeric(left: int, right: int, phase: complex = 1) -> np.ndarray:
+    """phase * (left ⊗ right) as a 4x4 complex matrix; with phase a power of
+    i, entries are Gaussian integers, so products are exact."""
+    return phase * np.kron(PAULI_NUMERIC[left], PAULI_NUMERIC[right])
 
 
 def is_pi(atom: int) -> bool:
@@ -100,7 +100,7 @@ def expression_to_matrices(e: al.Expression) -> dict:
     out: dict[tuple, np.ndarray] = {}
     for (d, mat, ip, w), c in e.terms.items():
         left, right = al.mat_parts(mat)
-        m = to_numeric(cl.BasisElement(left, right)) * complex(c) * (1j if ip else 1)
+        m = to_numeric(left, right) * complex(c) * (1j if ip else 1)
         if (d, w) in out:
             out[(d, w)] = out[(d, w)] + m
         else:
@@ -119,7 +119,7 @@ def raw_terms_from_expression(e: al.Expression):
     raw = []
     for (d, mat, ip, w), c in e.terms.items():
         left, right = al.mat_parts(mat)
-        m = to_numeric(cl.BasisElement(left, right))
+        m = to_numeric(left, right)
         raw.append((complex(c) * (1j if ip else 1), d, m, list(w)))
     return raw
 
@@ -131,9 +131,7 @@ def random_raw_term(rng, max_atoms: int = 5, max_basis: int = 3):
     word = [rng.randrange(10) for _ in range(rng.randint(0, max_atoms))]
     mat = np.eye(4, dtype=complex)
     for _ in range(rng.randint(0, max_basis)):
-        elem = cl.BasisElement(rng.randrange(4), rng.randrange(4),
-                               cl.PHASES[rng.randrange(4)])
-        mat = mat @ to_numeric(elem)
+        mat = mat @ to_numeric(rng.randrange(4), rng.randrange(4), 1j ** rng.randrange(4))
     dims = al.dim(hbar=rng.randint(-1, 1), c=rng.randint(-1, 1))
     return coeff, dims, mat, word
 
@@ -144,7 +142,7 @@ def engine_term_from_raw(raw) -> al.Expression:
     total = al.Expression.zero()
     for left in range(4):
         for right in range(4):
-            basis = to_numeric(cl.BasisElement(left, right))
+            basis = to_numeric(left, right)
             # exact projection: the 16 elements are trace-orthogonal
             overlap = np.trace(basis.conj().T @ mat) / 4
             if abs(overlap) < 1e-12:

@@ -190,15 +190,11 @@ def test_criterion_8_oracle_equivalence():
         assert oracles.matrices_equal(
             oracles.expand(raw), oracles.expression_to_matrices(engine)), trial
 
-    from dyonfw import clifford as cl
-    elements = [cl.BasisElement(left, right, phase)
-                for left in range(4) for right in range(4)
-                for phase in (1,)]
     count = 0
-    for a in elements:
-        for b in elements:
-            lhs = oracles.to_numeric(cl.basis_mul(a, b))
-            rhs = oracles.to_numeric(a) @ oracles.to_numeric(b)
+    for m1, row in enumerate(al.MAT_TABLE):
+        for m2, (mat, ip) in enumerate(row):
+            lhs = oracles.to_numeric(*al.mat_parts(mat), 1j ** ip)
+            rhs = oracles.to_numeric(*al.mat_parts(m1)) @ oracles.to_numeric(*al.mat_parts(m2))
             assert np.array_equal(lhs, rhs)
             count += 1
     assert count == 256

@@ -112,7 +112,6 @@ def test_hermitian_conjugation_examples():
 def test_conjugate_matches_numeric_oracle_with_commuting_placeholders():
     # evaluate D as a matrix with scalar placeholders for the field atoms
     import numpy as np
-    from dyonfw import clifford as cl
     d_op = al.commutator(ham.omega_odd(), ham.omega_even())
     placeholders = {al.field_e(i): 0.3 * i for i in (1, 2, 3)}
     placeholders.update({al.field_b(i): 0.1 * i + 0.7 for i in (1, 2, 3)})
@@ -121,7 +120,7 @@ def test_conjugate_matches_numeric_oracle_with_commuting_placeholders():
         scalar = complex(c) * (1j if ip else 1)
         for atom in w:
             scalar *= placeholders[atom]
-        numeric += scalar * oracles.to_numeric(cl.BasisElement(*al.mat_parts(mat)))
+        numeric += scalar * oracles.to_numeric(*al.mat_parts(mat))
     assert np.abs(numeric + numeric.conj().T).max() < 1e-12  # anti-Hermitian
 
 
@@ -234,8 +233,7 @@ _raw_keys = st.tuples(st.sampled_from((al.DIM_ZERO, al.dim(hbar=1, c=-1), al.dim
 def test_constructor_matches_the_bruteforce_expander(raw):
     """Expression(d) on a raw dict against oracles.expand of the same terms,
     their basis matrices and phases i^ip multiplied out numerically."""
-    from dyonfw import clifford as cl
-    terms = [(complex(c) * 1j ** ip, d, oracles.to_numeric(cl.BasisElement(*al.mat_parts(mat))),
+    terms = [(complex(c) * 1j ** ip, d, oracles.to_numeric(*al.mat_parts(mat)),
               list(w)) for (d, mat, ip, w), c in raw.items()]
     assert oracles.matrices_equal(oracles.expand(terms),
                                   oracles.expression_to_matrices(al.Expression(raw)))
@@ -297,8 +295,7 @@ def test_truncated_products_are_exact(a, b):
 def test_mat_anti_matches_the_numeric_matrices():
     """MAT_ANTI[m1][m2] against A B == -B A (else A B == B A) on 4x4 matrices."""
     import numpy as np
-    from dyonfw import clifford as cl
-    numeric = [oracles.to_numeric(cl.BasisElement(*al.mat_parts(m))) for m in range(16)]
+    numeric = [oracles.to_numeric(*al.mat_parts(m)) for m in range(16)]
     for m1, a in enumerate(numeric):
         for m2, b in enumerate(numeric):
             sign = -1 if al.MAT_ANTI[m1][m2] else 1
@@ -320,11 +317,10 @@ _any_terms = st.tuples(st.integers(-3, 3).filter(bool), st.lists(_atoms, max_siz
 def test_commutators_of_field_only_words_match_the_oracle(central, other, central_left):
     """[a, b] and {a, b} with one operand's words field-only or empty,
     against the oracle's expansion of ab -+ ba with numeric matrices."""
-    from dyonfw import clifford as cl
     left, right = (central, other) if central_left else (other, central)
 
     def numeric(raw):
-        return [(c * 1j ** ip, oracles.to_numeric(cl.BasisElement(*al.mat_parts(m))), list(w))
+        return [(c * 1j ** ip, oracles.to_numeric(*al.mat_parts(m)), list(w))
                 for c, w, m, ip in raw]
 
     a, b = (_raw_sum((c, w, m, ip, al.DIM_ZERO) for c, w, m, ip in raw) for raw in (left, right))
@@ -477,6 +473,11 @@ def test_packed_results_reenter_like_their_terms(raw_a, raw_b):
 _MASS_TERM = (al.dim(Eg=1), al.BETA_MAT, 0, ())  # (Eg/2) beta's key, unpacked
 
 
+def _is_mass(key) -> bool:
+    """A term of the fw split's mass part: beta at 1/Eg order -1."""
+    return oracles.eg_order(key) == -1 and key[1] == al.BETA_MAT
+
+
 _P1, _P2 = (al.pi(1),), (al.pi(2),)
 
 
@@ -530,8 +531,8 @@ def test_filters_sums_and_equality_match_dict_oracles(raw_a, raw_b, n, mass):
             kept(lambda key: oracles.eg_order(key) <= n),
             kept(lambda key: oracles.eg_order(key) == n),
             kept(lambda key: not al.MAT_ODD[key[1]]), kept(lambda key: al.MAT_ODD[key[1]]),
-            kept(lambda key: key == _MASS_TERM),
-            kept(lambda key: key != _MASS_TERM and not al.MAT_ODD[key[1]]),
+            kept(_is_mass),
+            kept(lambda key: not _is_mass(key) and not al.MAT_ODD[key[1]]),
             kept(lambda key: al.MAT_ODD[key[1]]),
             *[kept(lambda key, o=o: oracles.eg_order(key) == o) for o in orders],
             kept(lambda key: oracles.field_degree(key[3]) < 2),

@@ -304,6 +304,11 @@ def test_verify_fails_against_perturbed_fixtures(tmp_path, monkeypatch, capsys,
     (lambda scenario: scenario["fields"].update(E=[0, float("nan"), 0]), "fields.E"),
     (lambda scenario: scenario["particle"].update(gte=float("-inf")), "particle.gte"),
     (lambda scenario: scenario["run"].update(scheme=[]), "run.scheme"),
+    # JSON integers past float range
+    (lambda scenario: scenario["particle"].update(m=10**400), "particle.m"),
+    (lambda scenario: scenario["particle"].update(ge=-10**400), "particle.ge"),
+    (lambda scenario: scenario["fields"].update(B=[0, 0, 10**400]), "fields.B"),
+    (lambda scenario: scenario["run"].update(dt=10**400), "run.dt"),
     # 8e16 bytes of times alone, more than any 64-bit address space holds;
     # 2**60 steps pass numpy's own array size limit
     (lambda scenario: scenario["run"].update(steps=10**16), "steps"),
@@ -312,7 +317,8 @@ def test_verify_fails_against_perturbed_fixtures(tmp_path, monkeypatch, capsys,
         "zero-mass", "negative-mass", "inf-ge", "no-dt", "zero-dt", "no-steps",
         "negative-steps", "fractional-steps", "unknown-scheme", "bool-mass",
         "bool-field", "string-dt", "nan-literal-field", "inf-literal-gte",
-        "list-scheme", "unallocatable-steps", "oversized-steps"])
+        "list-scheme", "huge-int-mass", "huge-int-ge", "huge-int-field", "huge-int-dt",
+        "unallocatable-steps", "oversized-steps"])
 def test_simulate_bad_scenario_reports_error(tmp_path, capsys, edit, field):
     cfg = _write_scenario(tmp_path, edit)
     out_csv = tmp_path / "o.csv"

@@ -86,3 +86,15 @@ def test_every_public_helper_is_used():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in used]
     assert unused == []
+
+
+def test_sources_parse_with_the_oldest_supported_python():
+    # The grammar of the lowest Python pyproject.toml's requires-python
+    # admits, read with a regex because tomllib is 3.11+.
+    root = Path(dyonfw.__file__).resolve().parents[2]
+    minor = re.search(r'requires-python\s*=\s*">=\s*3\.(\d+)"',
+                      (root / "pyproject.toml").read_text())[1]
+    paths = [*Path(dyonfw.__file__).parent.rglob("*.py"), *(root / "tests").rglob("*.py")]
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(3, int(minor)))
