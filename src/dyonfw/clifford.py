@@ -29,7 +29,7 @@ def mat_parts(mat: int) -> tuple[int, int]:
     return mat // 4, mat % 4
 
 
-def _pauli_mul(a: int, b: int) -> tuple[int, int]:
+def _pauli_product(a: int, b: int) -> tuple[int, int]:
     """Product of two Pauli factors as (index, power of i)."""
     if a == 0:
         return b, 0
@@ -43,7 +43,7 @@ def _pauli_mul(a: int, b: int) -> tuple[int, int]:
 
 def _mat_mul(m1: int, m2: int) -> tuple[int, int]:
     (l1, r1), (l2, r2) = mat_parts(m1), mat_parts(m2)
-    (left, pl), (right, pr) = _pauli_mul(l1, l2), _pauli_mul(r1, r2)
+    (left, pl), (right, pr) = _pauli_product(l1, l2), _pauli_product(r1, r2)
     return mat_code(left, right), (pl + pr) % 4
 
 
