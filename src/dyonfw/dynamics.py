@@ -13,13 +13,21 @@ drifts |s| and the orbit energy by ~1e-6 — orders above the conservation
 targets this module is checked against, which is why rotation splitting is
 the default.
 
-`PhaseState` is the validated boundary type: `_integrate_blocks` reads its
-start state once, binds every per-run constant (float charges and masses,
-the kick, the rotation numerator, the dual fields) into a step function, and
-the loop then steps plain (x, u, s) float tuples.  Each float expression
-keeps the operand order of the per-state formulas (`thomas_F`, `orbit_rhs`,
-`spin_rhs`, `orbit_hamiltonian`, `PhaseState.helicity`), so a trajectory is
-the same bit for bit as one stepped through `PhaseState` objects.
+`PhaseState` and `FieldConfig` are the validated boundary types, each vector
+three floats: `_integrate_blocks` reads its start state once, binds every
+per-run constant (float charges and masses, the kick, the rotation
+numerator, the dual fields, g/2 - 1 per coupling) into a step function, and
+the loop then steps rows (x, u, s) of nine floats, the layout of a stored
+sample.  Each step is one flat function that calls no per-step helper.  The
+split step writes out both Rodrigues rotations, rotates u with the sin and
+cos its helical x advance already took, and computes gamma and
+r = gamma/(gamma + 1) of the Thomas-BMT field once for both couplings; the
+rk4 step's `rates` writes out the Lorentz force and the Thomas-BMT fields on
+scalars, reusing beta x B and beta x E.  Each float expression keeps the
+operands and the order of the per-state reference (`_thomas`, `thomas_F`,
+`orbit_rhs`, `spin_rhs`, `orbit_hamiltonian`, `PhaseState.helicity`), which
+the tests compare the steppers against, so a trajectory is the same bit for
+bit as one stepped through `PhaseState` objects.
 
 The loop yields after every block of whole chunks, so `simulate` hands each
 block, the last one included, to a forked CSV helper (`_CsvWriter`) while
@@ -59,8 +67,8 @@ class FieldConfig:
     B: Vec3 = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "E", tuple(float(x) for x in self.E))
-        object.__setattr__(self, "B", tuple(float(x) for x in self.B))
+        for name in ("E", "B"):
+            object.__setattr__(self, name, _vec3(name, getattr(self, name)))
 
     @property
     def E_dual(self) -> Vec3:
@@ -80,7 +88,7 @@ class PhaseState:
 
     def __post_init__(self):
         for name in ("x", "u", "s"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+            object.__setattr__(self, name, _vec3(name, getattr(self, name)))
 
     @property
     def gamma(self) -> float:
@@ -99,6 +107,15 @@ class PhaseState:
         return _dot(self.s, self.u) / umag
 
 
+def _vec3(name: str, value) -> Vec3:
+    """value as three floats; ValueError naming name for any other length.
+    Entry points only: the steppers read vectors already checked."""
+    vec = tuple(map(float, value))
+    if len(vec) != 3:
+        raise ValueError(f"{name} must be three numbers, got {len(vec)}")
+    return vec
+
+
 def _dot(a, b) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
@@ -107,10 +124,6 @@ def _cross(a, b) -> Vec3:
     return (a[1] * b[2] - a[2] * b[1],
             a[2] * b[0] - a[0] * b[2],
             a[0] * b[1] - a[1] * b[0])
-
-
-def _axpy(alpha, x, y) -> Vec3:
-    return (y[0] + alpha * x[0], y[1] + alpha * x[1], y[2] + alpha * x[2])
 
 
 def _thomas(beta, E: Vec3, B: Vec3, half_g: float) -> Vec3:
@@ -133,8 +146,9 @@ def _thomas(beta, E: Vec3, B: Vec3, half_g: float) -> Vec3:
 def thomas_F(beta: Vec3, fields: FieldConfig, ge: float) -> Vec3:
     """Effective precession field for the electric-charge coupling:
     (g/2 - 1 + 1/gamma) B - (g/2 - 1) r (beta.B) beta - (g/2 - r) beta x E
-    with r = gamma / (gamma + 1)."""
-    return _thomas(beta, fields.E, fields.B, ge / 2.0)
+    with r = gamma / (gamma + 1).  Raises ValueError for a beta that is not
+    three numbers or whose speed is not below 1."""
+    return _thomas(_vec3("beta", beta), fields.E, fields.B, ge / 2.0)
 
 
 def thomas_F_dual(beta: Vec3, fields: FieldConfig, gte: float) -> Vec3:
@@ -352,98 +366,159 @@ def _start_helper(columns, starts: range):
     return pid, tmp
 
 
-def _rotate(v: Vec3, axis: Vec3, angle: float) -> Vec3:
-    """Rodrigues rotation; axis need not be normalized (zero axis = identity)."""
-    wmag = math.sqrt(_dot(axis, axis))
-    if wmag == 0.0 or angle == 0.0:
-        return v
-    n0, n1, n2 = axis[0] / wmag, axis[1] / wmag, axis[2] / wmag
-    cos_a, sin_a = math.cos(angle), math.sin(angle)
-    v0, v1, v2 = v
-    nv = n0 * v0 + n1 * v1 + n2 * v2
-    omc = 1.0 - cos_a
-    return (v0 * cos_a + (n1 * v2 - n2 * v1) * sin_a + n0 * nv * omc,
-            v1 * cos_a + (n2 * v0 - n0 * v2) * sin_a + n1 * nv * omc,
-            v2 * cos_a + (n0 * v1 - n1 * v0) * sin_a + n2 * nv * omc)
-
-
 def _split_stepper(fields: FieldConfig, params: ParticleParams, dt: float, c: float):
-    """The splitting step (x, u, s) -> (x, u, s), with its constants bound."""
+    """The splitting step from a row (x, u, s) of nine floats to the next,
+    with its constants bound.
+
+    One flat function: both Rodrigues rotations and the Thomas-BMT fields of
+    _thomas are written out, each float operation in the order the per-state
+    formulas use."""
     m, e, et = float(params.m), float(params.e), float(params.etilde)
     E, B = fields.E, fields.B
     # Half electric-type kick (0.5 dt)(e E + et B)/(m c), the numerator
     # e B - et E of the magnetic-type rotation rate, and the precession
-    # couplings with the sign of ds/dt = w_s x s.
+    # couplings (-q/mc, g/2 - 1, g/2, E, B) with the sign of ds/dt = w_s x s.
     k0, k1, k2 = (0.5 * dt * ((e * E[i] + et * B[i]) / (m * c)) for i in range(3))
     r0, r1, r2 = (e * B[i] - et * E[i] for i in range(3))
-    precession = [(-q, cE, cB, half_g) for q, cE, cB, half_g in _couplings(fields, params, c)]
+    precession = [(-q, half_g - 1.0, half_g, cE, cB)
+                  for q, cE, cB, half_g in _couplings(fields, params, c)]
     dtc = dt * c
+    sqrt, sin, cos = math.sqrt, math.sin, math.cos
 
-    def step(x: Vec3, u: Vec3, s: Vec3) -> tuple[Vec3, Vec3, Vec3]:
-        u0, u1, u2 = u[0] + k0, u[1] + k1, u[2] + k2
-        gamma = math.sqrt(1.0 + (u0 * u0 + u1 * u1 + u2 * u2))
+    def step(row: tuple) -> tuple:
+        x0, x1, x2, u0, u1, u2, s0, s1, s2 = row
+        u0, u1, u2 = u0 + k0, u1 + k1, u2 + k2
+        gamma = sqrt(1.0 + (u0 * u0 + u1 * u1 + u2 * u2))
 
         # Magnetic-type rotation of u about w_u = -(e B - et E)/(gamma m c); the
         # position advances along the exact helical arc of the rotating u.
         gmc = gamma * m * c
         w0, w1, w2 = -(r0 / gmc), -(r1 / gmc), -(r2 / gmc)
-        wmag = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+        wmag = sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+        v0, v1, v2 = u0, u1, u2
         if wmag == 0.0:
             a = dtc / gamma
-            x = (x[0] + a * u0, x[1] + a * u1, x[2] + a * u2)
-            u = (u0, u1, u2)
+            x0, x1, x2 = x0 + a * u0, x1 + a * u1, x2 + a * u2
         else:
             theta = wmag * dt
             n0, n1, n2 = w0 / wmag, w1 / wmag, w2 / wmag
             nu = n0 * u0 + n1 * u1 + n2 * u2
             p0, p1, p2 = n0 * nu, n1 * nu, n2 * nu
             q0, q1, q2 = u0 - p0, u1 - p1, u2 - p2
-            sin_t, omc = math.sin(theta), 1.0 - math.cos(theta)
+            sin_t, cos_t = sin(theta), cos(theta)
+            omc = 1.0 - cos_t
             a = c / gamma
-            x = (x[0] + a * (p0 * dt + q0 * sin_t / wmag + (n1 * q2 - n2 * q1) * omc / wmag),
-                 x[1] + a * (p1 * dt + q1 * sin_t / wmag + (n2 * q0 - n0 * q2) * omc / wmag),
-                 x[2] + a * (p2 * dt + q2 * sin_t / wmag + (n0 * q1 - n1 * q0) * omc / wmag))
-            u = _rotate((u0, u1, u2), (n0, n1, n2), theta)
+            x0 += a * (p0 * dt + q0 * sin_t / wmag + (n1 * q2 - n2 * q1) * omc / wmag)
+            x1 += a * (p1 * dt + q1 * sin_t / wmag + (n2 * q0 - n0 * q2) * omc / wmag)
+            x2 += a * (p2 * dt + q2 * sin_t / wmag + (n0 * q1 - n1 * q0) * omc / wmag)
+            if theta:
+                # Rodrigues rotation of u by theta about n, normalised once
+                # more as any axis is: the unit n is not unit to the last bit.
+                nmag = sqrt(n0 * n0 + n1 * n1 + n2 * n2)
+                n0, n1, n2 = n0 / nmag, n1 / nmag, n2 / nmag
+                nu = n0 * u0 + n1 * u1 + n2 * u2
+                v0 = u0 * cos_t + (n1 * u2 - n2 * u1) * sin_t + n0 * nu * omc
+                v1 = u1 * cos_t + (n2 * u0 - n0 * u2) * sin_t + n1 * nu * omc
+                v2 = u2 * cos_t + (n0 * u1 - n1 * u0) * sin_t + n2 * nu * omc
 
         # Spin precession about the effective field evaluated at the mid-kick u;
         # exact whenever that field is constant along the magnetic rotation.
-        beta = (u0 / gamma, u1 / gamma, u2 / gamma)
         ws0 = ws1 = ws2 = 0.0
-        for q, cE, cB, half_g in precession:
-            f0, f1, f2 = _thomas(beta, cE, cB, half_g)
-            ws0 += q * f0
-            ws1 += q * f1
-            ws2 += q * f2
-        ws_mag = math.sqrt(ws0 * ws0 + ws1 * ws1 + ws2 * ws2)
-        if ws_mag:
-            s = _rotate(s, (ws0, ws1, ws2), ws_mag * dt)
-        return x, (u[0] + k0, u[1] + k1, u[2] + k2), s
+        if precession:
+            b0, b1, b2 = u0 / gamma, u1 / gamma, u2 / gamma
+            bb = b0 * b0 + b1 * b1 + b2 * b2
+            if not bb < 1.0:  # also rejects NaN
+                raise ValueError("boost speed must be below 1")
+            g = 1.0 / sqrt(1.0 - bb)
+            r, inv_g = g / (g + 1.0), 1.0 / g
+            for q, a, half_g, (E0, E1, E2), (B0, B1, B2) in precession:
+                along_B = a + inv_g
+                along_beta = a * r * (b0 * B0 + b1 * B1 + b2 * B2)
+                along_bxE = half_g - r
+                ws0 += q * (along_B * B0 - along_beta * b0 - along_bxE * (b1 * E2 - b2 * E1))
+                ws1 += q * (along_B * B1 - along_beta * b1 - along_bxE * (b2 * E0 - b0 * E2))
+                ws2 += q * (along_B * B2 - along_beta * b2 - along_bxE * (b0 * E1 - b1 * E0))
+        ws_mag = sqrt(ws0 * ws0 + ws1 * ws1 + ws2 * ws2)
+        angle = ws_mag * dt
+        if angle:
+            n0, n1, n2 = ws0 / ws_mag, ws1 / ws_mag, ws2 / ws_mag
+            cos_a, sin_a = cos(angle), sin(angle)
+            ns = n0 * s0 + n1 * s1 + n2 * s2
+            omc = 1.0 - cos_a
+            s0, s1, s2 = (s0 * cos_a + (n1 * s2 - n2 * s1) * sin_a + n0 * ns * omc,
+                          s1 * cos_a + (n2 * s0 - n0 * s2) * sin_a + n1 * ns * omc,
+                          s2 * cos_a + (n0 * s1 - n1 * s0) * sin_a + n2 * ns * omc)
+        return x0, x1, x2, v0 + k0, v1 + k1, v2 + k2, s0, s1, s2
 
     return step
 
 
 def _rk4_stepper(fields: FieldConfig, params: ParticleParams, dt: float, c: float):
-    """The classical RK4 step (x, u, s) -> (x, u, s), with its constants bound."""
+    """The classical RK4 step from a row (x, u, s) of nine floats to the next,
+    with its constants bound.
+
+    rates writes out _lorentz and the _thomas fields of _spin_rate, in their
+    operand order; a dual coupling's E is B, so it reuses beta x B."""
     e, et, mc = float(params.e), float(params.etilde), float(params.m) * c
-    E, B = fields.E, fields.B
-    couplings = _couplings(fields, params, c)
+    E0, E1, E2 = fields.E
+    B0, B1, B2 = fields.B
+    # (q/mc, g/2 - 1, g/2, is it the dual coupling, its B) per coupling:
+    # _couplings lists the electric charge's, then the magnetic charge's,
+    # each when the charge is not zero.
+    is_dual = [False] * (params.e != 0) + [True] * (params.etilde != 0)
+    couplings = [(q, half_g - 1.0, half_g, dual, cB)
+                 for (q, _, cB, half_g), dual in zip(_couplings(fields, params, c), is_dual)]
     half = dt / 2
+    sqrt = math.sqrt
 
-    def rates(u: Vec3, s: Vec3):
-        g = math.sqrt(1.0 + _dot(u, u))
-        beta = (u[0] / g, u[1] / g, u[2] / g)
-        return ((c * u[0] / g, c * u[1] / g, c * u[2] / g),
-                _lorentz(beta, E, B, e, et, mc), _spin_rate(s, beta, couplings))
+    def rates(u0, u1, u2, s0, s1, s2) -> tuple:
+        """(dx/dt, du/dt, ds/dt) at (u, s), as nine floats."""
+        g = sqrt(1.0 + (u0 * u0 + u1 * u1 + u2 * u2))
+        b0, b1, b2 = u0 / g, u1 / g, u2 / g
+        bxB0, bxB1, bxB2 = b1 * B2 - b2 * B1, b2 * B0 - b0 * B2, b0 * B1 - b1 * B0
+        bxE0, bxE1, bxE2 = b1 * E2 - b2 * E1, b2 * E0 - b0 * E2, b0 * E1 - b1 * E0
+        ds0 = ds1 = ds2 = 0.0
+        if couplings:
+            bb = b0 * b0 + b1 * b1 + b2 * b2
+            if not bb < 1.0:  # also rejects NaN
+                raise ValueError("boost speed must be below 1")
+            gt = 1.0 / sqrt(1.0 - bb)
+            r, inv_gt = gt / (gt + 1.0), 1.0 / gt
+            for q, a, half_g, dual, (F0, F1, F2) in couplings:
+                x0, x1, x2 = (bxB0, bxB1, bxB2) if dual else (bxE0, bxE1, bxE2)
+                along_B = a + inv_gt
+                along_beta = a * r * (b0 * F0 + b1 * F1 + b2 * F2)
+                along_bxE = half_g - r
+                f0 = along_B * F0 - along_beta * b0 - along_bxE * x0
+                f1 = along_B * F1 - along_beta * b1 - along_bxE * x1
+                f2 = along_B * F2 - along_beta * b2 - along_bxE * x2
+                ds0 += q * (s1 * f2 - s2 * f1)
+                ds1 += q * (s2 * f0 - s0 * f2)
+                ds2 += q * (s0 * f1 - s1 * f0)
+        return (c * u0 / g, c * u1 / g, c * u2 / g,
+                (e * (E0 + bxB0) + et * (B0 - bxE0)) / mc,
+                (e * (E1 + bxB1) + et * (B1 - bxE1)) / mc,
+                (e * (E2 + bxB2) + et * (B2 - bxE2)) / mc,
+                ds0, ds1, ds2)
 
-    def step(x: Vec3, u: Vec3, s: Vec3) -> tuple[Vec3, Vec3, Vec3]:
-        k1 = rates(u, s)
-        k2 = rates(_axpy(half, k1[1], u), _axpy(half, k1[2], s))
-        k3 = rates(_axpy(half, k2[1], u), _axpy(half, k2[2], s))
-        k4 = rates(_axpy(dt, k3[1], u), _axpy(dt, k3[2], s))
-        return tuple(_axpy(dt, ((r1[0] + 2 * r2[0] + 2 * r3[0] + r4[0]) / 6,
-                                (r1[1] + 2 * r2[1] + 2 * r3[1] + r4[1]) / 6,
-                                (r1[2] + 2 * r2[2] + 2 * r3[2] + r4[2]) / 6), v)
-                     for v, r1, r2, r3, r4 in zip((x, u, s), k1, k2, k3, k4))
+    def step(row: tuple) -> tuple:
+        x0, x1, x2, u0, u1, u2, s0, s1, s2 = row
+        k1 = rates(u0, u1, u2, s0, s1, s2)
+        k2 = rates(u0 + half * k1[3], u1 + half * k1[4], u2 + half * k1[5],
+                   s0 + half * k1[6], s1 + half * k1[7], s2 + half * k1[8])
+        k3 = rates(u0 + half * k2[3], u1 + half * k2[4], u2 + half * k2[5],
+                   s0 + half * k2[6], s1 + half * k2[7], s2 + half * k2[8])
+        k4 = rates(u0 + dt * k3[3], u1 + dt * k3[4], u2 + dt * k3[5],
+                   s0 + dt * k3[6], s1 + dt * k3[7], s2 + dt * k3[8])
+        return (x0 + dt * ((k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6),
+                x1 + dt * ((k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6),
+                x2 + dt * ((k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) / 6),
+                u0 + dt * ((k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]) / 6),
+                u1 + dt * ((k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4]) / 6),
+                u2 + dt * ((k1[5] + 2 * k2[5] + 2 * k3[5] + k4[5]) / 6),
+                s0 + dt * ((k1[6] + 2 * k2[6] + 2 * k3[6] + k4[6]) / 6),
+                s1 + dt * ((k1[7] + 2 * k2[7] + 2 * k3[7] + k4[7]) / 6),
+                s2 + dt * ((k1[8] + 2 * k2[8] + 2 * k3[8] + k4[8]) / 6))
 
     return step
 
@@ -457,8 +532,8 @@ def _integrate_blocks(state0: PhaseState, fields: FieldConfig, params: ParticleP
 
     Yields (trajectory, stop) each time rows [0, stop) are final, the last
     time with stop = steps + 1; the trajectory is the same object each time,
-    its rows from stop on not yet written.  The loop steps plain (x, u, s)
-    float tuples from state0; each block's helicity and energy are then
+    its rows from stop on not yet written.  The loop steps rows (x, u, s) of
+    nine floats from state0; each block's helicity and energy are then
     computed elementwise, a chunk at a time, by the same float operations as
     PhaseState.helicity and orbit_hamiltonian.
     """
@@ -481,15 +556,15 @@ def _integrate_blocks(state0: PhaseState, fields: FieldConfig, params: ParticleP
         raise ValueError(f"steps = {steps} needs more memory than can be allocated") from exc
     x, u, s = xus[:, 0:3], xus[:, 3:6], xus[:, 6:9]
     traj = Trajectory(t=t, x=x, u=u, s=s, helicity=hel, energy=energy)
-    tk, xk, uk, sk = state0.t, state0.x, state0.u, state0.s
-    t[0], xus[0] = tk, xk + uk + sk
+    tk, row = state0.t, state0.x + state0.u + state0.s
+    t[0], xus[0] = tk, row
     block = _BLOCK_CHUNKS * _CHUNK_ROWS
     for start in range(0, n, block):
         stop = min(start + block, n)
         for k in range(max(start, 1), stop):
-            xk, uk, sk = step(xk, uk, sk)
+            row = step(row)
             tk += dt
-            t[k], xus[k] = tk, xk + uk + sk
+            t[k], xus[k] = tk, row
         for a in range(start, stop, _CHUNK_ROWS):
             rows = slice(a, a + _CHUNK_ROWS)
             ub, sb = u[rows].T, s[rows].T
@@ -542,9 +617,11 @@ def boost_dipole(mu_p: Vec3, mu_m: Vec3, beta: Vec3) -> tuple[Vec3, Vec3]:
     is F on a unit field; the result is p = mu_p/gamma + beta x mu_m/(gamma+1)
     and m = mu_m/gamma - beta x mu_p/(gamma+1).
 
-    Raises ValueError for a boost speed that is not below 1 (NaN included)
-    and for a result that is not finite.
+    Raises ValueError for a vector that is not three numbers, for a boost
+    speed that is not below 1 (NaN included) and for a result that is not
+    finite.
     """
+    mu_p, mu_m, beta = _vec3("mu_p", mu_p), _vec3("mu_m", mu_m), _vec3("beta", beta)
     zero = (0.0, 0.0, 0.0)
     p, m = [], []
     for unit in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):

@@ -392,13 +392,13 @@ def test_simulate_failure_after_a_helper_started_writes_no_row(tmp_path, monkeyp
     def failing_in_the_second_block(*args):
         step, calls = split(*args), []
 
-        def fail_late(x, u, s):
+        def fail_late(row):
             calls.append(1)
             if len(calls) == dyn._BLOCK_CHUNKS * dyn._CHUNK_ROWS:
                 if failure == "raise":
                     raise ValueError("step failed")
-                x = (math.nan,) * 3
-            return step(x, u, s)
+                row = (math.nan,) * 3 + row[3:]
+            return step(row)
         return fail_late
 
     monkeypatch.setitem(dyn._STEPPERS, "split", failing_in_the_second_block)

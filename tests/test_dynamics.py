@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from dyonfw import algebra as al
@@ -315,6 +316,73 @@ def test_rk4_scheme_available_and_consistent():
     a = dyn.integrate(state, fields, p, dt=0.01, steps=100, scheme="rk4")
     b = dyn.integrate(state, fields, p, dt=0.01, steps=100, scheme="split")
     assert np.abs(a.u[-1] - b.u[-1]).max() < 1e-8
+
+
+def _classical_rk4(state, fields, params, dt, steps, c):
+    """Textbook RK4 on the per-state right-hand sides, with dx/dt = c u / gamma;
+    returns the (t, x, u, s) of every sample."""
+    def rates(u, s):
+        st_ = PhaseState(u=u, s=s)
+        return (tuple(c * v / st_.gamma for v in u), dyn.orbit_rhs(st_, fields, params, c),
+                dyn.spin_rhs(st_, fields, params, c))
+
+    def shifted(v, h, k):
+        return tuple(vi + h * ki for vi, ki in zip(v, k))
+
+    t, x, u, s = state.t, state.x, state.u, state.s
+    samples = [(t, x, u, s)]
+    for _ in range(steps):
+        k1 = rates(u, s)
+        k2 = rates(shifted(u, dt / 2, k1[1]), shifted(s, dt / 2, k1[2]))
+        k3 = rates(shifted(u, dt / 2, k2[1]), shifted(s, dt / 2, k2[2]))
+        k4 = rates(shifted(u, dt, k3[1]), shifted(s, dt, k3[2]))
+        x, u, s = (tuple(vi + dt * ((a + 2 * b + 2 * c_ + d) / 6)
+                         for vi, a, b, c_, d in zip(v, *ks))
+                   for v, ks in zip((x, u, s), zip(k1, k2, k3, k4)))
+        t += dt
+        samples.append((t, x, u, s))
+    return samples
+
+
+_charges = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(e=_charges, et=_charges, m=st.floats(0.25, 4.0), ge=st.floats(-1.0, 5.0),
+       gte=st.floats(-1.0, 5.0), E=_vectors, B=_vectors, x=_vectors, u=_vectors,
+       s=_vectors, dt=st.floats(1e-3, 0.2), c=st.floats(0.25, 4.0),
+       steps=st.integers(1, 4))
+def test_rk4_scheme_is_classical_rk4_bit_for_bit(e, et, m, ge, gte, E, B, x, u, s, dt, c,
+                                                 steps):
+    params = ParticleParams(m=m, e=e, etilde=et, ge=ge, gte=gte)
+    fields, state = FieldConfig(E=E, B=B), PhaseState(x=x, u=u, s=s)
+    traj = dyn.integrate(state, fields, params, dt=dt, steps=steps, c=c, scheme="rk4")
+    for k, (t, *vectors) in enumerate(_classical_rk4(state, fields, params, dt, steps, c)):
+        # float.hex tells -0.0 from 0.0
+        assert traj.t[k].hex() == t.hex()
+        for got, want in zip((traj.x[k], traj.u[k], traj.s[k]), vectors):
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want], k
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: FieldConfig(B=(0, 0, 1, 7)), "B"),
+    (lambda: FieldConfig(E=(0.1, 0)), "E"),
+    (lambda: PhaseState(u=(0.1, 0)), "u"),
+    (lambda: PhaseState(x=(0, 0, 0, 0)), "x"),
+    (lambda: PhaseState(s=(1.0,)), "s"),
+    (lambda: dyn.thomas_F((0.1, 0, 0, 0.9), FieldConfig(B=(0, 0, 1)), ge=2.0), "beta"),
+    (lambda: dyn.thomas_F((0.1, 0), FieldConfig(B=(0, 0, 1)), ge=2.0), "beta"),
+    (lambda: dyn.thomas_F_dual((0.1, 0, 0, 0.9), FieldConfig(E=(1, 0, 0)), gte=2.0), "beta"),
+    (lambda: dyn.boost_dipole((1, 0, 0, 5), (0, 0, 0), (0.1, 0, 0)), "mu_p"),
+    (lambda: dyn.boost_dipole((1, 0, 0), (0, 0), (0.1, 0, 0)), "mu_m"),
+    (lambda: dyn.boost_dipole((1, 0, 0), (0, 0, 0), (0.1, 0, 0, 0)), "beta"),
+], ids=["field-B-long", "field-E-short", "state-u-short", "state-x-long", "state-s-short",
+        "thomas-beta-long", "thomas-beta-short", "dual-beta-long", "dipole-mu_p-long",
+        "dipole-mu_m-short", "dipole-beta-long"])
+def test_vectors_must_be_three_numbers(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must be three numbers"):
+        build()
 
 
 # A dyon with both charges, anomalous moments and both fields non-zero, so
