@@ -383,7 +383,7 @@ def _split_stepper(fields: FieldConfig, params: ParticleParams, dt: float, c: fl
     precession = [(-q, half_g - 1.0, half_g, cE, cB)
                   for q, cE, cB, half_g in _couplings(fields, params, c)]
     dtc = dt * c
-    sqrt, sin, cos = math.sqrt, math.sin, math.cos
+    sqrt, sin, cos = math.sqrt, math.sin, math.cos  # closure reads beat math.x lookups
 
     def step(row: tuple) -> tuple:
         x0, x1, x2, u0, u1, u2, s0, s1, s2 = row
@@ -469,7 +469,7 @@ def _rk4_stepper(fields: FieldConfig, params: ParticleParams, dt: float, c: floa
     couplings = [(q, half_g - 1.0, half_g, dual, cB)
                  for (q, _, cB, half_g), dual in zip(_couplings(fields, params, c), is_dual)]
     half = dt / 2
-    sqrt = math.sqrt
+    sqrt = math.sqrt  # a closure read beats a math.sqrt lookup
 
     def rates(u0, u1, u2, s0, s1, s2) -> tuple:
         """(dx/dt, du/dt, ds/dt) at (u, s), as nine floats."""
