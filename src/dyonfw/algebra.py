@@ -59,15 +59,16 @@ and field atom count that enters is held to the packing bound.
 linear_combination sums int numerators group by group over one common
 denominator.  scale, substitute_energy_gap and project_particle_block map
 whole groups (_mapped): a group takes a new key, one packed shift and one
-rational factor.  The order filters and beta_split label whole groups by
-(order, mat) (_by_group); only labels that read a monomial, the field and
-symbol filters and substitute_moments' split by its (mu, d) exponents,
-label packed terms one by one (_partition).  None of these reads the view.
+rational factor.  Every split, in this module or another, goes through
+split_groups, its label reading (order, mat) once per group, or split_terms,
+its label reading a term's (dims, field atoms) through the _unpack cache, so
+no other module sees a packed key.  None of these reads the view.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import reprlib
 from fractions import Fraction
 from functools import lru_cache
@@ -109,7 +110,7 @@ DIM_NAMES = ("hbar", "c", "m", "Eg", "e", "et", "mu", "d")
 _DIM_INDEX = {name: k for k, name in enumerate(DIM_NAMES)}
 DIM_ZERO = (0,) * 8
 
-_I_HBAR, _I_C, _I_M, _I_EG, _I_E, _I_ET, _I_MU, _I_D = range(8)
+_I_EG, _I_MU, _I_D = (_DIM_INDEX[name] for name in ("Eg", "mu", "d"))
 
 
 def dim(**exponents: int) -> tuple[int, ...]:
@@ -199,15 +200,6 @@ def _unpack(packed: int) -> tuple[tuple, tuple]:
     exps = [((biased >> (k * _DIM_BITS)) & _DIM_MASK) - _DIM_BIAS
             for k in range(len(_EXP_NAMES))]
     return tuple(exps[:8]), tuple(a for a in range(VPOT) for _ in range(exps[8 + a]))
-
-
-@lru_cache(maxsize=None)
-def _order(packed: int) -> int:
-    """The 1/Eg order of a packed monomial, read through the _unpack cache
-    with no range check: reading a product's result, whose digits may reach
-    twice _pack's range, is exact, and only a product checks its operands
-    (_check_held)."""
-    return -_unpack(packed)[0][_I_EG]
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +395,7 @@ def _grouped_numerators(items) -> tuple[dict, int]:
     groups: dict[tuple, dict] = {}
     for key, val in items:
         p, mat, ip, w = _pack_key(*key)
-        gkey, c = (_order(p), mat, ip, w), val.numerator * (den // val.denominator)
+        gkey, c = (-_unpack(p)[0][_I_EG], mat, ip, w), val.numerator * (den // val.denominator)
         sub = groups.get(gkey)
         if sub is None:
             groups[gkey] = {p: c}
@@ -610,20 +602,12 @@ def hermitian_conjugate(e: Expression) -> Expression:
         den)
 
 
-def _is_adjoint(e: Expression, sign: int) -> bool:
-    """hermitian_conjugate(e) == sign * e, read on the grouped forms."""
+def is_anti_hermitian(e: Expression) -> bool:
+    """hermitian_conjugate(e) == -e, read on the grouped forms."""
     groups, den = e._grouped
     adjoint, adjoint_den = hermitian_conjugate(e)._grouped
-    return adjoint_den == den and adjoint == (groups if sign == 1 else {
-        key: {p: -c for p, c in sub.items()} for key, sub in groups.items()})
-
-
-def is_hermitian(e: Expression) -> bool:
-    return _is_adjoint(e, 1)
-
-
-def is_anti_hermitian(e: Expression) -> bool:
-    return _is_adjoint(e, -1)
+    return adjoint_den == den and adjoint == {
+        key: {p: -c for p, c in sub.items()} for key, sub in groups.items()}
 
 
 def min_order(e: Expression) -> int | None:
@@ -631,18 +615,26 @@ def min_order(e: Expression) -> int | None:
     return min((key[0] for key in e._grouped[0]), default=None)
 
 
-def _partition(e: Expression, label, names: tuple) -> dict:
-    """e's terms split by label(packed key), a packed key being (packed
-    monomial, mat, ip, V/Pi word); a term labelled None is dropped, and
-    every name in names gets a part, empty or not.  Each part holds e's ints
-    over e's denominator, reduced again, since a subset of the ints may
-    share a factor with it; a part that takes every term is e itself.  Only
-    a label that reads the monomial needs this: one that reads the order or
-    the matrix labels whole groups (_by_group)."""
+def split_groups(e: Expression, label, names: tuple) -> dict:
+    """e split by label(order, mat), called once per group of e: a group
+    labelled None is dropped, and every name in names gets a part, empty or
+    not.  A part that takes every term is e itself."""
+    parts: dict = {name: {} for name in names}
+    for key, sub in e._grouped[0].items():
+        name = label(key[0], key[1])
+        if name is not None:
+            parts.setdefault(name, {})[key] = sub
+    return _expressions(e, parts)
+
+
+def split_terms(e: Expression, label, names: tuple) -> dict:
+    """e split term by term by label(dims, fields), the term's 8 dimension
+    exponents in DIM_NAMES order and its sorted field atoms, read through
+    the _unpack cache; None and names as in split_groups.  A label that
+    reads only the order or the matrix belongs to split_groups."""
     parts: dict = {name: {} for name in names}
     for gkey, sub in e._grouped[0].items():
-        _, mat, ip, w = gkey
-        labels = [label((p, mat, ip, w)) for p in sub]
+        labels = [label(*_unpack(p)) for p in sub]
         if labels.count(labels[0]) == len(labels):  # the group stays whole
             split = {labels[0]: sub}
         else:
@@ -652,18 +644,6 @@ def _partition(e: Expression, label, names: tuple) -> dict:
         for name, part in split.items():
             if name is not None:
                 parts.setdefault(name, {})[gkey] = part
-    return _expressions(e, parts)
-
-
-def _by_group(e: Expression, label, names: tuple) -> dict:
-    """e's groups split by label(order, mat), called once per group; a group
-    labelled None is dropped, and every name in names gets a part, as in
-    _partition."""
-    parts: dict = {name: {} for name in names}
-    for key, sub in e._grouped[0].items():
-        name = label(key[0], key[1])
-        if name is not None:
-            parts.setdefault(name, {})[key] = sub
     return _expressions(e, parts)
 
 
@@ -677,36 +657,25 @@ def _expressions(e: Expression, parts: dict) -> dict:
             for name, part in parts.items()}
 
 
-def _kept(e: Expression, keep) -> Expression:
-    """e's terms for which keep(packed key) holds."""
-    return _partition(e, lambda key: keep(key) or None, (True,))[True]
-
-
 # ---------------------------------------------------------------------------
 # Filters and substitutions
 
 def truncate_fields(e: Expression) -> Expression:
     """Drop every term whose word carries two or more field atoms."""
-    return _kept(e, lambda key: len(_unpack(key[0])[1]) < 2)
+    return split_terms(e, lambda d, fields: len(fields) < 2 or None, (True,))[True]
 
 
 def truncate_order(e: Expression, max_order: int) -> Expression:
     """e's terms through 1/Eg order max_order: e itself when none is past it."""
-    return _by_group(e, lambda order, mat: order <= max_order or None, (True,))[True]
+    return split_groups(e, lambda order, mat: order <= max_order or None, (True,))[True]
 
 
 def by_order(e: Expression) -> dict[int, Expression]:
-    return dict(sorted(_by_group(e, lambda order, mat: order, ()).items()))
+    return dict(sorted(split_groups(e, lambda order, mat: order, ()).items()))
 
 
 def order_slice(e: Expression, n: int) -> Expression:
-    return _by_group(e, lambda order, mat: order == n or None, (True,))[True]
-
-
-def beta_split(e: Expression) -> tuple[Expression, Expression]:
-    """(even, odd) with respect to the beta grading; exact group by group."""
-    parts = _by_group(e, lambda order, mat: MAT_ODD[mat], (False, True))
-    return parts[False], parts[True]
+    return split_groups(e, lambda order, mat: order == n or None, (True,))[True]
 
 
 _EG_TO_MC2 = _pack(dim(m=1, c=2)) - _pack(dim(Eg=1))
@@ -726,7 +695,7 @@ def substitute_moments(e: Expression, ge, gte) -> Expression:
     are split by their (mu, d) exponents and each part is scaled."""
     fe = Fraction(ge) / 2 - 1
     ft = Fraction(gte) / 2 - 1
-    parts = _partition(e, lambda key: _unpack(key[0])[0][_I_MU:_I_D + 1], ())
+    parts = split_terms(e, lambda d, fields: d[_I_MU:_I_D + 1], ())
     return linear_combination(
         (1, part.scale(fe ** a * ft ** b, dims=dim(hbar=a + b, c=a + b, e=a, et=b, mu=-a, d=-b)))
         for (a, b), part in parts.items())
@@ -736,7 +705,7 @@ def drop_symbols(e: Expression, *names: str) -> Expression:
     """Drop terms carrying a positive power of any named dimension symbol
     (models setting a charge or moment to zero)."""
     idx = [_DIM_INDEX[n] for n in names]
-    return _kept(e, lambda key: all(_unpack(key[0])[0][i] <= 0 for i in idx))
+    return split_terms(e, lambda d, fields: all(d[i] <= 0 for i in idx) or None, (True,))[True]
 
 
 def project_particle_block(e: Expression) -> Expression:
@@ -796,7 +765,13 @@ def to_json_text(e: Expression, depth: int) -> str:
 
 # Coefficient strings repeat across a catalog (93 distinct among 1601
 # terms), and a Fraction is immutable, so parsed values can be shared.
-_fraction = lru_cache(maxsize=4096)(Fraction)
+@lru_cache(maxsize=4096)
+def _fraction(c: int | str) -> Fraction:
+    """The Fraction of a JSON int or a str(Fraction) string; any other string
+    (1e999999999, which Fraction expands digit by digit) is a ValueError."""
+    if isinstance(c, str) and not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", c):
+        raise ValueError(c)
+    return Fraction(c)
 
 
 def _checked(field: str, value, ok: bool):

@@ -137,11 +137,11 @@ def build_physical_entries() -> dict[str, Expression]:
     by pauli_extra_terms.
     """
     h = reduction.beta_lift(reduction.classical_hamiltonian())
-    parts = al._by_group(h, reduction._kind, ("orbit", "spin"))
+    parts = al.split_groups(h, reduction.kind, ("orbit", "spin"))
     entries = {"kinetic_energy": parts["orbit"],
                "spin_dipole": al.drop_symbols(parts["spin"], "mu", "d")}
-    slices = al._partition(entries["kinetic_energy"] + entries["spin_dipole"],
-                           reduction._m_order, ())
+    slices = al.split_terms(entries["kinetic_energy"] + entries["spin_dipole"],
+                            reduction.m_order, ())
     for n in range(1, MAX_ORDER + 1):
         entries[f"physical_order_{n}"] = slices[n]
     entries["anomalous_static"], entries["anomalous_cross"] = reduction.pauli_extra_terms(h)
@@ -167,7 +167,10 @@ class ReferenceCatalog:
     @classmethod
     def load(cls, directory: str | Path | None = None) -> "ReferenceCatalog":
         path = Path(directory) if directory else fixtures_dir()
-        data = json.loads((path / "catalog.json").read_text())
+        try:
+            data = json.loads((path / "catalog.json").read_text())
+        except RecursionError:
+            raise ValueError(f"{path / 'catalog.json'} nests too deeply to read") from None
         if not isinstance(data, dict):
             raise ValueError(f"{path / 'catalog.json'} is not a JSON object")
         if data.get("version") != FIXTURES_VERSION:

@@ -556,15 +556,18 @@ def _integrate_blocks(state0: PhaseState, fields: FieldConfig, params: ParticleP
         raise ValueError(f"steps = {steps} needs more memory than can be allocated") from exc
     x, u, s = xus[:, 0:3], xus[:, 3:6], xus[:, 6:9]
     traj = Trajectory(t=t, x=x, u=u, s=s, helicity=hel, energy=energy)
-    tk, row = state0.t, state0.x + state0.u + state0.s
-    t[0], xus[0] = tk, row
+    row = state0.x + state0.u + state0.s
+    t[0], xus[0] = state0.t, row
     block = _BLOCK_CHUNKS * _CHUNK_ROWS
     for start in range(0, n, block):
         stop = min(start + block, n)
         for k in range(max(start, 1), stop):
             row = step(row)
-            tk += dt
-            t[k], xus[k] = tk, row
+            xus[k] = row
+        # t[k] = t[k - 1] + dt, added in that order: one accumulate per block
+        times = t[max(start - 1, 0):stop]
+        times[1:] = dt
+        np.add.accumulate(times, out=times)
         for a in range(start, stop, _CHUNK_ROWS):
             rows = slice(a, a + _CHUNK_ROWS)
             ub, sb = u[rows].T, s[rows].T
@@ -639,15 +642,19 @@ def boost_dipole(mu_p: Vec3, mu_m: Vec3, beta: Vec3) -> tuple[Vec3, Vec3]:
 def load_scenario(path: str | Path) -> tuple[ParticleParams, FieldConfig, PhaseState, dict]:
     """Read a simulation config: particle, fields, initial state, run block.
 
-    Raises ValueError naming the offending field for a missing block or one
-    that is not a JSON object, a non-positive mass, a mass, charge,
-    gyro-ratio, field or initial value that is not a finite JSON number (a
-    bool or a string is not), a vector that is not three numbers, a missing,
-    non-numeric or non-positive dt, a missing, negative or non-integer step
-    count, or a scheme other than split/rk4.  The returned run block holds
-    exactly dt, steps and scheme.
+    Raises ValueError naming the file for JSON nested too deeply to read,
+    and naming the offending field for a missing block or one that is not a
+    JSON object, a non-positive mass, a mass, charge, gyro-ratio, field or
+    initial value that is not a finite JSON number (a bool or a string is
+    not), a vector that is not three numbers, a missing, non-numeric or
+    non-positive dt, a missing, negative or non-integer step count, or a
+    scheme other than split/rk4.  The returned run block holds exactly dt,
+    steps and scheme.
     """
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"scenario {path} nests too deeply to read") from None
     if not isinstance(data, dict):
         raise ValueError(f"scenario {path} is not a JSON object")
     data.setdefault("init", {})

@@ -52,8 +52,8 @@ class OddEvenSplit:
 def split_even_odd(h: Expression) -> OddEvenSplit:
     """Split h in one pass over its groups: the (order -1, beta) group is
     the rest mass, and every other group is even or odd by its matrix."""
-    parts = al._by_group(h, lambda order, mat: "mass" if (order, mat) == (-1, al.BETA_MAT)
-                         else al.MAT_ODD[mat], ("mass", False, True))
+    parts = al.split_groups(h, lambda order, mat: "mass" if (order, mat) == (-1, al.BETA_MAT)
+                            else al.MAT_ODD[mat], ("mass", False, True))
     return OddEvenSplit(parts["mass"], parts[False], parts[True])
 
 

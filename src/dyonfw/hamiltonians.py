@@ -110,11 +110,6 @@ def pi_squared(power: int) -> al.Expression:
     return out
 
 
-def xi_squared(power: int) -> al.Expression:
-    """(|Pi| / m c)^(2 power) as a commuting scalar factor."""
-    return pi_squared(power).scale(1, dims=al.dim(m=-2 * power, c=-2 * power))
-
-
 # -- Hamiltonians ------------------------------------------------------------
 
 def build_dirac_hamiltonian(p: ParticleParams) -> al.Expression:

@@ -5,7 +5,8 @@ A derived slice becomes "physical" by dropping terms with two field factors
 and writing the gap out as 2 m c^2.  The surviving terms are grouped into
 the orbital part (block-diagonal matrix content only) and the spin part
 (couplings carrying a Pauli factor); pauli_extra_terms splits off the
-anomalous-moment terms by field pairing.
+anomalous-moment terms by field pairing.  Both label through algebra's
+public splits: kind per group (split_groups), the anomalous split per term.
 
 classical_hamiltonian() is the one classical Hamiltonian on the particle
 block: the orbital m c^2 sqrt(1 + xi^2) plus the Thomas-BMT spin term on six
@@ -50,7 +51,8 @@ def physical_orders(result: FWRunResult) -> dict[int, Expression]:
     return {n: physicalize(ex) for n, ex in result.even_slices.items()}
 
 
-def _kind(order: int, mat: int) -> str:
+def kind(order: int, mat: int) -> str:
+    """A group's part by its basis matrix: orbit, spin or (inter-block) residue."""
     left, right = al.mat_parts(mat)
     if left not in (0, 3):
         return "residue"
@@ -71,22 +73,25 @@ def reduce_to_physical(result: FWRunResult) -> tuple[Expression, Expression]:
     classification failure and raises.  Only the basis matrix classifies a
     term, so whole groups are labelled.
     """
-    parts = al._by_group(physical_hamiltonian(result), _kind, ("orbit", "spin", "residue"))
+    parts = al.split_groups(physical_hamiltonian(result), kind, ("orbit", "spin", "residue"))
     if parts["residue"]:
         raise ReductionError(f"{len(parts['residue'])} terms left unclassified")
     return parts["orbit"], parts["spin"]
 
 
-def _anomalous(key: tuple) -> str | None:
-    """The label of a packed term: static for mu-with-B and d-with-E, cross
-    for mu-with-E and d-with-B, None without an anomalous moment."""
-    d, fields = al._unpack(key[0])
-    moments = d[al._I_MU], d[al._I_D]
+_M, _MU, _D = (al.DIM_NAMES.index(name) for name in ("m", "mu", "d"))
+
+
+def _anomalous(d: tuple, fields: tuple) -> str | None:
+    """The label of a term by its dimension exponents and field atoms:
+    static for mu-with-B and d-with-E, cross for mu-with-E and d-with-B,
+    None without an anomalous moment, residue for any other anomalous term."""
+    moments = d[_MU], d[_D]
     if moments == (0, 0):
         return None
-    electric = {a < 3 for a in fields}
+    electric = {a <= al.E3 for a in fields}
     if moments not in ((1, 0), (0, 1)) or len(electric) != 1:
-        raise ReductionError(f"unrecognized anomalous term {al._unpack_key(*key)}")
+        return "residue"
     return "static" if (moments == (1, 0)) != electric.pop() else "cross"
 
 
@@ -99,7 +104,10 @@ def pauli_extra_terms(h_phys: Expression) -> tuple[Expression, Expression]:
     moment other than one power of mu or of d, or no single kind of field,
     raises.
     """
-    parts = al._partition(h_phys, _anomalous, ("static", "cross"))
+    parts = al.split_terms(h_phys, _anomalous, ("static", "cross", "residue"))
+    if parts["residue"]:
+        key = next(iter(parts["residue"].terms))
+        raise ReductionError(f"unrecognized anomalous term {key}")
     return parts["static"], parts["cross"]
 
 
@@ -159,7 +167,7 @@ def classical_hamiltonian() -> Expression:
 
 
 def _classical_spin() -> Expression:
-    return al._by_group(classical_hamiltonian(), _kind, ("spin",))["spin"]
+    return al.split_groups(classical_hamiltonian(), kind, ("spin",))["spin"]
 
 
 def match_tbmt(h_spin: Expression) -> Expression:
@@ -215,9 +223,9 @@ def series_check() -> list[SeriesCheckReport]:
 # ---------------------------------------------------------------------------
 # Views of the classical Hamiltonian
 
-def _m_order(key: tuple) -> int:
-    """Minus a packed term's power of m: its physical order."""
-    return -al._unpack(key[0])[0][al._I_M]
+def m_order(d: tuple, fields: tuple) -> int:
+    """Minus a term's power of m, its physical order (a split_terms label)."""
+    return -d[_M]
 
 
 def beta_lift(e: Expression) -> Expression:
@@ -225,6 +233,6 @@ def beta_lift(e: Expression) -> Expression:
     term with an odd power of m takes a factor beta, as the derived even
     slices carry beta at odd 1/Eg orders (beta m c^2 and the Zeeman
     couplings, not the spin-orbit chain)."""
-    parity = al._partition(e, lambda key: _m_order(key) % 2, (0, 1))
+    parity = al.split_terms(e, lambda d, fields: m_order(d, fields) % 2, (0, 1))
     return parity[0] + al.mul(Expression.term(1, mat=al.BETA_MAT), parity[1])
 

@@ -77,7 +77,7 @@ def test_criterion_2_physical_reduction(dirac_result, catalog):
 
     # order 4 is the -(3/4)(|Pi|/mc)^2 rescaling of order 2
     rel = physical[4] + al.truncate_fields(
-        al.mul(ham.xi_squared(1), physical[2])).scale(Fraction(3, 4))
+        al.mul(ham.pi_squared(1), physical[2])).scale(Fraction(3, 4), dims=al.dim(m=-2, c=-2))
     assert rel.is_zero()
 
     # order 5 aggregates to exactly 2 * beta * Omega^6 / Eg^5

@@ -58,8 +58,7 @@ def test_omega_squared_closed_form():
 def test_omega_cubed_is_odd_with_momentum_degree_three():
     omega = ham.omega_odd()
     cubed = al.mul(al.mul(omega, omega), omega)
-    even, odd = al.beta_split(cubed)
-    assert even.is_zero()
+    assert fw.split_even_odd(cubed).odd == cubed
     degrees = {sum(1 for a in key[3] if oracles.is_pi(a)) for key in cubed.terms}
     assert degrees == {1, 3}
     # cross-check the full canonical form against the brute-force expander
@@ -459,7 +458,7 @@ def test_packed_results_reenter_like_their_terms(raw_a, raw_b):
                                for c, w, mat, ip, d in raw_r)
             assert len(r) == len(r.terms)
             assert al.min_order(r) == min(map(oracles.eg_order, r.terms), default=None)
-            assert (al.is_hermitian(r), al.is_anti_hermitian(r)) == (adjoint == r, adjoint == -r)
+            assert al.is_anti_hermitian(r) == (adjoint == -r)
             got = [al.commutator(r, a, k), al.mul(b, r), al.hermitian_conjugate(r)]
             assert got == [_pairwise_product(raw_r, raw_a, k) - _pairwise_product(raw_a, raw_r, k),
                            _pairwise_product(raw_b, raw_r, None), adjoint]
@@ -499,7 +498,7 @@ _P1, _P2 = (al.pi(1),), (al.pi(2),)
           (Fraction(-1, 3), _P1 + _P1, al.BETA_MAT, 1, al.dim(Eg=-2))],
          [(Fraction(5), _P2, al.mat_code(1, 2), 0, al.dim(Eg=-1, e=1))], 0, True)
 def test_filters_sums_and_equality_match_dict_oracles(raw_a, raw_b, n, mass):
-    """The order, field and beta filters, the fw split, scale, the
+    """The order and field filters, the fw split, scale, the
     substitutions, linear_combination, == and hash against dict filters,
     maps and sums over the views: every result is reduced, and the
     constructor gives back the expression of a view."""
@@ -520,8 +519,8 @@ def test_filters_sums_and_equality_match_dict_oracles(raw_a, raw_b, n, mass):
         assert al.Expression(view) == e
         split, slices = fw.split_even_odd(e), al.by_order(e)
         orders = sorted({oracles.eg_order(key) for key in view})
-        even = al.beta_split(e)[0]
-        got = [al.truncate_order(e, n), al.order_slice(e, n), *al.beta_split(e),
+        even = split.mass + split.even
+        got = [al.truncate_order(e, n), al.order_slice(e, n),
                split.mass, split.even, split.odd, *slices.values(),
                al.truncate_fields(e), al.drop_symbols(e, "mu", "et"),
                e.scale(Fraction(-3, 5), ip=3, dims=al.dim(hbar=2, Eg=-1)),
@@ -530,7 +529,6 @@ def test_filters_sums_and_equality_match_dict_oracles(raw_a, raw_b, n, mass):
         expected = [
             kept(lambda key: oracles.eg_order(key) <= n),
             kept(lambda key: oracles.eg_order(key) == n),
-            kept(lambda key: not al.MAT_ODD[key[1]]), kept(lambda key: al.MAT_ODD[key[1]]),
             kept(_is_mass),
             kept(lambda key: not _is_mass(key) and not al.MAT_ODD[key[1]]),
             kept(lambda key: al.MAT_ODD[key[1]]),
@@ -548,7 +546,7 @@ def test_filters_sums_and_equality_match_dict_oracles(raw_a, raw_b, n, mass):
             _merged(((d, mat % 4, ip, w), v) for (d, mat, ip, w), v in even.terms.items())]
         assert list(slices) == orders
         assert [x.terms for x in got] == expected
-        if al.beta_split(e)[1]:
+        if split.odd:
             with pytest.raises(ValueError, match="inter-block"):
                 al.project_particle_block(e)
         parts = [(Fraction(3, 7), e), (-2, built[k - 1]), (5, built[k - 2])]
@@ -573,7 +571,8 @@ def test_filters_hand_back_an_expression_they_keep_whole():
     e = (term(Fraction(2, 3), word=(al.field_e(1), al.pi(1)), Eg=-1)
          + term(5, word=(al.pi(2), al.pi(3))) + term(-1, word=(al.field_b(3),), Eg=-2))
     assert al.truncate_fields(e) is e
-    assert al.beta_split(e)[0] is e and al.beta_split(e)[1].is_zero()
+    split = fw.split_even_odd(e)
+    assert split.even is e and split.odd.is_zero() and split.mass.is_zero()
     zeeman = al.order_slice(e, 2)
     assert zeeman is not e and zeeman == term(-1, word=(al.field_b(3),), Eg=-2)
 
@@ -635,9 +634,10 @@ def _unchecked_reads(e):
     n = al.min_order(e)
     split = fw.split_even_odd(e)
     reads = [al.truncate_order(e, n), al.order_slice(e, n), *al.by_order(e).values(),
-             *al.beta_split(e), split.mass, split.even, split.odd,
+             split.mass, split.even, split.odd,
              al.linear_combination([(2, e), (Fraction(-1, 3), e)])]
-    assert sum(map(len, al.beta_split(e))) == len(e) and e == al.truncate_order(e, n)
+    assert sum(map(len, (split.mass, split.even, split.odd))) == len(e)
+    assert e == al.truncate_order(e, n)
     return [r for r in reads if len(r)]
 
 

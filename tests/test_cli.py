@@ -162,6 +162,8 @@ _MALFORMED_FIXTURES = {
     "term-without-mat": lambda _, t: t.pop("mat"),
     "term-without-dim": lambda _, t: t.pop("dim"),
     "zero-denominator": lambda _, t: t.update(coeff="1/0"),
+    # Fraction reads 1e400 as a 401-digit int; 1e999999999 would take hours
+    "decimal-exponent": lambda _, t: t.update(coeff="1e400"),
     "fractional-exponent": lambda _, t: t["dim"].update(hbar=1.5),
     "entry-is-a-list": lambda entries, _: entries.update(fw_order_1=[]),
 }
@@ -172,10 +174,12 @@ _BROKEN_KEY = {"entry-is-a-list": "fw_order_1"}
 
 @pytest.mark.parametrize(
     "content, key",
-    [(None, None), ("{", None), ('{"version": 1, "entries": {}}', None), ("[]", None)]
+    [(None, None), ("{", None), ('{"version": 1, "entries": {}}', None), ("[]", None),
+     ("[" * 200_000, None)]
     + [(_packaged_catalog(edit), _BROKEN_KEY.get(name))
        for name, edit in _MALFORMED_FIXTURES.items()],
-    ids=["missing", "corrupt", "no-entries", "top-level-list", *_MALFORMED_FIXTURES])
+    ids=["missing", "corrupt", "no-entries", "top-level-list", "deeply-nested",
+         *_MALFORMED_FIXTURES])
 def test_verify_rejects_unreadable_fixtures(tmp_path, monkeypatch, capsys, content, key):
     if content is not None:
         (tmp_path / "catalog.json").write_text(content)
@@ -327,6 +331,17 @@ def test_simulate_bad_scenario_reports_error(tmp_path, capsys, edit, field):
     error = json.loads(out)
     assert set(error) == {"error"}
     assert field in error["error"]
+    assert not out_csv.exists() or out_csv.read_text() == ""
+
+
+def test_simulate_deeply_nested_config_reports_error(tmp_path, capsys):
+    # json.loads raises RecursionError here, which must not escape as a traceback
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * 200_000)
+    out_csv = tmp_path / "o.csv"
+    code, out = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out_csv))
+    assert code == 1
+    assert json.loads(out) == {"error": f"scenario {cfg} nests too deeply to read"}
     assert not out_csv.exists() or out_csv.read_text() == ""
 
 

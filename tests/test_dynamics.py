@@ -365,6 +365,19 @@ def test_rk4_scheme_is_classical_rk4_bit_for_bit(e, et, m, ge, gte, E, B, x, u, 
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in want], k
 
 
+def test_times_add_dt_in_step_order_across_blocks():
+    # t[k] = t[k - 1] + dt, one rounding per step, from a start time that is
+    # not zero and across the seam between two blocks of rows
+    steps = dyn._BLOCK_CHUNKS * dyn._CHUNK_ROWS + 3
+    traj = dyn.integrate(PhaseState(u=(0.5, 0, 0), t=3.7), FieldConfig(), ParticleParams(),
+                         dt=0.1, steps=steps)
+    t, want = 3.7, [3.7]
+    for _ in range(steps):
+        t += 0.1
+        want.append(t)
+    assert traj.t.tolist() == want
+
+
 @pytest.mark.parametrize("build, name", [
     (lambda: FieldConfig(B=(0, 0, 1, 7)), "B"),
     (lambda: FieldConfig(E=(0.1, 0)), "E"),

@@ -99,3 +99,34 @@ def test_sources_parse_with_the_oldest_supported_python():
     assert paths
     for path in paths:
         ast.parse(path.read_text(), str(path), feature_version=(3, int(minor)))
+
+
+def _module_aliases(tree: ast.AST) -> set:
+    """The names a module binds to other dyonfw modules: `from . import x`,
+    `from . import x as y`, `from dyonfw import x` and `import dyonfw.x as y`,
+    at any depth."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                (node.level and node.module is None) or node.module == "dyonfw"):
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.asname for alias in node.names
+                         if alias.asname and alias.name.startswith("dyonfw."))
+    return names
+
+
+def test_no_module_reads_another_modules_private_names():
+    # Each module keeps its own layout: algebra's packed terms, for one, are
+    # read through its public splits (split_groups, split_terms) only.
+    package = Path(dyonfw.__file__).parent
+    reads = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = _module_aliases(tree)
+        reads += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and node.attr.startswith("_")
+                  and not (node.attr.startswith("__") and node.attr.endswith("__"))]
+    assert reads == []
