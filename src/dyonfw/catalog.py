@@ -182,9 +182,9 @@ class ReferenceCatalog:
         if missing:
             raise ValueError(f"{path / 'catalog.json'} lacks entries {missing}")
         out = {}
-        for key, val in entries.items():
+        for key in list(entries):  # each raw entry is freed once it is read
             try:
-                out[key] = al.from_json_dict(val)
+                out[key] = al.from_json_dict(entries.pop(key))
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from None
         return cls(out)

@@ -533,9 +533,9 @@ def _integrate_blocks(state0: PhaseState, fields: FieldConfig, params: ParticleP
     Yields (trajectory, stop) each time rows [0, stop) are final, the last
     time with stop = steps + 1; the trajectory is the same object each time,
     its rows from stop on not yet written.  The loop steps rows (x, u, s) of
-    nine floats from state0; each block's helicity and energy are then
-    computed elementwise, a chunk at a time, by the same float operations as
-    PhaseState.helicity and orbit_hamiltonian.
+    nine floats from state0; each block's times are then one accumulate,
+    and its helicity and energy are computed elementwise, a chunk at a time,
+    by the same float operations as PhaseState.helicity and orbit_hamiltonian.
     """
     for name, value in (("dt", dt), ("c", c)):
         if not (math.isfinite(value) and value > 0):
