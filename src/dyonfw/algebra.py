@@ -786,7 +786,9 @@ def from_json_dict(data: dict) -> Expression:
     files, so every field is checked: a malformed one is a ValueError that
     names the field and its value.  Names are looked up in tuples, which
     compare rather than hash, so no JSON value makes a lookup raise
-    TypeError.  Repeated terms are summed."""
+    TypeError.  A word must be in the canonical atom order the writers emit:
+    ordering any other word costs a recursion per inversion.  Repeated terms
+    are summed."""
     terms = _checked("expression", data, isinstance(data, dict)).get("terms")
     raw: dict[tuple, Fraction] = {}
     for t in _checked("terms", terms, isinstance(terms, list)):
@@ -802,6 +804,7 @@ def from_json_dict(data: dict) -> Expression:
             d[_DIM_INDEX[name]] = exp
         try:
             atoms = tuple(map(ATOM_NAMES.index, _checked("word", word, isinstance(word, list))))
+            _checked("word", word, list(atoms) == sorted(atoms))
         except ValueError:
             raise ValueError(f"invalid word: {reprlib.repr(word)}") from None
         try:

@@ -1,14 +1,12 @@
 """Staged block-diagonalization of Dirac-type Hamiltonians.
 
 Each stage conjugates by exp(S) with S = beta * (current odd part) / Eg and
-keeps terms through the target 1/Eg order.  fw_run runs the stages as one
-loop over ODD_START, the lowest order each stage's residual odd part may
-have (1, 3, 4): after every stage it checks that the rest-mass term is
-unchanged and that the odd part starts no lower than its entry, so that it
-cannot touch the kept even slices.  Three stages suffice through MAX_ORDER;
-the stability of the even slices across the third stage (h''(n) = h'(n) for
-n <= MAX_ORDER) is asserted by running it, not assumed.  The product of a
-run is the split after each stage and the final even slices, nothing else.
+keeps terms through the target 1/Eg order T (Foldy & Wouthuysen, Phys. Rev.
+78, 29 (1950)).  fw_run runs max(3, ceil(T/2)) stages as one loop: after
+stage k it checks that the rest-mass term is unchanged and that the residual
+odd part starts at order 1 for k = 1 and at order k + 1 after that, and
+after the last stage that the even slices 1..T did not move.  The product of
+a run is the split after each stage and the final even slices, nothing else.
 
 Every part of a run is an algebra expression in its one grouped int form,
 int numerators grouped by (1/Eg order, matrix, phase, V/Pi word) (see
@@ -27,7 +25,7 @@ from math import factorial
 from . import algebra as al
 from .algebra import Expression
 
-MAX_ORDER = 6  # the highest 1/Eg order; every other order or degree cap derives from it
+MAX_ORDER = 6  # fw_run's default target; derive, verify, catalog and classical side stop here
 
 
 class PipelineError(RuntimeError):
@@ -75,8 +73,6 @@ def bch_conjugate(s: Expression, h: Expression, max_order: int) -> Expression:
     h is truncated only if it has terms past max_order, and the nestings are
     summed once, over one common denominator, so no Fraction is built.
     """
-    if max_order > MAX_ORDER:
-        raise ValueError(f"expansion supported through order {MAX_ORDER} only")
     if not al.is_anti_hermitian(s):
         raise PipelineError("stage generator is not anti-Hermitian")
     low = al.min_order(s)
@@ -110,23 +106,23 @@ class FWRunResult:
     even_slices: dict[int, Expression]
 
 
-# Lowest 1/Eg order each stage's residual odd part may have, stage by stage.
-ODD_START = (1, 3, 4)
-
-
 def fw_run(h: Expression, target_order: int = MAX_ORDER, *, model: str) -> FWRunResult:
-    """Run the three-stage transformation and slice the result by order.
+    """Run the staged transformation to any target_order >= 1 and slice the
+    result by order.
 
     Raises PipelineError, naming the stage and the order, if a stage moves
-    the rest-mass term, if a residual odd part appears below its entry in
-    ODD_START, or if the even slices are not stable across the last stage.
+    the rest-mass term, if a residual odd part starts below its stage's
+    order, or if the even slices are not stable across the last stage.
     """
-    if not 1 <= target_order <= MAX_ORDER:
-        raise ValueError(f"target_order must be in 1..{MAX_ORDER}")
+    if target_order < 1:
+        raise ValueError("target_order must be at least 1")
 
     split = split_even_odd(h)
     mass, stages = split.mass, []
-    for stage, start in enumerate(ODD_START, 1):
+    # Stage k >= 3 first moves the even part at order 2k + 1, so the last of
+    # max(3, ceil(T/2)) stages leaves slices 1..T alone; the check below asserts it.
+    for stage in range(1, max(3, -(-target_order // 2)) + 1):
+        start = 1 if stage == 1 else stage + 1
         h = bch_conjugate(stage_generator(split.odd), h, target_order)
         split = split_even_odd(h)
         if split.mass != mass:
@@ -138,10 +134,6 @@ def fw_run(h: Expression, target_order: int = MAX_ORDER, *, model: str) -> FWRun
                                 f"expected >= {start}")
         stages.append(split)
 
-    # Stability of the even slices: the last stage must not move them.  Further
-    # stages would conjugate by generators built from odd parts starting at
-    # order 4, whose even corrections begin beyond 2*4, so they cannot
-    # contribute through MAX_ORDER given the starting orders verified above.
     if split.even != stages[-2].even:
         n = al.min_order(split.even - stages[-2].even)
         raise PipelineError(f"stage-{len(stages)} even slice at order {n} changed")

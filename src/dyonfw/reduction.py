@@ -60,9 +60,9 @@ def kind(order: int, mat: int) -> str:
 
 
 def physical_hamiltonian(result: FWRunResult) -> Expression:
-    """Rest mass plus the last stage's even part, physicalized."""
-    rest = Expression.term(1, mat=al.BETA_MAT, dims=al.dim(m=1, c=2))
-    return physicalize(rest + result.stages[-1].even)
+    """The last stage's rest mass and even part, physicalized."""
+    last = result.stages[-1]
+    return physicalize(last.mass + last.even)
 
 
 def reduce_to_physical(result: FWRunResult) -> tuple[Expression, Expression]:

@@ -7,7 +7,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from dyonfw import catalog as cat_mod
-from dyonfw import checks
+from dyonfw import checks, fw
+from dyonfw import hamiltonians as ham
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +24,17 @@ def dirac_result():
 @pytest.fixture(scope="session")
 def pauli_result():
     return checks.pipeline("dirac-pauli")
+
+
+# The paper's stated reach: the generic dyon run to 1/Eg order 8, once per model.
+@pytest.fixture(scope="session")
+def dirac_result_8():
+    return fw.fw_run(ham.build_dirac_hamiltonian(ham.GENERIC_DYON), 8, model="dirac")
+
+
+@pytest.fixture(scope="session")
+def pauli_result_8():
+    return fw.fw_run(ham.build_dirac_pauli_hamiltonian(ham.GENERIC_DYON), 8, model="dirac-pauli")
 
 
 @pytest.fixture(autouse=True)

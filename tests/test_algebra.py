@@ -715,7 +715,7 @@ def test_pack_rejects_out_of_range_exponents():
         word = (al.pi(2),) + (atom,) * (lim + 1) + (al.pi(1),)
         raw = {(al.DIM_ZERO, al.ID_MAT, 0, word): Fraction(1)}
         data = {"terms": [{"coeff": "1", "dim": {},
-                           "word": ["P2"] + [name] * (lim + 1) + ["P1"],
+                           "word": [name] * (lim + 1) + ["P1", "P2"],
                            "mat": {"left": 0, "right": 0, "phase": "+1"}}]}
         for build in (lambda: al.Expression(raw),
                       lambda: al.Expression.term(1, word),

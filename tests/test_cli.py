@@ -166,10 +166,14 @@ _MALFORMED_FIXTURES = {
     "decimal-exponent": lambda _, t: t.update(coeff="1e400"),
     "fractional-exponent": lambda _, t: t["dim"].update(hbar=1.5),
     "entry-is-a-list": lambda entries, _: entries.update(fw_order_1=[]),
+    # normal ordering a word out of canonical order recurses once per inversion
+    "unsorted-word": lambda _, t: t.update(word=["P2", "P1"]),
+    "long-unsorted-word": lambda _, t: t.update(word=["P3", "P1"] * 50),
 }
 
 # The catalog key each error must name: a malformed entry, not a whole file.
-_BROKEN_KEY = {"entry-is-a-list": "fw_order_1"}
+_BROKEN_KEY = {"entry-is-a-list": "fw_order_1", "unsorted-word": "anomalous_cross",
+               "long-unsorted-word": "anomalous_cross"}
 
 
 @pytest.mark.parametrize(

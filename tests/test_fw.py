@@ -145,12 +145,6 @@ def test_ordering_caches_never_see_a_field_atom(monkeypatch, model):
     assert all(result.even_slices[n] == expected[n] for n in range(1, 5))
 
 
-def test_bch_rejects_order_beyond_six():
-    s = al.Expression.term(1, word=(al.VPOT,), ip=1, dims=al.dim(Eg=-1))
-    with pytest.raises(ValueError):
-        bch_conjugate(s, ham.potential(), 7)
-
-
 def test_bch_with_commuting_generator_is_identity():
     # S built from the potential commutes with a potential-only H
     s = al.Expression.term(1, word=(al.VPOT,), ip=1, dims=al.dim(Eg=-1))
@@ -206,15 +200,17 @@ def test_no_terms_beyond_target_order(dirac_result, pauli_result):
                 assert all(oracles.eg_order(k) <= 6 for k in expr.terms)
 
 
-def test_free_particle_reproduces_square_root_expansion():
+@pytest.mark.parametrize("target", [6, 8])
+def test_free_particle_reproduces_square_root_expansion(target):
     """Field-free case: the kinetic chain must match the Taylor series of
-    sqrt(m^2 c^4 + c^2 |Pi|^2), computed by an independent series oracle."""
+    sqrt(m^2 c^4 + c^2 |Pi|^2), computed by an independent series oracle:
+    its coefficients at odd orders, no field-free part at even orders."""
     h = ham.build_dirac_hamiltonian(ham.ParticleParams(e=0, etilde=0))
-    result = fw.fw_run(h, model="dirac")
+    result = fw.fw_run(h, target, model="dirac")
     # sqrt(1 + x) coefficients around x = |xi|^2
     sqrt_series = (1 + SeriesPoly.x(8) ** 2).rsqrt().inverse()
     beta = _beta()
-    for n in (1, 3, 5):
+    for n in range(1, target + 1, 2):
         derived = al.Expression(
             {k: v for k, v in al.substitute_energy_gap(result.even_slices[n]).terms.items()
              if oracles.field_degree(k[3]) == 0})
@@ -226,7 +222,7 @@ def test_free_particle_reproduces_square_root_expansion():
                     ham.pi_squared(k).scale(1, dims=al.dim(m=-2 * k, c=-2 * k))).terms.items()
              if oracles.field_degree(key[3]) == 0})
         assert derived == expected
-    for n in (2, 4, 6):
+    for n in range(2, target + 1, 2):
         assert al.Expression(
             {k: v for k, v in result.even_slices[n].terms.items()
              if oracles.field_degree(k[3]) == 0}).is_zero()
@@ -237,32 +233,41 @@ def test_mass_term_preserved(dirac_result):
 
 
 def test_stage_table_violation_names_the_stage(monkeypatch):
-    monkeypatch.setattr(fw, "ODD_START", (1, 4, 4))
+    """Stage 2's residual odd part must start at order 3: an odd term at
+    order 2 added to its result is named with the stage and the order."""
+    conjugate, calls = fw.bch_conjugate, []
+
+    def stage_two_adds_odd_order_two(s, h, max_order):
+        calls.append(max_order)
+        out = conjugate(s, h, max_order)
+        return out + ham.omega_odd().scale(1, dims=al.dim(Eg=-2)) if len(calls) == 2 else out
+
+    monkeypatch.setattr(fw, "bch_conjugate", stage_two_adds_odd_order_two)
     h = ham.build_dirac_hamiltonian(ham.GENERIC_DYON)
-    with pytest.raises(PipelineError, match="stage-2 odd part starts at order 3"):
+    with pytest.raises(PipelineError,
+                       match=r"^stage-2 odd part starts at order 2, expected >= 3$"):
         fw.fw_run(h, target_order=3, model="dirac")
 
 
 def test_even_slice_moved_by_stage_three_names_the_order(monkeypatch):
     """A last stage that moves an even slice is named in the error: stage 3
-    with today's table, stage 4 with a fourth stage added to it."""
+    at target 6, stage 4 at target 8."""
     conjugate = fw.bch_conjugate
     h = ham.build_dirac_hamiltonian(ham.ParticleParams(e=0, etilde=0))
-    for table in ((1, 3, 4), (1, 3, 4, 4)):
+    for target, stages in ((6, 3), (8, 4)):
         calls = []
 
         def last_stage_adds_order_five(s, h, max_order):
             out = conjugate(s, h, max_order)
             calls.append(max_order)
-            if len(calls) == len(table):
+            if len(calls) == stages:
                 out = out + al.Expression.term(1, word=(al.VPOT,), dims=al.dim(Eg=-5))
             return out
 
-        monkeypatch.setattr(fw, "ODD_START", table)
         monkeypatch.setattr(fw, "bch_conjugate", last_stage_adds_order_five)
         with pytest.raises(PipelineError,
-                           match=rf"^stage-{len(table)} even slice at order 5 changed$"):
-            fw.fw_run(h, model="dirac")
+                           match=rf"^stage-{stages} even slice at order 5 changed$"):
+            fw.fw_run(h, target, model="dirac")
 
 
 def test_zero_hamiltonian_runs_through_the_stage_loop():
@@ -273,8 +278,23 @@ def test_zero_hamiltonian_runs_through_the_stage_loop():
 
 
 def test_run_rejects_bad_order():
-    h = ham.build_dirac_hamiltonian(ham.ParticleParams())
-    with pytest.raises(ValueError):
-        fw.fw_run(h, target_order=7, model="dirac")
+    """Target 0 is refused; target 7, past the default, runs a fourth stage."""
+    h = ham.build_dirac_hamiltonian(ham.ParticleParams(e=0, etilde=0))
+    assert len(fw.fw_run(h, target_order=7, model="dirac").stages) == 4
     with pytest.raises(ValueError):
         fw.fw_run(h, target_order=0, model="dirac")
+
+
+# Per model: the terms of the even slices 7 and 8 at target 8.
+_ORDER_8_SLICE_TERMS = {"dirac": (1214, 2240), "dirac-pauli": (5394, 8984)}
+
+
+@pytest.mark.parametrize("model", ["dirac", "dirac-pauli"])
+def test_order_8_run_adds_a_fourth_stage_and_keeps_slices_one_to_six(request, model):
+    """At target 8 the run has 4 stages whose odd parts start at 1, 3, 4, 5;
+    its slices 1..6 are the target-6 run's, and slices 7 and 8 are pinned."""
+    result = request.getfixturevalue("dirac_result_8" if model == "dirac" else "pauli_result_8")
+    assert [al.min_order(split.odd) for split in result.stages] == [1, 3, 4, 5]
+    expected = checks.pipeline(model).even_slices
+    assert all(result.even_slices[n] == expected[n] for n in range(1, 7))
+    assert (len(result.even_slices[7]), len(result.even_slices[8])) == _ORDER_8_SLICE_TERMS[model]
