@@ -8,12 +8,13 @@ Two families of entries:
   first-stage forms, for any odd and even operators.
 * ``physical_order_n`` plus aggregates — the weak-field closed forms, each
   a view of the one classical Hamiltonian ``reduction.classical_hamiltonian``
-  lifted off the particle block: ``kinetic_energy`` and ``spin_dipole`` are
-  its orbit part and its spin part at mu = d = 0, ``physical_order_n`` is
-  their m^-n slice, and ``anomalous_static`` and ``anomalous_cross`` are its
-  mu and d terms split by field pairing.
+  at a given order, lifted off the particle block: ``kinetic_energy`` and
+  ``spin_dipole`` are its orbit part and its spin part at mu = d = 0,
+  ``physical_order_n`` is their m^-n slice, and ``anomalous_static`` and
+  ``anomalous_cross`` are its mu and d terms split by field pairing.
 
-Entries live in versioned JSON fixtures next to the package; FW_FIXTURES
+Entries live in versioned JSON fixtures next to the package, built through
+MAX_ORDER, the one place the shipped order 6 is written; FW_FIXTURES
 overrides the directory.  They are also constructible from scratch, and the
 test suite checks the fixtures against the constructors.
 """
@@ -31,8 +32,8 @@ from . import algebra as al
 from . import hamiltonians as ham
 from . import reduction
 from .algebra import Expression
-from .fw import MAX_ORDER
 
+MAX_ORDER = 6
 FIXTURES_ENV = "FW_FIXTURES"
 FIXTURES_VERSION = 1
 
@@ -127,22 +128,22 @@ def build_fw_entries() -> dict[str, Expression]:
 
 # -- physical closed forms ----------------------------------------------------
 
-def build_physical_entries() -> dict[str, Expression]:
-    """The weak-field closed forms, each a view of the classical Hamiltonian.
+def build_physical_entries(order: int) -> dict[str, Expression]:
+    """The weak-field closed forms through order, each a view of the classical Hamiltonian.
 
-    reduction.classical_hamiltonian() lives on the particle block, and
+    reduction.classical_hamiltonian(order) lives on the particle block, and
     reduction.beta_lift lifts it off.  Its orbit part is kinetic_energy, its
     spin part at mu = d = 0 spin_dipole, and physical_order_n is the m^-n
     slice of the two.  The anomalous entries are its mu and d terms, split
     by pauli_extra_terms.
     """
-    h = reduction.beta_lift(reduction.classical_hamiltonian())
+    h = reduction.beta_lift(reduction.classical_hamiltonian(order))
     parts = al.split_groups(h, reduction.kind, ("orbit", "spin"))
     entries = {"kinetic_energy": parts["orbit"],
                "spin_dipole": al.drop_symbols(parts["spin"], "mu", "d")}
     slices = al.split_terms(entries["kinetic_energy"] + entries["spin_dipole"],
                             reduction.m_order, ())
-    for n in range(1, MAX_ORDER + 1):
+    for n in range(1, order + 1):
         entries[f"physical_order_{n}"] = slices[n]
     entries["anomalous_static"], entries["anomalous_cross"] = reduction.pauli_extra_terms(h)
     return entries
@@ -150,7 +151,7 @@ def build_physical_entries() -> dict[str, Expression]:
 
 def build_all() -> dict[str, Expression]:
     entries = build_fw_entries()
-    entries.update(build_physical_entries())
+    entries.update(build_physical_entries(MAX_ORDER))
     return entries
 
 

@@ -12,6 +12,7 @@ import functools
 import json
 
 from . import algebra as al
+from . import catalog as cat_mod
 from . import fw
 from . import hamiltonians as ham
 from . import reduction
@@ -27,7 +28,7 @@ def pipeline(model: str) -> fw.FWRunResult:
         h = ham.build_dirac_hamiltonian(ham.GENERIC_DYON)
     else:
         h = ham.build_dirac_pauli_hamiltonian(ham.GENERIC_DYON)
-    return fw.fw_run(h, model=model)
+    return fw.fw_run(h, cat_mod.MAX_ORDER, model=model)
 
 
 def _check(name: str, passed: bool, detail: str = "") -> dict:
@@ -63,23 +64,24 @@ def fw_checks(catalog, dump_path: str | None) -> list[dict]:
     return checks
 
 
-def pauli_checks(catalog) -> list[dict]:
-    """Anomalous closed forms, their g = 2 vanishing, and the TBMT match of
-    the Dirac-Pauli spin Hamiltonian for every (ge, gte), all read from one
-    physicalization of the Dirac-Pauli result."""
-    orbit, spin = reduction.reduce_to_physical(pipeline("dirac-pauli"))
+def pauli_checks(result: fw.FWRunResult, reference) -> list[dict]:
+    """Anomalous closed forms against the reference entries, their g = 2
+    vanishing, and the TBMT match through beta^(T - 1) for every (ge, gte),
+    all read from one physicalization of a target-T Dirac-Pauli result."""
+    order = len(result.even_slices)
+    orbit, spin = reduction.reduce_to_physical(result)
     static, cross = reduction.pauli_extra_terms(orbit + spin)
     checks = [
-        _check("anomalous_static_matches", static == catalog["anomalous_static"]),
-        _check("anomalous_cross_matches", cross == catalog["anomalous_cross"]),
+        _check("anomalous_static_matches", static == reference["anomalous_static"]),
+        _check("anomalous_cross_matches", cross == reference["anomalous_cross"]),
         _check("anomalous_vanishes_at_g2",
                al.substitute_moments(static + cross, 2, 2).is_zero()),
     ]
-    diff = reduction.match_tbmt(spin)
+    diff = reduction.match_tbmt(spin, order)
     detail = ""
     if not diff.is_zero():
         detail = f"{len(diff)} terms differ, first {diff.sorted_items()[0]}"
-    checks.append(_check(f"classical_match_through_beta{reduction.TBMT_DEGREE}",
+    checks.append(_check(f"classical_match_through_beta{order - 1}",
                          diff.is_zero(), detail))
     return checks
 

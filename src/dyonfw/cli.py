@@ -38,7 +38,7 @@ def cmd_derive(args) -> int:
 def cmd_verify(args) -> int:
     catalog = cat_mod.ReferenceCatalog.load()
     suites = {"fw": lambda: checks.fw_checks(catalog, args.dump_reports),
-              "pauli": lambda: checks.pauli_checks(catalog),
+              "pauli": lambda: checks.pauli_checks(checks.pipeline("dirac-pauli"), catalog),
               "appendixB": checks.appendix_b_checks,
               "series": checks.series_checks}
     names = suites if args.suite == "all" else (args.suite,)
@@ -95,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_derive = sub.add_parser("derive", help="emit derived expansion orders")
     p_derive.add_argument("--model", choices=("dirac", "dirac-pauli"), default="dirac")
-    p_derive.add_argument("--order", type=int, choices=range(1, fw.MAX_ORDER + 1),
-                          default=fw.MAX_ORDER, metavar=f"{{1..{fw.MAX_ORDER}}}")
+    p_derive.add_argument("--order", type=int, choices=range(1, cat_mod.MAX_ORDER + 1),
+                          default=cat_mod.MAX_ORDER, metavar=f"{{1..{cat_mod.MAX_ORDER}}}")
     p_derive.add_argument("--format", choices=("json", "latex"), default="json")
     p_derive.set_defaults(func=cmd_derive)
 

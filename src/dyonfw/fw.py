@@ -7,6 +7,7 @@ stage k it checks that the rest-mass term is unchanged and that the residual
 odd part starts at order 1 for k = 1 and at order k + 1 after that, and
 after the last stage that the even slices 1..T did not move.  The product of
 a run is the split after each stage and the final even slices, nothing else.
+T is always the caller's; fw holds no order bound of its own.
 
 Every part of a run is an algebra expression in its one grouped int form,
 int numerators grouped by (1/Eg order, matrix, phase, V/Pi word) (see
@@ -24,8 +25,6 @@ from math import factorial
 
 from . import algebra as al
 from .algebra import Expression
-
-MAX_ORDER = 6  # fw_run's default target; derive, verify, catalog and classical side stop here
 
 
 class PipelineError(RuntimeError):
@@ -106,7 +105,7 @@ class FWRunResult:
     even_slices: dict[int, Expression]
 
 
-def fw_run(h: Expression, target_order: int = MAX_ORDER, *, model: str) -> FWRunResult:
+def fw_run(h: Expression, target_order: int, *, model: str) -> FWRunResult:
     """Run the staged transformation to any target_order >= 1 and slice the
     result by order.
 

@@ -8,7 +8,7 @@ the orbital part (block-diagonal matrix content only) and the spin part
 anomalous-moment terms by field pairing.  Both label through algebra's
 public splits: kind per group (split_groups), the anomalous split per term.
 
-classical_hamiltonian() is the one classical Hamiltonian on the particle
+classical_hamiltonian(T) is the one classical Hamiltonian on the particle
 block: the orbital m c^2 sqrt(1 + xi^2) plus the Thomas-BMT spin term on six
 structural channels
 
@@ -16,14 +16,14 @@ structural channels
     sector et:  Sigma.E,   Sigma.(B x Pi),  (Sigma.Pi)(E.Pi)
 
 each with its prefactor expanded in x = (|Pi|/mc)^2 = xi^2, all kept through
-1/Eg order MAX_ORDER as the derived slices are.  match_tbmt compares its
-spin half with the derived spin part as one expression.  A channel with j
-momentum factors reaches x^k for 1 + j + 2k <= MAX_ORDER; since
+the 1/Eg order T of the run it is compared with.  match_tbmt(h_spin, T)
+compares its spin half with the derived spin part as one expression.  A
+channel with j momentum factors reaches x^k for 1 + j + 2k <= T; since
 xi^2 = beta^2 / (1 - beta^2) has unit leading term, that compares its
-boost-speed series through beta^(TBMT_DEGREE - j), TBMT_DEGREE = MAX_ORDER - 1.
-The moments mu and d stay symbols on both sides, so the one equality holds
-for every (ge, gte).  The catalog's weak-field entries are views of the
-same Hamiltonian, lifted off the particle block by beta_lift.
+boost-speed series through beta^(T - 1 - j).  The moments mu and d stay
+symbols on both sides, so the one equality holds for every (ge, gte).  The
+catalog's weak-field entries are views of the same Hamiltonian, lifted off
+the particle block by beta_lift.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from fractions import Fraction
 from . import algebra as al
 from . import hamiltonians as ham
 from .algebra import Expression
-from .fw import MAX_ORDER, FWRunResult
+from .fw import FWRunResult
 from .series import (BOOSTED, INTRINSIC, SeriesPoly, gamma_ratio_series,
                      gamma_series, xi_series)
 
@@ -114,24 +114,21 @@ def pauli_extra_terms(h_phys: Expression) -> tuple[Expression, Expression]:
 # ---------------------------------------------------------------------------
 # The classical Hamiltonian
 
-TBMT_DEGREE = MAX_ORDER - 1
-_SERIES_DEGREE = MAX_ORDER  # the highest degree series_check reads
-
-
-def classical_hamiltonian() -> Expression:
+def classical_hamiltonian(order: int) -> Expression:
     """The classical Hamiltonian on the particle block: the orbital
     m c^2 sqrt(1 + xi^2) plus the Thomas-BMT spin term
     -(e/mc) s.F - (et/mc) s.F_dual, s = hbar Sigma / 2 and beta = xi / gamma.
 
     It is written in the gap, m c^2 = Eg / 2 and xi = 2 c Pi / Eg, so each
-    product keeps 1/Eg orders through MAX_ORDER as the derived slices do, and
-    is then physicalized like them.  Each spin channel is a core in units of
-    hbar charge c / Eg = hbar charge / 2mc times a prefactor in x = xi^2,
-    gamma = sqrt(1 + x).  An anomalous prefactor carries the gap-scaled
+    product keeps 1/Eg orders through order as the derived slices do, and
+    is then physicalized like them.  The orbit term Eg xi^2k sits at order
+    2k - 1, so the powers of xi^2 run through order + 1, odd orders too.
+    Each spin channel is a core in units of hbar charge c / Eg =
+    hbar charge / 2mc times a prefactor in x = xi^2, gamma = sqrt(1 + x).  An anomalous prefactor carries the gap-scaled
     moment over Eg in place of that unit, since every anomalous classical
     term is (g/2 - 1) charge hbar c, so mu and d stay symbols.
     """
-    deg = MAX_ORDER // 2
+    deg = (order + 1) // 2
     one, x = SeriesPoly.const(1, deg), SeriesPoly.x(deg)
     inv_gamma = (one + x).rsqrt()
     gamma = (one + x) * inv_gamma
@@ -140,7 +137,7 @@ def classical_hamiltonian() -> Expression:
     c2_over_gap2 = al.dim_mul(c_over_gap, c_over_gap)
     xi2, xi2k = ham.pi_squared(1).scale(4, dims=c2_over_gap2), [Expression.term(1)]
     for _ in range(deg):
-        xi2k.append(al.truncate_fields(al.mul(xi2k[-1], xi2, max_order=MAX_ORDER)))
+        xi2k.append(al.truncate_fields(al.mul(xi2k[-1], xi2, max_order=order + 1)))
 
     def in_xi(coeffs, dims: tuple) -> Expression:
         """Sum_k coeffs[k] xi^2k times the monomial dims."""
@@ -162,19 +159,16 @@ def classical_hamiltonian() -> Expression:
         for core, normal_pref, anomalous_pref in channels:
             prefactor = (in_xi(normal_pref.coeffs, normal)
                          + in_xi(anomalous_pref.coeffs, anomalous))
-            parts.append((1, al.mul(prefactor, core, max_order=MAX_ORDER)))
+            parts.append((1, al.mul(prefactor, core, max_order=order)))
     return physicalize(al.linear_combination(parts))
 
 
-def _classical_spin() -> Expression:
-    return al.split_groups(classical_hamiltonian(), kind, ("spin",))["spin"]
-
-
-def match_tbmt(h_spin: Expression) -> Expression:
-    """The reduced spin Hamiltonian, mu and d left as symbols, minus the
-    classical one on the particle block: zero exactly when the two agree
-    through beta^TBMT_DEGREE for every (ge, gte)."""
-    return al.project_particle_block(h_spin) - _classical_spin()
+def match_tbmt(h_spin: Expression, order: int) -> Expression:
+    """The reduced spin Hamiltonian of a target-order run, mu and d left as
+    symbols, minus the classical one on the particle block: zero exactly
+    when the two agree through beta^(order - 1) for every (ge, gte)."""
+    classical = al.split_groups(classical_hamiltonian(order), kind, ("spin",))["spin"]
+    return al.project_particle_block(h_spin) - classical
 
 
 # ---------------------------------------------------------------------------
@@ -193,26 +187,27 @@ class SeriesCheckReport:
 
 def series_check() -> list[SeriesCheckReport]:
     """The three prefactor identities relating xi polynomials to gamma forms."""
-    xi = xi_series(_SERIES_DEGREE)
+    explicit_gamma = (Fraction(1), Fraction(0), Fraction(1, 2), Fraction(0),
+                      Fraction(3, 8), Fraction(0), Fraction(5, 16))
+    degree = len(explicit_gamma) - 1  # every series is kept through the typed one's degree
+    xi = xi_series(degree)
     xi2 = xi * xi
-    gam = gamma_series(_SERIES_DEGREE)
+    gam = gamma_series(degree)
 
     reports = []
-    intrinsic = SeriesPoly(INTRINSIC, _SERIES_DEGREE).compose(xi2)
+    intrinsic = SeriesPoly(INTRINSIC, degree).compose(xi2)
     reports.append(SeriesCheckReport(
         "intrinsic_prefactor_vs_inverse_gamma",
         tuple(intrinsic[d] for d in range(5)),
         tuple(gam.inverse()[d] for d in range(5))))
 
-    boosted = SeriesPoly(BOOSTED, _SERIES_DEGREE).compose(xi2) * xi * Fraction(1, 2)
-    target = (1 - gamma_ratio_series(_SERIES_DEGREE)) * SeriesPoly.x(_SERIES_DEGREE)
+    boosted = SeriesPoly(BOOSTED, degree).compose(xi2) * xi * Fraction(1, 2)
+    target = (1 - gamma_ratio_series(degree)) * SeriesPoly.x(degree)
     reports.append(SeriesCheckReport(
         "boosted_prefactor_vs_gamma_ratio",
         tuple(boosted[d] for d in range(6)),
         tuple(target[d] for d in range(6))))
 
-    explicit_gamma = (Fraction(1), Fraction(0), Fraction(1, 2), Fraction(0),
-                      Fraction(3, 8), Fraction(0), Fraction(5, 16))
     reports.append(SeriesCheckReport(
         "lorentz_factor_series",
         tuple(gam[d] for d in range(len(explicit_gamma))),

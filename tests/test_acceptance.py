@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from dyonfw import algebra as al
+from dyonfw import catalog as cat_mod
 from dyonfw import checks
 from dyonfw import dynamics as dyn
 from dyonfw import fw
@@ -34,7 +35,7 @@ def _assert_all_passed(results):
 def test_criterion_1_fw_order_exactness(catalog):
     start = time.perf_counter()
     h = ham.build_dirac_hamiltonian(ham.ParticleParams(e=1, etilde=1))
-    result = fw.fw_run(h, model="dirac")
+    result = fw.fw_run(h, cat_mod.MAX_ORDER, model="dirac")
     elapsed = time.perf_counter() - start
     assert sorted(result.even_slices) == [1, 2, 3, 4, 5, 6]
     for n, derived in result.even_slices.items():
@@ -125,8 +126,8 @@ def test_criterion_4_stage_stability_lemmas(dirac_result, pauli_result):
                "the even slices are stable through order 6 (both models)")
 
 
-def test_criterion_5_anomalous_moment_forms(catalog):
-    _assert_all_passed(checks.pauli_checks(catalog))
+def test_criterion_5_anomalous_moment_forms(pauli_result, catalog):
+    _assert_all_passed(checks.pauli_checks(pauli_result, catalog))
     _report(5, "anomalous closed forms exact, vanish at g = 2, and the "
                "combined spin Hamiltonian matches the classical one through "
                "fifth order in the boost speed for every (ge, gte)")

@@ -141,8 +141,8 @@ def test_physical_entries_are_lifts_of_the_classical_hamiltonian():
             (dims, al.mat_code(3, al.mat_parts(mat)[1]) if dims[m] % 2 else mat, ip, word): val
             for (dims, mat, ip, word), val in block.terms.items()})
         assert lifted == loaded[key], key
-    for n in range(1, fw.MAX_ORDER + 1):
+    for n in range(1, cat_mod.MAX_ORDER + 1):
         assert {-key[0][m] for key in loaded[f"physical_order_{n}"].terms} == {n}
     whole = al.linear_combination((1, loaded[key]) for key in (
         "kinetic_energy", "spin_dipole", "anomalous_static", "anomalous_cross"))
-    assert al.project_particle_block(whole) == reduction.classical_hamiltonian()
+    assert al.project_particle_block(whole) == reduction.classical_hamiltonian(cat_mod.MAX_ORDER)

@@ -116,7 +116,7 @@ def test_verify_reports_the_first_tbmt_failure(monkeypatch, capsys):
     diff = (al.Expression.term(1, word=(al.field_b(3),), mat=al.mat_code(0, 3), dims=al.dim(mu=2))
             + al.Expression.term(-2, word=(al.field_e(1),), mat=al.mat_code(0, 1),
                                  dims=al.dim(d=-1)))
-    monkeypatch.setattr(reduction, "match_tbmt", lambda spin: diff)
+    monkeypatch.setattr(reduction, "match_tbmt", lambda spin, order: diff)
     code, out = run_cli(capsys, "verify", "--suite", "pauli")
     assert code == 1
     grid = json.loads(out)["checks"][-1]

@@ -79,7 +79,7 @@ def test_bch_packs_only_its_input_and_unpacks_no_nesting(monkeypatch):
     for model in ("dirac", "dirac-pauli"):
         h = _hamiltonian(model)
         packed, unpacked = _count_packing(monkeypatch)
-        result = fw.fw_run(h, model=model)
+        result = fw.fw_run(h, cat_mod.MAX_ORDER, model=model)
         monkeypatch.undo()
         assert packed == unpacked == []
         expected = checks.pipeline(model).even_slices
@@ -114,7 +114,7 @@ def test_fw_run_products_are_pinned(monkeypatch, model):
 
     monkeypatch.setattr(al, "mul", counted(al.mul, 1))
     monkeypatch.setattr(al, "commutator", counted(al.commutator, 2))
-    fw.fw_run(_hamiltonian(model), model=model)
+    fw.fw_run(_hamiltonian(model), cat_mod.MAX_ORDER, model=model)
     monkeypatch.undo()
     assert tuple(counts) == _FW_PRODUCTS[model]
 
@@ -166,7 +166,7 @@ def test_stage1_even_part_is_the_first_stage_forms(model):
     even, _ = cat_mod.first_stage_forms(split.odd, split.even)
     summed = al.linear_combination(
         (1, e.scale(1, dims=al.dim(Eg=-n))) for n, e in even.items())
-    assert checks.pipeline(model).stages[0].even == al.truncate_order(summed, fw.MAX_ORDER)
+    assert checks.pipeline(model).stages[0].even == al.truncate_order(summed, cat_mod.MAX_ORDER)
 
 
 def test_stage1_odd_slices_match_reduced_forms(dirac_result):
@@ -271,14 +271,14 @@ def test_even_slice_moved_by_stage_three_names_the_order(monkeypatch):
 
 
 def test_zero_hamiltonian_runs_through_the_stage_loop():
-    result = fw.fw_run(al.Expression.zero(), model="dirac")
+    result = fw.fw_run(al.Expression.zero(), cat_mod.MAX_ORDER, model="dirac")
     assert len(result.stages) == 3
     assert sorted(result.even_slices) == [1, 2, 3, 4, 5, 6]
     assert all(e.is_zero() for e in result.even_slices.values())
 
 
 def test_run_rejects_bad_order():
-    """Target 0 is refused; target 7, past the default, runs a fourth stage."""
+    """Target 0 is refused; target 7, past the shipped order, runs a fourth stage."""
     h = ham.build_dirac_hamiltonian(ham.ParticleParams(e=0, etilde=0))
     assert len(fw.fw_run(h, target_order=7, model="dirac").stages) == 4
     with pytest.raises(ValueError):

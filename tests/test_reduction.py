@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from dyonfw import algebra as al
+from dyonfw import catalog as cat_mod
+from dyonfw import checks
 from dyonfw import hamiltonians as ham
 from dyonfw import reduction
-from dyonfw.fw import MAX_ORDER, split_even_odd
+from dyonfw.fw import split_even_odd
 
 import oracles
 
@@ -54,7 +56,8 @@ def test_physical_hamiltonian_sums_the_rest_mass_and_every_even_slice(dirac_resu
 @pytest.fixture(scope="module")
 def classical():
     # the spin half of the classical Hamiltonian, which match_tbmt subtracts
-    return reduction._classical_spin()
+    return al.split_groups(reduction.classical_hamiltonian(cat_mod.MAX_ORDER), reduction.kind,
+                           ("spin",))["spin"]
 
 
 def test_tbmt_low_speed_limit(classical):
@@ -71,7 +74,7 @@ def test_tbmt_low_speed_limit(classical):
 def test_tbmt_detects_wrong_coefficient(pauli_result):
     _, spin = reduction.reduce_to_physical(pauli_result)
     broken = spin + spin.scale(Fraction(1, 100))
-    assert reduction.match_tbmt(broken) == al.project_particle_block(spin).scale(Fraction(1, 100))
+    assert reduction.match_tbmt(broken, cat_mod.MAX_ORDER) == al.project_particle_block(spin).scale(Fraction(1, 100))
 
 
 def test_tbmt_detects_a_flipped_anomalous_channel(pauli_result):
@@ -80,7 +83,7 @@ def test_tbmt_detects_a_flipped_anomalous_channel(pauli_result):
     _, cross = reduction.pauli_extra_terms(spin)
     mu_cross = al.drop_symbols(cross, "d")
     assert not mu_cross.is_zero()
-    diff = reduction.match_tbmt(spin - mu_cross.scale(2))
+    diff = reduction.match_tbmt(spin - mu_cross.scale(2), cat_mod.MAX_ORDER)
     assert diff == al.project_particle_block(mu_cross.scale(-2))
 
 
@@ -90,11 +93,11 @@ def test_match_tbmt_rejects_spin_terms_not_affine_in_the_moments(pauli_result, m
     _, spin = reduction.reduce_to_physical(pauli_result)
     stray = al.Expression.term(1, word=(al.field_b(3),), mat=al.mat_code(0, 3),
                                dims=al.dim(**moments))
-    assert reduction.match_tbmt(spin + stray) == stray
+    assert reduction.match_tbmt(spin + stray, cat_mod.MAX_ORDER) == stray
 
 
 def test_dirac_pauli_without_moments_is_dirac(dirac_result, pauli_result):
-    for n in range(1, MAX_ORDER + 1):
+    for n in range(1, cat_mod.MAX_ORDER + 1):
         assert (al.drop_symbols(pauli_result.even_slices[n], "mu", "d")
                 == dirac_result.even_slices[n]), n
     assert len(pauli_result.stages) == len(dirac_result.stages)
@@ -136,3 +139,42 @@ def test_spin_hamiltonian_matches_tbmt_on_the_grid(dirac_spin_and_extras, classi
     spin, extras = dirac_spin_and_extras
     fw = al.project_particle_block(spin + al.substitute_moments(extras, ge, gte))
     assert fw == al.substitute_moments(classical, ge, gte)
+
+
+def test_classical_hamiltonian_at_each_order_is_the_next_one_cut_by_power_of_m():
+    # the orbit term Eg xi^2k sits at order 2k - 1, so an odd order needs the
+    # xi^2 power past it: built short, every odd order loses a term here
+    h = {n: reduction.classical_hamiltonian(n) for n in range(1, 9)}
+    for order in range(1, 8):
+        top = al.split_terms(h[order + 1], reduction.m_order, (order + 1,))[order + 1]
+        assert not top.is_zero(), order
+        assert h[order] == h[order + 1] - top, order
+
+
+# The paper's stated reach: the target-8 runs against the classical
+# Hamiltonian built at order 8.
+@pytest.fixture(scope="module")
+def physical_8():
+    return cat_mod.build_physical_entries(8)
+
+
+def test_order_8_pauli_checks_pass_through_beta_seven(pauli_result_8, physical_8):
+    results = checks.pauli_checks(pauli_result_8, physical_8)
+    assert [c for c in results if not c["passed"]] == []
+    assert results[-1]["name"] == "classical_match_through_beta7"
+
+
+def test_order_8_physical_slices_are_the_classical_views(dirac_result_8, pauli_result_8,
+                                                         physical_8):
+    dirac = reduction.physical_orders(dirac_result_8)
+    pauli = reduction.physical_orders(pauli_result_8)
+    assert sorted(dirac) == sorted(pauli) == list(range(1, 9))
+    for n in range(1, 9):
+        assert dirac[n] == physical_8[f"physical_order_{n}"], n
+        assert al.drop_symbols(pauli[n], "mu", "d") == physical_8[f"physical_order_{n}"], n
+
+
+def test_order_8_dirac_reduces_to_the_classical_orbit_and_spin(dirac_result_8, physical_8):
+    orbit, spin = reduction.reduce_to_physical(dirac_result_8)
+    assert orbit == physical_8["kinetic_energy"] + ham.potential()
+    assert spin == physical_8["spin_dipole"]
