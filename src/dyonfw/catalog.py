@@ -174,8 +174,9 @@ class ReferenceCatalog:
             raise ValueError(f"{path / 'catalog.json'} nests too deeply to read") from None
         if not isinstance(data, dict):
             raise ValueError(f"{path / 'catalog.json'} is not a JSON object")
-        if data.get("version") != FIXTURES_VERSION:
-            raise ValueError(f"unsupported fixtures version {data.get('version')}")
+        version = data.get("version")
+        if type(version) is not int or version != FIXTURES_VERSION:  # True and 1.0 are not 1
+            raise ValueError(f"unsupported fixtures version {version}")
         entries = data.get("entries", {})
         if not isinstance(entries, dict):
             raise ValueError(f"{path / 'catalog.json'} entries are not a JSON object")

@@ -125,7 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "verify" and args.dump_reports and args.suite not in ("fw", "all"):
+        parser.error(f"--dump-reports needs the fw suite; --suite {args.suite} writes no report")
     try:
         return args.func(args)
     except (fw.PipelineError, reduction.ReductionError, OSError,

@@ -87,6 +87,16 @@ def test_verify_fw_six_zero_diffs(tmp_path, capsys):
         "74003a0f7537e3beed7ad5638e0b4f7df315b2e982524e4fdae0a1578b8f4139")
 
 
+@pytest.mark.parametrize("suite", ["appendixB", "pauli"])
+def test_dump_reports_with_a_suite_that_writes_none_is_a_usage_error(tmp_path, capsys, suite):
+    dump = tmp_path / "reports.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", suite, "--dump-reports", str(dump)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not dump.exists()
+
+
 def test_verify_pauli_suite(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "pauli")
     assert code == 0
@@ -145,12 +155,21 @@ def test_verify_pauli_physicalizes_the_result_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def _packaged_data():
+    return json.loads((Path(cli.__file__).with_name("fixtures") / "catalog.json").read_text())
+
+
 def _packaged_catalog(edit):
     """The packaged catalog.json text after edit(entries, first term)."""
-    data = json.loads((Path(cli.__file__).with_name("fixtures") / "catalog.json").read_text())
+    data = _packaged_data()
     entries = data["entries"]
     edit(entries, entries[min(entries)]["terms"][0])
     return json.dumps(data)
+
+
+def _packaged_catalog_at_version(version):
+    """The packaged catalog.json text with its version replaced."""
+    return json.dumps({**_packaged_data(), "version": version})
 
 
 _MALFORMED_FIXTURES = {
@@ -179,11 +198,12 @@ _BROKEN_KEY = {"entry-is-a-list": "fw_order_1", "unsorted-word": "anomalous_cros
 @pytest.mark.parametrize(
     "content, key",
     [(None, None), ("{", None), ('{"version": 1, "entries": {}}', None), ("[]", None),
-     ("[" * 200_000, None)]
+     ("[" * 200_000, None),
+     (_packaged_catalog_at_version(True), None), (_packaged_catalog_at_version(1.0), None)]
     + [(_packaged_catalog(edit), _BROKEN_KEY.get(name))
        for name, edit in _MALFORMED_FIXTURES.items()],
     ids=["missing", "corrupt", "no-entries", "top-level-list", "deeply-nested",
-         *_MALFORMED_FIXTURES])
+         "version-true", "version-float", *_MALFORMED_FIXTURES])
 def test_verify_rejects_unreadable_fixtures(tmp_path, monkeypatch, capsys, content, key):
     if content is not None:
         (tmp_path / "catalog.json").write_text(content)
