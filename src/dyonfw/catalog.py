@@ -129,7 +129,7 @@ def build_fw_entries() -> dict[str, Expression]:
 # -- physical closed forms ----------------------------------------------------
 
 def build_physical_entries(order: int) -> dict[str, Expression]:
-    """The weak-field closed forms through order, each a view of the classical Hamiltonian.
+    """The weak-field closed forms through `order`, each a view of the classical Hamiltonian.
 
     reduction.classical_hamiltonian(order) lives on the particle block, and
     reduction.beta_lift lifts it off.  Its orbit part is kinetic_energy, its

@@ -120,13 +120,14 @@ def classical_hamiltonian(order: int) -> Expression:
     -(e/mc) s.F - (et/mc) s.F_dual, s = hbar Sigma / 2 and beta = xi / gamma.
 
     It is written in the gap, m c^2 = Eg / 2 and xi = 2 c Pi / Eg, so each
-    product keeps 1/Eg orders through order as the derived slices do, and
+    product keeps 1/Eg orders through `order` as the derived slices do, and
     is then physicalized like them.  The orbit term Eg xi^2k sits at order
     2k - 1, so the powers of xi^2 run through order + 1, odd orders too.
     Each spin channel is a core in units of hbar charge c / Eg =
-    hbar charge / 2mc times a prefactor in x = xi^2, gamma = sqrt(1 + x).  An anomalous prefactor carries the gap-scaled
-    moment over Eg in place of that unit, since every anomalous classical
-    term is (g/2 - 1) charge hbar c, so mu and d stay symbols.
+    hbar charge / 2mc times a prefactor in x = xi^2, gamma = sqrt(1 + x).
+    An anomalous prefactor carries the gap-scaled moment over Eg in place
+    of that unit, since every anomalous classical term is
+    (g/2 - 1) charge hbar c, so mu and d stay symbols.
     """
     deg = (order + 1) // 2
     one, x = SeriesPoly.const(1, deg), SeriesPoly.x(deg)

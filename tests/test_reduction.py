@@ -74,7 +74,8 @@ def test_tbmt_low_speed_limit(classical):
 def test_tbmt_detects_wrong_coefficient(pauli_result):
     _, spin = reduction.reduce_to_physical(pauli_result)
     broken = spin + spin.scale(Fraction(1, 100))
-    assert reduction.match_tbmt(broken, cat_mod.MAX_ORDER) == al.project_particle_block(spin).scale(Fraction(1, 100))
+    assert (reduction.match_tbmt(broken, cat_mod.MAX_ORDER)
+            == al.project_particle_block(spin).scale(Fraction(1, 100)))
 
 
 def test_tbmt_detects_a_flipped_anomalous_channel(pauli_result):
