@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 
 # The dynamics names are resolved on first use (PEP 562), so the symbolic
 # commands never pay for importing the integrator and its CSV writer.
-_DYNAMICS = ("FieldConfig", "PhaseState", "Trajectory", "boost_dipole", "integrate",
-             "orbit_rhs", "spin_rhs", "thomas_F", "thomas_F_dual")
+_DYNAMICS = ("FieldConfig", "PhaseState", "Trajectory", "boost_dipole", "integrate")
 
 
 def __getattr__(name):

@@ -24,10 +24,9 @@ cos its helical x advance already took, and computes gamma and
 r = gamma/(gamma + 1) of the Thomas-BMT field once for both couplings; the
 rk4 step's `rates` writes out the Lorentz force and the Thomas-BMT fields on
 scalars, reusing beta x B and beta x E.  Each float expression keeps the
-operands and the order of the per-state reference (`_thomas`, `thomas_F`,
-`orbit_rhs`, `spin_rhs`, `orbit_hamiltonian`, `PhaseState.helicity`), which
-the tests compare the steppers against, so a trajectory is the same bit for
-bit as one stepped through `PhaseState` objects.
+operands and the order of `_thomas` and of the per-state reference in
+`tests/oracles.py`, which types the law again, one state at a time; the
+tests compare the steppers and the derived columns with it bit for bit.
 
 The loop yields after every block of whole chunks, so `simulate` hands each
 block, the last one included, to a forked CSV helper (`_CsvWriter`) while
@@ -61,7 +60,7 @@ Vec3 = tuple[float, float, float]
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Homogeneous static fields; duals follow B_dual = -E, E_dual = B."""
+    """Homogeneous static fields."""
 
     E: Vec3 = (0.0, 0.0, 0.0)
     B: Vec3 = (0.0, 0.0, 0.0)
@@ -69,14 +68,6 @@ class FieldConfig:
     def __post_init__(self):
         for name in ("E", "B"):
             object.__setattr__(self, name, _vec3(name, getattr(self, name)))
-
-    @property
-    def E_dual(self) -> Vec3:
-        return self.B
-
-    @property
-    def B_dual(self) -> Vec3:
-        return tuple(-x for x in self.E)
 
 
 @dataclass(frozen=True)
@@ -89,22 +80,6 @@ class PhaseState:
     def __post_init__(self):
         for name in ("x", "u", "s"):
             object.__setattr__(self, name, _vec3(name, getattr(self, name)))
-
-    @property
-    def gamma(self) -> float:
-        return math.sqrt(1.0 + _dot(self.u, self.u))
-
-    @property
-    def beta(self) -> Vec3:
-        g = self.gamma
-        return (self.u[0] / g, self.u[1] / g, self.u[2] / g)
-
-    @property
-    def helicity(self) -> float:
-        umag = math.sqrt(_dot(self.u, self.u))
-        if umag == 0.0:
-            return 0.0
-        return _dot(self.s, self.u) / umag
 
 
 def _vec3(name: str, value) -> Vec3:
@@ -127,7 +102,8 @@ def _cross(a, b) -> Vec3:
 
 
 def _thomas(beta, E: Vec3, B: Vec3, half_g: float) -> Vec3:
-    """The Thomas-BMT effective field of one coupling, with half_g = g / 2."""
+    """The Thomas-BMT field of one coupling, half_g = g/2: (g/2 - 1 + 1/gamma) B
+    - (g/2 - 1) r (beta.B) beta - (g/2 - r) beta x E with r = gamma/(gamma + 1)."""
     b2 = _dot(beta, beta)
     if not b2 < 1.0:  # also rejects NaN
         raise ValueError("boost speed must be below 1")
@@ -143,74 +119,23 @@ def _thomas(beta, E: Vec3, B: Vec3, half_g: float) -> Vec3:
             along_B * B[2] - along_beta * beta[2] - along_bxE * bxE[2])
 
 
-def thomas_F(beta: Vec3, fields: FieldConfig, ge: float) -> Vec3:
-    """Effective precession field for the electric-charge coupling:
-    (g/2 - 1 + 1/gamma) B - (g/2 - 1) r (beta.B) beta - (g/2 - r) beta x E
-    with r = gamma / (gamma + 1).  Raises ValueError for a beta that is not
-    three numbers or whose speed is not below 1."""
-    return _thomas(_vec3("beta", beta), fields.E, fields.B, ge / 2.0)
-
-
-def thomas_F_dual(beta: Vec3, fields: FieldConfig, gte: float) -> Vec3:
-    """Dual effective field: same law on (B_dual, E_dual) = (-E, B)."""
-    dual = FieldConfig(E=fields.E_dual, B=fields.B_dual)
-    return thomas_F(beta, dual, gte)
-
-
 def _couplings(fields: FieldConfig, params: ParticleParams, c: float) -> list:
     """(q / mc, E, B, g / 2) for each non-zero charge: the electric charge in
-    the fields, the magnetic one in the dual fields."""
+    the fields, the magnetic one in the dual fields (E, B) -> (B, -E)."""
     mc = float(params.m) * c
     out = []
     if params.e:
         out.append((float(params.e) / mc, fields.E, fields.B, float(params.ge) / 2.0))
     if params.etilde:
-        out.append((float(params.etilde) / mc, fields.E_dual, fields.B_dual,
+        out.append((float(params.etilde) / mc, fields.B, tuple(-x for x in fields.E),
                     float(params.gte) / 2.0))
     return out
 
 
-def _spin_rate(s: Vec3, beta: Vec3, couplings: list) -> Vec3:
-    """ds/dt: the sum of (q/mc) s x F over the couplings."""
-    rx = ry = rz = 0.0
-    for q, E, B, half_g in couplings:
-        sxF = _cross(s, _thomas(beta, E, B, half_g))
-        rx += q * sxF[0]
-        ry += q * sxF[1]
-        rz += q * sxF[2]
-    return rx, ry, rz
-
-
-def _lorentz(beta: Vec3, E: Vec3, B: Vec3, e: float, et: float, mc: float) -> Vec3:
-    """du/dt = (e (E + beta x B) + et (B - beta x E)) / mc."""
-    bxB, bxE = _cross(beta, B), _cross(beta, E)
-    return ((e * (E[0] + bxB[0]) + et * (B[0] - bxE[0])) / mc,
-            (e * (E[1] + bxB[1]) + et * (B[1] - bxE[1])) / mc,
-            (e * (E[2] + bxB[2]) + et * (B[2] - bxE[2])) / mc)
-
-
-def spin_rhs(state: PhaseState, fields: FieldConfig, params: ParticleParams,
-             c: float = 1.0) -> Vec3:
-    """ds/dt = (e/mc) s x F + (et/mc) s x F_dual."""
-    return _spin_rate(state.s, state.beta, _couplings(fields, params, c))
-
-
-def orbit_rhs(state: PhaseState, fields: FieldConfig, params: ParticleParams,
-              c: float = 1.0) -> Vec3:
-    """du/dt: Lorentz force plus its duality completion for the magnetic charge."""
-    return _lorentz(state.beta, fields.E, fields.B, float(params.e),
-                    float(params.etilde), float(params.m) * c)
-
-
-def orbit_hamiltonian(state: PhaseState, fields: FieldConfig,
-                      params: ParticleParams, c: float = 1.0) -> float:
-    """gamma m c^2 + e phi + et phi_dual with phi = -E.x, phi_dual = -B.x."""
-    return _hamiltonian(state.gamma, state.x, fields, params, c)
-
-
 def _hamiltonian(gamma, x, fields: FieldConfig, params: ParticleParams, c: float):
-    """orbit_hamiltonian on a float gamma and position, or elementwise on
-    arrays of them (x indexed by component)."""
+    """The orbit energy gamma m c^2 + e phi + et phi_dual, with phi = -E.x and
+    phi_dual = -B.x, on a float gamma and position, or elementwise on arrays
+    of them (x indexed by component)."""
     m = float(params.m)
     return (gamma * m * c * c
             - float(params.e) * _dot(fields.E, x)
@@ -457,8 +382,9 @@ def _rk4_stepper(fields: FieldConfig, params: ParticleParams, dt: float, c: floa
     """The classical RK4 step from a row (x, u, s) of nine floats to the next,
     with its constants bound.
 
-    rates writes out _lorentz and the _thomas fields of _spin_rate, in their
-    operand order; a dual coupling's E is B, so it reuses beta x B."""
+    rates writes out the Lorentz force and the _thomas fields of the
+    couplings, in the per-state reference's operand order; a dual coupling's
+    E is B, so it reuses beta x B."""
     e, et, mc = float(params.e), float(params.etilde), float(params.m) * c
     E0, E1, E2 = fields.E
     B0, B1, B2 = fields.B
@@ -535,7 +461,7 @@ def _integrate_blocks(state0: PhaseState, fields: FieldConfig, params: ParticleP
     its rows from stop on not yet written.  The loop steps rows (x, u, s) of
     nine floats from state0; each block's times are then one accumulate,
     and its helicity and energy are computed elementwise, a chunk at a time,
-    by the same float operations as PhaseState.helicity and orbit_hamiltonian.
+    by the same float operations as the per-state helicity and orbit energy.
     """
     for name, value in (("dt", dt), ("c", c)):
         if not (math.isfinite(value) and value > 0):

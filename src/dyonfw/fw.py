@@ -39,12 +39,6 @@ class OddEvenSplit:
     even: Expression
     odd: Expression
 
-    def even_slice(self, n: int) -> Expression:
-        return al.order_slice(self.even, n)
-
-    def odd_slice(self, n: int) -> Expression:
-        return al.order_slice(self.odd, n)
-
 
 def split_even_odd(h: Expression) -> OddEvenSplit:
     """Split h in one pass over its groups: the (order -1, beta) group is

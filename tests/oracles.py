@@ -1,4 +1,6 @@
-"""Independent brute-force expander used to cross-check the canonical engine.
+"""Independent references the engine is cross-checked against: a brute-force
+expander for the operator algebra, and the per-state Thomas-BMT law, which
+imports nothing of dyonfw.dynamics, for the integrator.
 
 Terms here are (complex coefficient, dimension tuple, explicit 4x4 numpy
 matrix, word list).  Reordering resolves the *last* out-of-order adjacent
@@ -9,6 +11,9 @@ check, not a tautology.
 """
 
 from __future__ import annotations
+
+import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -49,7 +54,7 @@ _EPS = {(1, 2): (3, 1), (2, 1): (3, -1), (2, 3): (1, 1),
 def _dim_add(d, **kw):
     vec = list(d)
     for name, exp in kw.items():
-        vec[al._DIM_INDEX[name]] += exp
+        vec[al.DIM_NAMES.index(name)] += exp
     return tuple(vec)
 
 
@@ -217,3 +222,76 @@ def free_identity_coefficient(e: al.Expression, symbols: dict, pi) -> complex:
             raise ValueError(f"term {key} is not an identity term")
         total += _term_value(key, c, symbols, atoms)
     return total
+
+
+# -- The per-state Thomas-BMT reference (Bargmann, Michel & Telegdi, PRL 2, 435 (1959))
+# The dyon's orbit and spin law on one state read by attribute (u = gamma beta);
+# each float expression has the operands and the order of the integrator's steps.
+
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b) -> tuple:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def gamma(state) -> float:
+    return math.sqrt(1.0 + _dot(state.u, state.u))
+
+
+def _beta(state) -> tuple:
+    g = gamma(state)
+    return tuple(v / g for v in state.u)
+
+
+def helicity(state) -> float:
+    """s . u / |u|, and 0.0 at rest."""
+    umag = math.sqrt(_dot(state.u, state.u))
+    return _dot(state.s, state.u) / umag if umag else 0.0
+
+
+def thomas_F(beta, fields, ge: float) -> tuple:
+    """The electric charge's effective precession field,
+    (g/2 - 1 + 1/gamma) B - (g/2 - 1) r (beta.B) beta - (g/2 - r) beta x E
+    with r = gamma / (gamma + 1); ValueError for a speed not below 1."""
+    E, B, half_g = fields.E, fields.B, ge / 2.0
+    b2 = _dot(beta, beta)
+    if not b2 < 1.0:  # also rejects NaN
+        raise ValueError("boost speed must be below 1")
+    g = 1.0 / math.sqrt(1.0 - b2)
+    r = g / (g + 1.0)
+    a = half_g - 1.0
+    along_B, along_beta, along_bxE = a + 1.0 / g, a * r * _dot(beta, B), half_g - r
+    bxE = _cross(beta, E)
+    return tuple(along_B * B[i] - along_beta * beta[i] - along_bxE * bxE[i] for i in range(3))
+
+
+def thomas_F_dual(beta, fields, gte: float) -> tuple:
+    """The magnetic charge's: the same law on the dual fields (E, B) -> (B, -E)."""
+    return thomas_F(beta, SimpleNamespace(E=fields.B, B=tuple(-x for x in fields.E)), gte)
+
+
+def spin_rhs(state, fields, params, c: float = 1.0) -> tuple:
+    """ds/dt = (e/mc) s x F + (et/mc) s x F_dual, a term per non-zero charge."""
+    mc, beta, rate = float(params.m) * c, _beta(state), (0.0, 0.0, 0.0)
+    for q, field, g in ((params.e, thomas_F, params.ge),
+                        (params.etilde, thomas_F_dual, params.gte)):
+        if q:
+            sxF = _cross(state.s, field(beta, fields, float(g)))
+            rate = tuple(r + float(q) / mc * v for r, v in zip(rate, sxF))
+    return rate
+
+
+def orbit_rhs(state, fields, params, c: float = 1.0) -> tuple:
+    """du/dt = (e (E + beta x B) + et (B - beta x E)) / mc."""
+    e, et, mc = float(params.e), float(params.etilde), float(params.m) * c
+    E, B, beta = fields.E, fields.B, _beta(state)
+    bxB, bxE = _cross(beta, B), _cross(beta, E)
+    return tuple((e * (E[i] + bxB[i]) + et * (B[i] - bxE[i])) / mc for i in range(3))
+
+
+def orbit_hamiltonian(state, fields, params, c: float = 1.0) -> float:
+    """gamma m c^2 + e phi + et phi_dual with phi = -E.x, phi_dual = -B.x."""
+    return (gamma(state) * float(params.m) * c * c - float(params.e) * _dot(fields.E, state.x)
+            - float(params.etilde) * _dot(fields.B, state.x))

@@ -341,12 +341,17 @@ def test_verify_fails_against_perturbed_fixtures(tmp_path, monkeypatch, capsys,
     # 2**60 steps pass numpy's own array size limit
     (lambda scenario: scenario["run"].update(steps=10**16), "steps"),
     (lambda scenario: scenario["run"].update(steps=2**60), "steps"),
+    # |u| = 1e9 rounds beta to 1, where the Thomas-BMT gamma would divide by zero
+    (lambda scenario: scenario.update(init={"u": [1e9, 0, 0]}), "boost speed must be below 1"),
+    (lambda scenario: scenario.update(init={"u": [1e9, 0, 0]},
+                                      run=dict(scenario["run"], scheme="rk4")),
+     "boost speed must be below 1"),
 ], ids=["no-run-block", "list-fields-block", "nan-field", "short-field",
         "zero-mass", "negative-mass", "inf-ge", "no-dt", "zero-dt", "no-steps",
         "negative-steps", "fractional-steps", "unknown-scheme", "bool-mass",
         "bool-field", "string-dt", "nan-literal-field", "inf-literal-gte",
         "list-scheme", "huge-int-mass", "huge-int-ge", "huge-int-field", "huge-int-dt",
-        "unallocatable-steps", "oversized-steps"])
+        "unallocatable-steps", "oversized-steps", "light-speed-split", "light-speed-rk4"])
 def test_simulate_bad_scenario_reports_error(tmp_path, capsys, edit, field):
     cfg = _write_scenario(tmp_path, edit)
     out_csv = tmp_path / "o.csv"

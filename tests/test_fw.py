@@ -156,7 +156,7 @@ def test_stage1_even_slice_two_is_half_w(dirac_result):
     omega = ham.omega_odd()
     w_op = al.commutator(al.commutator(omega, ham.omega_even()), omega)
     expected = w_op.scale(Fraction(1, 2), dims=al.dim(Eg=-2))
-    assert dirac_result.stages[0].even_slice(2) == expected
+    assert al.order_slice(dirac_result.stages[0].even, 2) == expected
 
 
 @pytest.mark.parametrize("model", ["dirac", "dirac-pauli"])
@@ -184,7 +184,7 @@ def test_stage1_odd_slices_match_reduced_forms(dirac_result):
         4: omega5.scale(Fraction(8, 15), dims=al.dim(Eg=-4)),
     }
     for n, ref in expected.items():
-        assert dirac_result.stages[0].odd_slice(n) == ref
+        assert al.order_slice(dirac_result.stages[0].odd, n) == ref
 
 
 def test_every_stage_hamiltonian_is_hermitian(dirac_result):

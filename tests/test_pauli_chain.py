@@ -28,7 +28,7 @@ def test_anomalous_double_commutator_closed_form():
 def test_anomalous_chain_enters_at_order_three(pauli_result):
     # the mu/d part of the first-stage even slice at order 3 is exactly half
     # the anomalous double commutator, carried by the explicit 1/Eg
-    slice3 = pauli_result.stages[0].even_slice(3)
+    slice3 = al.order_slice(pauli_result.stages[0].even, 3)
     anom = al.Expression({k: v for k, v in slice3.terms.items()
                           if k[0][6] > 0 or k[0][7] > 0})
     expected = _w_f().scale(Fraction(1, 2), dims=al.dim(Eg=-3))
@@ -38,7 +38,7 @@ def test_anomalous_chain_enters_at_order_three(pauli_result):
 def test_no_anomalous_longitudinal_terms_at_order_four(pauli_result):
     # the |Pi|^2-scaled anomalous term is pushed one order up by its 1/Eg:
     # slice 4 carries no (Sigma.Pi)(field.Pi) words with a moment symbol
-    slice4 = pauli_result.stages[0].even_slice(4)
+    slice4 = al.order_slice(pauli_result.stages[0].even, 4)
     for key in slice4.terms:
         if key[0][6] > 0 or key[0][7] > 0:
             pi_count = sum(1 for a in key[3] if oracles.is_pi(a))
@@ -46,7 +46,7 @@ def test_no_anomalous_longitudinal_terms_at_order_four(pauli_result):
 
 
 def test_anomalous_quartic_appears_at_order_five(pauli_result):
-    slice5 = pauli_result.stages[0].even_slice(5)
+    slice5 = al.order_slice(pauli_result.stages[0].even, 5)
     found = any((key[0][6] > 0 or key[0][7] > 0)
                 and sum(1 for a in key[3] if oracles.is_pi(a)) == 4
                 for key in slice5.terms)

@@ -48,7 +48,7 @@ def test_physical_hamiltonian_sums_the_rest_mass_and_every_even_slice(dirac_resu
                                                                     pauli_result):
     rest = al.Expression.term(1, mat=al.BETA_MAT, dims=al.dim(m=1, c=2))
     for result in (dirac_result, pauli_result):
-        slices = [result.stages[-1].even_slice(0), *result.even_slices.values()]
+        slices = [al.order_slice(result.stages[-1].even, 0), *result.even_slices.values()]
         assert reduction.physical_hamiltonian(result) == reduction.physicalize(
             al.linear_combination([(1, ex) for ex in (rest, *slices)])), result.model
 
