@@ -9,21 +9,22 @@ anomalous-moment terms by field pairing.  Both label through algebra's
 public splits: kind per group (split_groups), the anomalous split per term.
 
 classical_hamiltonian(T) is the one classical Hamiltonian on the particle
-block: the orbital m c^2 sqrt(1 + xi^2) plus the Thomas-BMT spin term on six
-structural channels
+block: the orbital m c^2 sqrt(1 + xi^2) plus the Thomas-BMT spin term of
+the pure charge on three structural channels
 
-    sector e:   Sigma.B,   Sigma.(E x Pi),  (Sigma.Pi)(B.Pi)
-    sector et:  Sigma.E,   Sigma.(B x Pi),  (Sigma.Pi)(E.Pi)
+    Sigma.B,   Sigma.(E x Pi),  (Sigma.Pi)(B.Pi)
 
 each with its prefactor expanded in x = (|Pi|/mc)^2 = xi^2, all kept through
 the 1/Eg order T of the run it is compared with.  match_tbmt(h_spin, T)
 compares its spin half with the derived spin part as one expression.  A
 channel with j momentum factors reaches x^k for 1 + j + 2k <= T; since
 xi^2 = beta^2 / (1 - beta^2) has unit leading term, that compares its
-boost-speed series through beta^(T - 1 - j).  The moments mu and d stay
-symbols on both sides, so the one equality holds for every (ge, gte).  The
-catalog's weak-field entries are views of the same Hamiltonian, lifted off
-the particle block by beta_lift.
+boost-speed series through beta^(T - 1 - j).  Its et and d sector is the
+duality lift of its e sector (dual_lift), the paper's route; the engine
+derives its own through its commutators, so the two stay independent.  The
+moments mu and d stay symbols on both sides, so the one equality holds for
+every (ge, gte).  The catalog's weak-field entries are views of the same
+Hamiltonian, lifted off the particle block by beta_lift.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def reduce_to_physical(result: FWRunResult) -> tuple[Expression, Expression]:
     return parts["orbit"], parts["spin"]
 
 
-_M, _MU, _D = (al.DIM_NAMES.index(name) for name in ("m", "mu", "d"))
+_M, _E, _ET, _MU, _D = (al.DIM_NAMES.index(name) for name in ("m", "e", "et", "mu", "d"))
 
 
 def _anomalous(d: tuple, fields: tuple) -> str | None:
@@ -111,23 +112,46 @@ def pauli_extra_terms(h_phys: Expression) -> tuple[Expression, Expression]:
     return parts["static"], parts["cross"]
 
 
+def dual_lift(e: Expression) -> Expression:
+    """The dyon's weak-field expression from its pure-charge part by
+    electromagnetic duality: e's et = d = 0 terms, each field term with its
+    dual partner, eE -> eE + et B, eB -> eB - et E, mu E -> mu E + d B and
+    mu B -> mu B - d E.  A field term that is not one field atom times one
+    power of e or of mu raises ValueError."""
+    terms = {}
+    for (d, mat, ip, word), coeff in e.terms.items():
+        if d[_ET] or d[_D]:
+            continue
+        terms[d, mat, ip, word] = coeff
+        fields = [a for a in word if a < al.VPOT]
+        if not fields:
+            continue
+        if len(fields) != 1 or (d[_E], d[_MU]) not in ((1, 0), (0, 1)):
+            raise ValueError(f"no dual partner for term {(d, mat, ip, word)}")
+        dual = al.dim_mul(d, al.dim(e=-d[_E], et=d[_E], mu=-d[_MU], d=d[_MU]))
+        shift = al.B1 - al.E1 if word[0] <= al.E3 else al.E1 - al.B1
+        terms[dual, mat, ip, (word[0] + shift, *word[1:])] = coeff if shift > 0 else -coeff
+    return Expression(terms)
+
+
 # ---------------------------------------------------------------------------
 # The classical Hamiltonian
 
 def classical_hamiltonian(order: int) -> Expression:
     """The classical Hamiltonian on the particle block: the orbital
-    m c^2 sqrt(1 + xi^2) plus the Thomas-BMT spin term
-    -(e/mc) s.F - (et/mc) s.F_dual, s = hbar Sigma / 2 and beta = xi / gamma.
+    m c^2 sqrt(1 + xi^2) plus the Thomas-BMT spin term -(e/mc) s.F,
+    s = hbar Sigma / 2 and beta = xi / gamma, which dual_lift takes to the
+    dyon's -(e/mc) s.F - (et/mc) s.F_dual.
 
     It is written in the gap, m c^2 = Eg / 2 and xi = 2 c Pi / Eg, so each
     product keeps 1/Eg orders through `order` as the derived slices do, and
     is then physicalized like them.  The orbit term Eg xi^2k sits at order
     2k - 1, so the powers of xi^2 run through order + 1, odd orders too.
-    Each spin channel is a core in units of hbar charge c / Eg =
-    hbar charge / 2mc times a prefactor in x = xi^2, gamma = sqrt(1 + x).
-    An anomalous prefactor carries the gap-scaled moment over Eg in place
-    of that unit, since every anomalous classical term is
-    (g/2 - 1) charge hbar c, so mu and d stay symbols.
+    Each spin channel is a core in units of hbar e c / Eg = hbar e / 2mc
+    times a prefactor in x = xi^2, gamma = sqrt(1 + x).  An anomalous
+    prefactor carries the gap-scaled moment mu over Eg in place of that
+    unit, since every anomalous classical term is (g/2 - 1) e hbar c, so mu
+    and its dual d stay symbols.
     """
     deg = (order + 1) // 2
     one, x = SeriesPoly.const(1, deg), SeriesPoly.x(deg)
@@ -145,23 +169,18 @@ def classical_hamiltonian(order: int) -> Expression:
         return al.linear_combination(zip(coeffs, xi2k)).scale(1, dims=dims)
 
     parts = [(Fraction(1, 2), in_xi(gamma.coeffs, al.dim(Eg=1)))]
-    for charge, moment, direct, cross, sign in (("e", "mu", "B", "E", -1),
-                                                ("et", "d", "E", "B", 1)):
-        long_core = al.mul(ham.sigma_dot_pi(), ham.field_dot_pi(direct))
-        channels = (  # core, normal and anomalous prefactors
-            (ham.mat_dot_field(0, direct), inv_gamma * sign, one * sign),
-            (ham.sigma_dot_field_cross_pi(cross).scale(2, dims=c_over_gap),
-             inv_gamma_plus_one - inv_gamma, -inv_gamma),
-            (long_core.scale(4, dims=c2_over_gap2),
-             SeriesPoly.zero(deg), inv_gamma * inv_gamma_plus_one * -sign),
-        )
-        normal = al.dim(hbar=1, c=1, Eg=-1, **{charge: 1})
-        anomalous = al.dim(Eg=-1, **{moment: 1})
-        for core, normal_pref, anomalous_pref in channels:
-            prefactor = (in_xi(normal_pref.coeffs, normal)
-                         + in_xi(anomalous_pref.coeffs, anomalous))
-            parts.append((1, al.mul(prefactor, core, max_order=order)))
-    return physicalize(al.linear_combination(parts))
+    channels = (  # core, normal and anomalous prefactors
+        (ham.mat_dot_field(0, "B"), -inv_gamma, -one),
+        (ham.sigma_dot_field_cross_pi("E").scale(2, dims=c_over_gap),
+         inv_gamma_plus_one - inv_gamma, -inv_gamma),
+        (al.mul(ham.sigma_dot_pi(), ham.field_dot_pi("B")).scale(4, dims=c2_over_gap2),
+         SeriesPoly.zero(deg), inv_gamma * inv_gamma_plus_one),
+    )
+    for core, normal, anomalous in channels:
+        prefactor = (in_xi(normal.coeffs, al.dim(hbar=1, c=1, Eg=-1, e=1))
+                     + in_xi(anomalous.coeffs, al.dim(Eg=-1, mu=1)))
+        parts.append((1, al.mul(prefactor, core, max_order=order)))
+    return dual_lift(physicalize(al.linear_combination(parts)))
 
 
 def match_tbmt(h_spin: Expression, order: int) -> Expression:

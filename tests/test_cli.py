@@ -215,12 +215,21 @@ def test_verify_rejects_unreadable_fixtures(tmp_path, monkeypatch, capsys, conte
         assert json.loads(out)["error"].startswith(f"{key}: invalid ")
 
 
+# The benchmark's expected.json pins the JSON digests; the LaTeX ones live here.
+DERIVE_SHA256 = {
+    "json": EXPECTED["derive_sha256"],
+    "latex": {"dirac": "7fcc9fb2a7825e570cbd803748d6a5c627a7dc520f92ecc0fe9e590d079e376b",
+              "dirac-pauli": "d2d6db0c720b0e122e03fdcacaacd80a497153d313a1f829a4f22e2a97c17d2f"},
+}
+
+
 @pytest.mark.parametrize("model", ["dirac", "dirac-pauli"])
-def test_derive_order_6_json_matches_the_pinned_digest(capsys, model):
+@pytest.mark.parametrize("fmt", ["json", "latex"])
+def test_derive_order_6_matches_the_pinned_digest(capsys, fmt, model):
     code, out = run_cli(capsys, "derive", "--model", model, "--order", "6",
-                        "--format", "json")
+                        "--format", fmt)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == EXPECTED["derive_sha256"][model]
+    assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_SHA256[fmt][model]
 
 
 def test_derive_output_is_deterministic(capsys):

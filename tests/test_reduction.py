@@ -179,3 +179,50 @@ def test_order_8_dirac_reduces_to_the_classical_orbit_and_spin(dirac_result_8, p
     orbit, spin = reduction.reduce_to_physical(dirac_result_8)
     assert orbit == physical_8["kinetic_energy"] + ham.potential()
     assert spin == physical_8["spin_dipole"]
+
+
+# The paper reaches the dyon through electromagnetic duality.  The engine
+# derives the et and d sector through its own commutators and its typed
+# inputs; dual_lift types it again from the e and mu sector, so each weak
+# part of a run must be a fixed point of the lift.
+@pytest.mark.parametrize("fixture", ["dirac_result", "pauli_result",
+                                     "dirac_result_8", "pauli_result_8"])
+def test_every_part_of_a_run_is_a_fixed_point_of_the_duality_lift(request, fixture):
+    result = request.getfixturevalue(fixture)
+    build = (ham.build_dirac_hamiltonian if result.model == "dirac"
+             else ham.build_dirac_pauli_hamiltonian)
+    parts = {"input": build(ham.GENERIC_DYON)}
+    for k, stage in enumerate(result.stages, 1):
+        parts[f"stage {k} even"], parts[f"stage {k} odd"] = stage.even, stage.odd
+    parts.update((f"slice {n}", ex) for n, ex in result.even_slices.items())
+    weak = {name: al.truncate_fields(p) for name, p in parts.items()}
+    assert [name for name, w in weak.items() if reduction.dual_lift(w) != w] == []
+
+
+def _charged(field: int, **charges) -> al.Expression:
+    return al.Expression.term(1, word=(field, al.pi(1)), mat=al.mat_code(0, 3),
+                              dims=al.dim(hbar=1, **charges))
+
+
+# each of eE, eB, mu E and mu B with its dual partner, typed by hand
+_LIFTED = (_charged(al.field_e(1), e=1) + _charged(al.field_b(1), et=1)
+           + _charged(al.field_b(2), e=1) - _charged(al.field_e(2), et=1)
+           + _charged(al.field_e(3), mu=1) + _charged(al.field_b(3), d=1)
+           + _charged(al.field_b(1), mu=1) - _charged(al.field_e(1), d=1))
+
+
+@pytest.mark.parametrize("stray, raises", [
+    (al.Expression.term(1, word=(al.field_e(1), al.field_b(2)), dims=al.dim(e=1)), True),
+    (_charged(al.field_b(3), e=1, mu=1), True),
+    (_charged(al.field_b(3)), True),
+    (_charged(al.field_e(2), et=1).scale(5), False),
+    (_charged(al.field_b(3), d=1, mu=1), False),
+], ids=["two-field-atoms", "e-and-mu", "neither-e-nor-mu", "et-dropped", "d-dropped"])
+def test_dual_lift_takes_one_field_atom_times_e_or_mu_and_drops_et_and_d(stray, raises):
+    if raises:
+        (key,) = stray.terms
+        with pytest.raises(ValueError, match=re.escape(f"term {key}")):
+            reduction.dual_lift(_LIFTED + stray)
+    else:
+        # the partners already in _LIFTED are dropped and made again, not doubled
+        assert reduction.dual_lift(_LIFTED + stray) == _LIFTED
