@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from importlib import resources
 from math import factorial
 from pathlib import Path
 
@@ -83,10 +82,14 @@ def first_stage_forms(odd_op: Expression, even_op: Expression) -> tuple[dict, di
 
 def odd_pair_sum(odd: dict[int, Expression], total: int) -> Expression:
     """Sum of [beta O_l, O_m] over l + m = total, through the 1/Eg order
-    MAX_ORDER - (total + 1) that its stage power total + 1 leaves."""
-    return al.linear_combination(
-        (1, al.commutator(_beta_times(o_l), odd[total - l], max_order=MAX_ORDER - total - 1))
-        for l, o_l in odd.items() if total - l in odd)
+    MAX_ORDER - (total + 1) that its stage power total + 1 leaves.
+
+    For beta-odd O_m, [beta O_l, O_m] = beta {O_l, O_m}, symmetric in l and
+    m, so each unordered pair is formed once and counted twice when l != m."""
+    return _beta_times(al.linear_combination(
+        (1 if 2 * l == total else 2,
+         al.anticommutator(o_l, odd[total - l], max_order=MAX_ORDER - total - 1))
+        for l, o_l in odd.items() if 2 * l <= total and total - l in odd))
 
 
 def odd_triple_sum(odd: dict[int, Expression], even: dict[int, Expression],
@@ -215,5 +218,5 @@ def fixtures_dir() -> Path:
     override = os.environ.get(FIXTURES_ENV)
     if override:
         return Path(override)
-    return Path(resources.files("dyonfw") / "fixtures")
+    return Path(__file__).parent / "fixtures"
 

@@ -49,7 +49,7 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,28 +58,24 @@ from .hamiltonians import ParticleParams
 Vec3 = tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class FieldConfig:
-    """Homogeneous static fields."""
+class FieldConfig(namedtuple("FieldConfig", "E B", defaults=((0.0, 0.0, 0.0),) * 2)):
+    """Homogeneous static fields E and B, each a Vec3."""
 
-    E: Vec3 = (0.0, 0.0, 0.0)
-    B: Vec3 = (0.0, 0.0, 0.0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("E", "B"):
-            object.__setattr__(self, name, _vec3(name, getattr(self, name)))
+    def __new__(cls, *args, **kwargs):
+        return tuple.__new__(cls, map(_vec3, cls._fields, super().__new__(cls, *args, **kwargs)))
 
 
-@dataclass(frozen=True)
-class PhaseState:
-    x: Vec3 = (0.0, 0.0, 0.0)
-    u: Vec3 = (0.0, 0.0, 0.0)
-    s: Vec3 = (0.0, 0.0, 1.0)
-    t: float = 0.0
+class PhaseState(namedtuple("PhaseState", "x u s t",
+                            defaults=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0))):
+    """Position x, u = gamma * beta and rest-frame spin s, each a Vec3, at time t."""
 
-    def __post_init__(self):
-        for name in ("x", "u", "s"):
-            object.__setattr__(self, name, _vec3(name, getattr(self, name)))
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        x, u, s, t = super().__new__(cls, *args, **kwargs)
+        return tuple.__new__(cls, (_vec3("x", x), _vec3("u", u), _vec3("s", s), t))
 
 
 def _vec3(name: str, value) -> Vec3:
@@ -148,16 +144,13 @@ _MAX_BLOCKS = 4  # the most CSV helpers alive at once
 _CSV_HEADER = "t,x,y,z,ux,uy,uz,sx,sy,sz,helicity\n"
 
 
-@dataclass
 class Trajectory:
     """Sampled states plus derived observables; times strictly increase."""
 
-    t: np.ndarray
-    x: np.ndarray
-    u: np.ndarray
-    s: np.ndarray
-    helicity: np.ndarray
-    energy: np.ndarray
+    def __init__(self, t: np.ndarray, x: np.ndarray, u: np.ndarray, s: np.ndarray,
+                 helicity: np.ndarray, energy: np.ndarray):
+        self.t, self.x, self.u, self.s = t, x, u, s
+        self.helicity, self.energy = helicity, energy
 
     def __len__(self):
         return len(self.t)
@@ -487,9 +480,17 @@ def _integrate_blocks(state0: PhaseState, fields: FieldConfig, params: ParticleP
     block = _BLOCK_CHUNKS * _CHUNK_ROWS
     for start in range(0, n, block):
         stop = min(start + block, n)
-        for k in range(max(start, 1), stop):
-            row = step(row)
-            xus[k] = row
+        try:
+            for k in range(max(start, 1), stop):
+                row = step(row)
+                xus[k] = row
+        except ValueError as exc:
+            # math's sin and cos raise this for an infinite angle; the
+            # step's own errors pass through.
+            if exc.args != ("math domain error",):
+                raise
+            raise ValueError(f"trajectory is not finite: step {k} has an infinite "
+                             f"rotation angle") from None
         # t[k] = t[k - 1] + dt, added in that order: one accumulate per block
         times = t[max(start - 1, 0):stop]
         times[1:] = dt

@@ -19,7 +19,7 @@ each part builds its .terms view when a caller first reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -31,13 +31,10 @@ class PipelineError(RuntimeError):
     """A structural guarantee of the staged transformation failed."""
 
 
-@dataclass(frozen=True)
-class OddEvenSplit:
+class OddEvenSplit(namedtuple("OddEvenSplit", "mass even odd")):
     """Rest-mass slot plus the beta-even and beta-odd remainder."""
 
-    mass: Expression
-    even: Expression
-    odd: Expression
+    __slots__ = ()
 
 
 def split_even_odd(h: Expression) -> OddEvenSplit:
@@ -83,20 +80,17 @@ def bch_conjugate(s: Expression, h: Expression, max_order: int) -> Expression:
     return al.linear_combination(series)
 
 
-@dataclass(frozen=True)
-class FWRunResult:
+class FWRunResult(namedtuple("FWRunResult", "model stages even_slices")):
     """What the staged transformation produced.
 
-    stages[k] is the split after stage k + 1, in stage order (the odd slices
-    of stages[0] are the raw ingredients of the higher-order corrections);
-    even_slices[n], n = 1..target order, are the final stable slices
-    h''(n) = h'(n).  Every part is an algebra expression, whose Fractions
-    are built when its .terms view is first read.
+    model is the model's name; stages[k] is the split after stage k + 1, in
+    stage order (the odd slices of stages[0] are the raw ingredients of the
+    higher-order corrections); even_slices[n], n = 1..target order, are the
+    final stable slices h''(n) = h'(n).  Every part is an algebra
+    expression, whose Fractions are built when its .terms view is first read.
     """
 
-    model: str
-    stages: tuple[OddEvenSplit, ...]
-    even_slices: dict[int, Expression]
+    __slots__ = ()
 
 
 def fw_run(h: Expression, target_order: int, *, model: str) -> FWRunResult:

@@ -13,30 +13,25 @@ them their scalar prefactor with Expression.scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import algebra as al
 from . import clifford
 
 
-@dataclass(frozen=True)
-class ParticleParams:
-    """Mass, charges and gyro-ratios of a spin-1/2 dyon.
+class ParticleParams(namedtuple("ParticleParams", "m e etilde ge gte",
+                                defaults=(1, 1, 0, 2, 2))):
+    """Mass, charges and gyro-ratios of a spin-1/2 dyon, each a Fraction.
 
     The anomalous moments are derived quantities: mu' = (ge/2 - 1) e hbar/2mc
     and d' = (gte/2 - 1) et hbar/2mc, never stored.
     """
 
-    m: Fraction = Fraction(1)
-    e: Fraction = Fraction(1)
-    etilde: Fraction = Fraction(0)
-    ge: Fraction = Fraction(2)
-    gte: Fraction = Fraction(2)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("m", "e", "etilde", "ge", "gte"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __new__(cls, *args, **kwargs):
+        return tuple.__new__(cls, map(Fraction, super().__new__(cls, *args, **kwargs)))
 
     @property
     def amm_factor(self) -> Fraction:

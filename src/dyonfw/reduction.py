@@ -29,7 +29,7 @@ Hamiltonian, lifted off the particle block by beta_lift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import algebra as al
@@ -194,11 +194,10 @@ def match_tbmt(h_spin: Expression, order: int) -> Expression:
 # ---------------------------------------------------------------------------
 # Scalar series identities
 
-@dataclass(frozen=True)
-class SeriesCheckReport:
-    name: str
-    derived: tuple
-    expected: tuple
+class SeriesCheckReport(namedtuple("SeriesCheckReport", "name derived expected")):
+    """A named identity: its derived and its expected coefficient tuples."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

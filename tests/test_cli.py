@@ -355,12 +355,20 @@ def test_verify_fails_against_perturbed_fixtures(tmp_path, monkeypatch, capsys,
     (lambda scenario: scenario.update(init={"u": [1e9, 0, 0]},
                                       run=dict(scenario["run"], scheme="rk4")),
      "boost speed must be below 1"),
+    # B = 1e200 overflows the split step's precession angle in step 1 and
+    # the rk4 run's orbit energy
+    (lambda scenario: scenario["fields"].update(B=[0, 0, 1e200]),
+     "trajectory is not finite: step 1 "),
+    (lambda scenario: scenario.update(fields={"B": [0, 0, 1e200]},
+                                      run=dict(scenario["run"], scheme="rk4")),
+     "trajectory is not finite: "),
 ], ids=["no-run-block", "list-fields-block", "nan-field", "short-field",
         "zero-mass", "negative-mass", "inf-ge", "no-dt", "zero-dt", "no-steps",
         "negative-steps", "fractional-steps", "unknown-scheme", "bool-mass",
         "bool-field", "string-dt", "nan-literal-field", "inf-literal-gte",
         "list-scheme", "huge-int-mass", "huge-int-ge", "huge-int-field", "huge-int-dt",
-        "unallocatable-steps", "oversized-steps", "light-speed-split", "light-speed-rk4"])
+        "unallocatable-steps", "oversized-steps", "light-speed-split", "light-speed-rk4",
+        "overflowing-split", "overflowing-rk4"])
 def test_simulate_bad_scenario_reports_error(tmp_path, capsys, edit, field):
     cfg = _write_scenario(tmp_path, edit)
     out_csv = tmp_path / "o.csv"

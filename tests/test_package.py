@@ -1,16 +1,21 @@
 """Package surface: every name the package advertises can be imported, the
-command-line module loads without numpy, the count of defaulted parameters
-does not creep back up, no public helper goes unused, and every source file
-parses with the oldest supported Python."""
+command-line module loads without numpy or dataclasses, the records are
+frozen, the count of defaulted parameters does not creep back up, no public
+helper goes unused, and every source file parses with the oldest supported
+Python."""
 
 import ast
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import dyonfw
+from dyonfw import dynamics, fw, hamiltonians, reduction
 
 # Parameters with a default value across src/dyonfw.  Each one is an option
 # every caller and test may set; lower this when one goes, never raise it.
@@ -23,24 +28,85 @@ def test_star_import_resolves_every_public_name():
     assert set(dyonfw.__all__) <= set(namespace)
 
 
-def _numpy_stays_unloaded(code: str) -> None:
-    """Run code in a fresh interpreter, then check numpy was never imported."""
+def _modules_stay_unloaded(code: str, *modules: str) -> None:
+    """Run code in a fresh interpreter under python -S, so that no site .pth
+    file preloads a module and hides a regression, then check that none of
+    modules was ever imported."""
     src = str(Path(dyonfw.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", code + '\nassert "numpy" not in sys.modules'],
+    check = (f"\nimport sys\nloaded = sorted(set(sys.modules).intersection({sorted(modules)!r}))"
+             "\nassert not loaded, loaded")
+    subprocess.run([sys.executable, "-S", "-c", code + check],
                    check=True, timeout=120, stdout=subprocess.DEVNULL,
                    env=dict(os.environ, PYTHONPATH=path))
 
 
 def test_cli_import_leaves_numpy_unloaded():
     # Only simulate runs numpy; verify and derive never pay for importing it.
-    _numpy_stays_unloaded("import sys; import dyonfw.cli")
+    # The records are named tuples and the fixtures a path beside the
+    # package, so no run pays for dataclasses (which loads inspect) or for
+    # importlib.resources either.
+    _modules_stay_unloaded("import dyonfw.cli",
+                           "numpy", "dataclasses", "inspect", "importlib.resources")
+
+
+def test_dynamics_import_leaves_numpy_and_dataclasses_unloaded():
+    # simulate would pay for dataclasses inside its timed run.
+    _modules_stay_unloaded("import dyonfw.dynamics", "numpy", "dataclasses")
 
 
 def test_boost_dipole_leaves_numpy_unloaded():
     # The boosts run on float tuples; importing dynamics loads no numpy.
-    _numpy_stays_unloaded('import sys; from dyonfw import cli\n'
-                          'assert cli.main(["boost-dipole", "--beta", "0.6,0,0"]) == 0')
+    _modules_stay_unloaded('from dyonfw import cli\n'
+                           'assert cli.main(["boost-dipole", "--beta", "0.6,0,0"]) == 0',
+                           "numpy")
+
+
+_ZERO = dyonfw.Expression.zero()
+# Each immutable record, built with its defaults where it has them, and its fields.
+RECORDS = {
+    "ParticleParams": (hamiltonians.ParticleParams(), ("m", "e", "etilde", "ge", "gte")),
+    "OddEvenSplit": (fw.OddEvenSplit(_ZERO, _ZERO, _ZERO), ("mass", "even", "odd")),
+    "FWRunResult": (fw.FWRunResult("dirac", (), {1: _ZERO}), ("model", "stages", "even_slices")),
+    "SeriesCheckReport": (reduction.SeriesCheckReport("identity", (1, 0), (1, 0)),
+                          ("name", "derived", "expected")),
+    "FieldConfig": (dynamics.FieldConfig(), ("E", "B")),
+    "PhaseState": (dynamics.PhaseState(), ("x", "u", "s", "t")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_frozen_and_print_their_fields(name):
+    record, fields = RECORDS[name]
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = None
+    shown = ", ".join(f"{field}={getattr(record, field)!r}" for field in fields)
+    assert repr(record) == f"{name}({shown})"
+
+
+def test_records_keep_their_defaults_and_checks():
+    params = hamiltonians.ParticleParams()
+    values = [getattr(params, field) for field in RECORDS["ParticleParams"][1]]
+    assert values == [1, 1, 0, 2, 2] and {type(v) for v in values} == {Fraction}
+    assert hamiltonians.ParticleParams(ge=3, e="1/2") == hamiltonians.ParticleParams(
+        1, Fraction(1, 2), 0, Fraction(3), 2)
+    state = dynamics.PhaseState()
+    assert (state.x, state.u, state.s, state.t) == ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+                                                    (0.0, 0.0, 1.0), 0.0)
+    state = dynamics.PhaseState(u=[1, 2, 3], t=0.5)
+    assert state.u == (1.0, 2.0, 3.0) and type(state.u[0]) is float and state.t == 0.5
+    fields = dynamics.FieldConfig()
+    assert (fields.E, fields.B) == ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    assert dynamics.FieldConfig(B=(0, 0, 1)).B == (0.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        hamiltonians.ParticleParams(ge="x")
+    with pytest.raises(ValueError, match="^B must be three numbers, got 2$"):
+        dynamics.FieldConfig(B=(1, 2))
+    with pytest.raises(ValueError, match="^s must be three numbers, got 2$"):
+        dynamics.PhaseState((0, 0, 0), (0, 0, 0), (1, 2))
 
 
 def test_parameters_with_defaults_do_not_grow():
