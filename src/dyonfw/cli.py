@@ -63,8 +63,8 @@ def cmd_simulate(args) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import dynamics as dyn  # imported only by the commands that run it
     params, fields, state, run = dyn.load_scenario(args.config)
-    traj, drifts = dyn.simulate(state, fields, params, path=args.out, **run)
-    json.dump({"samples": len(traj), "out": args.out, **drifts},
+    samples, drifts = dyn.simulate(state, fields, params, path=args.out, **run)
+    json.dump({"samples": samples, "out": args.out, **drifts},
               sys.stdout, indent=1)
     print()
     return 0

@@ -28,10 +28,16 @@ operands and the order of `_thomas` and of the per-state reference in
 `tests/oracles.py`, which types the law again, one state at a time; the
 tests compare the steppers and the derived columns with it bit for bit.
 
-The loop yields after every block of whole chunks, so `simulate` hands each
-block, the last one included, to a forked CSV helper (`_CsvWriter`) while
-the next block is stepped; `Trajectory.write_csv` formats the same rows in
-this process, the reference the streamed file is compared with.  numpy is
+The loop yields a fresh `Trajectory` for every block of whole chunks, its
+last row and time carried over to the next.  `integrate` copies the blocks
+into whole-run arrays allocated before the first step.  `simulate` holds
+one block, not the run: it hands each block, the last one included, to a
+forked CSV helper (`_CsvWriter`) while the next block is stepped, folds the
+block into the drift maxima and drops it.  Since no whole-run array bounds
+its step count, `simulate` first refuses a run whose CSV, at least 44 bytes
+a row, cannot fit in the free space of the output's directory or of the
+temporary directory.  `Trajectory.write_csv` formats the same rows in this
+process, the reference the streamed file is compared with.  numpy is
 imported only by the code that builds or reads arrays.
 
 `boost_dipole` reads the dipoles of a moving particle off the same
@@ -47,6 +53,7 @@ import math
 import numbers
 import os
 import shutil
+import stat
 import sys
 import tempfile
 from collections import namedtuple
@@ -139,9 +146,12 @@ def _hamiltonian(gamma, x, fields: FieldConfig, params: ParticleParams, c: float
 
 
 _CHUNK_ROWS = 1024  # rows per chunk when columns are formatted or combined
-_BLOCK_CHUNKS = 8  # chunks stepped between two hand-offs to the CSV writer
+_BLOCK_CHUNKS = 8  # chunks per block, the rows stepped between two hand-offs to the CSV writer
 _MAX_BLOCKS = 4  # the most CSV helpers alive at once
 _CSV_HEADER = "t,x,y,z,ux,uy,uz,sx,sy,sz,helicity\n"
+_CSV_ROW = ",".join(["%r"] * 11) + "\n"  # the header's eleven columns; %r is repr
+# No float's repr is shorter than 0.0's, so no CSV row is shorter than this.
+_MIN_CSV_ROW_BYTES = len(_CSV_ROW % ((0.0,) * 11))
 
 
 class Trajectory:
@@ -157,20 +167,8 @@ class Trajectory:
 
     def drifts(self) -> dict[str, float]:
         """Largest deviation of the helicity, spin norm and energy from their
-        first sample, _CHUNK_ROWS rows at a time; a NaN sample gives a NaN drift."""
-        import numpy as np
-        maxima = []
-        for a in range(0, len(self.t), _CHUNK_ROWS):
-            b = a + _CHUNK_ROWS
-            block = (self.helicity[a:b], (self.s[a:b] ** 2).sum(axis=1) ** 0.5,
-                     self.energy[a:b])
-            if a == 0:
-                firsts = [col[0] for col in block]
-            maxima.append([abs(col - first).max() for col, first in zip(block, firsts)])
-        # np.max, unlike the builtin max, propagates a NaN block maximum.
-        helicity, spin_norm, energy = np.max(maxima, axis=0)
-        return {"helicity_drift": float(helicity), "spin_norm_drift": float(spin_norm),
-                "energy_drift": float(energy)}
+        first sample; a NaN sample gives a NaN drift."""
+        return _drifts([self])
 
     def write_csv(self, path: str | Path) -> None:
         """One line per sample, each value as repr(float), formatted in this
@@ -183,7 +181,7 @@ class Trajectory:
 class _CsvWriter:
     """Writes a trajectory's CSV, formatting its rows on forked helpers.
 
-    hand gives finished rows to a new helper, which writes them to an
+    hand gives a finished block to a new helper, which writes its rows to an
     anonymous temporary file while the caller steps on.  At most one helper
     per usable CPU, and at most _MAX_BLOCKS, is alive at once; at that cap
     the oldest is waited for first.  write writes the header, then appends
@@ -207,14 +205,15 @@ class _CsvWriter:
         for _, pid, _ in self._helpers[self._reaped:]:
             os.waitpid(pid, 0)
 
-    def hand(self, traj: Trajectory, stop: int) -> None:
-        """Start a helper on rows [handed, stop) of traj, which must be final;
-        stop is a multiple of _CHUNK_ROWS or len(traj)."""
+    def hand(self, block: Trajectory) -> Trajectory:
+        """Start a helper on the rows of block, the rows that follow the ones
+        handed so far, and return block."""
         if len(self._helpers) - self._reaped >= self._cap:
             self._reap(self._reaped)
-        starts = range(self._handed, stop, _CHUNK_ROWS)
-        self._helpers.append((self._handed, *_start_helper(_columns(traj), starts)))
-        self._handed = stop
+        starts = range(0, len(block), _CHUNK_ROWS)
+        self._helpers.append((self._handed, *_start_helper(_columns(block), starts)))
+        self._handed += len(block)
+        return block
 
     def write(self, f) -> None:
         """Write the header and then every handed row to the text file f."""
@@ -243,6 +242,26 @@ def _columns(traj: Trajectory) -> tuple:
     return traj.t, traj.x, traj.u, traj.s, traj.helicity
 
 
+def _drifts(blocks) -> dict[str, float]:
+    """The drifts of a run given as its blocks, Trajectory objects in row
+    order: the largest deviation of the helicity, spin norm and energy from
+    their first sample, folded one block at a time.  Max is exact and np.max,
+    unlike the builtin max, propagates a NaN block maximum, so the drifts do
+    not depend on where the blocks split and a NaN sample gives a NaN drift.
+    An overflow or inf - inf gives an inf or NaN drift, not a warning."""
+    import numpy as np
+    maxima = []
+    for block in blocks:
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns = (block.helicity, (block.s ** 2).sum(axis=1) ** 0.5, block.energy)
+            if not maxima:
+                firsts = [col[0] for col in columns]
+            maxima.append([abs(col - first).max() for col, first in zip(columns, firsts)])
+    helicity, spin_norm, energy = np.max(maxima, axis=0)
+    return {"helicity_drift": float(helicity), "spin_norm_drift": float(spin_norm),
+            "energy_drift": float(energy)}
+
+
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -253,11 +272,12 @@ def _usable_cpus() -> int:
 
 def _write_chunks(f, columns, starts: range) -> None:
     """Write the rows of the _CHUNK_ROWS-row chunks beginning at starts to
-    the text file f, one chunk formatted at a time."""
+    the text file f, one chunk formatted at a time, by one % of _CSV_ROW
+    repeated per row."""
     import numpy as np
     for a in starts:
         rows = np.column_stack([col[a:a + _CHUNK_ROWS] for col in columns])
-        f.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())
+        f.write((_CSV_ROW * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def _start_helper(columns, starts: range):
@@ -447,14 +467,17 @@ _STEPPERS = {"split": _split_stepper, "rk4": _rk4_stepper}
 
 def _integrate_blocks(state0: PhaseState, fields: FieldConfig, params: ParticleParams,
                       dt: float, steps: int, c: float, scheme: str):
-    """integrate's loop, _BLOCK_CHUNKS chunks of rows at a time.
+    """Check integrate's arguments, then return its loop: a generator of the
+    run's steps + 1 rows as a fresh Trajectory per block of _BLOCK_CHUNKS
+    chunks, the first row state0, in row order.
 
-    Yields (trajectory, stop) each time rows [0, stop) are final, the last
-    time with stop = steps + 1; the trajectory is the same object each time,
-    its rows from stop on not yet written.  The loop steps rows (x, u, s) of
-    nine floats from state0; each block's times are then one accumulate,
-    and its helicity and energy are computed elementwise, a chunk at a time,
-    by the same float operations as the per-state helicity and orbit energy.
+    The loop steps rows (x, u, s) of nine floats from state0, the last row
+    and time carried over from one block to the next.  Each block's times
+    are one accumulate seeded with the last time before it, so t[k] =
+    t[k - 1] + dt keeps its roundings; its helicity and energy are computed
+    elementwise, a chunk at a time, by the same float operations as the
+    per-state helicity and orbit energy, an overflow giving inf or NaN and no
+    warning.
     """
     for name, value in (("dt", dt), ("c", c)):
         if not (math.isfinite(value) and value > 0):
@@ -463,8 +486,62 @@ def _integrate_blocks(state0: PhaseState, fields: FieldConfig, params: ParticleP
         raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
     if not isinstance(scheme, str) or scheme not in _STEPPERS:
         raise ValueError(f"scheme must be one of {sorted(_STEPPERS)}, got {scheme!r}")
-    import numpy as np
     step = _STEPPERS[scheme](fields, params, dt, c)
+
+    def blocks():
+        import numpy as np
+        row, t_last = state0.x + state0.u + state0.s, state0.t
+        size = _BLOCK_CHUNKS * _CHUNK_ROWS
+        for start in range(0, steps + 1, size):
+            n = min(size, steps + 1 - start)
+            xus = np.empty((n, 9))  # one row per sample; x, u and s are views of it
+            if start == 0:
+                xus[0] = row
+            try:
+                for i in range(1 if start == 0 else 0, n):
+                    row = step(row)
+                    xus[i] = row
+            except ValueError as exc:
+                # math's sin and cos raise this for an infinite angle; the
+                # step's own errors pass through.
+                if exc.args != ("math domain error",):
+                    raise
+                raise ValueError(f"trajectory is not finite: step {start + i} has an "
+                                 f"infinite rotation angle") from None
+            # t[k] = t[k - 1] + dt, added in that order from t_last: the
+            # first block's first time, or the time of the row before the block
+            t = np.full(n if start == 0 else n + 1, dt)
+            t[0] = t_last
+            np.add.accumulate(t, out=t)
+            t = t[-n:]
+            t_last = t[-1]
+            x, u, s = xus[:, 0:3], xus[:, 3:6], xus[:, 6:9]
+            hel, energy = np.empty(n), np.empty(n)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for a in range(0, n, _CHUNK_ROWS):
+                    rows = slice(a, a + _CHUNK_ROWS)
+                    ub, sb = u[rows].T, s[rows].T
+                    uu = _dot(ub, ub)
+                    umag = np.sqrt(uu)
+                    hel[rows] = np.divide(_dot(sb, ub), umag, out=np.zeros_like(umag),
+                                          where=umag != 0.0)
+                    energy[rows] = _hamiltonian(np.sqrt(1.0 + uu), x[rows].T, fields,
+                                                params, c)
+            yield Trajectory(t=t, x=x, u=u, s=s, helicity=hel, energy=energy)
+
+    return blocks()
+
+
+def integrate(state0: PhaseState, fields: FieldConfig, params: ParticleParams,
+              dt: float, steps: int, c: float = 1.0,
+              scheme: str = "split") -> Trajectory:
+    """Fixed-step integration; returns steps + 1 samples including the start.
+
+    The whole run's arrays are allocated before the first step, so a run too
+    large for memory fails at once; _integrate_blocks's blocks are copied in.
+    """
+    blocks = _integrate_blocks(state0, fields, params, dt, steps, c, scheme)
+    import numpy as np
     n = steps + 1
     try:
         t = np.empty(n)
@@ -473,67 +550,53 @@ def _integrate_blocks(state0: PhaseState, fields: FieldConfig, params: ParticleP
         energy = np.empty(n)
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
         raise ValueError(f"steps = {steps} needs more memory than can be allocated") from exc
-    x, u, s = xus[:, 0:3], xus[:, 3:6], xus[:, 6:9]
-    traj = Trajectory(t=t, x=x, u=u, s=s, helicity=hel, energy=energy)
-    row = state0.x + state0.u + state0.s
-    t[0], xus[0] = state0.t, row
-    block = _BLOCK_CHUNKS * _CHUNK_ROWS
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        try:
-            for k in range(max(start, 1), stop):
-                row = step(row)
-                xus[k] = row
-        except ValueError as exc:
-            # math's sin and cos raise this for an infinite angle; the
-            # step's own errors pass through.
-            if exc.args != ("math domain error",):
-                raise
-            raise ValueError(f"trajectory is not finite: step {k} has an infinite "
-                             f"rotation angle") from None
-        # t[k] = t[k - 1] + dt, added in that order: one accumulate per block
-        times = t[max(start - 1, 0):stop]
-        times[1:] = dt
-        np.add.accumulate(times, out=times)
-        for a in range(start, stop, _CHUNK_ROWS):
-            rows = slice(a, a + _CHUNK_ROWS)
-            ub, sb = u[rows].T, s[rows].T
-            uu = _dot(ub, ub)
-            umag = np.sqrt(uu)
-            hel[rows] = np.divide(_dot(sb, ub), umag, out=np.zeros_like(umag),
-                                  where=umag != 0.0)
-            energy[rows] = _hamiltonian(np.sqrt(1.0 + uu), x[rows].T, fields, params, c)
-        yield traj, stop
-
-
-def integrate(state0: PhaseState, fields: FieldConfig, params: ParticleParams,
-              dt: float, steps: int, c: float = 1.0,
-              scheme: str = "split") -> Trajectory:
-    """Fixed-step integration; returns steps + 1 samples including the start
-    (_integrate_blocks run to its end)."""
-    for traj, _ in _integrate_blocks(state0, fields, params, dt, steps, c, scheme):
-        pass
+    traj = Trajectory(t=t, x=xus[:, 0:3], u=xus[:, 3:6], s=xus[:, 6:9], helicity=hel,
+                      energy=energy)
+    start = 0
+    for block in blocks:
+        rows = slice(start, start + len(block))
+        for name, column in vars(block).items():
+            getattr(traj, name)[rows] = column
+        start = rows.stop
     return traj
 
 
 def simulate(state0: PhaseState, fields: FieldConfig, params: ParticleParams,
-             dt: float, steps: int, scheme: str, path: str | Path) -> tuple[Trajectory, dict]:
-    """integrate at c = 1, its CSV written to path while it steps; returns
-    the trajectory and its drifts.
+             dt: float, steps: int, scheme: str, path: str | Path) -> tuple[int, dict]:
+    """integrate at c = 1, its CSV written to path while it steps, holding
+    one block of rows at a time; returns the sample count and the drifts.
 
     path is opened first, so a bad path fails before any helper starts.
-    Each finished block, the last one included, goes to a _CsvWriter helper
-    at once; the helpers' rows reach path only once the drifts are known to
-    be finite, a check that raises ValueError.
+    Then, after the argument checks and before any step, a run whose CSV
+    cannot fit raises ValueError (_check_csv_room).  Each finished block, the
+    last one included, goes to a _CsvWriter helper at once and into the
+    drift fold, and is then dropped; the helpers' rows reach path only once
+    the drifts are known to be finite, a check that raises ValueError.
     """
     with open(path, "w") as f, _CsvWriter() as writer:
-        for traj, stop in _integrate_blocks(state0, fields, params, dt, steps, 1.0, scheme):
-            writer.hand(traj, stop)
-        drifts = traj.drifts()
+        blocks = _integrate_blocks(state0, fields, params, dt, steps, 1.0, scheme)
+        _check_csv_room(f, steps)
+        drifts = _drifts(writer.hand(block) for block in blocks)
         if not all(map(math.isfinite, drifts.values())):
             raise ValueError(f"trajectory is not finite: {drifts}")
         writer.write(f)
-    return traj, drifts
+    return steps + 1, drifts
+
+
+def _check_csv_room(f, steps: int) -> None:
+    """Raise ValueError when steps + 1 CSV rows of _MIN_CSV_ROW_BYTES each
+    exceed the free space of the temporary directory, where the helpers
+    write them, or of the directory of f, the open output, when it is a
+    regular file (a device or pipe takes no disk space)."""
+    need = (steps + 1) * _MIN_CSV_ROW_BYTES
+    directories = [tempfile.gettempdir()]
+    if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+        directories.append(os.path.dirname(os.path.abspath(f.name)))
+    for directory in directories:
+        free = shutil.disk_usage(directory).free
+        if need > free:
+            raise ValueError(f"steps = {steps} needs a CSV of at least {need} bytes, more "
+                             f"than the {free} bytes free in {directory}")
 
 
 # ---------------------------------------------------------------------------

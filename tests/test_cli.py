@@ -6,8 +6,10 @@ import math
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -346,8 +348,8 @@ def test_verify_fails_against_perturbed_fixtures(tmp_path, monkeypatch, capsys,
     (lambda scenario: scenario["particle"].update(ge=-10**400), "particle.ge"),
     (lambda scenario: scenario["fields"].update(B=[0, 0, 10**400]), "fields.B"),
     (lambda scenario: scenario["run"].update(dt=10**400), "run.dt"),
-    # 8e16 bytes of times alone, more than any 64-bit address space holds;
-    # 2**60 steps pass numpy's own array size limit
+    # CSVs of at least 44 bytes a row, 4.4e17 and 5.1e19 bytes, more than
+    # any disk holds (test_simulate_refuses_a_csv_no_disk_holds)
     (lambda scenario: scenario["run"].update(steps=10**16), "steps"),
     (lambda scenario: scenario["run"].update(steps=2**60), "steps"),
     # |u| = 1e9 rounds beta to 1, where the Thomas-BMT gamma would divide by zero
@@ -378,6 +380,51 @@ def test_simulate_bad_scenario_reports_error(tmp_path, capsys, edit, field):
     assert set(error) == {"error"}
     assert field in error["error"]
     assert not out_csv.exists() or out_csv.read_text() == ""
+
+
+@pytest.mark.parametrize("steps", [10**16, 2**60])
+def test_simulate_refuses_a_csv_no_disk_holds(tmp_path, capsys, helper_forks, steps):
+    # Nothing else bounds the steps of a run that holds one block at a time.
+    cfg = _write_scenario(tmp_path, lambda scenario: scenario["run"].update(steps=steps))
+    out_csv = tmp_path / "o.csv"
+    code, out = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out_csv))
+    assert code == 1
+    assert json.loads(out)["error"].startswith(
+        f"steps = {steps} needs a CSV of at least {(steps + 1) * 44} bytes, more than the ")
+    assert helper_forks["forks"] == 0
+    assert out_csv.read_text() == ""
+
+
+def test_simulate_needs_disk_room_only_for_a_regular_output(tmp_path, monkeypatch, capsys):
+    # Only the temporary directory, where the helpers write, has room; a
+    # device takes no disk space, a regular file in tmp_path does.
+    usage = shutil.disk_usage
+
+    def room_only_in_the_temporary_directory(path):
+        found = usage(path)
+        return found if path == tempfile.gettempdir() else found._replace(free=0)
+
+    monkeypatch.setattr(shutil, "disk_usage", room_only_in_the_temporary_directory)
+    cfg = _write_scenario(tmp_path)
+    code, out = run_cli(capsys, "simulate", "--config", str(cfg), "--out", os.devnull)
+    assert code == 0 and json.loads(out)["samples"] == 401
+    code, out = run_cli(capsys, "simulate", "--config", str(cfg),
+                        "--out", str(tmp_path / "o.csv"))
+    assert code == 1
+    assert json.loads(out) == {"error": f"steps = 400 needs a CSV of at least {401 * 44} "
+                                        f"bytes, more than the 0 bytes free in {tmp_path}"}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_overflowing_rk4_run_prints_only_its_error(tmp_path, capsys):
+    # B = 1e200 overflows the rk4 run's energy column and its drifts.
+    cfg = _write_scenario(tmp_path, lambda scenario: scenario.update(
+        fields={"B": [0, 0, 1e200]}, run=dict(scenario["run"], scheme="rk4")))
+    code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["error"].startswith("trajectory is not finite: ")
+    assert captured.err == ""
 
 
 def test_simulate_deeply_nested_config_reports_error(tmp_path, capsys):

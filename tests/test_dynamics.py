@@ -4,6 +4,7 @@ against the derived spin Hamiltonian."""
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -271,7 +272,13 @@ def test_integrate_rejects_bad_dt():
     ({"steps": True}, "steps"),
     ({"steps": 3, "scheme": "euler"}, "scheme"),
     ({"steps": 3, "scheme": []}, "scheme"),
-], ids=["negative-steps", "fractional-steps", "bool-steps", "unknown-scheme", "list-scheme"])
+    # integrate allocates the whole run before its first step: 8e16 bytes of
+    # times alone, more than any 64-bit address space holds, and 2**60 steps,
+    # past numpy's own array size limit
+    ({"steps": 10**16}, "^steps = 10000000000000000 needs more memory"),
+    ({"steps": 2**60}, f"^steps = {2**60} needs more memory"),
+], ids=["negative-steps", "fractional-steps", "bool-steps", "unknown-scheme", "list-scheme",
+        "unallocatable-steps", "oversized-steps"])
 def test_integrate_rejects_bad_argument(kwargs, name):
     with pytest.raises(ValueError, match=name):
         dyn.integrate(PhaseState(), FieldConfig(), ParticleParams(), dt=0.1, **kwargs)
@@ -606,11 +613,28 @@ def test_streamed_csv_equals_the_whole_table_write(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(dyn, "_usable_cpus", lambda: cpus)
     code, summary, out_csv = _simulate(cfg, capsys)
     assert code == 0 and summary["samples"] == STREAMED_STEPS + 1
+    drifts = traj.drifts()
+    assert {name: summary[name] for name in drifts} == drifts
     # A helper per block: three whole ones and the three-chunk tail.
     assert helper_forks["forks"] == 3 + 1
     assert helper_forks["most_alive"] <= cpus
     traj.write_csv(tmp_path / "whole.csv")
     assert out_csv.read_bytes() == (tmp_path / "whole.csv").read_bytes() == naive.encode()
+
+
+def test_simulate_holds_no_more_than_a_few_blocks(tmp_path):
+    # Six whole blocks and a short one; a whole-run table would take 7 blocks' bytes.
+    steps = 6 * dyn._BLOCK_CHUNKS * dyn._CHUNK_ROWS + 100
+    params, fields, state, run = dyn.load_scenario(_dyon_config(tmp_path, steps))
+    block_bytes = dyn._BLOCK_CHUNKS * dyn._CHUNK_ROWS * 12 * 8  # 12 float columns
+    tracemalloc.start()
+    try:
+        samples, _ = dyn.simulate(state, fields, params, path=tmp_path / "traj.csv", **run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert samples == steps + 1
+    assert peak < 3 * block_bytes
 
 
 def test_streamed_csv_of_no_step_is_the_start_row(tmp_path, capsys, helper_forks):
